@@ -19,6 +19,7 @@ from . import codes, corpus, matroids
 from .inequalities import (
     CSV_COLUMNS,
     GapReport,
+    _fmt,
     derivative_check,
     hypercontractive_gap,
     log_sobolev_gap,
@@ -51,16 +52,6 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.mode == "mc" and self.samples < 1:
             raise ValueError("mc mode needs at least one sample")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
 
 
 def _jsonable(value):
@@ -206,6 +197,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     q_grid = tuple(args.q_list) if args.q_list else Q_GRID
     eps_grid = tuple(args.eps_list) if args.eps_list else EPS_GRID
     rows, bad = _campaign(args.target, args.n, args.fuzz, cfg, q_grid, eps_grid)
+    if not rows:
+        raise ValueError(f"verify --target {args.target} checked no rows; use --fuzz >= 1")
     sections = [("gaps", CSV_COLUMNS, [r.row() for r in rows])]
     _emit(_render(sections, cfg.output), cfg.out)
     if bad:
@@ -374,7 +367,7 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
             row = rep.row()
             row["note"] = f"bounded_diff={comparator!r}"
             tail_rows.append(row)
-            if rep.gap < -1e-12:
+            if rep.gap < -cfg.tolerance:
                 violations.append(rep.csv_row())
     sections.append(("tail", CSV_COLUMNS, tail_rows))
 

@@ -92,10 +92,13 @@ CSV_COLUMNS = (
 
 
 def _fmt(value) -> str:
+    """One report cell: empty for None, repr for floats, 1/0 for bools."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
     return str(value)
 
 
@@ -143,10 +146,16 @@ class GapReport:
 
 def subset_weights(n: int, lam: float) -> np.ndarray:
     """Probability of each mask T under independent inclusion with rate lam."""
+    return size_weights(n, lam)[popcounts(n)]
+
+
+def size_weights(n: int, lam: float) -> np.ndarray:
+    """Probability lam^k (1-lam)^(n-k) of one particular mask of size k, for
+    k = 0..n."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"subset density must be in [0, 1], got {lam}")
-    pc = popcounts(n)
-    return np.power(lam, pc) * np.power(1.0 - lam, n - pc)
+    k = np.arange(n + 1)
+    return np.power(lam, k) * np.power(1.0 - lam, n - k)
 
 
 def subset_expectation_exact(

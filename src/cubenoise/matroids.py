@@ -12,10 +12,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codes import deficiency_histogram as _code_deficiency_histogram
 from .codes import deficiency_table as _code_deficiency_table
-from .codes import gf2_rank, gf2_rref, parse_bit_matrix, LinearCode
-from .cube import SubsetMask, popcounts
-from .inequalities import GapReport, LN2, subset_expectation_mc, subset_weights
+from .codes import gf2_rank, gf2_rref, histogram_expectation, parse_bit_matrix, LinearCode
+from .cube import SubsetMask
+from .inequalities import GapReport, LN2, subset_expectation_mc
 
 _TUTTE_CAP = 24
 
@@ -59,6 +60,12 @@ def matroid_deficiency_table(m: BinaryMatroid, cap: int | None = None) -> np.nda
     return _code_deficiency_table(m.row_space_code(), cap=cap)
 
 
+def matroid_deficiency_histogram(m: BinaryMatroid, cap: int | None = None) -> np.ndarray:
+    """N[k, d] = #{S : |S| = k, |S| - rank S = d}, from the row-space code
+    (see :func:`cubenoise.codes.deficiency_histogram`)."""
+    return _code_deficiency_histogram(m.row_space_code(), cap=cap)
+
+
 def subset_rate_for(p: float) -> float:
     """The matched comparison rate t = p^(1/(2 ln 2)); t >= p on [0, 1]."""
     if not 0.0 <= p <= 1.0:
@@ -91,22 +98,17 @@ class TuttePolynomial:
 def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets, expanded to exact monomial
     coefficients; consistency of the expansion is asserted against the
-    subset counts at (1,1) and (2,2)."""
+    subset counts at (1,1) and (2,2).  The subsets come from the deficiency
+    histogram: size s and nullity j give corank k - (s - j)."""
     if m.n > _TUTTE_CAP:
         raise ValueError(f"direct Tutte sum capped at n={_TUTTE_CAP}, got {m.n}")
     k = m.k
-    nullity = matroid_deficiency_table(m, cap=_TUTTE_CAP)
-    corank = k - (popcounts(m.n) - nullity)
-    width = int(nullity.max()) + 1
-    pair_counts = np.bincount(corank * width + nullity, minlength=(k + 1) * width)
-    counts = pair_counts.reshape(k + 1, width)
+    hist = matroid_deficiency_histogram(m, cap=_TUTTE_CAP)
 
     coeffs: dict[tuple[int, int], int] = {}
-    for i in range(k + 1):
-        for j in range(width):
-            c = int(counts[i, j])
-            if not c:
-                continue
+    for (size, j), c in np.ndenumerate(hist):
+        i, c = k - size + j, int(c)
+        if c:
             for a in range(i + 1):
                 for b in range(j + 1):
                     term = c * comb(i, a) * comb(j, b) * (-1) ** ((i - a) + (j - b))
@@ -117,7 +119,7 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
 
     if any(c < 0 for c in coeffs.values()):
         raise ArithmeticError("negative Tutte coefficient: expansion bug")
-    if poly.basis_count() != int(counts[0, 0]):
+    if poly.basis_count() != int(hist[k, 0]):
         raise ArithmeticError("Tutte evaluation at (1,1) does not count bases")
     if poly.evaluate(2, 2) != 1 << m.n:
         raise ArithmeticError("Tutte evaluation at (2,2) does not count subsets")
@@ -140,9 +142,9 @@ def deficiency_inequality_gap(
     t = subset_rate_for(p)
     params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t}
     if mode == "exact":
-        table = matroid_deficiency_table(m)
-        lhs = math.log2(float(subset_weights(m.n, p).dot(np.exp2(table.astype(float)))))
-        rhs = float(subset_weights(m.n, t).dot(table))
+        hist = matroid_deficiency_histogram(m)
+        lhs = math.log2(histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1]))))
+        rhs = histogram_expectation(hist, t)
     elif mode == "mc":
         h_mgf = lambda s: 2.0 ** (s.bit_count() - matroid_rank(m, s))
         h_def = lambda s: float(s.bit_count() - matroid_rank(m, s))
@@ -171,11 +173,11 @@ def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
     t = subset_rate_for(p)
     k, n = m.k, m.n
     poly = tutte_polynomial(m)
-    table = matroid_deficiency_table(m)
+    hist = matroid_deficiency_histogram(m)
 
-    mgf_direct = float(subset_weights(n, p).dot(np.exp2(table.astype(float))))
+    mgf_direct = histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1])))
     mgf_tutte = p**k * (1 - p) ** (n - k) * poly.evaluate(1 / p, (1 + p) / (1 - p))
-    drv_direct = float(subset_weights(n, t).dot(table))
+    drv_direct = histogram_expectation(hist, t)
     drv_tutte = t ** (k + 1) * (1 - t) ** (n - k - 1) * poly.derivative_y(
         1 / t, 1 / (1 - t)
     )
@@ -203,9 +205,9 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
     if delta < 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
     t = subset_rate_for(p)
-    table = matroid_deficiency_table(m)
-    mean_t = float(subset_weights(m.n, t).dot(table))
-    prob = float(subset_weights(m.n, p)[table >= mean_t + delta].sum())
+    hist = matroid_deficiency_histogram(m)
+    mean_t = histogram_expectation(hist, t)
+    prob = histogram_expectation(hist, p, np.arange(hist.shape[1]) >= mean_t + delta)
     bound = 2.0**-delta
     params = {
         "n": m.n,
@@ -221,11 +223,8 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
     increasing and convex in p, with mu(0) = 0."""
-    table = matroid_deficiency_table(m)
-    out = []
-    for p in p_grid:
-        out.append((float(p), float(subset_weights(m.n, float(p)).dot(table))))
-    return out
+    hist = matroid_deficiency_histogram(m)
+    return [(float(p), histogram_expectation(hist, float(p))) for p in p_grid]
 
 
 def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> float:
@@ -234,7 +233,7 @@ def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> flo
     2^(-delta) bound, never asserted against it."""
     if not 0.0 < p <= t <= 1.0:
         raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
-    mu_p = float(subset_weights(m.n, p).dot(matroid_deficiency_table(m)))
+    mu_p = histogram_expectation(matroid_deficiency_histogram(m), p)
     return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
 
 
@@ -300,12 +299,6 @@ def graphic_matroid(g: Graph) -> BinaryMatroid:
     return BinaryMatroid(len(g.edges), tuple(rows))
 
 
-def _component_table(g: Graph) -> np.ndarray:
-    return np.array(
-        [connected_components(g, s) for s in range(1 << len(g.edges))], dtype=np.int64
-    )
-
-
 def graph_inequality_gap(
     g: Graph,
     p: float,
@@ -313,19 +306,21 @@ def graph_inequality_gap(
     samples: int = 20000,
     seed: int = 0,
 ) -> GapReport:
-    """Check log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T),
-    counting components directly with union-find."""
+    """Check log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T).
+
+    Exact mode reads the components off the graphic matroid's deficiency
+    histogram: a subset of size k and deficiency d has c = |V| - k + d
+    components.  mc mode counts them per sample with union-find."""
     n = len(g.edges)
     t = subset_rate_for(p)
     params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t, "vertices": g.vertex_count}
     if mode == "exact":
-        if n > 16:
-            comp = g.vertex_count - (popcounts(n)[: 1 << n] - matroid_deficiency_table(graphic_matroid(g)))
-        else:
-            comp = _component_table(g)
-        sizes = popcounts(n)
-        lhs = math.log2(float(subset_weights(n, p).dot(np.exp2((sizes + comp).astype(float)))))
-        rhs = t * n + float(subset_weights(n, t).dot(comp))
+        # no edges: the only subset is empty, with deficiency 0
+        hist = matroid_deficiency_histogram(graphic_matroid(g)) if n else np.ones((1, 1), np.int64)
+        sizes, deficiency = np.indices(hist.shape)
+        comp = g.vertex_count - sizes + deficiency
+        lhs = math.log2(histogram_expectation(hist, p, np.exp2(sizes + comp)))
+        rhs = t * n + histogram_expectation(hist, t, comp)
     elif mode == "mc":
         h_lhs = lambda s: 2.0 ** (s.bit_count() + connected_components(g, s))
         h_rhs = lambda s: float(connected_components(g, s))

@@ -84,6 +84,15 @@ def test_verify_bad_target_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["main", "derivative"])
+def test_verify_zero_rows_is_usage_error(capsys, target):
+    # a run that checks nothing is not a pass
+    code, out, err = run(capsys, "verify", "--target", target, "--n", "3", "--fuzz", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "checked no rows" in err
+
+
 def test_verify_mc_mode(capsys):
     # a mid-grid noise rate keeps the estimator well inside the CLT regime
     code, out, _ = run(
@@ -145,6 +154,23 @@ def test_matroid_zero_rate_all_zero_gaps(capsys, rep2_file):
     assert code == 0
     rows = parse_csv(out)["deficiency_gap"]
     assert all(float(r["gap"]) == 0.0 for r in rows)
+
+
+def test_matroid_tail_check_uses_tolerance(capsys, monkeypatch, k4_file):
+    # a tail gap of -1e-10 lies inside the default tolerance 1e-9 but outside
+    # the fixed -1e-12 the check once used
+    from cubenoise import matroids
+
+    def tail_bound_check(m, p, delta):
+        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta}
+        return GapReport("tail", 0.5, 0.5 - 1e-10, -1e-10, params)
+
+    monkeypatch.setattr(matroids, "tail_bound_check", tail_bound_check)
+    code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
+    assert code == 0, err
+    code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5", "--tolerance", "1e-11")
+    assert code == 1
+    assert err.startswith("violation: tail,")
 
 
 def test_matroid_rate_out_of_range(capsys, rep2_file):
