@@ -23,9 +23,8 @@ from .inequalities import (
     derivative_check,
     hypercontractive_gap,
     log_sobolev_gap,
-    main_inequality_gap,
     main_inequality_sweep,
-    noisy_entropy_gap,
+    noisy_entropy_sweep,
     two_point_gap,
 )
 
@@ -135,26 +134,16 @@ def _campaign(
         return rows, bad
 
     functions = corpus.standard_corpus(n, fuzz, rng)
+    sampling = {"mode": cfg.mode, "samples": cfg.samples, "seed": cfg.seed}
     if target == "main":
         for f in functions:
             for q in q_grid:
-                if cfg.mode == "exact":
-                    for rep in main_inequality_sweep(f, q, eps_grid):
-                        check(rep)
-                else:
-                    for eps in eps_grid:
-                        check(
-                            main_inequality_gap(
-                                f, q, eps, mode="mc", samples=cfg.samples, seed=cfg.seed
-                            )
-                        )
+                for rep in main_inequality_sweep(f, q, eps_grid, **sampling):
+                    check(rep)
     elif target == "entropy":
         for f in functions:
-            for eps in eps_grid:
-                if cfg.mode == "exact":
-                    check(noisy_entropy_gap(f, eps))
-                else:
-                    check(noisy_entropy_gap(f, eps, mode="mc", samples=cfg.samples, seed=cfg.seed))
+            for rep in noisy_entropy_sweep(f, eps_grid, **sampling):
+                check(rep)
     elif target == "logsobolev":
         for f in functions:
             for q in q_grid:
@@ -180,13 +169,10 @@ def _campaign(
         # inequality is asserted on its own, their ordering never is
         for f in functions:
             for q in q_grid:
-                for eps in eps_grid:
+                sweep = main_inequality_sweep(f, q, eps_grid, **sampling)
+                for eps, main_rep in zip(eps_grid, sweep):
                     rep = hypercontractive_gap(f, q, eps)
-                    other = math.exp(
-                        main_inequality_gap(f, q, eps, mode=cfg.mode,
-                                            samples=cfg.samples, seed=cfg.seed).rhs
-                    )
-                    rep.params["note"] = f"subset_bound={other!r}"
+                    rep.params["note"] = f"subset_bound={math.exp(main_rep.rhs)!r}"
                     check(rep)
     else:
         raise ValueError(f"unknown verify target {target!r}")

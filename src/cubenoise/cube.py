@@ -246,24 +246,3 @@ def dirichlet_form(f: CubeFunction, g: CubeFunction) -> float:
         dg = gv[:, 0, :] - gv[:, 1, :]
         total += float(np.sum(df * dg))
     return 2.0 * total / (1 << f.n)
-
-
-def load_cube_function(path: str) -> CubeFunction:
-    """Text format: first line n, then 2^n whitespace-separated values in index order."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens = text.split()
-    if not tokens:
-        raise ValueError(f"{path}: empty cube-function file")
-    n = int(tokens[0])
-    vals = [float(t) for t in tokens[1:]]
-    if len(vals) != 1 << n:
-        raise ValueError(f"{path}: expected {1 << n} values for n={n}, got {len(vals)}")
-    return CubeFunction(n, np.array(vals))
-
-
-def dump_cube_function(f: CubeFunction, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{f.n}\n")
-        fh.write(" ".join(repr(float(x)) for x in f.values))
-        fh.write("\n")

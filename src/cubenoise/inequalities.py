@@ -47,6 +47,15 @@ def expensive_enum_cap() -> int:
     return int(os.environ.get("CUBENOISE_MAX_VERIFY_N", _DEFAULT_EXPENSIVE_CAP))
 
 
+def _check_expensive_cap(n: int, mc_route: bool = True) -> None:
+    """One cap check and message for the verifiers that tabulate a 2^n-point
+    function on each of the 2^n subsets."""
+    cap = expensive_enum_cap()
+    if n > cap:
+        route = "use --mode mc" if mc_route else "raise CUBENOISE_MAX_VERIFY_N"
+        raise ValueError(f"exact subset averaging capped at n={cap}, got n={n}; {route}")
+
+
 def r_exponent(q: float) -> float:
     """The norm-comparison exponent r(q).
 
@@ -158,6 +167,11 @@ def size_weights(n: int, lam: float) -> np.ndarray:
     return np.power(lam, k) * np.power(1.0 - lam, n - k)
 
 
+def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
+    """L_k = sum of table[T] over the masks T of size k, for k = 0..n."""
+    return np.bincount(popcounts(n), weights=table, minlength=n + 1)
+
+
 def subset_expectation_exact(
     n: int, lam: float, h: Callable[[SubsetMask], float], cap: int | None = None
 ) -> float:
@@ -166,12 +180,9 @@ def subset_expectation_exact(
         cap = enum_cap()
     if n > cap:
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
-    if lam == 0.0:
-        return float(h(0))
-    if lam == 1.0:
-        return float(h(full_mask(n)))
-    w = subset_weights(n, lam)
-    return float(sum(w[t] * h(t) for t in range(1 << n)))
+    w = size_weights(n, lam)
+    table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
+    return float(w @ _layer_sums(n, table))
 
 
 def subset_expectation_mc(
@@ -189,10 +200,80 @@ def subset_expectation_mc(
     return mean, stderr
 
 
+def _cond_exp_table(f: CubeFunction, side: Callable[[CubeFunction], float]) -> np.ndarray:
+    """side(E(f|T)) for every subset T."""
+    return np.array([side(conditional_expectation(f, t)) for t in range(1 << f.n)])
+
+
 def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
     """ln of the q-norm of the conditional expectation of f on every subset T."""
-    return np.array(
-        [log_lq_norm(conditional_expectation(f, t), q) for t in range(1 << f.n)]
+    return _cond_exp_table(f, lambda g: log_lq_norm(g, q))
+
+
+def _subset_sweep(
+    inequality: str,
+    f: CubeFunction,
+    q: float | None,
+    eps_grid: Sequence[float],
+    r: float,
+    side: Callable[[CubeFunction], float],
+    table: Callable[[], np.ndarray],
+    mode: str,
+    samples: int,
+    seed: int,
+) -> list[GapReport]:
+    """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each eps.
+
+    Exact mode builds ``table()`` (side(E(f|T)) for every T) at most once and
+    reduces it to layer sums, so each eps costs one (n+1)-term dot product.
+    Monte Carlo mode draws each eps's subsets afresh from the same seed.
+    """
+    require_nonnegative(f)
+    layers = None
+    out = []
+    for eps in eps_grid:
+        params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
+        if inequality == "main" and eps == 0.5:
+            # lam = 0: T is empty a.s. and T_eps f is the constant E f; both sides
+            # equal ln E f by definition, so report the exact-equality case.
+            value = math.log(f.mean())
+            out.append(GapReport("main", value, value, 0.0, params))
+            continue
+        lhs = side(noise_operator(f, eps))  # rejects eps outside [0, 1/2]
+        lam = (1.0 - 2.0 * eps) ** r
+        if mode == "exact":
+            if layers is None:
+                _check_expensive_cap(f.n)
+                layers = _layer_sums(f.n, table())
+            rhs = float(size_weights(f.n, lam) @ layers)
+        elif mode == "mc":
+            rhs, stderr = subset_expectation_mc(
+                f.n, lam, lambda t: side(conditional_expectation(f, t)), samples, seed
+            )
+            params.update(samples=samples, seed=seed, stderr=stderr)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        out.append(GapReport(inequality, lhs, rhs, rhs - lhs, params))
+    return out
+
+
+def main_inequality_sweep(
+    f: CubeFunction,
+    q: float,
+    eps_grid: Sequence[float],
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
+) -> list[GapReport]:
+    """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
+    over a noise grid, reusing one conditional-norm table."""
+    if not (q > 1.0 or q == math.inf):
+        raise ValueError(f"norm inequality needs q > 1, got {q}")
+    return _subset_sweep(
+        "main", f, q, eps_grid, r_exponent(q),
+        lambda g: log_lq_norm(g, q),
+        lambda: cond_exp_log_norms(f, q),
+        mode, samples, seed,
     )
 
 
@@ -204,56 +285,24 @@ def main_inequality_gap(
     samples: int = 20000,
     seed: int = 0,
 ) -> GapReport:
-    """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q."""
-    require_nonnegative(f)
-    if not (q > 1.0 or q == math.inf):
-        raise ValueError(f"norm inequality needs q > 1, got {q}")
-    lam = subset_rate(q, eps)
-    params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
-    if eps == 0.5:
-        # lam = 0: T is empty a.s. and T_eps f is the constant E f; both sides
-        # equal ln E f by definition, so report the exact-equality case.
-        value = math.log(f.mean())
-        return GapReport("main", value, value, 0.0, params)
-    lhs = log_lq_norm(noise_operator(f, eps), q)
-    if mode == "exact":
-        if f.n > expensive_enum_cap():
-            raise ValueError(
-                f"exact mode capped at n={expensive_enum_cap()}; use mode='mc'"
-            )
-        table = cond_exp_log_norms(f, q)
-        rhs = float(subset_weights(f.n, lam).dot(table))
-    elif mode == "mc":
-        rhs, stderr = subset_expectation_mc(
-            f.n, lam, lambda t: log_lq_norm(conditional_expectation(f, t), q), samples, seed
-        )
-        params.update(samples=samples, seed=seed, stderr=stderr)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return GapReport("main", lhs, rhs, rhs - lhs, params)
+    """:func:`main_inequality_sweep` at one noise rate."""
+    return main_inequality_sweep(f, q, (eps,), mode, samples, seed)[0]
 
 
-def main_inequality_sweep(
-    f: CubeFunction, q: float, eps_grid: Sequence[float]
+def noisy_entropy_sweep(
+    f: CubeFunction,
+    eps_grid: Sequence[float],
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
 ) -> list[GapReport]:
-    """Exact-mode sweep over a noise grid, reusing one conditional-norm table."""
-    require_nonnegative(f)
-    if not (q > 1.0 or q == math.inf):
-        raise ValueError(f"norm inequality needs q > 1, got {q}")
-    if f.n > expensive_enum_cap():
-        raise ValueError(f"exact mode capped at n={expensive_enum_cap()}")
-    table = cond_exp_log_norms(f, q)
-    out = []
-    for eps in eps_grid:
-        params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
-        if eps == 0.5:
-            value = math.log(f.mean())
-            out.append(GapReport("main", value, value, 0.0, params))
-            continue
-        lhs = log_lq_norm(noise_operator(f, eps), q)
-        rhs = float(subset_weights(f.n, subset_rate(q, eps)).dot(table))
-        out.append(GapReport("main", lhs, rhs, rhs - lhs, params))
-    return out
+    """Check Ent(T_eps f) <= E over T ~ (1-2 eps)^2 of Ent(E(f|T)) over a
+    noise grid, reusing one conditional-entropy table."""
+    return _subset_sweep(
+        "entropy", f, None, eps_grid, 2.0, entropy,
+        lambda: _cond_exp_table(f, entropy),
+        mode, samples, seed,
+    )
 
 
 def noisy_entropy_gap(
@@ -263,27 +312,8 @@ def noisy_entropy_gap(
     samples: int = 20000,
     seed: int = 0,
 ) -> GapReport:
-    """Check Ent(T_eps f) <= E over T ~ (1-2 eps)^2 of Ent(E(f|T))."""
-    require_nonnegative(f)
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
-    lam = (1.0 - 2.0 * eps) ** 2
-    lhs = entropy(noise_operator(f, eps))
-    params = {"n": f.n, "q": None, "eps_or_lambda": eps, "mode": mode}
-    if mode == "exact":
-        if f.n > expensive_enum_cap():
-            raise ValueError(f"exact mode capped at n={expensive_enum_cap()}")
-        rhs = subset_expectation_exact(
-            f.n, lam, lambda t: entropy(conditional_expectation(f, t))
-        )
-    elif mode == "mc":
-        rhs, stderr = subset_expectation_mc(
-            f.n, lam, lambda t: entropy(conditional_expectation(f, t)), samples, seed
-        )
-        params.update(samples=samples, seed=seed, stderr=stderr)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return GapReport("entropy", lhs, rhs, rhs - lhs, params)
+    """:func:`noisy_entropy_sweep` at one noise rate."""
+    return noisy_entropy_sweep(f, (eps,), mode, samples, seed)[0]
 
 
 def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
@@ -410,8 +440,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
         raise ValueError(f"need finite q > 1, got {q}")
     if f.is_constant():
         raise ValueError("derivative comparison requires a nonconstant function")
-    if f.n > expensive_enum_cap():
-        raise ValueError(f"exact subset averaging capped at n={expensive_enum_cap()}")
+    _check_expensive_cap(f.n, mc_route=False)
 
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     efq = float(np.mean(f.values**q))
@@ -420,9 +449,9 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     formula_rhs = -2.0 * r_exponent(q) * deficit
 
     fd_lhs = (log_lq_norm(noise_operator(f, step), q) - base) / step
-    table = cond_exp_log_norms(f, q)
-    g0 = float(subset_weights(f.n, 1.0).dot(table))
-    gh = float(subset_weights(f.n, subset_rate(q, step)).dot(table))
+    layers = _layer_sums(f.n, cond_exp_log_norms(f, q))
+    g0 = float(layers[f.n])
+    gh = float(size_weights(f.n, subset_rate(q, step)) @ layers)
     fd_rhs = (gh - g0) / step
 
     rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cubenoise.cli import RunConfig, main
-from cubenoise.inequalities import GapReport
+from cubenoise import corpus
+from cubenoise.cli import EPS_GRID, Q_GRID, RunConfig, main
+from cubenoise.inequalities import GapReport, main_inequality_gap
 
 
 @pytest.fixture
@@ -104,6 +106,41 @@ def test_verify_mc_mode(capsys):
     rows = parse_csv(out)["gaps"]
     assert len(rows) == 4
     assert all(r["mode"] == "mc" and r["samples"] == "2000" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "target, route",
+    [
+        ("main", "--mode mc"),
+        ("entropy", "--mode mc"),
+        ("hypercontractive", "--mode mc"),
+        ("derivative", "CUBENOISE_MAX_VERIFY_N"),
+    ],
+)
+def test_verify_cap_names_the_route(capsys, monkeypatch, target, route):
+    monkeypatch.delenv("CUBENOISE_MAX_VERIFY_N", raising=False)
+    code, out, err = run(capsys, "verify", "--target", target, "--n", "14", "--fuzz", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exact subset averaging capped at n=13") and route in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_hypercontractive_note_is_the_main_rhs(capsys, mode):
+    # rows run over (function, q, eps); each note must come from its own eps
+    code, out, err = run(
+        capsys, "verify", "--target", "hypercontractive", "--n", "3", "--fuzz", "2",
+        "--mode", mode, "--samples", "50",
+    )
+    assert code == 0, err
+    rows = parse_csv(out)["gaps"]
+    functions = corpus.standard_corpus(3, 2, np.random.default_rng(0))
+    cases = [(f, q, eps) for f in functions for q in Q_GRID for eps in EPS_GRID]
+    assert len(rows) == len(cases)
+    for row, (f, q, eps) in zip(rows, cases):
+        assert (float(row["q"]), float(row["eps_or_lambda"])) == (q, eps)
+        rhs = main_inequality_gap(f, q, eps, mode=mode, samples=50, seed=0).rhs
+        assert row["note"] == f"subset_bound={math.exp(rhs)!r}"
 
 
 # ---------------------------------------------------------------------------

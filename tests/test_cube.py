@@ -10,10 +10,8 @@ from cubenoise.cube import (
     conditional_expectation,
     dimension_cap,
     dirichlet_form,
-    dump_cube_function,
     entropy,
     full_mask,
-    load_cube_function,
     log_lq_norm,
     lq_norm,
     noise_operator,
@@ -338,23 +336,3 @@ def test_dirichlet_form_bilinear_symmetric_positive():
     assert dirichlet_form(f, f) > 0.0
     with pytest.raises(ValueError):
         dirichlet_form(f, rand_fn(2, 1))
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-def test_cube_function_file_roundtrip(tmp_path):
-    f = rand_fn(3, 11)
-    path = tmp_path / "f.cube"
-    dump_cube_function(f, str(path))
-    back = load_cube_function(str(path))
-    assert back.n == 3
-    assert back.values.tolist() == f.values.tolist()
-
-
-def test_cube_function_file_errors(tmp_path):
-    path = tmp_path / "bad.cube"
-    path.write_text("2\n1.0 2.0\n")
-    with pytest.raises(ValueError, match="expected 4"):
-        load_cube_function(str(path))
