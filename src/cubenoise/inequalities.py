@@ -172,6 +172,14 @@ def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     return np.bincount(popcounts(n), weights=table, minlength=n + 1)
 
 
+def _layer_expectation(lam: float, layers: np.ndarray) -> float:
+    """E over T ~ lam of a table given by its layer sums.  Layers of probability
+    zero are left out, so an infinite table entry there cannot make the sum NaN."""
+    w = size_weights(layers.shape[0] - 1, lam)
+    used = w > 0.0
+    return float(w[used] @ layers[used])
+
+
 def subset_expectation_exact(
     n: int, lam: float, h: Callable[[SubsetMask], float], cap: int | None = None
 ) -> float:
@@ -180,9 +188,8 @@ def subset_expectation_exact(
         cap = enum_cap()
     if n > cap:
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
-    w = size_weights(n, lam)
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
-    return float(w @ _layer_sums(n, table))
+    return _layer_expectation(lam, _layer_sums(n, table))
 
 
 def subset_expectation_mc(
@@ -229,6 +236,8 @@ def _subset_sweep(
     Monte Carlo mode draws each eps's subsets afresh from the same seed.
     """
     require_nonnegative(f)
+    if f.mean() <= 0.0:
+        raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
     layers = None
     out = []
     for eps in eps_grid:
@@ -245,7 +254,7 @@ def _subset_sweep(
             if layers is None:
                 _check_expensive_cap(f.n)
                 layers = _layer_sums(f.n, table())
-            rhs = float(size_weights(f.n, lam) @ layers)
+            rhs = _layer_expectation(lam, layers)
         elif mode == "mc":
             rhs, stderr = subset_expectation_mc(
                 f.n, lam, lambda t: side(conditional_expectation(f, t)), samples, seed
@@ -451,7 +460,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     fd_lhs = (log_lq_norm(noise_operator(f, step), q) - base) / step
     layers = _layer_sums(f.n, cond_exp_log_norms(f, q))
     g0 = float(layers[f.n])
-    gh = float(size_weights(f.n, subset_rate(q, step)) @ layers)
+    gh = _layer_expectation(subset_rate(q, step), layers)
     fd_rhs = (gh - g0) / step
 
     rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))

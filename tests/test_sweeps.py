@@ -30,8 +30,10 @@ RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def functions(draw, max_n=6):
     n = draw(st.integers(0, max_n))
     values = draw(
+        # E f > 0 in floating point, the verifiers' domain: subnormal values can
+        # make the mean of a nonzero function underflow to 0.
         st.lists(st.floats(0.0, 10.0), min_size=1 << n, max_size=1 << n).filter(
-            lambda v: max(v) > 0.0
+            lambda v: np.mean(v) > 0.0
         )
     )
     return CubeFunction(n, values)
@@ -56,31 +58,62 @@ def test_main_sweep_rhs_is_weighted_table(f, q, eps_grid):
     for eps, rep in zip(eps_grid, main_inequality_sweep(f, q, eps_grid)):
         if eps == 0.5:
             continue
-        assert close(rep.rhs, float(subset_weights(f.n, subset_rate(q, eps)) @ table))
+        w = subset_weights(f.n, subset_rate(q, eps))
+        used = w > 0.0  # subsets of probability zero add nothing, even at -inf
+        assert close(rep.rhs, float(w[used] @ table[used]))
         assert rep.gap == rep.rhs - rep.lhs
 
 
 @SETTINGS
 @given(functions(), st.lists(NOISE, min_size=1, max_size=4))
 def test_entropy_sweep_rhs_matches_brute_force(f, eps_grid):
-    values = [entropy(conditional_expectation(f, t)) for t in range(1 << f.n)]
+    try:
+        values = [entropy(conditional_expectation(f, t)) for t in range(1 << f.n)]
+    except ValueError:  # some E(f|T) underflows to 0, so has no entropy
+        with pytest.raises(ValueError, match="E f > 0"):
+            noisy_entropy_sweep(f, eps_grid)
+        return
     for eps, rep in zip(eps_grid, noisy_entropy_sweep(f, eps_grid)):
         assert close(rep.rhs, brute(f.n, (1.0 - 2.0 * eps) ** 2, values))
         assert rep.gap == rep.rhs - rep.lhs
 
 
-def same_report(a, b):
-    assert (a.inequality, a.lhs, a.rhs, a.gap, a.params) == (
-        b.inequality, b.lhs, b.rhs, b.gap, b.params
-    )
+def outcome(call):
+    """Every field of the report, or the error raised instead."""
+    try:
+        rep = call()
+    except ValueError as err:
+        return str(err)
+    return [rep.inequality, rep.lhs, rep.rhs, rep.gap, rep.params]
 
 
 @SETTINGS
 @given(functions(max_n=4), Q, NOISE, st.sampled_from(["exact", "mc"]), st.integers(0, 99))
 def test_gap_is_sweep_of_one(f, q, eps, mode, seed):
     opts = {"mode": mode, "samples": 50, "seed": seed}
-    same_report(main_inequality_gap(f, q, eps, **opts), main_inequality_sweep(f, q, [eps], **opts)[0])
-    same_report(noisy_entropy_gap(f, eps, **opts), noisy_entropy_sweep(f, [eps], **opts)[0])
+    # assert_equal counts NaN as equal to NaN, as it is the same computation.
+    np.testing.assert_equal(
+        outcome(lambda: main_inequality_gap(f, q, eps, **opts)),
+        outcome(lambda: main_inequality_sweep(f, q, [eps], **opts)[0]),
+    )
+    np.testing.assert_equal(
+        outcome(lambda: noisy_entropy_gap(f, eps, **opts)),
+        outcome(lambda: noisy_entropy_sweep(f, [eps], **opts)[0]),
+    )
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+def test_sweeps_reject_underflowing_mean(mode, eps):
+    f = CubeFunction(1, [0.0, 5e-324])  # nonzero, but its mean rounds to 0
+    assert f.mean() == 0.0
+    opts = {"mode": mode, "samples": 50}
+    for call in (
+        lambda: main_inequality_sweep(f, 2.0, [eps], **opts),
+        lambda: noisy_entropy_sweep(f, [eps], **opts),
+    ):
+        with pytest.raises(ValueError, match="E f > 0"):
+            call()
 
 
 @SETTINGS
