@@ -47,7 +47,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.mode == "mc" and self.samples < 1:
             raise ValueError("mc mode needs at least one sample")

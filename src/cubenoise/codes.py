@@ -20,7 +20,7 @@ import numpy as np
 
 from .cube import CubeFunction, FourierSpectrum, SubsetMask, dimension_cap, popcounts
 from .cube import entropy as cube_entropy, wht_inverse
-from .inequalities import LN2, enum_cap, noise_rate, size_weights
+from .inequalities import LN2, enum_cap, layer_expectation, noise_rate, subset_expectation_mc
 
 _DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
 
@@ -118,10 +118,6 @@ class LinearCode:
     @property
     def size(self) -> int:
         return 1 << self.k
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int], n: int) -> "LinearCode":
-        return cls(n, tuple(rows))
 
 
 def rank_of_columns(code: LinearCode, t_mask: SubsetMask) -> int:
@@ -310,7 +306,7 @@ def histogram_expectation(hist: np.ndarray, lam: float, values=None) -> float:
     the deficiency histogram; `values` broadcasts against it."""
     if values is None:
         values = np.arange(hist.shape[1])
-    return float(size_weights(hist.shape[0] - 1, lam) @ (hist * values).sum(axis=1))
+    return layer_expectation(lam, (hist * values).sum(axis=1))
 
 
 def rank_deficiency(
@@ -326,8 +322,6 @@ def rank_deficiency(
     if mode == "exact":
         return histogram_expectation(deficiency_histogram(code), lam)
     if mode == "mc":
-        from .inequalities import subset_expectation_mc
-
         mean, _ = subset_expectation_mc(
             code.n,
             lam,
@@ -432,13 +426,14 @@ class EnumeratorIdentityValues(NamedTuple):
     """Four routes to one number: the second-moment value F(lam, 2), the sup
     value F(lam, inf), the dual-side enumerator sum and the primal-side sum."""
 
-    moment: float
-    sup: float
+    moment: float | None
+    sup: float | None
     dual_sum: float
     primal_sum: float
 
     def spread(self) -> float:
-        vals = (self.moment, self.sup, self.dual_sum, self.primal_sum)
+        """Largest difference between the routes that were computed."""
+        vals = [v for v in self if v is not None]
         return max(vals) - min(vals)
 
 
@@ -447,15 +442,15 @@ def enumerator_identities(code: LinearCode, lam: float) -> EnumeratorIdentityVal
 
     F(lam, 2) and F(lam, inf) on the cube, log2 sum_i b_i theta^i from the
     dual weights, and log2((1/|C|) sum_k a_k (1-theta)^k (1+theta)^(n-k))
-    from the primal weights.  All four agree for every linear code.
+    from the primal weights.  All four agree for every linear code.  Past the
+    cube dimension cap the moment and sup routes are not run (the weights
+    route for them is the dual sum itself), and they are None.
     """
     theta = lam ** (2.0 * LN2)
+    moment = sup = None
     if code.n <= dimension_cap():
         moment = f_value(code, lam, 2.0, mode="cube").value
         sup = f_value(code, lam, math.inf, mode="cube").value
-    else:
-        moment = f_value(code, lam, 2.0, mode="weights").value
-        sup = f_value(code, lam, math.inf, mode="weights").value
     dual_sum = _enumerator_value(code, theta)
     a = weight_distribution(code).counts
     primal = sum(

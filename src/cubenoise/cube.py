@@ -157,17 +157,29 @@ def conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> CubeFunction
     """Average f over the coordinates outside T; constant on subcubes fixing T.
 
     Equivalently: keep only the Fourier coefficients of subsets R contained in T.
+    Each coordinate outside T halves the table, in ascending order (a rounding
+    the recorded reference values pin); the halved table is then copied back to
+    the cube once, over one axis per run of coordinates in or out of T.
     """
     _check_mask(f.n, t_mask)
-    arr = f.values.copy()
+    v, inner = f.values, 1  # inner: stride of coordinate i in the halved table
+    compact, full = [], []  # axis lengths per run, highest coordinates first
     for i in range(f.n):
-        if t_mask >> i & 1:
-            continue
-        v = arr.reshape(-1, 2, 1 << i)
-        m = 0.5 * (v[:, 0, :] + v[:, 1, :])
-        v[:, 0, :] = m
-        v[:, 1, :] = m
-    return CubeFunction(f.n, arr)
+        kept = t_mask >> i & 1
+        if kept:
+            inner *= 2
+        else:
+            w = v.reshape(-1, 2, inner)
+            v = 0.5 * (w[:, 0, :] + w[:, 1, :])
+        if i and kept == (t_mask >> (i - 1) & 1):
+            compact[0] <<= kept
+            full[0] <<= 1
+        else:
+            compact.insert(0, 1 << kept)
+            full.insert(0, 2)
+    out = np.empty(full)
+    out[...] = v.reshape(compact)
+    return CubeFunction(f.n, out)
 
 
 def _check_mask(n: int, mask: SubsetMask) -> None:

@@ -9,7 +9,6 @@ sides of each inequality share it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -149,9 +148,6 @@ class GapReport:
     def json_dict(self) -> dict:
         return self.row()
 
-    def to_json(self) -> str:
-        return json.dumps(self.row(), sort_keys=True)
-
 
 def subset_weights(n: int, lam: float) -> np.ndarray:
     """Probability of each mask T under independent inclusion with rate lam."""
@@ -172,9 +168,10 @@ def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     return np.bincount(popcounts(n), weights=table, minlength=n + 1)
 
 
-def _layer_expectation(lam: float, layers: np.ndarray) -> float:
-    """E over T ~ lam of a table given by its layer sums.  Layers of probability
-    zero are left out, so an infinite table entry there cannot make the sum NaN."""
+def layer_expectation(lam: float, layers: np.ndarray) -> float:
+    """E over T ~ lam of a table given by its layer sums L_k, k = 0..n: the one
+    place that computes size_weights(n, lam) @ L.  Layers of probability zero
+    are left out, so an infinite table entry there cannot make the sum NaN."""
     w = size_weights(layers.shape[0] - 1, lam)
     used = w > 0.0
     return float(w[used] @ layers[used])
@@ -189,7 +186,7 @@ def subset_expectation_exact(
     if n > cap:
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
-    return _layer_expectation(lam, _layer_sums(n, table))
+    return layer_expectation(lam, _layer_sums(n, table))
 
 
 def subset_expectation_mc(
@@ -224,14 +221,13 @@ def _subset_sweep(
     eps_grid: Sequence[float],
     r: float,
     side: Callable[[CubeFunction], float],
-    table: Callable[[], np.ndarray],
     mode: str,
     samples: int,
     seed: int,
 ) -> list[GapReport]:
     """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each eps.
 
-    Exact mode builds ``table()`` (side(E(f|T)) for every T) at most once and
+    Exact mode builds the table of side(E(f|T)) for every T at most once and
     reduces it to layer sums, so each eps costs one (n+1)-term dot product.
     Monte Carlo mode draws each eps's subsets afresh from the same seed.
     """
@@ -253,8 +249,8 @@ def _subset_sweep(
         if mode == "exact":
             if layers is None:
                 _check_expensive_cap(f.n)
-                layers = _layer_sums(f.n, table())
-            rhs = _layer_expectation(lam, layers)
+                layers = _layer_sums(f.n, _cond_exp_table(f, side))
+            rhs = layer_expectation(lam, layers)
         elif mode == "mc":
             rhs, stderr = subset_expectation_mc(
                 f.n, lam, lambda t: side(conditional_expectation(f, t)), samples, seed
@@ -281,7 +277,6 @@ def main_inequality_sweep(
     return _subset_sweep(
         "main", f, q, eps_grid, r_exponent(q),
         lambda g: log_lq_norm(g, q),
-        lambda: cond_exp_log_norms(f, q),
         mode, samples, seed,
     )
 
@@ -309,7 +304,6 @@ def noisy_entropy_sweep(
     noise grid, reusing one conditional-entropy table."""
     return _subset_sweep(
         "entropy", f, None, eps_grid, 2.0, entropy,
-        lambda: _cond_exp_table(f, entropy),
         mode, samples, seed,
     )
 
@@ -343,14 +337,13 @@ def hypercontractive_gap(f: CubeFunction, q: float, eps: float) -> GapReport:
     return GapReport("hypercontractive", lhs, rhs, rhs - lhs, params)
 
 
-def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> tuple[float, float]:
-    """(n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, ln||f||_q)."""
-    base = log_lq_norm(f, q)
+def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
+    """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q."""
     fm = full_mask(f.n)
     drop = sum(
         log_lq_norm(conditional_expectation(f, fm ^ (1 << i)), q) for i in range(f.n)
     )
-    return f.n * base - drop, base
+    return f.n * log_lq_norm(f, q) - drop
 
 
 def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
@@ -390,7 +383,7 @@ def log_sobolev_gap(f: CubeFunction, q: float, tolerance: float = 1e-9) -> GapRe
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     energy = dirichlet_form(power, f)
     efq = float(np.mean(f.values**q))
-    deficit, _ = _coordinate_log_norm_deficit(f, q)
+    deficit = _coordinate_log_norm_deficit(f, q)
     bound = 4.0 * r_exponent(q) * efq * deficit
     gap = energy - bound
     equality = abs(gap) <= tolerance * max(1.0, abs(bound))
@@ -454,14 +447,14 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     efq = float(np.mean(f.values**q))
     formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
-    deficit, base = _coordinate_log_norm_deficit(f, q)
-    formula_rhs = -2.0 * r_exponent(q) * deficit
+    # L[n] = ln||f||_q and L[n-1] sums the co-singleton conditional log-norms
+    layers = _layer_sums(f.n, cond_exp_log_norms(f, q))
+    base = float(layers[f.n])
+    formula_rhs = -2.0 * r_exponent(q) * (f.n * base - float(layers[f.n - 1]))
 
     fd_lhs = (log_lq_norm(noise_operator(f, step), q) - base) / step
-    layers = _layer_sums(f.n, cond_exp_log_norms(f, q))
-    g0 = float(layers[f.n])
-    gh = _layer_expectation(subset_rate(q, step), layers)
-    fd_rhs = (gh - g0) / step
+    gh = layer_expectation(subset_rate(q, step), layers)
+    fd_rhs = (gh - base) / step
 
     rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))
     rel_rhs = abs(fd_rhs - formula_rhs) / max(1e-300, abs(formula_rhs))

@@ -43,10 +43,6 @@ class BinaryMatroid:
     def row_space_code(self) -> LinearCode:
         return LinearCode(self.n, tuple(gf2_rref(self.rows, self.n)[1]))
 
-    @classmethod
-    def from_code(cls, code: LinearCode) -> "BinaryMatroid":
-        return cls(code.n, code.generator)
-
 
 def matroid_rank(m: BinaryMatroid, s_mask: SubsetMask) -> int:
     if not 0 <= s_mask < (1 << m.n):
@@ -202,7 +198,7 @@ def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
 def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
     """Exact tail probability of the deficiency exceeding its comparison mean
     by delta, against the guaranteed bound 2^(-delta)."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
     t = subset_rate_for(p)
     hist = matroid_deficiency_histogram(m)
@@ -233,6 +229,8 @@ def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> flo
     2^(-delta) bound, never asserted against it."""
     if not 0.0 < p <= t <= 1.0:
         raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
+    if not delta >= 0:
+        raise ValueError(f"threshold offset must be >= 0, got {delta}")
     mu_p = histogram_expectation(matroid_deficiency_histogram(m), p)
     return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
 

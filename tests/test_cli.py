@@ -165,6 +165,20 @@ def test_code_repetition_deficiency(capsys, rep2_file):
     assert all(float(r["slack"]) >= -1e-9 for r in sections["fvalues"])
 
 
+def test_code_identities_past_cube_cap(capsys, monkeypatch):
+    # past the cube cap the moment and sup routes do not run (their weights
+    # route is the dual sum itself): empty cells, spread over dual and primal
+    monkeypatch.setenv("CUBENOISE_MAX_N", "8")
+    code, out, err = run(
+        capsys, "code", "--rm", "1", "4", "--mode", "mc", "--q", "2,inf",
+        "--samples", "50", "--lambda", "0.5",
+    )
+    assert code == 0, err
+    (row,) = parse_csv(out)["identities"]
+    assert row["moment"] == "" and row["sup"] == ""
+    assert float(row["spread"]) == abs(float(row["dual_sum"]) - float(row["primal_sum"]))
+
+
 def test_code_missing_file(capsys):
     code, _, err = run(capsys, "code", "--file", "/definitely/not/here.code")
     assert code == 2
@@ -208,6 +222,23 @@ def test_matroid_tail_check_uses_tolerance(capsys, monkeypatch, k4_file):
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5", "--tolerance", "1e-11")
     assert code == 1
     assert err.startswith("violation: tail,")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["code", "--rm", "1", "3", "--tolerance", "nan"], "tolerance"),
+        (["verify", "--target", "main", "--n", "2", "--fuzz", "1", "--tolerance", "nan"], "tolerance"),
+        (["matroid", "--graph", "K4", "--tolerance", "nan"], "tolerance"),
+        (["matroid", "--graph", "K4", "--delta", "nan"], "threshold offset"),
+    ],
+)
+def test_nan_tolerance_or_delta_is_usage_error(capsys, k4_file, argv, message):
+    # a NaN tolerance makes every slack check vacuous or every row a violation,
+    # and a NaN delta prints a NaN tail bound
+    code, out, err = run(capsys, *(k4_file if a == "K4" else a for a in argv))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_matroid_rate_out_of_range(capsys, rep2_file):
@@ -258,6 +289,8 @@ def test_violation_reporting_logic():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tolerance=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(tolerance=math.nan)
     with pytest.raises(ValueError):
         RunConfig(mode="mc", samples=0)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubenoise.cube import (
     CubeFunction,
@@ -242,6 +244,42 @@ def test_cond_exp_tower_property_float():
         twice = conditional_expectation(conditional_expectation(f, t_mask), s_mask)
         once = conditional_expectation(f, s_mask & t_mask)
         assert np.abs(twice.values - once.values).max() <= 1e-12
+
+
+def loop_cond_exp(values, n, t_mask):
+    """Reference: one in-place pass over the whole cube per coordinate outside
+    T, in ascending order; its rounding is what the recorded reference values
+    pin."""
+    arr = np.array(values, dtype=np.float64)
+    for i in range(n):
+        if t_mask >> i & 1:
+            continue
+        v = arr.reshape(-1, 2, 1 << i)
+        m = 0.5 * (v[:, 0, :] + v[:, 1, :])
+        v[:, 0, :] = m
+        v[:, 1, :] = m
+    return arr
+
+
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+
+
+@st.composite
+def edge_functions(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    values = st.one_of(EDGE_VALUES, st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+    return n, draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_functions())
+def test_cond_exp_bit_identical_to_loop(case):
+    n, values = case
+    f = CubeFunction(n, values)
+    for t_mask in range(1 << n):
+        got = conditional_expectation(f, t_mask).values
+        want = loop_cond_exp(values, n, t_mask)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t_mask
 
 
 def test_mask_validated():

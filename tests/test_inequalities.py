@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cubenoise import corpus
 from cubenoise.cube import CubeFunction, character, conditional_expectation, entropy
 from cubenoise.inequalities import (
     GapReport,
     CSV_COLUMNS,
+    _coordinate_log_norm_deficit,
     cond_exp_log_norms,
     derivative_check,
     hypercontractive_gap,
@@ -394,6 +396,17 @@ def test_derivative_strict_order_random():
             assert rep.gap > 0.0
             assert rep.params["rel_err_lhs"] <= 1e-4
             assert rep.params["rel_err_rhs"] <= 1e-4
+
+
+def test_derivative_rhs_is_coordinate_deficit():
+    # derivative_check reads the deficit off the layer sums L[n] and L[n-1];
+    # the direct sum over the n co-singleton subsets differs only in order
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5, 7):
+        f = corpus.random_positive(n, rng)
+        for q in Q_GRID:
+            want = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
+            assert derivative_check(f, q).rhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_derivative_rejects_constant():

@@ -286,6 +286,15 @@ def test_bounded_diff_comparator():
         bounded_diff_tail(m, 0.6, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("delta", [-1.0, math.nan])
+def test_tail_offsets_must_be_nonnegative(delta):
+    m = graphic_matroid(K4)
+    with pytest.raises(ValueError, match="threshold offset"):
+        tail_bound_check(m, 0.5, delta)
+    with pytest.raises(ValueError, match="threshold offset"):
+        bounded_diff_tail(m, 0.5, 0.6, delta)
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
