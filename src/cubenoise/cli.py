@@ -20,8 +20,9 @@ from .inequalities import (
     CSV_COLUMNS,
     GapReport,
     _fmt,
+    allowed_slack,
     derivative_check,
-    hypercontractive_gap,
+    hypercontractive_sweep,
     log_sobolev_gap,
     main_inequality_sweep,
     noisy_entropy_sweep,
@@ -167,8 +168,8 @@ def _campaign(
         # instance so the two upper bounds can be compared offline; each
         # inequality is asserted on its own, their ordering never is
         for f in functions:
-            for main_rep in main_inequality_sweep(f, q_grid, eps_grid, **sampling):
-                rep = hypercontractive_gap(f, main_rep.params["q"], main_rep.params["eps_or_lambda"])
+            mains = main_inequality_sweep(f, q_grid, eps_grid, **sampling)
+            for main_rep, rep in zip(mains, hypercontractive_sweep(f, q_grid, eps_grid)):
                 rep.params["note"] = f"subset_bound={math.exp(main_rep.rhs)!r}"
                 check(rep)
     else:
@@ -248,13 +249,15 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
     fvalue_rows = []
     identity_rows = []
     for lam in lam_grid:
-        deficiency = codes.rank_deficiency(code, lam, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed)
+        deficiency, stderr = codes.rank_deficiency_estimate(
+            code, lam, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
+        )
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
         for q in q_list:
             value = codes.f_value(code, lam, q).value
             slack = deficiency - value
             fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": slack})
-            if slack < -cfg.tolerance:
+            if slack < -allowed_slack(cfg.tolerance, stderr):
                 violations.append(f"fvalues,lambda={lam},q={q},slack={slack!r}")
         vals = codes.enumerator_identities(code, lam)
         spread = vals.spread()

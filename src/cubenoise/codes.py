@@ -317,19 +317,29 @@ def rank_deficiency(
     seed: int = 0,
 ) -> float:
     """lam * n - E over T ~ lam of rank(T), always nonnegative."""
+    return rank_deficiency_estimate(code, lam, mode, samples, seed)[0]
+
+
+def rank_deficiency_estimate(
+    code: LinearCode,
+    lam: float,
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """:func:`rank_deficiency` and its Monte Carlo standard error (0 in exact mode)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
     if mode == "exact":
-        return histogram_expectation(deficiency_histogram(code), lam)
+        return histogram_expectation(deficiency_histogram(code), lam), 0.0
     if mode == "mc":
-        mean, _ = subset_expectation_mc(
+        return subset_expectation_mc(
             code.n,
             lam,
             lambda t: float(t.bit_count() - rank_of_columns(code, t)),
             samples,
             seed,
         )
-        return mean
     raise ValueError(f"unknown mode {mode!r}")
 
 

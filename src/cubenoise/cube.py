@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -157,29 +158,96 @@ def conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> CubeFunction
     """Average f over the coordinates outside T; constant on subcubes fixing T.
 
     Equivalently: keep only the Fourier coefficients of subsets R contained in T.
-    Each coordinate outside T halves the table, in ascending order (a rounding
-    the recorded reference values pin); the halved table is then copied back to
-    the cube once, over one axis per run of coordinates in or out of T.
+    The compact table of :func:`compact_conditional_expectation` is copied back
+    to the cube by :func:`expand_to_cube`.
+    """
+    return expand_to_cube(f.n, t_mask, compact_conditional_expectation(f, t_mask))
+
+
+def compact_conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> np.ndarray:
+    """The 2^|T| distinct values of E(f|T), indexed by the coordinates of T in
+    ascending order (the lowest coordinate of T at bit 0).
+
+    Each coordinate outside T halves the table, in ascending order: a rounding
+    that the recorded reference values pin, and that :func:`subset_lattice`
+    replays operation for operation.
     """
     _check_mask(f.n, t_mask)
-    v, inner = f.values, 1  # inner: stride of coordinate i in the halved table
-    compact, full = [], []  # axis lengths per run, highest coordinates first
+    v, position = f.values.reshape(1, -1), 0  # position: bit of coordinate i in v
     for i in range(f.n):
+        if t_mask >> i & 1:
+            position += 1
+        else:
+            v = _halve(v, position)
+    return v.reshape(-1)
+
+
+def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of `tables` averaged over the coordinate at compact bit
+    `position`: 0.5 * (a + b) for each pair of entries that differ only there.
+    Both routes to E(f|T) halve here, so their values agree bit for bit."""
+    w = tables.reshape(tables.shape[0], -1, 2, 1 << position)
+    if out is None:
+        out = np.empty((tables.shape[0], tables.shape[1] // 2))
+    halves = out.reshape(w.shape[:2] + w.shape[3:])
+    np.add(w[:, :, 0, :], w[:, :, 1, :], out=halves)
+    halves *= 0.5
+    return out
+
+
+def expand_to_cube(n: int, t_mask: SubsetMask, compact: np.ndarray) -> CubeFunction:
+    """The cube function of the coordinates in T whose compact table (as in
+    :func:`compact_conditional_expectation`) is `compact`: one copy, over one
+    axis per run of coordinates in or out of T."""
+    _check_mask(n, t_mask)
+    compact_axes, full_axes = [], []  # axis lengths per run, highest coordinates first
+    for i in range(n):
         kept = t_mask >> i & 1
-        if kept:
-            inner *= 2
-        else:
-            w = v.reshape(-1, 2, inner)
-            v = 0.5 * (w[:, 0, :] + w[:, 1, :])
         if i and kept == (t_mask >> (i - 1) & 1):
-            compact[0] <<= kept
-            full[0] <<= 1
+            compact_axes[0] <<= kept
+            full_axes[0] <<= 1
         else:
-            compact.insert(0, 1 << kept)
-            full.insert(0, 2)
-    out = np.empty(full)
-    out[...] = v.reshape(compact)
-    return CubeFunction(f.n, out)
+            compact_axes.insert(0, 1 << kept)
+            full_axes.insert(0, 2)
+    out = np.empty(full_axes)
+    out[...] = compact.reshape(compact_axes)
+    return CubeFunction(n, out)
+
+
+def subset_lattice(f: CubeFunction) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every subset's compact E(f|T), one layer |T| = k at a time for k = n..0:
+    yields (k, masks, tables), where tables[j] is
+    compact_conditional_expectation(f, masks[j]), bit for bit.
+
+    The parent of T is T + {h}, h the highest coordinate not in T, and T's
+    table is the parent's halved over h.  That is the last of the ascending
+    halvings that build E(f|T) directly, and the parent's table holds the
+    others, so every value is the same.  All coordinates above h are in the
+    parent, so h sits at the same compact position k - n + h in every parent
+    of size k that loses it: one halving per (layer, h) builds all of those
+    children at once.  A layer's rows are ordered by the highest coordinate
+    each misses, ascending (the full set misses none), so the parents that can
+    lose h, the rows holding every coordinate from h up, are a prefix.
+    Only the current layer and the next are held.
+    """
+    n = f.n
+    masks = np.array([full_mask(n)], dtype=np.int64)
+    tables = f.values.reshape(1, -1)
+    # prefix[h]: how many leading rows hold every coordinate from h up
+    prefix = np.ones(n, dtype=np.int64)
+    for k in range(n, 0, -1):
+        yield k, masks, tables
+        child_masks = np.empty(int(prefix.sum()), dtype=np.int64)
+        child = np.empty((child_masks.shape[0], 1 << (k - 1)))
+        start = 0
+        for h in range(n - k, n):
+            end = start + int(prefix[h])
+            _halve(tables[: end - start], k - n + h, child[start:end])
+            child_masks[start:end] = masks[: end - start] ^ (1 << h)
+            start = end
+        masks, tables = child_masks, child
+        prefix = np.concatenate(([0], np.cumsum(prefix[:-1])))
+    yield 0, masks, tables
 
 
 def _check_mask(n: int, mask: SubsetMask) -> None:
@@ -187,14 +255,15 @@ def _check_mask(n: int, mask: SubsetMask) -> None:
         raise ValueError(f"subset mask {mask} out of range for n={n}")
 
 
-def _clean_values(f: CubeFunction) -> np.ndarray:
-    # Transform roundoff may leave values like -1e-17 where an exact zero belongs.
-    v = f.values
-    mn = float(v.min())
-    if mn >= 0.0:
+def _clean_values(v: np.ndarray) -> np.ndarray:
+    """The tables along the last axis of v, with transform roundoff like -1e-17
+    set to the exact zero it stands for; a table whose negative values are not
+    roundoff is rejected."""
+    mn = v.min(axis=-1)
+    if not (mn < 0.0).any():
         return v
-    scale = max(1.0, float(np.abs(v).max()))
-    if mn < -1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(v).max(axis=-1))
+    if (mn < -1e-12 * scale).any():
         raise ValueError("function has significantly negative values")
     return np.maximum(v, 0.0)
 
@@ -205,7 +274,7 @@ def lq_norm(f: CubeFunction, q: float) -> float:
         return float(f.values.max())
     if q < 1:
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    v = _clean_values(f)
+    v = _clean_values(f.values)
     mx = float(v.max())
     if mx == 0.0:
         return 0.0
@@ -214,21 +283,39 @@ def lq_norm(f: CubeFunction, q: float) -> float:
 
 def log_lq_norm(f: CubeFunction, q: float) -> float:
     """Natural log of the q-norm, computed without overflow; -inf for f = 0."""
-    if q == math.inf:
-        mx = float(f.values.max())
-        return math.log(mx) if mx > 0 else -math.inf
-    if q < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
-    v = _clean_values(f)
-    mx = float(v.max())
-    if mx == 0.0:
-        return -math.inf
-    return math.log(mx) + math.log(float(np.mean((v / mx) ** q))) / q
+    return float(log_lq_norms(f.values, (q,))[0])
+
+
+def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
+    """ln ||g||_q of every table g along the last axis of `tables` (uniform
+    measure on its entries), for every q of the grid: out[j] holds q_grid[j].
+
+    Each norm is ln max g + ln E (g / max g)^q / q, so nothing overflows; a
+    zero table gives -inf, and q = inf gives ln max g.
+    """
+    for q in q_grid:
+        if q < 1:
+            raise ValueError(f"norm exponent must be >= 1, got {q}")
+    mx = tables.max(axis=-1)
+    positive = mx > 0.0
+    safe = np.where(positive, mx, 1.0)
+    log_mx = np.where(positive, np.log(safe), -math.inf)
+    out = np.empty((len(q_grid),) + mx.shape)
+    scaled = None
+    for j, q in enumerate(q_grid):
+        if q == math.inf:
+            out[j] = log_mx
+            continue
+        if scaled is None:
+            scaled = _clean_values(tables) / safe[..., None]
+        moment = np.mean(scaled**q, axis=-1)
+        out[j] = np.where(positive, log_mx + np.log(np.where(positive, moment, 1.0)) / q, -math.inf)
+    return out
 
 
 def entropy(f: CubeFunction) -> float:
     """Ent(f) = E f log2 f - E f log2 E f, with the 0 log 0 = 0 convention."""
-    v = _clean_values(f)
+    v = _clean_values(f.values)
     ef = float(v.mean())
     if ef <= 0.0:
         raise ValueError("entropy requires E f > 0")

@@ -12,28 +12,32 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .cube import (
     CubeFunction,
     SubsetMask,
+    compact_conditional_expectation,
     conditional_expectation,
     dirichlet_form,
     entropy,
-    full_mask,
+    expand_to_cube,
     log_lq_norm,
+    log_lq_norms,
     lq_norm,
     noise_operator,
     popcounts,
     require_nonnegative,
+    subset_lattice,
 )
 
 LN2 = math.log(2.0)
 
 # Exact subset enumeration caps: evaluating h on all 2^n subsets is fine up to
-# n = 22 for cheap h, but verifiers whose h itself costs O(2^n) stop at 13.
+# n = 22 for cheap h, but verifiers that tabulate E(f|T) on every subset (3^n
+# values on the lattice, 4^n for the entropy's cube tables) stop at 13.
 _DEFAULT_ENUM_CAP = 22
 _DEFAULT_EXPENSIVE_CAP = 13
 
@@ -47,8 +51,8 @@ def expensive_enum_cap() -> int:
 
 
 def _check_expensive_cap(n: int, mc_route: bool = True) -> None:
-    """One cap check and message for the verifiers that tabulate a 2^n-point
-    function on each of the 2^n subsets."""
+    """One cap check and message for the verifiers that tabulate E(f|T) on
+    each of the 2^n subsets."""
     cap = expensive_enum_cap()
     if n > cap:
         route = "use --mode mc" if mc_route else "raise CUBENOISE_MAX_VERIFY_N"
@@ -110,6 +114,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def allowed_slack(tolerance: float, stderr: float) -> float:
+    """How far below zero a checked slack may fall: the tolerance, plus 4
+    standard errors for a Monte Carlo estimate (stderr 0 for an exact one)."""
+    return tolerance + 4.0 * stderr
+
+
 @dataclass
 class GapReport:
     """Outcome of one inequality check: claim is lhs <= rhs, gap = rhs - lhs."""
@@ -121,9 +131,7 @@ class GapReport:
     params: dict = field(default_factory=dict)
 
     def holds(self, tolerance: float = 1e-9) -> bool:
-        # Monte Carlo estimates carry their standard error; allow 4 sigma.
-        slack = tolerance + 4.0 * self.params.get("stderr", 0.0)
-        return self.gap >= -slack
+        return self.gap >= -allowed_slack(tolerance, self.params.get("stderr", 0.0))
 
     def row(self) -> dict:
         out = {
@@ -206,40 +214,75 @@ def subset_expectation_mc(
     return mean, stderr
 
 
-def _cond_exp_tables(f: CubeFunction, sides: Sequence[Callable[[CubeFunction], float]]) -> np.ndarray:
-    """Row i holds sides[i](E(f|T)) for every subset T, from one E(f|T) per T."""
-    conds = (conditional_expectation(f, t) for t in range(1 << f.n))
-    return np.array([[side(g) for side in sides] for g in conds], dtype=np.float64).T
-
-
 def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
-    """ln of the q-norm of the conditional expectation of f on every subset T."""
-    return _cond_exp_tables(f, [lambda g: log_lq_norm(g, q)])[0]
+    """ln of the q-norm of the conditional expectation of f on every subset T,
+    in mask order."""
+    table = np.empty(1 << f.n)
+    for _, masks, tables in subset_lattice(f):
+        table[masks] = log_lq_norms(tables, (q,))[0]
+    return table
+
+
+def _log_norm_layers(f: CubeFunction, q_grid: Sequence[float], lowest: int = 0) -> np.ndarray:
+    """out[j, k] = sum over |T| = k of ln ||E(f|T)||_q for q = q_grid[j], from
+    the compact tables of the subset lattice, for k = n down to `lowest`
+    (the layers below it are left 0 and not built)."""
+    layers = np.zeros((len(q_grid), f.n + 1))
+    for k, _, tables in subset_lattice(f):
+        layers[:, k] = log_lq_norms(tables, q_grid).sum(axis=1)
+        if k == lowest:
+            break
+    return layers
+
+
+def _entropy_layers(f: CubeFunction) -> np.ndarray:
+    """L_k = sum over |T| = k of Ent(E(f|T)).  Each lattice table is expanded
+    to the cube first, as conditional_expectation does: the recorded reference
+    values pin the entropy of the 2^n-point table (README)."""
+    layers = np.zeros(f.n + 1)
+    for k, masks, tables in subset_lattice(f):
+        layers[k] = np.sum([entropy(expand_to_cube(f.n, int(t), g)) for t, g in zip(masks, tables)])
+    return layers
+
+
+class _Side(NamedTuple):
+    """How a sweep evaluates its points: all at once on T_eps f, as exact layer
+    sums over all subsets (one row per point), and point j on one E(f|T)."""
+
+    noisy: Callable[[CubeFunction], Sequence[float]]
+    layers: Callable[[], np.ndarray]
+    subset: Callable[[int, SubsetMask], float]
 
 
 def _subset_sweep(
     inequality: str,
     f: CubeFunction,
-    points: Sequence[tuple[float | None, float, Callable[[CubeFunction], float]]],
+    points: Sequence[tuple[float | None, float]],
+    side: _Side,
     eps_grid: Sequence[float],
     mode: str,
     samples: int,
     seed: int,
 ) -> list[GapReport]:
     """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each
-    (q, r, side) point and each eps, point-major.
+    (q, r) point and each eps, point-major.
 
-    Exact mode builds the table of every side at most once and reduces it to
-    layer sums, so each (point, eps) costs one (n+1)-term dot product.  Monte
-    Carlo mode draws each (point, eps)'s subsets afresh from the same seed.
+    T_eps f is computed once per eps.  Exact mode reduces the subset table of
+    every point to layer sums at most once, so each (point, eps) costs one
+    (n+1)-term dot product.  Monte Carlo mode draws each (point, eps)'s
+    subsets afresh from the same seed.
     """
     require_nonnegative(f)
     if f.mean() <= 0.0:
         raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    # noise_operator rejects eps outside [0, 1/2]
+    lhs = [side.noisy(noise_operator(f, eps)) for eps in eps_grid]
     layers = None
     out = []
-    for i, (q, r, side) in enumerate(points):
-        for eps in eps_grid:
+    for j, (q, r) in enumerate(points):
+        for e, eps in enumerate(eps_grid):
             params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
             if inequality == "main" and eps == 0.5:
                 # lam = 0: T is empty a.s. and T_eps f is the constant E f; both
@@ -247,22 +290,19 @@ def _subset_sweep(
                 value = math.log(f.mean())
                 out.append(GapReport("main", value, value, 0.0, params))
                 continue
-            lhs = side(noise_operator(f, eps))  # rejects eps outside [0, 1/2]
             lam = (1.0 - 2.0 * eps) ** r
             if mode == "exact":
                 if layers is None:
                     _check_expensive_cap(f.n)
-                    tables = _cond_exp_tables(f, [s for _, _, s in points])
-                    layers = [_layer_sums(f.n, row) for row in tables]
-                rhs = layer_expectation(lam, layers[i])
-            elif mode == "mc":
+                    layers = side.layers()
+                rhs = layer_expectation(lam, layers[j])
+            else:
                 rhs, stderr = subset_expectation_mc(
-                    f.n, lam, lambda t: side(conditional_expectation(f, t)), samples, seed
+                    f.n, lam, lambda t: side.subset(j, t), samples, seed
                 )
                 params.update(samples=samples, seed=seed, stderr=stderr)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            out.append(GapReport(inequality, lhs, rhs, rhs - lhs, params))
+            value = float(lhs[e][j])
+            out.append(GapReport(inequality, value, rhs, rhs - value, params))
     return out
 
 
@@ -279,8 +319,14 @@ def main_inequality_sweep(
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
             raise ValueError(f"norm inequality needs q > 1, got {q}")
-    points = [(q, r_exponent(q), lambda g, q=q: log_lq_norm(g, q)) for q in q_grid]
-    return _subset_sweep("main", f, points, eps_grid, mode, samples, seed)
+    q_grid = tuple(q_grid)
+    side = _Side(
+        lambda g: log_lq_norms(g.values, q_grid),
+        lambda: _log_norm_layers(f, q_grid),
+        lambda j, t: float(log_lq_norms(compact_conditional_expectation(f, t), q_grid[j : j + 1])[0]),
+    )
+    points = [(q, r_exponent(q)) for q in q_grid]
+    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed)
 
 
 def main_inequality_gap(
@@ -304,7 +350,12 @@ def noisy_entropy_sweep(
 ) -> list[GapReport]:
     """Check Ent(T_eps f) <= E over T ~ (1-2 eps)^2 of Ent(E(f|T)) over a
     noise grid, reusing one conditional-entropy table."""
-    return _subset_sweep("entropy", f, [(None, 2.0, entropy)], eps_grid, mode, samples, seed)
+    side = _Side(
+        lambda g: (entropy(g),),
+        lambda: _entropy_layers(f)[None],
+        lambda j, t: entropy(conditional_expectation(f, t)),
+    )
+    return _subset_sweep("entropy", f, [(None, 2.0)], side, eps_grid, mode, samples, seed)
 
 
 def noisy_entropy_gap(
@@ -319,30 +370,46 @@ def noisy_entropy_gap(
 
 
 def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
-    """The classical comparison norm ||f|| at exponent 1 + (q-1)(1-2 eps)^2."""
+    """The classical comparison norm ||f|| at exponent 1 + (q-1)(1-2 eps)^2;
+    at eps = 1/2 that is the 1-norm E f for every q, its limit at q = inf."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
+    if eps == 0.5:
+        return lq_norm(f, 1.0)
     return lq_norm(f, 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2)
 
 
-def hypercontractive_gap(f: CubeFunction, q: float, eps: float) -> GapReport:
-    """Baseline comparator: ||T_eps f||_q <= ||f|| at the reduced exponent."""
+def hypercontractive_sweep(
+    f: CubeFunction, q_grid: Sequence[float], eps_grid: Sequence[float]
+) -> list[GapReport]:
+    """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
+    at the reduced exponent, from one T_eps f per eps."""
     require_nonnegative(f)
-    lhs = lq_norm(noise_operator(f, eps), q)
-    rhs = hypercontractive_rhs(f, q, eps)
-    params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
-    return GapReport("hypercontractive", lhs, rhs, rhs - lhs, params)
+    noisy = [noise_operator(f, eps) for eps in eps_grid]
+    out = []
+    for q in q_grid:
+        for eps, g in zip(eps_grid, noisy):
+            lhs = lq_norm(g, q)
+            rhs = hypercontractive_rhs(f, q, eps)
+            params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
+            out.append(GapReport("hypercontractive", lhs, rhs, rhs - lhs, params))
+    return out
+
+
+def hypercontractive_gap(f: CubeFunction, q: float, eps: float) -> GapReport:
+    """:func:`hypercontractive_sweep` at one (q, eps) point."""
+    return hypercontractive_sweep(f, (q,), (eps,))[0]
 
 
 def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
-    """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q."""
-    fm = full_mask(f.n)
-    drop = sum(
-        log_lq_norm(conditional_expectation(f, fm ^ (1 << i)), q) for i in range(f.n)
-    )
-    return f.n * log_lq_norm(f, q) - drop
+    """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, from the top two
+    layers of the subset lattice."""
+    if f.n == 0:
+        return 0.0
+    layers = _log_norm_layers(f, (q,), lowest=f.n - 1)[0]
+    return f.n * float(layers[f.n]) - float(layers[f.n - 1])
 
 
 def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
@@ -447,7 +514,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     efq = float(np.mean(f.values**q))
     formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
     # L[n] = ln||f||_q and L[n-1] sums the co-singleton conditional log-norms
-    layers = _layer_sums(f.n, cond_exp_log_norms(f, q))
+    layers = _log_norm_layers(f, (q,))[0]
     base = float(layers[f.n])
     formula_rhs = -2.0 * r_exponent(q) * (f.n * base - float(layers[f.n - 1]))
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cubenoise import corpus
 from cubenoise.codes import LinearCode, reed_muller
 from cubenoise.matroids import BinaryMatroid, Graph, graphic_matroid
+
+# Every run draws the same hypothesis examples, and no saved failure is
+# replayed, so tier-1 passes or fails the same way each time.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 Q_GRID = (1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0)
 EPS_GRID = tuple(round(0.05 * i, 2) for i in range(11))  # 0, 0.05, ..., 0.5

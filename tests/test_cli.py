@@ -143,6 +143,19 @@ def test_hypercontractive_note_is_the_main_rhs(capsys, mode):
         assert row["note"] == f"subset_bound={math.exp(rhs)!r}"
 
 
+def test_hypercontractive_at_infinite_q_and_half_noise(capsys):
+    # at eps = 1/2 the reduced exponent is 1 for every q, also in the q = inf limit
+    code, out, err = run(
+        capsys, "verify", "--target", "hypercontractive", "--n", "4", "--fuzz", "2",
+        "--q", "1.5,3,inf", "--eps", "0,0.2,0.5",
+    )
+    assert code == 0, err
+    rows = parse_csv(out)["gaps"]
+    assert len(rows) == 2 * 3 * 3
+    for row in rows:
+        assert all(math.isfinite(float(row[c])) for c in ("lhs", "rhs", "gap"))
+
+
 # ---------------------------------------------------------------------------
 # code reports
 # ---------------------------------------------------------------------------
@@ -177,6 +190,15 @@ def test_code_identities_past_cube_cap(capsys, monkeypatch):
     (row,) = parse_csv(out)["identities"]
     assert row["moment"] == "" and row["sup"] == ""
     assert float(row["spread"]) == abs(float(row["dual_sum"]) - float(row["primal_sum"]))
+
+
+def test_code_mc_slack_allows_four_standard_errors(capsys):
+    # the Monte Carlo rank deficiency sits within its error of an exact f_value
+    argv = ("code", "--rm", "1", "4", "--lambda", "0,0.1,0.5,0.9,1", "--q", "1,1.5,2,3,inf")
+    code, out, err = run(capsys, *argv, "--mode", "mc", "--samples", "500")
+    assert code == 0, err
+    slacks = [float(r["slack"]) for r in parse_csv(out)["fvalues"]]
+    assert min(slacks) < -1e-9  # the mc estimate falls below an f_value here
 
 
 def test_code_missing_file(capsys):

@@ -15,9 +15,11 @@ from cubenoise.cube import (
     entropy,
     full_mask,
     log_lq_norm,
+    log_lq_norms,
     lq_norm,
     noise_operator,
     renyi_entropy,
+    subset_lattice,
     wht_forward,
     wht_inverse,
 )
@@ -282,6 +284,32 @@ def test_cond_exp_bit_identical_to_loop(case):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t_mask
 
 
+def compact_points(n, t_mask):
+    """The points x inside T, in the order of E(f|T)'s compact table: bit b of
+    the compact index is the b-th lowest coordinate of T."""
+    coords = [i for i in range(n) if t_mask >> i & 1]
+    return [
+        sum(1 << c for b, c in enumerate(coords) if j >> b & 1) for j in range(1 << len(coords))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_functions())
+def test_subset_lattice_rows_are_conditional_expectations(case):
+    n, values = case
+    f = CubeFunction(n, values)
+    seen = []
+    for expected_k, (k, masks, tables) in zip(range(n, -1, -1), subset_lattice(f)):
+        assert k == expected_k
+        assert tables.shape == (math.comb(n, k), 1 << k)
+        for t_mask, row in zip(masks.tolist(), tables):
+            assert t_mask.bit_count() == k
+            want = conditional_expectation(f, t_mask).values[compact_points(n, t_mask)]
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), t_mask
+            seen.append(t_mask)
+    assert sorted(seen) == list(range(1 << n))
+
+
 def test_mask_validated():
     f = rand_fn(2, 0)
     with pytest.raises(ValueError):
@@ -308,6 +336,36 @@ def test_log_lq_norm_consistent():
     for q in (1.0, 1.5, 2, 8):
         assert log_lq_norm(f, q) == pytest.approx(math.log(lq_norm(f, q)), abs=1e-12)
     assert log_lq_norm(f, math.inf) == pytest.approx(math.log(f.values.max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, -1e-17]), st.floats(0.0, 1e6)),
+                min_size=1 << n,
+                max_size=1 << n,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.lists(st.sampled_from([1.0, 1.1, 2.0, 3.5, 8.0, math.inf]), min_size=1, max_size=4),
+)
+def test_log_lq_norms_rows_are_log_lq_norm(rows, q_grid):
+    tables = np.array(rows)
+    got = log_lq_norms(tables, q_grid)
+    assert got.shape == (len(q_grid), len(rows))
+    for i, row in enumerate(rows):
+        f = CubeFunction(int(math.log2(len(row))), row)
+        for j, q in enumerate(q_grid):
+            assert got[j, i] == log_lq_norm(f, q)
+            norm = lq_norm(f, q)
+            if norm <= 0.0:  # a zero table, or roundoff below zero at q = inf
+                assert got[j, i] == -math.inf
+            else:
+                assert got[j, i] == pytest.approx(math.log(norm), rel=1e-12, abs=1e-12)
 
 
 def test_norm_contraction_under_noise_and_conditioning():

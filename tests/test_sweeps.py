@@ -1,6 +1,7 @@
 """Property tests: the layer-sum sweeps of the main and entropy inequalities
-match brute-force sums over all subsets, a gap is its sweep of one, and a
-q-grid sweep is its one-q sweeps end to end."""
+match brute-force sums over all subsets, a gap is its sweep of one, a q-grid
+sweep is its one-q sweeps end to end, and an exact sweep walks the subset
+lattice once."""
 
 import math
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from cubenoise import inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID
-from cubenoise.cube import CubeFunction, conditional_expectation, entropy
+from cubenoise.cube import CubeFunction, conditional_expectation, entropy, subset_lattice
 from cubenoise.inequalities import (
     cond_exp_log_norms,
+    hypercontractive_gap,
+    hypercontractive_sweep,
     main_inequality_gap,
     main_inequality_sweep,
     noisy_entropy_gap,
@@ -122,18 +125,45 @@ def test_q_grid_sweep_is_its_one_q_sweeps(f, q_grid, eps_grid, mode, seed):
     np.testing.assert_equal(fields(whole), fields(parts))
 
 
-def test_exact_q_grid_sweep_takes_one_conditional_expectation_per_subset(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("sweep", ["main", "entropy"])
+def test_exact_sweep_builds_each_subset_table_once(monkeypatch, sweep):
+    walks = []
 
-    def counted(f, t):
-        calls.append(t)
-        return conditional_expectation(f, t)
+    def counted(f):
+        walks.append([])
+        for k, masks, tables in subset_lattice(f):
+            walks[-1].extend(masks.tolist())
+            yield k, masks, tables
 
-    monkeypatch.setattr(inequalities, "conditional_expectation", counted)
+    def refused(*args):
+        raise AssertionError("an exact sweep builds no E(f|T) outside the lattice")
+
+    monkeypatch.setattr(inequalities, "subset_lattice", counted)
+    monkeypatch.setattr(inequalities, "conditional_expectation", refused)
+    monkeypatch.setattr(inequalities, "compact_conditional_expectation", refused)
     f = CubeFunction(4, np.arange(1.0, 17.0))
-    reps = main_inequality_sweep(f, Q_GRID, EPS_GRID)
-    assert len(reps) == len(Q_GRID) * len(EPS_GRID)
-    assert sorted(calls) == list(range(1 << f.n))
+    if sweep == "main":
+        reps = main_inequality_sweep(f, Q_GRID, EPS_GRID)
+        assert len(reps) == len(Q_GRID) * len(EPS_GRID)
+    else:
+        assert len(noisy_entropy_sweep(f, EPS_GRID)) == len(EPS_GRID)
+    assert len(walks) == 1
+    assert sorted(walks[0]) == list(range(1 << f.n))
+
+
+@SETTINGS
+@given(
+    functions(max_n=4),
+    st.lists(st.sampled_from([1.0, 1.5, 2.0, 8.0, math.inf]), min_size=1, max_size=4),
+    st.lists(NOISE, min_size=1, max_size=3),
+)
+def test_hypercontractive_sweep_is_its_gaps(f, q_grid, eps_grid):
+    sweep = hypercontractive_sweep(f, q_grid, eps_grid)
+    gaps = [hypercontractive_gap(f, q, eps) for q in q_grid for eps in eps_grid]
+    fields = lambda reps: [[r.inequality, r.lhs, r.rhs, r.gap, r.params] for r in reps]
+    np.testing.assert_equal(fields(sweep), fields(gaps))
+    for rep in sweep:
+        assert math.isfinite(rep.rhs) and rep.holds()
 
 
 @SETTINGS
