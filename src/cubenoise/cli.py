@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, corpus, matroids
+from .cube import noise_operator
 from .inequalities import (
     CSV_COLUMNS,
     GapReport,
@@ -166,10 +167,13 @@ def _campaign(
     elif target == "hypercontractive":
         # the note column records the subset-averaging bound on the same
         # instance so the two upper bounds can be compared offline; each
-        # inequality is asserted on its own, their ordering never is
+        # inequality is asserted on its own, their ordering never is.  Both
+        # sweeps read the same T_eps f, one per eps.
         for f in functions:
-            mains = main_inequality_sweep(f, q_grid, eps_grid, **sampling)
-            for main_rep, rep in zip(mains, hypercontractive_sweep(f, q_grid, eps_grid)):
+            noisy = [noise_operator(f, eps) for eps in eps_grid]
+            mains = main_inequality_sweep(f, q_grid, eps_grid, **sampling, noisy=noisy)
+            hypers = hypercontractive_sweep(f, q_grid, eps_grid, noisy=noisy)
+            for main_rep, rep in zip(mains, hypers):
                 rep.params["note"] = f"subset_bound={math.exp(main_rep.rhs)!r}"
                 check(rep)
     else:

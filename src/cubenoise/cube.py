@@ -14,10 +14,11 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,14 +173,47 @@ def compact_conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> np.n
     that the recorded reference values pin, and that :func:`subset_lattice`
     replays operation for operation.
     """
-    _check_mask(f.n, t_mask)
-    v, position = f.values.reshape(1, -1), 0  # position: bit of coordinate i in v
-    for i in range(f.n):
-        if t_mask >> i & 1:
-            position += 1
-        else:
-            v = _halve(v, position)
-    return v.reshape(-1)
+    return next(compact_conditional_expectations(f, (t_mask,)))[1]
+
+
+def compact_conditional_expectations(
+    f: CubeFunction, masks: Iterable[SubsetMask]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(T, compact E(f|T)) once for each distinct mask T of `masks`.
+
+    E(f|T) halves f over each coordinate T misses, in ascending order, and the
+    table after the first j halvings is shared by every mask with the same j
+    lowest missing coordinates.  The walk keeps those tables of the current
+    mask on a stack and visits the masks in ascending order of their
+    bit-reversed values: of two masks, the one that misses the lowest
+    coordinate in which they differ comes first.  So each mask shares with the
+    one before it every halving over a coordinate below that lowest difference,
+    and starts from there.  After j halvings the missing coordinate c sits at
+    compact position c - j whatever the mask, so every halving is the one the
+    ascending chain for T alone would make, and every table is the same bit
+    for bit.  The stack holds fewer than 2^n values besides f; a yielded table
+    stays valid after the walk moves on.
+    """
+    n, full = f.n, full_mask(f.n)
+    masks = {operator.index(t) for t in masks}
+    if masks:
+        _check_mask(n, min(masks))
+        _check_mask(n, max(masks))
+    ts = np.fromiter(masks, np.int64, len(masks))
+    reversed_bits = np.zeros_like(ts)
+    for i in range(n):
+        reversed_bits |= (ts >> i & 1) << (n - 1 - i)
+    stack, previous = [f.values.reshape(1, -1)], None  # stack[j]: the table after j halvings
+    for t in ts[np.argsort(reversed_bits)].tolist():
+        low = 1 if previous is None else (t ^ previous) & -(t ^ previous)  # lowest difference
+        del stack[(full & ~t & (low - 1)).bit_count() + 1 :]
+        rest = full & ~t & -low  # the coordinates left to halve over, as bits
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            stack.append(_halve(stack[-1], c - (len(stack) - 1)))
+            rest &= rest - 1
+        previous = t
+        yield t, stack[-1].reshape(-1)
 
 
 def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> np.ndarray:

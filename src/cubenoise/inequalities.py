@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -19,8 +20,7 @@ import numpy as np
 from .cube import (
     CubeFunction,
     SubsetMask,
-    compact_conditional_expectation,
-    conditional_expectation,
+    compact_conditional_expectations,
     dirichlet_form,
     entropy,
     expand_to_cube,
@@ -197,17 +197,22 @@ def subset_expectation_exact(
     return layer_expectation(lam, _layer_sums(n, table))
 
 
-def subset_expectation_mc(
-    n: int, lam: float, h: Callable[[SubsetMask], float], samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the subset expectation: (mean, standard error)."""
+def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
+    """The masks that :func:`subset_expectation_mc` draws for these arguments,
+    in sample order."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     bits = rng.random((samples, n)) < lam if n else np.zeros((samples, 0), bool)
-    masks = bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
+    return bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
+
+
+def subset_expectation_mc(
+    n: int, lam: float, h: Callable[[SubsetMask], float], samples: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the subset expectation: (mean, standard error)."""
     # h once per distinct mask, indexed back into sample order
-    distinct, where = np.unique(masks, return_inverse=True)
+    distinct, where = np.unique(_sample_masks(n, lam, samples, seed), return_inverse=True)
     vals = np.array([h(int(m)) for m in distinct], dtype=np.float64)[where]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -245,13 +250,61 @@ def _entropy_layers(f: CubeFunction) -> np.ndarray:
     return layers
 
 
+# Values per buffered log-norm kernel call on the Monte Carlo tables (32 KiB
+# of float64).  It keeps the peak traced memory of an n = 14 report at that of
+# one kernel call per table (0.85 MiB); 2^14 cut the report's kernel calls
+# from 259 to 78 but raised that peak to 1.56 MiB, since every table size
+# holds a buffer.
+_NORM_BATCH = 1 << 12
+
+
+def _log_norm_values(
+    f: CubeFunction, columns: dict[int, int], q_grid: Sequence[float]
+) -> np.ndarray:
+    """out[j, columns[T]] = ln ||E(f|T)||_q for q = q_grid[j] and each mask T
+    of `columns`, from one walk.  The kernel takes the whole q grid at once: a
+    table of _NORM_BATCH values or more on its own, smaller ones from a buffer
+    per table size that holds at most _NORM_BATCH values, whenever it is full
+    or its size has no masks left."""
+    out = np.empty((len(q_grid), len(columns)))
+    left = Counter(t.bit_count() for t in columns)  # masks of each size not yet buffered
+    buffers: dict[int, tuple[np.ndarray, list[int]]] = {}  # |T| -> (rows, their columns)
+    for t, table in compact_conditional_expectations(f, columns):
+        k = t.bit_count()
+        if table.shape[0] >= _NORM_BATCH:  # a batch of its own, needing no copy
+            out[:, columns[t]] = log_lq_norms(table[None], q_grid)[:, 0]
+            continue
+        if k not in buffers:
+            buffers[k] = (np.empty((min(left[k], _NORM_BATCH >> k), 1 << k)), [])
+        rows, cols = buffers[k]
+        rows[len(cols)] = table
+        cols.append(columns[t])
+        left[k] -= 1
+        if len(cols) == len(rows) or not left[k]:
+            out[:, cols] = log_lq_norms(rows[: len(cols)], q_grid)
+            cols.clear()
+            if not left[k]:
+                del buffers[k]
+    return out
+
+
+def _entropy_values(f: CubeFunction, columns: dict[int, int]) -> np.ndarray:
+    """out[0, columns[T]] = Ent(E(f|T)) for each mask T of `columns`, from one
+    walk; each table is expanded to the cube first, as in _entropy_layers."""
+    out = np.empty((1, len(columns)))
+    for t, table in compact_conditional_expectations(f, columns):
+        out[0, columns[t]] = entropy(expand_to_cube(f.n, t, table))
+    return out
+
+
 class _Side(NamedTuple):
     """How a sweep evaluates its points: all at once on T_eps f, as exact layer
-    sums over all subsets (one row per point), and point j on one E(f|T)."""
+    sums over all subsets (one row per point), and on the E(f|T) of the masks
+    of a {mask: column} dict (one row per point, one column per mask)."""
 
     noisy: Callable[[CubeFunction], Sequence[float]]
     layers: Callable[[], np.ndarray]
-    subset: Callable[[int, SubsetMask], float]
+    values: Callable[[dict[int, int]], np.ndarray]
 
 
 def _subset_sweep(
@@ -263,42 +316,61 @@ def _subset_sweep(
     mode: str,
     samples: int,
     seed: int,
+    noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each
     (q, r) point and each eps, point-major.
 
-    T_eps f is computed once per eps.  Exact mode reduces the subset table of
-    every point to layer sums at most once, so each (point, eps) costs one
-    (n+1)-term dot product.  Monte Carlo mode draws each (point, eps)'s
-    subsets afresh from the same seed.
+    T_eps f is computed once per eps, unless the caller passes them as `noisy`.
+    Exact mode reduces the subset table of every point to layer sums at most
+    once, so each (point, eps) costs one (n+1)-term dot product.  Monte Carlo
+    mode draws each (point, eps)'s subsets from the same seed, pools the
+    distinct masks of all of them, and evaluates every point on the pooled
+    masks from one walk of compact_conditional_expectations; each estimate
+    then looks its masks' values up.
     """
     require_nonnegative(f)
     if f.mean() <= 0.0:
         raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    # noise_operator rejects eps outside [0, 1/2]
-    lhs = [side.noisy(noise_operator(f, eps)) for eps in eps_grid]
-    layers = None
+    if noisy is None:
+        # noise_operator rejects eps outside [0, 1/2]
+        lhs = [side.noisy(noise_operator(f, eps)) for eps in eps_grid]
+    else:
+        lhs = [side.noisy(g) for g in noisy]
+    # the subset rate of each (point, eps); at main's eps = 1/2 the rate is 0:
+    # T is empty a.s. and T_eps f is the constant E f, so both sides equal
+    # ln E f by definition and the report is the exact-equality case
+    rates = {
+        (j, e): (1.0 - 2.0 * eps) ** r
+        for j, (_, r) in enumerate(points)
+        for e, eps in enumerate(eps_grid)
+        if not (inequality == "main" and eps == 0.5)
+    }
+    if rates and mode == "exact":
+        _check_expensive_cap(f.n)
+        layers = side.layers()
+    elif rates:
+        pooled = set()
+        for lam in rates.values():
+            pooled.update(_sample_masks(f.n, lam, samples, seed).tolist())
+        columns = {t: c for c, t in enumerate(pooled)}
+        values = side.values(columns)
     out = []
-    for j, (q, r) in enumerate(points):
+    for j, (q, _) in enumerate(points):
         for e, eps in enumerate(eps_grid):
             params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
-            if inequality == "main" and eps == 0.5:
-                # lam = 0: T is empty a.s. and T_eps f is the constant E f; both
-                # sides equal ln E f by definition, so report the exact-equality case.
+            if (j, e) not in rates:
                 value = math.log(f.mean())
                 out.append(GapReport("main", value, value, 0.0, params))
                 continue
-            lam = (1.0 - 2.0 * eps) ** r
+            lam = rates[j, e]
             if mode == "exact":
-                if layers is None:
-                    _check_expensive_cap(f.n)
-                    layers = side.layers()
                 rhs = layer_expectation(lam, layers[j])
             else:
                 rhs, stderr = subset_expectation_mc(
-                    f.n, lam, lambda t: side.subset(j, t), samples, seed
+                    f.n, lam, lambda t: float(values[j, columns[t]]), samples, seed
                 )
                 params.update(samples=samples, seed=seed, stderr=stderr)
             value = float(lhs[e][j])
@@ -313,9 +385,13 @@ def main_inequality_sweep(
     mode: str = "exact",
     samples: int = 20000,
     seed: int = 0,
+    *,
+    noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
-    over a (q, eps) grid, q-major; exact mode takes one E(f|T) per T for the grid."""
+    over a (q, eps) grid, q-major.  One walk of the E(f|T) serves the whole
+    grid: of the subset lattice in exact mode, of the masks drawn in mc mode.
+    `noisy`, if given, holds T_eps f for each eps of the grid."""
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
             raise ValueError(f"norm inequality needs q > 1, got {q}")
@@ -323,10 +399,10 @@ def main_inequality_sweep(
     side = _Side(
         lambda g: log_lq_norms(g.values, q_grid),
         lambda: _log_norm_layers(f, q_grid),
-        lambda j, t: float(log_lq_norms(compact_conditional_expectation(f, t), q_grid[j : j + 1])[0]),
+        lambda columns: _log_norm_values(f, columns, q_grid),
     )
     points = [(q, r_exponent(q)) for q in q_grid]
-    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed)
+    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed, noisy)
 
 
 def main_inequality_gap(
@@ -353,7 +429,7 @@ def noisy_entropy_sweep(
     side = _Side(
         lambda g: (entropy(g),),
         lambda: _entropy_layers(f)[None],
-        lambda j, t: entropy(conditional_expectation(f, t)),
+        lambda columns: _entropy_values(f, columns),
     )
     return _subset_sweep("entropy", f, [(None, 2.0)], side, eps_grid, mode, samples, seed)
 
@@ -382,12 +458,17 @@ def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
 
 
 def hypercontractive_sweep(
-    f: CubeFunction, q_grid: Sequence[float], eps_grid: Sequence[float]
+    f: CubeFunction,
+    q_grid: Sequence[float],
+    eps_grid: Sequence[float],
+    *,
+    noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
-    at the reduced exponent, from one T_eps f per eps."""
+    at the reduced exponent, from one T_eps f per eps (`noisy`, if given)."""
     require_nonnegative(f)
-    noisy = [noise_operator(f, eps) for eps in eps_grid]
+    if noisy is None:
+        noisy = [noise_operator(f, eps) for eps in eps_grid]
     out = []
     for q in q_grid:
         for eps, g in zip(eps_grid, noisy):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cubenoise import corpus
+from cubenoise import cli, corpus, cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID, RunConfig, main
 from cubenoise.inequalities import GapReport, main_inequality_gap
 
@@ -154,6 +154,24 @@ def test_hypercontractive_at_infinite_q_and_half_noise(capsys):
     assert len(rows) == 2 * 3 * 3
     for row in rows:
         assert all(math.isfinite(float(row[c])) for c in ("lhs", "rhs", "gap"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch, mode):
+    real, calls = cube.noise_operator, {}
+
+    def counted(f, eps):
+        calls.setdefault(f, []).append(eps)
+        return real(f, eps)
+
+    for module in (cli, cube, inequalities):
+        monkeypatch.setattr(module, "noise_operator", counted)
+    cfg = RunConfig(mode=mode, samples=50)
+    rows, bad = cli._campaign("hypercontractive", 4, 2, cfg, Q_GRID, EPS_GRID)
+    assert len(rows) == len(calls) * len(Q_GRID) * len(EPS_GRID) and not bad
+    assert len(calls) == len(corpus.standard_corpus(4, 2, np.random.default_rng(cfg.seed)))
+    for eps_calls in calls.values():
+        assert eps_calls == list(EPS_GRID)
 
 
 # ---------------------------------------------------------------------------

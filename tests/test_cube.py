@@ -1,14 +1,18 @@
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubenoise import cube
 from cubenoise.cube import (
     CubeFunction,
     FourierSpectrum,
     character,
+    compact_conditional_expectations,
     conditional_expectation,
     dimension_cap,
     dirichlet_form,
@@ -308,6 +312,50 @@ def test_subset_lattice_rows_are_conditional_expectations(case):
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), t_mask
             seen.append(t_mask)
     assert sorted(seen) == list(range(1 << n))
+
+
+def loop_compact_cond_exp(values, n, t_mask):
+    """Reference: E(f|T)'s compact table from its own chain of ascending
+    halvings, one per coordinate outside T, as each mask was built before the
+    masks shared their halvings."""
+    v, position = np.array(values, dtype=np.float64), 0  # position: bit of coordinate i in v
+    for i in range(n):
+        if t_mask >> i & 1:
+            position += 1
+        else:
+            w = v.reshape(-1, 2, 1 << position)
+            v = (0.5 * (w[:, 0, :] + w[:, 1, :])).reshape(-1)
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_functions(), st.data())
+def test_walk_yields_each_mask_once_bit_identical_to_loop(case, data):
+    n, values = case
+    f = CubeFunction(n, values)
+    masks = data.draw(st.sets(st.integers(0, full_mask(n)), max_size=40))
+    masks |= data.draw(st.sets(st.sampled_from([0, full_mask(n)])))
+    halve, halved = cube._halve, []
+
+    def tracked(*args):
+        out = halve(*args)
+        halved.append(weakref.ref(out))
+        return out
+
+    seen = []
+    with mock.patch.object(cube, "_halve", tracked):
+        # each mask twice, in a shuffled order: the walk sorts and dedups
+        order = data.draw(st.permutations(sorted(masks) * 2))
+        for t_mask, table in compact_conditional_expectations(f, order):
+            seen.append(t_mask)
+            want = loop_compact_cond_exp(values, n, t_mask)
+            assert np.array_equal(table.view(np.uint64), want.view(np.uint64)), t_mask
+            # the stack of prefix tables, the one just yielded on top
+            alive = sum(ref().size for ref in halved if ref() is not None)
+            assert alive < 1 << n
+    assert sorted(seen) == sorted(masks)
+    # of two masks, the one missing the lowest coordinate they differ in first
+    assert seen == sorted(seen, key=lambda t: [t >> i & 1 for i in range(n)])
 
 
 def test_mask_validated():

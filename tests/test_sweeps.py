@@ -1,7 +1,7 @@
 """Property tests: the layer-sum sweeps of the main and entropy inequalities
 match brute-force sums over all subsets, a gap is its sweep of one, a q-grid
-sweep is its one-q sweeps end to end, and an exact sweep walks the subset
-lattice once."""
+sweep is its one-q sweeps end to end, an exact sweep walks the subset lattice
+once, and a Monte Carlo sweep takes every E(f|T) it draws from one walk."""
 
 import math
 
@@ -10,10 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubenoise import inequalities
+from cubenoise import cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID
-from cubenoise.cube import CubeFunction, conditional_expectation, entropy, subset_lattice
+from cubenoise.cube import (
+    CubeFunction,
+    compact_conditional_expectations,
+    conditional_expectation,
+    entropy,
+    expand_to_cube,
+    log_lq_norms,
+    noise_operator,
+    subset_lattice,
+)
 from cubenoise.inequalities import (
+    GapReport,
     cond_exp_log_norms,
     hypercontractive_gap,
     hypercontractive_sweep,
@@ -21,6 +31,7 @@ from cubenoise.inequalities import (
     main_inequality_sweep,
     noisy_entropy_gap,
     noisy_entropy_sweep,
+    r_exponent,
     subset_expectation_exact,
     subset_expectation_mc,
     subset_rate,
@@ -125,6 +136,18 @@ def test_q_grid_sweep_is_its_one_q_sweeps(f, q_grid, eps_grid, mode, seed):
     np.testing.assert_equal(fields(whole), fields(parts))
 
 
+def refuse_tables_mask_by_mask(monkeypatch):
+    """Make the one-mask routes to E(f|T) raise, in cube and under any name
+    inequalities could hold them by."""
+
+    def refused(*args):
+        raise AssertionError("a sweep builds no E(f|T) one mask at a time")
+
+    for name in ("conditional_expectation", "compact_conditional_expectation"):
+        monkeypatch.setattr(cube, name, refused)
+        monkeypatch.setattr(inequalities, name, refused, raising=False)
+
+
 @pytest.mark.parametrize("sweep", ["main", "entropy"])
 def test_exact_sweep_builds_each_subset_table_once(monkeypatch, sweep):
     walks = []
@@ -135,12 +158,8 @@ def test_exact_sweep_builds_each_subset_table_once(monkeypatch, sweep):
             walks[-1].extend(masks.tolist())
             yield k, masks, tables
 
-    def refused(*args):
-        raise AssertionError("an exact sweep builds no E(f|T) outside the lattice")
-
     monkeypatch.setattr(inequalities, "subset_lattice", counted)
-    monkeypatch.setattr(inequalities, "conditional_expectation", refused)
-    monkeypatch.setattr(inequalities, "compact_conditional_expectation", refused)
+    refuse_tables_mask_by_mask(monkeypatch)
     f = CubeFunction(4, np.arange(1.0, 17.0))
     if sweep == "main":
         reps = main_inequality_sweep(f, Q_GRID, EPS_GRID)
@@ -166,6 +185,123 @@ def test_hypercontractive_sweep_is_its_gaps(f, q_grid, eps_grid):
         assert math.isfinite(rep.rhs) and rep.holds()
 
 
+def draw(n, lam, samples, seed):
+    """The masks subset_expectation_mc draws, in sample order."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((samples, n)) < lam if n else np.zeros((samples, 0), bool)
+    return bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
+
+
+def loop_compact(f, t_mask):
+    """E(f|T)'s compact table from its own chain of ascending halvings."""
+    v, position = f.values, 0  # position: bit of coordinate i in v
+    for i in range(f.n):
+        if t_mask >> i & 1:
+            position += 1
+        else:
+            w = v.reshape(-1, 2, 1 << position)
+            v = (0.5 * (w[:, 0, :] + w[:, 1, :])).reshape(-1)
+    return v
+
+
+def mc_oracle(inequality, f, q_grid, eps_grid, samples, seed):
+    """A Monte Carlo sweep as each (q, eps) point ran it before the points
+    pooled their masks: h takes each distinct mask's E(f|T) on its own."""
+    points = [(q, r_exponent(q)) for q in q_grid] if inequality == "main" else [(None, 2.0)]
+    out = []
+    for j, (q, r) in enumerate(points):
+        for eps in eps_grid:
+            g = noise_operator(f, eps)
+            params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "mc"}
+            if inequality == "main":
+                if eps == 0.5:
+                    value = math.log(f.mean())
+                    out.append(GapReport("main", value, value, 0.0, params))
+                    continue
+                lhs = float(log_lq_norms(g.values, q_grid)[j])
+                h = lambda t: float(log_lq_norms(loop_compact(f, t), (q,))[0])
+            else:
+                lhs = entropy(g)
+                h = lambda t: entropy(expand_to_cube(f.n, t, loop_compact(f, t)))
+            rhs, stderr = subset_expectation_mc(f.n, (1.0 - 2.0 * eps) ** r, h, samples, seed)
+            params.update(samples=samples, seed=seed, stderr=stderr)
+            out.append(GapReport(inequality, lhs, rhs, rhs - lhs, params))
+    return out
+
+
+def outcomes(call):
+    """Every field of every report, or the error raised instead."""
+    try:
+        reps = call()
+    except ValueError as err:
+        return str(err)
+    return [[r.inequality, r.lhs, r.rhs, r.gap, r.params] for r in reps]
+
+
+MC_Q = (1.5, 2.0, 8.0, math.inf)
+MC_EPS = (0.0, 0.1, 0.3, 0.45, 0.5)
+
+
+@SETTINGS
+@given(functions(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_mc_sweeps_match_per_mask_oracle(f, samples, seed):
+    np.testing.assert_equal(
+        outcomes(lambda: main_inequality_sweep(f, MC_Q, MC_EPS, "mc", samples, seed)),
+        outcomes(lambda: mc_oracle("main", f, MC_Q, MC_EPS, samples, seed)),
+    )
+    np.testing.assert_equal(
+        outcomes(lambda: noisy_entropy_sweep(f, MC_EPS, "mc", samples, seed)),
+        outcomes(lambda: mc_oracle("entropy", f, MC_Q, MC_EPS, samples, seed)),
+    )
+
+
+@pytest.mark.parametrize("sweep", ["main", "entropy"])
+def test_mc_sweep_walks_its_pooled_masks_once(monkeypatch, sweep):
+    walks = []
+
+    def counted(f, masks):
+        walks.append([])
+        for t_mask, table in compact_conditional_expectations(f, masks):
+            walks[-1].append(t_mask)
+            yield t_mask, table
+
+    monkeypatch.setattr(inequalities, "compact_conditional_expectations", counted)
+    refuse_tables_mask_by_mask(monkeypatch)
+    f = CubeFunction(6, np.arange(1.0, 65.0))
+    samples, seed = 300, 7
+    if sweep == "main":
+        reps = main_inequality_sweep(f, MC_Q, MC_EPS, "mc", samples, seed)
+        rates = [subset_rate(q, eps) for q in MC_Q for eps in MC_EPS if eps != 0.5]
+    else:
+        reps = noisy_entropy_sweep(f, MC_EPS, "mc", samples, seed)
+        rates = [(1.0 - 2.0 * eps) ** 2 for eps in MC_EPS]
+    assert len(reps) == len(MC_EPS) * (len(MC_Q) if sweep == "main" else 1)
+    assert len(walks) == 1
+    drawn = {int(t) for lam in rates for t in draw(f.n, lam, samples, seed)}
+    assert sorted(walks[0]) == sorted(drawn)
+
+
+def test_mc_sweep_shares_halvings(monkeypatch):
+    halve, calls = cube._halve, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return halve(*args)
+
+    monkeypatch.setattr(cube, "_halve", counted)
+    f = CubeFunction(10, np.random.default_rng(3).random(1 << 10))
+    samples, seed, eps_grid = 500, 5, (0.1, 0.45)
+    main_inequality_sweep(f, Q_GRID, eps_grid, "mc", samples, seed)
+    # each (q, eps) point halving each distinct mask it draws from f on its own
+    per_mask = sum(
+        f.n - t.bit_count()
+        for q in Q_GRID
+        for eps in eps_grid
+        for t in set(draw(f.n, subset_rate(q, eps), samples, seed).tolist())
+    )
+    assert 0 < len(calls) < per_mask
+
+
 @SETTINGS
 @given(st.integers(0, 8), RATES, st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_subset_expectation_mc_evaluates_each_distinct_mask_once(n, lam, samples, seed):
@@ -178,9 +314,7 @@ def test_subset_expectation_mc_evaluates_each_distinct_mask_once(n, lam, samples
 
     got = subset_expectation_mc(n, lam, h, samples, seed)
     # oracle: the same draw, with h evaluated on every sample in sample order
-    rng = np.random.default_rng(seed)
-    bits = rng.random((samples, n)) < lam if n else np.zeros((samples, 0), bool)
-    masks = bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
+    masks = draw(n, lam, samples, seed)
     vals = np.array([float(values[int(m)]) for m in masks])
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     assert got == (float(vals.mean()), stderr)
