@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cube import CubeFunction, FourierSpectrum, SubsetMask, dimension_cap, popcounts
+from .cube import CubeFunction, FourierSpectrum, SubsetMask, _zeta, dimension_cap, popcounts
 from .cube import entropy as cube_entropy, wht_inverse
 from .inequalities import LN2, enum_cap, layer_expectation, noise_rate, subset_expectation_mc
 
@@ -277,9 +277,7 @@ def deficiency_table(code: LinearCode, cap: int | None = None) -> np.ndarray:
     # in memory), and 2^d - 1 has exactly d one bits
     counts = np.zeros(1 << n, dtype=np.int32)
     counts[codeword_masks(dual)] = 1
-    for i in range(n):
-        v = counts.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
+    _zeta(counts)
     counts -= 1
     return np.bitwise_count(counts).astype(np.int64)
 

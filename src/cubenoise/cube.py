@@ -38,9 +38,19 @@ def full_mask(n: int) -> SubsetMask:
 
 
 @lru_cache(maxsize=None)
+def _popcount_table(n: int) -> np.ndarray:
+    """|T| for every mask T < 2^n, built in place: a mask with top bit i
+    has one more element than the mask below 2^i it extends.  Writable,
+    because np.bincount copies a read-only index array; nothing writes to it."""
+    pc = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        np.add(pc[: 1 << i], 1, out=pc[1 << i : 2 << i])
+    return pc
+
+
 def popcounts(n: int) -> np.ndarray:
     """|T| for every mask T < 2^n, as a read-only int64 array."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    pc = _popcount_table(n).view()
     pc.setflags(write=False)
     return pc
 
@@ -109,6 +119,18 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
         a = v[:, 0, :].copy()
         v[:, 0, :] = a + v[:, 1, :]
         v[:, 1, :] = a - v[:, 1, :]
+        h <<= 1
+    return values
+
+
+def _zeta(values: np.ndarray) -> np.ndarray:
+    """Subset sums in place, O(n 2^n): values[T] becomes the sum of the old
+    values[R] over every mask R contained in T."""
+    size = values.shape[0]
+    h = 1
+    while h < size:
+        v = values.reshape(-1, 2, h)
+        v[:, 1, :] += v[:, 0, :]
         h <<= 1
     return values
 

@@ -20,6 +20,9 @@ import numpy as np
 from .cube import (
     CubeFunction,
     SubsetMask,
+    _butterfly,
+    _popcount_table,
+    _zeta,
     compact_conditional_expectations,
     dirichlet_form,
     entropy,
@@ -37,7 +40,8 @@ LN2 = math.log(2.0)
 
 # Exact subset enumeration caps: evaluating h on all 2^n subsets is fine up to
 # n = 22 for cheap h, but verifiers that tabulate E(f|T) on every subset (3^n
-# values on the lattice, 4^n for the entropy's cube tables) stop at 13.
+# values on the lattice, 4^n for the entropy's cube tables) stop at 13.  The
+# q = 2 norms take O(n 2^n) by Parseval and stop only at the cube cap.
 _DEFAULT_ENUM_CAP = 22
 _DEFAULT_EXPENSIVE_CAP = 13
 
@@ -50,12 +54,11 @@ def expensive_enum_cap() -> int:
     return int(os.environ.get("CUBENOISE_MAX_VERIFY_N", _DEFAULT_EXPENSIVE_CAP))
 
 
-def _check_expensive_cap(n: int, mc_route: bool = True) -> None:
+def _check_expensive_cap(n: int, route: str) -> None:
     """One cap check and message for the verifiers that tabulate E(f|T) on
-    each of the 2^n subsets."""
+    each of the 2^n subsets; `route` names what works past the cap."""
     cap = expensive_enum_cap()
     if n > cap:
-        route = "use --mode mc" if mc_route else "raise CUBENOISE_MAX_VERIFY_N"
         raise ValueError(f"exact subset averaging capped at n={cap}, got n={n}; {route}")
 
 
@@ -173,7 +176,7 @@ def size_weights(n: int, lam: float) -> np.ndarray:
 
 def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     """L_k = sum of table[T] over the masks T of size k, for k = 0..n."""
-    return np.bincount(popcounts(n), weights=table, minlength=n + 1)
+    return np.bincount(_popcount_table(n), weights=table, minlength=n + 1)
 
 
 def layer_expectation(lam: float, layers: np.ndarray) -> float:
@@ -213,15 +216,51 @@ def subset_expectation_mc(
     """Monte Carlo estimate of the subset expectation: (mean, standard error)."""
     # h once per distinct mask, indexed back into sample order
     distinct, where = np.unique(_sample_masks(n, lam, samples, seed), return_inverse=True)
-    vals = np.array([h(int(m)) for m in distinct], dtype=np.float64)[where]
+    return _mean_stderr(np.array([h(int(m)) for m in distinct], dtype=np.float64)[where])
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error of the mean) of Monte Carlo values in sample order."""
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else 0.0
     return mean, stderr
+
+
+def _squared_l2_norms(f: CubeFunction) -> tuple[np.ndarray, int]:
+    """(z, e) with ||E(f|T)||_2^2 = 4^e z[T] for every mask T, in mask order.
+
+    By Parseval ||E(f|T)||_2^2 is the sum of c(R)^2 over the R contained in
+    T, c the Walsh-Fourier coefficients of f, so one Walsh-Hadamard
+    transform, squaring and one subset-sum (zeta) transform give the whole
+    table in O(n 2^n), in place on one copy of f.  The copy is f / 2^(e+n),
+    e the binary exponent of max f, so the transform yields c(R) / 2^e, below
+    1 in magnitude, and z[T] >= (E f / 2^e)^2 >= 4^-(n+1): no square over- or
+    underflows.  Scaling by a power of two is exact, so for max f in [1/2, 1)
+    the coefficients are wht_forward's bit for bit.
+    """
+    e = math.frexp(float(f.values.max()))[1]
+    z = np.ldexp(f.values, -e - f.n)
+    _butterfly(z)
+    z *= z
+    return _zeta(z), e
+
+
+def _log_l2(z: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+    """ln sqrt(4^e z), with one order of operations for every caller, so that
+    equal squared norms give equal log-norms bit for bit."""
+    out = np.log(z, out=out)
+    out *= 0.5
+    out += e * LN2
+    return out
 
 
 def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
     """ln of the q-norm of the conditional expectation of f on every subset T,
-    in mask order."""
+    in mask order; q = 2 by Parseval (:func:`_squared_l2_norms`), any other q
+    from the subset lattice."""
+    if q == 2.0:
+        z, e = _squared_l2_norms(f)
+        return _log_l2(z, e, out=z)
     table = np.empty(1 << f.n)
     for _, masks, tables in subset_lattice(f):
         table[masks] = log_lq_norms(tables, (q,))[0]
@@ -298,13 +337,27 @@ def _entropy_values(f: CubeFunction, columns: dict[int, int]) -> np.ndarray:
 
 
 class _Side(NamedTuple):
-    """How a sweep evaluates its points: all at once on T_eps f, as exact layer
-    sums over all subsets (one row per point), and on the E(f|T) of the masks
-    of a {mask: column} dict (one row per point, one column per mask)."""
+    """How a sweep evaluates its points: lhs[j, e] on T_eps f for point j and
+    the e-th eps, exact layer sums over all subsets (one row per point), and
+    the values on the E(f|T) of the masks of a {mask: column} dict (one row
+    per point, one column per mask)."""
 
-    noisy: Callable[[CubeFunction], Sequence[float]]
+    lhs: np.ndarray
     layers: Callable[[], np.ndarray]
     values: Callable[[dict[int, int]], np.ndarray]
+
+
+def _require_sweep_domain(
+    inequality: str, f: CubeFunction, eps_grid: Sequence[float], mode: str
+) -> None:
+    require_nonnegative(f)
+    if f.mean() <= 0.0:
+        raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for eps in eps_grid:
+        if not 0.0 <= eps <= 0.5:
+            raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
 
 
 def _subset_sweep(
@@ -316,29 +369,18 @@ def _subset_sweep(
     mode: str,
     samples: int,
     seed: int,
-    noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each
     (q, r) point and each eps, point-major.
 
-    T_eps f is computed once per eps, unless the caller passes them as `noisy`.
     Exact mode reduces the subset table of every point to layer sums at most
     once, so each (point, eps) costs one (n+1)-term dot product.  Monte Carlo
-    mode draws each (point, eps)'s subsets from the same seed, pools the
-    distinct masks of all of them, and evaluates every point on the pooled
-    masks from one walk of compact_conditional_expectations; each estimate
-    then looks its masks' values up.
+    mode draws the masks of each subset rate once, by the draw of
+    subset_expectation_mc, and evaluates every point on the distinct masks of
+    all of them at once; each estimate's mean and standard error then come
+    from its masks' values in sample order, as subset_expectation_mc takes
+    them.
     """
-    require_nonnegative(f)
-    if f.mean() <= 0.0:
-        raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if noisy is None:
-        # noise_operator rejects eps outside [0, 1/2]
-        lhs = [side.noisy(noise_operator(f, eps)) for eps in eps_grid]
-    else:
-        lhs = [side.noisy(g) for g in noisy]
     # the subset rate of each (point, eps); at main's eps = 1/2 the rate is 0:
     # T is empty a.s. and T_eps f is the constant E f, so both sides equal
     # ln E f by definition and the report is the exact-equality case
@@ -349,14 +391,13 @@ def _subset_sweep(
         if not (inequality == "main" and eps == 0.5)
     }
     if rates and mode == "exact":
-        _check_expensive_cap(f.n)
         layers = side.layers()
     elif rates:
-        pooled = set()
-        for lam in rates.values():
-            pooled.update(_sample_masks(f.n, lam, samples, seed).tolist())
-        columns = {t: c for c, t in enumerate(pooled)}
-        values = side.values(columns)
+        draws = {lam: _sample_masks(f.n, lam, samples, seed) for lam in set(rates.values())}
+        # the distinct masks, ascending (np.unique would import numpy.ma, 1 MiB)
+        pooled = np.sort(np.concatenate(list(draws.values())))
+        pooled = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
+        values = side.values({t: c for c, t in enumerate(pooled.tolist())})
     out = []
     for j, (q, _) in enumerate(points):
         for e, eps in enumerate(eps_grid):
@@ -369,11 +410,9 @@ def _subset_sweep(
             if mode == "exact":
                 rhs = layer_expectation(lam, layers[j])
             else:
-                rhs, stderr = subset_expectation_mc(
-                    f.n, lam, lambda t: float(values[j, columns[t]]), samples, seed
-                )
+                rhs, stderr = _mean_stderr(values[j, np.searchsorted(pooled, draws[lam])])
                 params.update(samples=samples, seed=seed, stderr=stderr)
-            value = float(lhs[e][j])
+            value = float(side.lhs[j, e])
             out.append(GapReport(inequality, value, rhs, rhs - value, params))
     return out
 
@@ -389,20 +428,58 @@ def main_inequality_sweep(
     noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
-    over a (q, eps) grid, q-major.  One walk of the E(f|T) serves the whole
-    grid: of the subset lattice in exact mode, of the masks drawn in mc mode.
-    `noisy`, if given, holds T_eps f for each eps of the grid."""
+    over a (q, eps) grid, q-major.
+
+    q = 2 reads both sides off one Parseval table (:func:`_squared_l2_norms`),
+    in both modes: the rhs averages its ln ||E(f|T)||_2, and the lhs uses
+    ||T_eps f||_2^2 = E over T ~ (1-2 eps)^2 of ||E(f|T)||_2^2, a layer
+    average of the same table that at eps = 0 is its T = [n] entry, so that
+    gap is exactly 0.  The other q take one walk of the E(f|T) for the whole
+    grid: of the subset lattice in exact mode, of the masks drawn in mc mode;
+    their lhs is the norm of T_eps f, which `noisy`, if given, holds for each
+    eps of the grid.
+    """
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
             raise ValueError(f"norm inequality needs q > 1, got {q}")
+    _require_sweep_domain("main", f, eps_grid, mode)
     q_grid = tuple(q_grid)
-    side = _Side(
-        lambda g: log_lq_norms(g.values, q_grid),
-        lambda: _log_norm_layers(f, q_grid),
-        lambda columns: _log_norm_values(f, columns, q_grid),
-    )
+    at_2 = np.array([q == 2.0 for q in q_grid], dtype=bool)
+    others = tuple(q for q in q_grid if q != 2.0)
+    if others and mode == "exact" and any(eps != 0.5 for eps in eps_grid):
+        _check_expensive_cap(f.n, "use --mode mc, or --q 2 alone")
+    lhs = np.empty((len(q_grid), len(eps_grid)))
+    if at_2.any():
+        z, shift = _squared_l2_norms(f)
+        squares = _layer_sums(f.n, z)
+        noisy_squares = [layer_expectation((1.0 - 2.0 * eps) ** 2, squares) for eps in eps_grid]
+        lhs[at_2] = _log_l2(np.array(noisy_squares), shift)
+        table = _log_l2(z, shift, out=z)
+    if others:
+        if noisy is None:  # one T_eps f alive at a time
+            noisy = (noise_operator(f, eps) for eps in eps_grid)
+        for e, g in enumerate(noisy):
+            lhs[~at_2, e] = log_lq_norms(g.values, others)
+
+    def layers() -> np.ndarray:
+        out = np.empty((len(q_grid), f.n + 1))
+        if at_2.any():
+            out[at_2] = _layer_sums(f.n, table)
+        if others:
+            out[~at_2] = _log_norm_layers(f, others)
+        return out
+
+    def values(columns: dict[int, int]) -> np.ndarray:
+        out = np.empty((len(q_grid), len(columns)))
+        if at_2.any():
+            out[at_2] = table[np.fromiter(columns, np.int64, len(columns))]
+        if others:
+            out[~at_2] = _log_norm_values(f, columns, others)
+        return out
+
     points = [(q, r_exponent(q)) for q in q_grid]
-    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed, noisy)
+    side = _Side(lhs, layers, values)
+    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed)
 
 
 def main_inequality_gap(
@@ -426,10 +503,12 @@ def noisy_entropy_sweep(
 ) -> list[GapReport]:
     """Check Ent(T_eps f) <= E over T ~ (1-2 eps)^2 of Ent(E(f|T)) over a
     noise grid, reusing one conditional-entropy table."""
+    _require_sweep_domain("entropy", f, eps_grid, mode)
+    if mode == "exact" and len(eps_grid):
+        _check_expensive_cap(f.n, "use --mode mc")
+    lhs = np.array([[entropy(noise_operator(f, eps)) for eps in eps_grid]])
     side = _Side(
-        lambda g: (entropy(g),),
-        lambda: _entropy_layers(f)[None],
-        lambda columns: _entropy_values(f, columns),
+        lhs, lambda: _entropy_layers(f)[None], lambda columns: _entropy_values(f, columns)
     )
     return _subset_sweep("entropy", f, [(None, 2.0)], side, eps_grid, mode, samples, seed)
 
@@ -589,7 +668,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
         raise ValueError(f"need finite q > 1, got {q}")
     if f.is_constant():
         raise ValueError("derivative comparison requires a nonconstant function")
-    _check_expensive_cap(f.n, mc_route=False)
+    _check_expensive_cap(f.n, "raise CUBENOISE_MAX_VERIFY_N")
 
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     efq = float(np.mean(f.values**q))

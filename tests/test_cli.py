@@ -125,6 +125,26 @@ def test_verify_cap_names_the_route(capsys, monkeypatch, target, route):
     assert err.startswith("error: exact subset averaging capped at n=13") and route in err
 
 
+def test_verify_main_q2_runs_exact_past_the_verify_cap(capsys, monkeypatch):
+    monkeypatch.delenv("CUBENOISE_MAX_VERIFY_N", raising=False)
+    code, out, err = run(
+        capsys, "verify", "--target", "main", "--n", "16", "--q", "2", "--fuzz", "1"
+    )
+    assert code == 0, err
+    rows = parse_csv(out)["gaps"]
+    assert len(rows) == len(EPS_GRID)
+    assert all(r["mode"] == "exact" and r["n"] == "16" for r in rows)
+
+
+def test_verify_main_past_the_cap_names_both_routes(capsys, monkeypatch):
+    monkeypatch.delenv("CUBENOISE_MAX_VERIFY_N", raising=False)
+    code, out, err = run(capsys, "verify", "--target", "main", "--n", "16", "--fuzz", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exact subset averaging capped at n=13")
+    assert "--mode mc" in err and "--q 2 alone" in err
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_hypercontractive_note_is_the_main_rhs(capsys, mode):
     # rows run over (function, q, eps); each note must come from its own eps
