@@ -132,7 +132,7 @@ def _campaign(
         grid = [float(t) for t in np.logspace(0.0, 3.0, T_POINTS)] + [math.inf]
         for t in grid:
             for q in q_grid:
-                check(two_point_gap(t, q))
+                check(two_point_gap(t, q, tolerance=cfg.tolerance))
         return rows, bad
 
     functions = corpus.standard_corpus(n, fuzz, rng)
@@ -253,7 +253,7 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
     fvalue_rows = []
     identity_rows = []
     for lam in lam_grid:
-        deficiency, stderr = codes.rank_deficiency_estimate(
+        deficiency, stderr = codes.deficiency_expectation(
             code, lam, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
         )
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
@@ -360,7 +360,7 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
             row = rep.row()
             row["note"] = f"bounded_diff={comparator!r}"
             tail_rows.append(row)
-            if rep.gap < -cfg.tolerance:
+            if not rep.holds(cfg.tolerance):
                 violations.append(rep.csv_row())
     sections.append(("tail", CSV_COLUMNS, tail_rows))
 

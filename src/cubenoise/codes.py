@@ -307,6 +307,32 @@ def histogram_expectation(hist: np.ndarray, lam: float, values=None) -> float:
     return layer_expectation(lam, (hist * values).sum(axis=1))
 
 
+def deficiency_expectation(
+    code: LinearCode,
+    lam: float,
+    values=None,
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """E over T ~ lam of values[|T|, d(T)] with d(T) = |T| - rank T (by
+    default of d(T) itself), and its standard error (0 in exact mode).
+
+    The one exact/Monte Carlo dispatch for code, matroid and graph subset
+    averages: exact mode sums over :func:`deficiency_histogram`, which
+    `values` broadcasts against; mc mode reads the cell of each mask drawn."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
+    if mode == "exact":
+        return histogram_expectation(deficiency_histogram(code), lam, values), 0.0
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    width = code.n - code.k + 1
+    cells = np.broadcast_to(np.arange(width) if values is None else values, (code.n + 1, width))
+    h = lambda t: cells[t.bit_count(), t.bit_count() - rank_of_columns(code, t)]
+    return subset_expectation_mc(code.n, lam, h, samples, seed)
+
+
 def rank_deficiency(
     code: LinearCode,
     lam: float,
@@ -314,31 +340,9 @@ def rank_deficiency(
     samples: int = 20000,
     seed: int = 0,
 ) -> float:
-    """lam * n - E over T ~ lam of rank(T), always nonnegative."""
-    return rank_deficiency_estimate(code, lam, mode, samples, seed)[0]
-
-
-def rank_deficiency_estimate(
-    code: LinearCode,
-    lam: float,
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """:func:`rank_deficiency` and its Monte Carlo standard error (0 in exact mode)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
-    if mode == "exact":
-        return histogram_expectation(deficiency_histogram(code), lam), 0.0
-    if mode == "mc":
-        return subset_expectation_mc(
-            code.n,
-            lam,
-            lambda t: float(t.bit_count() - rank_of_columns(code, t)),
-            samples,
-            seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    """lam * n - E over T ~ lam of rank(T), always nonnegative: the mean of
+    :func:`deficiency_expectation`."""
+    return deficiency_expectation(code, lam, None, mode, samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------

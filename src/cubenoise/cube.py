@@ -328,13 +328,7 @@ def lq_norm(f: CubeFunction, q: float) -> float:
     """(E f^q)^(1/q) under the uniform measure; q = inf returns the maximum value."""
     if q == math.inf:
         return float(f.values.max())
-    if q < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
-    v = _clean_values(f.values)
-    mx = float(v.max())
-    if mx == 0.0:
-        return 0.0
-    return mx * float(np.mean((v / mx) ** q)) ** (1.0 / q)
+    return math.exp(log_lq_norm(f, q))
 
 
 def log_lq_norm(f: CubeFunction, q: float) -> float:

@@ -137,6 +137,8 @@ class GapReport:
         return self.gap >= -allowed_slack(tolerance, self.params.get("stderr", 0.0))
 
     def row(self) -> dict:
+        """The report's cells; only a Monte Carlo estimate names samples and seed."""
+        sampled = self.params.get("mode") == "mc"
         out = {
             "inequality": self.inequality,
             "n": self.params.get("n"),
@@ -146,8 +148,8 @@ class GapReport:
             "rhs": self.rhs,
             "gap": self.gap,
             "mode": self.params.get("mode"),
-            "samples": self.params.get("samples"),
-            "seed": self.params.get("seed"),
+            "samples": self.params.get("samples") if sampled else None,
+            "seed": self.params.get("seed") if sampled else None,
             "note": self.params.get("note", ""),
         }
         return out
@@ -524,16 +526,19 @@ def noisy_entropy_gap(
     return noisy_entropy_sweep(f, (eps,), mode, samples, seed)[0]
 
 
-def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
-    """The classical comparison norm ||f|| at exponent 1 + (q-1)(1-2 eps)^2;
-    at eps = 1/2 that is the 1-norm E f for every q, its limit at q = inf."""
+def _reduced_exponent(q: float, eps: float) -> float:
+    """1 + (q-1)(1-2 eps)^2, and 1 at eps = 1/2 for every q, q = inf included."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
-    if eps == 0.5:
-        return lq_norm(f, 1.0)
-    return lq_norm(f, 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2)
+    return 1.0 if eps == 0.5 else 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2
+
+
+def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
+    """The classical comparison norm ||f|| at exponent 1 + (q-1)(1-2 eps)^2;
+    at eps = 1/2 that is the 1-norm E f for every q."""
+    return lq_norm(f, _reduced_exponent(q, eps))
 
 
 def hypercontractive_sweep(
@@ -544,17 +549,20 @@ def hypercontractive_sweep(
     noisy: Sequence[CubeFunction] | None = None,
 ) -> list[GapReport]:
     """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
-    at the reduced exponent, from one T_eps f per eps (`noisy`, if given)."""
+    at the reduced exponent, from one T_eps f per eps (`noisy`, if given).
+    Each eps's lhs is one :func:`log_lq_norms` call on T_eps f over the q
+    grid, and every rhs comes from one call on f over the reduced exponents."""
     require_nonnegative(f)
     if noisy is None:
         noisy = [noise_operator(f, eps) for eps in eps_grid]
+    lhs = np.exp([log_lq_norms(g.values, q_grid) for g in noisy]).T.tolist()
+    exponents = [_reduced_exponent(q, eps) for q in q_grid for eps in eps_grid]
+    rhs = np.exp(log_lq_norms(f.values, exponents)).reshape(len(q_grid), len(eps_grid)).tolist()
     out = []
-    for q in q_grid:
-        for eps, g in zip(eps_grid, noisy):
-            lhs = lq_norm(g, q)
-            rhs = hypercontractive_rhs(f, q, eps)
+    for j, q in enumerate(q_grid):
+        for e, eps in enumerate(eps_grid):
             params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
-            out.append(GapReport("hypercontractive", lhs, rhs, rhs - lhs, params))
+            out.append(GapReport("hypercontractive", lhs[j][e], rhs[j][e], rhs[j][e] - lhs[j][e], params))
     return out
 
 

@@ -14,9 +14,10 @@ import numpy as np
 
 from .codes import deficiency_histogram as _code_deficiency_histogram
 from .codes import deficiency_table as _code_deficiency_table
-from .codes import gf2_rank, gf2_rref, histogram_expectation, parse_bit_matrix, LinearCode
+from .codes import deficiency_expectation, gf2_rank, gf2_rref, histogram_expectation
+from .codes import parse_bit_matrix, LinearCode
 from .cube import SubsetMask
-from .inequalities import GapReport, LN2, subset_expectation_mc
+from .inequalities import GapReport, LN2
 
 _TUTTE_CAP = 24
 
@@ -134,22 +135,19 @@ def deficiency_inequality_gap(
     seed: int = 0,
 ) -> GapReport:
     """Check log2 E over S ~ p of 2^(|S| - rank S)
-    <= E over T ~ t of (|T| - rank T), with t = p^(1/(2 ln 2))."""
+    <= E over T ~ t of (|T| - rank T), with t = p^(1/(2 ln 2)).
+
+    Both sides are averages over the row-space code's (size, deficiency)
+    cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode;
+    mc mode draws the rhs with seed + 1."""
     t = subset_rate_for(p)
-    params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t}
-    if mode == "exact":
-        hist = matroid_deficiency_histogram(m)
-        lhs = math.log2(histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1]))))
-        rhs = histogram_expectation(hist, t)
-    elif mode == "mc":
-        h_mgf = lambda s: 2.0 ** (s.bit_count() - matroid_rank(m, s))
-        h_def = lambda s: float(s.bit_count() - matroid_rank(m, s))
-        mgf, _ = subset_expectation_mc(m.n, p, h_mgf, samples, seed)
-        rhs, stderr = subset_expectation_mc(m.n, t, h_def, samples, seed + 1)
-        lhs = math.log2(mgf)
-        params.update(samples=samples, seed=seed, stderr=stderr)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    code = m.row_space_code()
+    mgf_values = np.exp2(np.arange(code.n - code.k + 1))
+    mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
+    rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
+    lhs = math.log2(mgf)
+    params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+              "samples": samples, "seed": seed, "stderr": stderr}
     return GapReport("deficiency", lhs, rhs, rhs - lhs, params)
 
 
@@ -275,7 +273,8 @@ class _UnionFind:
 
 
 def connected_components(g: Graph, s_mask: SubsetMask) -> int:
-    """Components of (V, S), isolated vertices included."""
+    """Components of (V, S), isolated vertices included, by union-find: the
+    reference the tests check graphic ranks against (reports read the cells)."""
     if not 0 <= s_mask < (1 << len(g.edges)):
         raise ValueError(f"edge mask {s_mask} out of range")
     uf = _UnionFind(g.vertex_count)
@@ -306,29 +305,23 @@ def graph_inequality_gap(
 ) -> GapReport:
     """Check log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T).
 
-    Exact mode reads the components off the graphic matroid's deficiency
-    histogram: a subset of size k and deficiency d has c = |V| - k + d
-    components.  mc mode counts them per sample with union-find."""
+    Both modes read the components off the graphic matroid's (size,
+    deficiency) cells: a subset of size k and deficiency d has
+    c = |V| - k + d components.  With no edges the only subset is empty, and
+    both sides are |V|."""
     n = len(g.edges)
     t = subset_rate_for(p)
-    params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t, "vertices": g.vertex_count}
-    if mode == "exact":
-        # no edges: the only subset is empty, with deficiency 0
-        hist = matroid_deficiency_histogram(graphic_matroid(g)) if n else np.ones((1, 1), np.int64)
-        sizes, deficiency = np.indices(hist.shape)
+    lhs = rhs = float(g.vertex_count)
+    stderr = 0.0
+    if n:
+        code = graphic_matroid(g).row_space_code()
+        sizes, deficiency = np.indices((n + 1, n - code.k + 1))
         comp = g.vertex_count - sizes + deficiency
-        lhs = math.log2(histogram_expectation(hist, p, np.exp2(sizes + comp)))
-        rhs = t * n + histogram_expectation(hist, t, comp)
-    elif mode == "mc":
-        h_lhs = lambda s: 2.0 ** (s.bit_count() + connected_components(g, s))
-        h_rhs = lambda s: float(connected_components(g, s))
-        mgf, _ = subset_expectation_mc(n, p, h_lhs, samples, seed)
-        mean_c, stderr = subset_expectation_mc(n, t, h_rhs, samples, seed + 1)
-        lhs = math.log2(mgf)
-        rhs = t * n + mean_c
-        params.update(samples=samples, seed=seed, stderr=stderr)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        mgf, _ = deficiency_expectation(code, p, np.exp2(sizes + comp), mode, samples, seed)
+        mean_c, stderr = deficiency_expectation(code, t, comp, mode, samples, seed + 1)
+        lhs, rhs = math.log2(mgf), t * n + mean_c
+    params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+              "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
     return GapReport("graph", lhs, rhs, rhs - lhs, params)
 
 

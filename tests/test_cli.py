@@ -72,6 +72,15 @@ def test_verify_twopoint_flags_equalities(capsys):
     assert any(r["note"] == "" for r in boundary)
 
 
+def test_verify_twopoint_equality_flags_use_tolerance(capsys):
+    # the default grid has 12 rows within 1e-9 of equality and 21 within 1e-3
+    for tolerance, flagged in (("1e-9", 12), ("1e-3", 21)):
+        code, out, _ = run(capsys, "verify", "--target", "twopoint", "--tolerance", tolerance)
+        assert code == 0
+        notes = [r["note"] for r in parse_csv(out)["gaps"]]
+        assert notes.count("equality") == flagged
+
+
 @pytest.mark.parametrize("target", ["entropy", "logsobolev", "derivative", "hypercontractive"])
 def test_verify_other_targets_pass(capsys, target):
     code, out, err = run(
@@ -280,6 +289,20 @@ def test_matroid_tail_check_uses_tolerance(capsys, monkeypatch, k4_file):
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
     assert code == 0, err
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5", "--tolerance", "1e-11")
+    assert code == 1
+    assert err.startswith("violation: tail,")
+
+
+def test_matroid_tail_nan_gap_is_a_violation(capsys, monkeypatch, k4_file):
+    # the tail rows take the GapReport.holds verdict, which a NaN gap fails
+    from cubenoise import matroids
+
+    def tail_bound_check(m, p, delta):
+        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta}
+        return GapReport("tail", math.nan, 0.5, math.nan, params)
+
+    monkeypatch.setattr(matroids, "tail_bound_check", tail_bound_check)
+    code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
     assert code == 1
     assert err.startswith("violation: tail,")
 

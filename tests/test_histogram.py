@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 from cubenoise.codes import (
     LinearCode,
     _on_cube,
+    deficiency_expectation,
     deficiency_histogram,
     dual_code,
     f_value,
     gf2_rank,
     noisy_indicator,
     rank_deficiency,
+    rank_of_columns,
     scaled_indicator,
 )
 from cubenoise.cube import entropy, noise_operator
-from cubenoise.inequalities import noise_rate
+from cubenoise.inequalities import noise_rate, subset_expectation_mc
 from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
@@ -157,6 +159,68 @@ def test_graph_gap_matches_union_find(g, p):
     lhs = math.log2(expect(n, p, [2.0 ** (s.bit_count() + c) for s, c in enumerate(comps)]))
     assert close(rep.lhs, lhs)
     assert close(rep.rhs, t * n + expect(n, t, comps))
+
+
+# Monte Carlo: each estimate reads the (size, deficiency) cell of every drawn
+# mask, so it equals subset_expectation_mc over a per-mask rank computation
+MC_SAMPLES = 300
+SEEDS = st.integers(0, 2**31 - 2)
+
+
+@SETTINGS
+@given(codes(), RATES, SEEDS, st.sampled_from(["default", "row", "table"]))
+def test_mc_deficiency_expectation_is_per_mask_oracle(code, lam, seed, kind):
+    width = code.n - code.k + 1
+    values = {
+        "default": None,
+        "row": np.exp2(np.arange(width)),
+        "table": np.random.default_rng(seed).random((code.n + 1, width)),
+    }[kind]
+    table = np.broadcast_to(np.arange(width) if values is None else values, (code.n + 1, width))
+
+    def h(t):
+        size = t.bit_count()
+        return float(table[size, size - rank_of_columns(code, t)])
+
+    want = subset_expectation_mc(code.n, lam, h, MC_SAMPLES, seed)
+    assert deficiency_expectation(code, lam, values, "mc", MC_SAMPLES, seed) == want
+
+
+@SETTINGS
+@given(matroids(), RATES, SEEDS)
+def test_mc_matroid_gap_is_per_mask_oracle(m, p, seed):
+    t = subset_rate_for(p)
+    h_mgf = lambda s: 2.0 ** (s.bit_count() - matroid_rank(m, s))
+    h_def = lambda s: float(s.bit_count() - matroid_rank(m, s))
+    mgf, _ = subset_expectation_mc(m.n, p, h_mgf, MC_SAMPLES, seed)
+    rhs, stderr = subset_expectation_mc(m.n, t, h_def, MC_SAMPLES, seed + 1)
+    rep = deficiency_inequality_gap(m, p, mode="mc", samples=MC_SAMPLES, seed=seed)
+    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (math.log2(mgf), rhs, stderr)
+
+
+@SETTINGS
+@given(graphs(), RATES, SEEDS)
+def test_mc_graph_gap_is_union_find_oracle(g, p, seed):
+    n, t = len(g.edges), subset_rate_for(p)
+    h_lhs = lambda s: 2.0 ** (s.bit_count() + connected_components(g, s))
+    h_rhs = lambda s: float(connected_components(g, s))
+    mgf, _ = subset_expectation_mc(n, p, h_lhs, MC_SAMPLES, seed)
+    mean_c, stderr = subset_expectation_mc(n, t, h_rhs, MC_SAMPLES, seed + 1)
+    rep = graph_inequality_gap(g, p, mode="mc", samples=MC_SAMPLES, seed=seed)
+    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (math.log2(mgf), t * n + mean_c, stderr)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), 0.5, mode=mode),
+        lambda mode: deficiency_inequality_gap(BinaryMatroid(3, (0b011, 0b011)), 0.5, mode=mode),
+        lambda mode: graph_inequality_gap(Graph(3, ((0, 1), (1, 1))), 0.5, mode=mode),
+    ],
+)
+def test_unknown_mode_raises_at_every_entry(entry):
+    with pytest.raises(ValueError, match="unknown mode 'sampled'"):
+        entry("sampled")
 
 
 def noise_for(q, lam):

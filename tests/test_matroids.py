@@ -332,6 +332,15 @@ def test_graph_gap_edgeless():
     assert rep.lhs == 4.0 and rep.rhs == 4.0
 
 
+def test_graph_gap_edgeless_mc():
+    # nothing to sample: both sides are the vertex count, with no spread
+    rep = graph_inequality_gap(Graph(4, ()), 0.4, mode="mc", samples=50, seed=3)
+    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (4.0, 4.0, 0.0)
+    assert (rep.row()["samples"], rep.row()["seed"]) == (50, 3)
+    exact = graph_inequality_gap(Graph(4, ()), 0.4).row()
+    assert (exact["samples"], exact["seed"]) == (None, None)
+
+
 def test_graph_gap_single_edge():
     rep = graph_inequality_gap(Graph(2, ((0, 1),)), 0.3)
     # closed form: both sides equal 2 for a single edge on two vertices
