@@ -20,7 +20,8 @@ import numpy as np
 
 from .cube import CubeFunction, FourierSpectrum, SubsetMask, _zeta, dimension_cap, popcounts
 from .cube import entropy as cube_entropy, wht_inverse
-from .inequalities import LN2, enum_cap, layer_expectation, noise_rate, subset_expectation_mc
+from .inequalities import LN2, _require_mode, enum_cap, layer_expectation, noise_rate
+from .inequalities import subset_expectation_mc
 
 _DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
 
@@ -323,10 +324,9 @@ def deficiency_expectation(
     `values` broadcasts against; mc mode reads the cell of each mask drawn."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
+    _require_mode(mode)
     if mode == "exact":
         return histogram_expectation(deficiency_histogram(code), lam, values), 0.0
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
     width = code.n - code.k + 1
     cells = np.broadcast_to(np.arange(width) if values is None else values, (code.n + 1, width))
     h = lambda t: cells[t.bit_count(), t.bit_count() - rank_of_columns(code, t)]

@@ -13,7 +13,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,9 +158,6 @@ class GapReport:
         row = self.row()
         return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
 
-    def json_dict(self) -> dict:
-        return self.row()
-
 
 def subset_weights(n: int, lam: float) -> np.ndarray:
     """Probability of each mask T under independent inclusion with rate lam."""
@@ -217,8 +214,16 @@ def subset_expectation_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the subset expectation: (mean, standard error)."""
     # h once per distinct mask, indexed back into sample order
-    distinct, where = np.unique(_sample_masks(n, lam, samples, seed), return_inverse=True)
-    return _mean_stderr(np.array([h(int(m)) for m in distinct], dtype=np.float64)[where])
+    drawn = _sample_masks(n, lam, samples, seed)
+    distinct = _distinct(drawn)
+    values = np.array([h(t) for t in distinct.tolist()], dtype=np.float64)
+    return _mean_stderr(values[np.searchsorted(distinct, drawn)])
+
+
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """The distinct masks, ascending; numpy's unique would import numpy.ma (1 MiB)."""
+    masks = np.sort(masks)
+    return masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -263,90 +268,79 @@ def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
     if q == 2.0:
         z, e = _squared_l2_norms(f)
         return _log_l2(z, e, out=z)
-    table = np.empty(1 << f.n)
-    for _, masks, tables in subset_lattice(f):
-        table[masks] = log_lq_norms(tables, (q,))[0]
-    return table
+    return _conditional_rows(f, _log_norms_kernel((q,)), 1)[0]
 
 
-def _log_norm_layers(f: CubeFunction, q_grid: Sequence[float], lowest: int = 0) -> np.ndarray:
-    """out[j, k] = sum over |T| = k of ln ||E(f|T)||_q for q = q_grid[j], from
-    the compact tables of the subset lattice, for k = n down to `lowest`
-    (the layers below it are left 0 and not built)."""
-    layers = np.zeros((len(q_grid), f.n + 1))
-    for k, _, tables in subset_lattice(f):
-        layers[:, k] = log_lq_norms(tables, q_grid).sum(axis=1)
-        if k == lowest:
-            break
-    return layers
+# A kernel takes the compact E(f|T) tables of one size, one per row, with
+# their masks, and returns one value per point for each table.
+_Kernel = Callable[[np.ndarray, Sequence[int]], np.ndarray]
 
 
-def _entropy_layers(f: CubeFunction) -> np.ndarray:
-    """L_k = sum over |T| = k of Ent(E(f|T)).  Each lattice table is expanded
-    to the cube first, as conditional_expectation does: the recorded reference
+def _log_norms_kernel(q_grid: Sequence[float]) -> _Kernel:
+    """out[j, i] = ln ||tables[i]||_q for q = q_grid[j]."""
+    return lambda tables, masks: log_lq_norms(tables, q_grid)
+
+
+def _entropy_kernel(n: int) -> _Kernel:
+    """out[0, i] = Ent(E(f|T)) for T = masks[i].  Each table is expanded to
+    the cube first, as conditional_expectation does: the recorded reference
     values pin the entropy of the 2^n-point table (README)."""
-    layers = np.zeros(f.n + 1)
-    for k, masks, tables in subset_lattice(f):
-        layers[k] = np.sum([entropy(expand_to_cube(f.n, int(t), g)) for t, g in zip(masks, tables)])
-    return layers
+    return lambda tables, masks: np.array(
+        [[entropy(expand_to_cube(n, int(t), g)) for t, g in zip(masks, tables)]]
+    )
 
 
-# Values per buffered log-norm kernel call on the Monte Carlo tables (32 KiB
-# of float64).  It keeps the peak traced memory of an n = 14 report at that of
+# Values per buffered kernel call on the Monte Carlo tables (32 KiB of
+# float64).  It keeps the peak traced memory of an n = 14 report at that of
 # one kernel call per table (0.85 MiB); 2^14 cut the report's kernel calls
 # from 259 to 78 but raised that peak to 1.56 MiB, since every table size
 # holds a buffer.
 _NORM_BATCH = 1 << 12
 
 
-def _log_norm_values(
-    f: CubeFunction, columns: dict[int, int], q_grid: Sequence[float]
+def _conditional_rows(
+    f: CubeFunction, kernel: _Kernel, points: int, masks: np.ndarray | None = None
 ) -> np.ndarray:
-    """out[j, columns[T]] = ln ||E(f|T)||_q for q = q_grid[j] and each mask T
-    of `columns`, from one walk.  The kernel takes the whole q grid at once: a
-    table of _NORM_BATCH values or more on its own, smaller ones from a buffer
-    per table size that holds at most _NORM_BATCH values, whenever it is full
-    or its size has no masks left."""
-    out = np.empty((len(q_grid), len(columns)))
+    """out[j, c] = the kernel's value j on E(f|T), T the c-th of `masks`, or
+    of every mask in mask order when `masks` is None.
+
+    Every mask comes from one walk of the subset lattice, a layer per kernel
+    call.  Given masks come from one walk of compact_conditional_expectations:
+    a table of _NORM_BATCH values or more goes to the kernel alone, smaller
+    ones through a buffer per table size that holds at most _NORM_BATCH
+    values, whenever it is full or its size has no masks left."""
+    if masks is None:
+        out = np.empty((points, 1 << f.n))
+        for _, layer, tables in subset_lattice(f):
+            out[:, layer] = kernel(tables, layer)
+        return out
+    columns = {t: c for c, t in enumerate(masks.tolist())}
+    out = np.empty((points, len(columns)))
     left = Counter(t.bit_count() for t in columns)  # masks of each size not yet buffered
-    buffers: dict[int, tuple[np.ndarray, list[int]]] = {}  # |T| -> (rows, their columns)
+    buffers: dict[int, tuple[np.ndarray, list[int]]] = {}  # |T| -> (rows, their masks)
     for t, table in compact_conditional_expectations(f, columns):
         k = t.bit_count()
         if table.shape[0] >= _NORM_BATCH:  # a batch of its own, needing no copy
-            out[:, columns[t]] = log_lq_norms(table[None], q_grid)[:, 0]
+            out[:, columns[t]] = kernel(table[None], (t,))[:, 0]
             continue
         if k not in buffers:
             buffers[k] = (np.empty((min(left[k], _NORM_BATCH >> k), 1 << k)), [])
-        rows, cols = buffers[k]
-        rows[len(cols)] = table
-        cols.append(columns[t])
+        rows, held = buffers[k]
+        rows[len(held)] = table
+        held.append(t)
         left[k] -= 1
-        if len(cols) == len(rows) or not left[k]:
-            out[:, cols] = log_lq_norms(rows[: len(cols)], q_grid)
-            cols.clear()
+        if len(held) == len(rows) or not left[k]:
+            out[:, [columns[s] for s in held]] = kernel(rows[: len(held)], held)
+            held.clear()
             if not left[k]:
                 del buffers[k]
     return out
 
 
-def _entropy_values(f: CubeFunction, columns: dict[int, int]) -> np.ndarray:
-    """out[0, columns[T]] = Ent(E(f|T)) for each mask T of `columns`, from one
-    walk; each table is expanded to the cube first, as in _entropy_layers."""
-    out = np.empty((1, len(columns)))
-    for t, table in compact_conditional_expectations(f, columns):
-        out[0, columns[t]] = entropy(expand_to_cube(f.n, t, table))
-    return out
-
-
-class _Side(NamedTuple):
-    """How a sweep evaluates its points: lhs[j, e] on T_eps f for point j and
-    the e-th eps, exact layer sums over all subsets (one row per point), and
-    the values on the E(f|T) of the masks of a {mask: column} dict (one row
-    per point, one column per mask)."""
-
-    lhs: np.ndarray
-    layers: Callable[[], np.ndarray]
-    values: Callable[[dict[int, int]], np.ndarray]
+def _require_mode(mode: str) -> None:
+    """The one check of a `mode` argument: exact enumeration or Monte Carlo."""
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _require_sweep_domain(
@@ -355,8 +349,7 @@ def _require_sweep_domain(
     require_nonnegative(f)
     if f.mean() <= 0.0:
         raise ValueError(f"{inequality} inequality requires E f > 0; the mean underflows to 0")
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _require_mode(mode)
     for eps in eps_grid:
         if not 0.0 <= eps <= 0.5:
             raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
@@ -366,22 +359,25 @@ def _subset_sweep(
     inequality: str,
     f: CubeFunction,
     points: Sequence[tuple[float | None, float]],
-    side: _Side,
+    lhs: np.ndarray,
+    rows: Callable[[np.ndarray | None], Sequence[np.ndarray]],
     eps_grid: Sequence[float],
     mode: str,
     samples: int,
     seed: int,
 ) -> list[GapReport]:
-    """Check side(T_eps f) <= E over T ~ (1-2 eps)^r of side(E(f|T)) for each
-    (q, r) point and each eps, point-major.
+    """Check lhs[j, e] <= E over T ~ (1-2 eps)^r of the j-th value on E(f|T)
+    for each (q, r) point j and each eps, point-major; lhs[j, e] is that
+    value on T_eps f, and rows(masks)[j][c] on E(f|T) for the c-th of
+    `masks`, or for every mask in mask order when `masks` is None.
 
-    Exact mode reduces the subset table of every point to layer sums at most
-    once, so each (point, eps) costs one (n+1)-term dot product.  Monte Carlo
-    mode draws the masks of each subset rate once, by the draw of
-    subset_expectation_mc, and evaluates every point on the distinct masks of
-    all of them at once; each estimate's mean and standard error then come
-    from its masks' values in sample order, as subset_expectation_mc takes
-    them.
+    Both modes make one rows call.  Exact mode asks for every mask and
+    reduces each point's row to layer sums, so each (point, eps) costs one
+    (n+1)-term dot product.  Monte Carlo mode draws the masks of each subset
+    rate once, by the draw of subset_expectation_mc, and asks for the
+    distinct masks of all of them; each estimate's mean and standard error
+    then come from its masks' values in sample order, as
+    subset_expectation_mc takes them.
     """
     # the subset rate of each (point, eps); at main's eps = 1/2 the rate is 0:
     # T is empty a.s. and T_eps f is the constant E f, so both sides equal
@@ -393,13 +389,11 @@ def _subset_sweep(
         if not (inequality == "main" and eps == 0.5)
     }
     if rates and mode == "exact":
-        layers = side.layers()
+        layers = [_layer_sums(f.n, row) for row in rows(None)]
     elif rates:
         draws = {lam: _sample_masks(f.n, lam, samples, seed) for lam in set(rates.values())}
-        # the distinct masks, ascending (np.unique would import numpy.ma, 1 MiB)
-        pooled = np.sort(np.concatenate(list(draws.values())))
-        pooled = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
-        values = side.values({t: c for c, t in enumerate(pooled.tolist())})
+        pooled = _distinct(np.concatenate(list(draws.values())))
+        values = rows(pooled)
     out = []
     for j, (q, _) in enumerate(points):
         for e, eps in enumerate(eps_grid):
@@ -412,9 +406,9 @@ def _subset_sweep(
             if mode == "exact":
                 rhs = layer_expectation(lam, layers[j])
             else:
-                rhs, stderr = _mean_stderr(values[j, np.searchsorted(pooled, draws[lam])])
+                rhs, stderr = _mean_stderr(values[j][np.searchsorted(pooled, draws[lam])])
                 params.update(samples=samples, seed=seed, stderr=stderr)
-            value = float(side.lhs[j, e])
+            value = float(lhs[j, e])
             out.append(GapReport(inequality, value, rhs, rhs - value, params))
     return out
 
@@ -436,10 +430,10 @@ def main_inequality_sweep(
     in both modes: the rhs averages its ln ||E(f|T)||_2, and the lhs uses
     ||T_eps f||_2^2 = E over T ~ (1-2 eps)^2 of ||E(f|T)||_2^2, a layer
     average of the same table that at eps = 0 is its T = [n] entry, so that
-    gap is exactly 0.  The other q take one walk of the E(f|T) for the whole
-    grid: of the subset lattice in exact mode, of the masks drawn in mc mode;
-    their lhs is the norm of T_eps f, which `noisy`, if given, holds for each
-    eps of the grid.
+    gap is exactly 0.  The other q take their rhs from one
+    :func:`_conditional_rows` call for the whole grid, over every subset in
+    exact mode and over the masks drawn in mc mode; their lhs is the norm of
+    T_eps f, which `noisy`, if given, holds for each eps of the grid.
     """
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
@@ -463,25 +457,14 @@ def main_inequality_sweep(
         for e, g in enumerate(noisy):
             lhs[~at_2, e] = log_lq_norms(g.values, others)
 
-    def layers() -> np.ndarray:
-        out = np.empty((len(q_grid), f.n + 1))
-        if at_2.any():
-            out[at_2] = _layer_sums(f.n, table)
-        if others:
-            out[~at_2] = _log_norm_layers(f, others)
-        return out
-
-    def values(columns: dict[int, int]) -> np.ndarray:
-        out = np.empty((len(q_grid), len(columns)))
-        if at_2.any():
-            out[at_2] = table[np.fromiter(columns, np.int64, len(columns))]
-        if others:
-            out[~at_2] = _log_norm_values(f, columns, others)
-        return out
+    def rows(masks: np.ndarray | None) -> list[np.ndarray]:
+        kernel = _log_norms_kernel(others)
+        norms = iter(_conditional_rows(f, kernel, len(others), masks) if others else ())
+        l2 = lambda: table if masks is None else table[masks]
+        return [l2() if q == 2.0 else next(norms) for q in q_grid]
 
     points = [(q, r_exponent(q)) for q in q_grid]
-    side = _Side(lhs, layers, values)
-    return _subset_sweep("main", f, points, side, eps_grid, mode, samples, seed)
+    return _subset_sweep("main", f, points, lhs, rows, eps_grid, mode, samples, seed)
 
 
 def main_inequality_gap(
@@ -509,10 +492,8 @@ def noisy_entropy_sweep(
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
     lhs = np.array([[entropy(noise_operator(f, eps)) for eps in eps_grid]])
-    side = _Side(
-        lhs, lambda: _entropy_layers(f)[None], lambda columns: _entropy_values(f, columns)
-    )
-    return _subset_sweep("entropy", f, [(None, 2.0)], side, eps_grid, mode, samples, seed)
+    rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
+    return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
 
 
 def noisy_entropy_gap(
@@ -576,8 +557,9 @@ def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
     layers of the subset lattice."""
     if f.n == 0:
         return 0.0
-    layers = _log_norm_layers(f, (q,), lowest=f.n - 1)[0]
-    return f.n * float(layers[f.n]) - float(layers[f.n - 1])
+    walk = subset_lattice(f)  # layer n, then n - 1; the rest is never built
+    top, below = (float(log_lq_norms(next(walk)[2], (q,)).sum()) for _ in range(2))
+    return f.n * top - below
 
 
 def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
@@ -682,7 +664,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     efq = float(np.mean(f.values**q))
     formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
     # L[n] = ln||f||_q and L[n-1] sums the co-singleton conditional log-norms
-    layers = _log_norm_layers(f, (q,))[0]
+    layers = _layer_sums(f.n, _conditional_rows(f, _log_norms_kernel((q,)), 1)[0])
     base = float(layers[f.n])
     formula_rhs = -2.0 * r_exponent(q) * (f.n * base - float(layers[f.n - 1]))
 

@@ -17,7 +17,7 @@ from .codes import deficiency_table as _code_deficiency_table
 from .codes import deficiency_expectation, gf2_rank, gf2_rref, histogram_expectation
 from .codes import parse_bit_matrix, LinearCode
 from .cube import SubsetMask
-from .inequalities import GapReport, LN2
+from .inequalities import GapReport, LN2, _require_mode
 
 _TUTTE_CAP = 24
 
@@ -309,6 +309,7 @@ def graph_inequality_gap(
     deficiency) cells: a subset of size k and deficiency d has
     c = |V| - k + d components.  With no edges the only subset is empty, and
     both sides are |V|."""
+    _require_mode(mode)
     n = len(g.edges)
     t = subset_rate_for(p)
     lhs = rhs = float(g.vertex_count)

@@ -216,6 +216,7 @@ def test_mc_graph_gap_is_union_find_oracle(g, p, seed):
         lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), 0.5, mode=mode),
         lambda mode: deficiency_inequality_gap(BinaryMatroid(3, (0b011, 0b011)), 0.5, mode=mode),
         lambda mode: graph_inequality_gap(Graph(3, ((0, 1), (1, 1))), 0.5, mode=mode),
+        lambda mode: graph_inequality_gap(Graph(4, ()), 0.4, mode=mode),
     ],
 )
 def test_unknown_mode_raises_at_every_entry(entry):

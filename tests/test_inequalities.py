@@ -423,7 +423,7 @@ def test_gap_report_serialization():
     row = rep.csv_row()
     assert row.split(",")[0] == "main"
     assert len(row.split(",")) == len(CSV_COLUMNS)
-    assert rep.json_dict()["gap"] == 0.5
+    assert rep.row()["gap"] == 0.5
     assert rep.holds() and not GapReport("x", 0.0, -1.0, -1.0, {}).holds()
 
 

@@ -269,6 +269,26 @@ def test_mc_sweeps_match_per_mask_oracle(f, samples, seed):
     )
 
 
+@pytest.mark.parametrize("batch", [1, 4, 16])
+@settings(max_examples=15, deadline=None)
+@given(functions(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_mc_sweeps_through_small_buffers_match_oracle(batch, f, samples, seed):
+    # batches this small send tables through reused buffers and alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inequalities, "_NORM_BATCH", batch)
+        got = outcomes(lambda: main_inequality_sweep(f, MC_Q, MC_EPS, "mc", samples, seed))
+        got_entropy = outcomes(lambda: noisy_entropy_sweep(f, MC_EPS, "mc", samples, seed))
+    want = outcomes(lambda: mc_oracle("main", f, MC_Q, MC_EPS, samples, seed))
+    if not isinstance(got, str) and not isinstance(want, str):
+        for g, w in zip(got, want):
+            if w[4]["q"] == 2.0:  # a layer average of the Parseval table, as above
+                assert close(g[1], w[1]) and close(g[3], w[3])
+                w[1], w[3] = g[1], g[3]
+    np.testing.assert_equal(got, want)
+    want_entropy = outcomes(lambda: mc_oracle("entropy", f, MC_Q, MC_EPS, samples, seed))
+    np.testing.assert_equal(got_entropy, want_entropy)
+
+
 @pytest.mark.parametrize("sweep", ["main", "entropy"])
 def test_mc_sweep_draws_each_rate_once(monkeypatch, sweep):
     real, drawn = inequalities._sample_masks, []
