@@ -51,8 +51,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.mode == "mc" and self.samples < 1:
-            raise ValueError("mc mode needs at least one sample")
+        if self.mode == "mc" and self.samples < 2:
+            raise ValueError("mc mode needs at least two samples: a standard error needs two draws")
 
 
 def _jsonable(value):

@@ -253,21 +253,29 @@ def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> 
 
 def expand_to_cube(n: int, t_mask: SubsetMask, compact: np.ndarray) -> CubeFunction:
     """The cube function of the coordinates in T whose compact table (as in
-    :func:`compact_conditional_expectation`) is `compact`: one copy, over one
-    axis per run of coordinates in or out of T."""
+    :func:`compact_conditional_expectation`) is `compact`."""
     _check_mask(n, t_mask)
-    compact_axes, full_axes = [], []  # axis lengths per run, highest coordinates first
-    for i in range(n):
-        kept = t_mask >> i & 1
-        if i and kept == (t_mask >> (i - 1) & 1):
-            compact_axes[0] <<= kept
-            full_axes[0] <<= 1
-        else:
-            compact_axes.insert(0, 1 << kept)
-            full_axes.insert(0, 2)
-    out = np.empty(full_axes)
-    out[...] = compact.reshape(compact_axes)
+    out = np.empty(1 << n)
+    _expand_into(n, t_mask, compact, out)
     return CubeFunction(n, out)
+
+
+def _expand_into(n: int, t_mask: SubsetMask, compact: np.ndarray, out: np.ndarray) -> None:
+    """Write the 2^n-point table of `compact` (the compact table of T) into
+    the contiguous 2^n values of `out`: one broadcast copy, over one axis per
+    run of coordinates in or out of T, highest coordinates first.  A run of
+    m coordinates is an axis of 2^m on the cube, and of 2^m or 1 in the
+    compact table as the run is in T or not."""
+    compact_axes, cube_axes = [], []
+    i, outside = 0, full_mask(n) & ~t_mask
+    while i < n:
+        kept = t_mask >> i & 1
+        bits = (t_mask if kept else outside) >> i
+        run = (bits ^ (bits + 1)).bit_length() - 1  # trailing ones of bits
+        compact_axes.append(1 << (run * kept))
+        cube_axes.append(1 << run)
+        i += run
+    out.reshape(cube_axes[::-1])[...] = compact.reshape(compact_axes[::-1])
 
 
 def subset_lattice(f: CubeFunction) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -336,42 +344,79 @@ def log_lq_norm(f: CubeFunction, q: float) -> float:
     return float(log_lq_norms(f.values, (q,))[0])
 
 
+# Values per block of rows in log_lq_norms: its temporaries (the scaled
+# tables and their q-th power) are held for one block at a time, not for a
+# whole lattice layer (at n = 16 with 7 q, the walk plus norms peaks at 134.5
+# MiB instead of 208.7).  A row longer than this is a block of its own.
+_NORMS_BLOCK = 1 << 16
+
+
 def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
     """ln ||g||_q of every table g along the last axis of `tables` (uniform
     measure on its entries), for every q of the grid: out[j] holds q_grid[j].
 
     Each norm is ln max g + ln E (g / max g)^q / q, so nothing overflows; a
-    zero table gives -inf, and q = inf gives ln max g.
+    zero table gives -inf, and q = inf gives ln max g.  Rows are taken in
+    blocks of about _NORMS_BLOCK values; each row's reductions are the same
+    whatever its block, so the values do not depend on the blocking.
     """
     for q in q_grid:
         if q < 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
-    mx = tables.max(axis=-1)
-    positive = mx > 0.0
-    safe = np.where(positive, mx, 1.0)
-    log_mx = np.where(positive, np.log(safe), -math.inf)
-    out = np.empty((len(q_grid),) + mx.shape)
-    scaled = None
-    for j, q in enumerate(q_grid):
-        if q == math.inf:
-            out[j] = log_mx
-            continue
-        if scaled is None:
-            scaled = _clean_values(tables) / safe[..., None]
-        moment = np.mean(scaled**q, axis=-1)
-        out[j] = np.where(positive, log_mx + np.log(np.where(positive, moment, 1.0)) / q, -math.inf)
-    return out
+    rows = tables.reshape(-1, tables.shape[-1])
+    out = np.empty((len(q_grid), rows.shape[0]))
+    step = max(1, _NORMS_BLOCK // rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        mx = block.max(axis=-1)
+        positive = mx > 0.0
+        safe = np.where(positive, mx, 1.0)
+        log_mx = np.where(positive, np.log(safe), -math.inf)
+        part, scaled = out[:, start : start + step], None
+        for j, q in enumerate(q_grid):
+            if q == math.inf:
+                part[j] = log_mx
+                continue
+            if scaled is None:
+                scaled = _clean_values(block) / safe[:, None]
+            moment = np.mean(scaled**q, axis=-1)
+            part[j] = np.where(positive, log_mx + np.log(np.where(positive, moment, 1.0)) / q, -math.inf)
+    return out.reshape((len(q_grid),) + tables.shape[:-1])
 
 
 def entropy(f: CubeFunction) -> float:
     """Ent(f) = E f log2 f - E f log2 E f, with the 0 log 0 = 0 convention."""
-    v = _clean_values(f.values)
-    ef = float(v.mean())
-    if ef <= 0.0:
+    return float(entropies(f.values[None])[0])
+
+
+def entropies(tables: np.ndarray) -> np.ndarray:
+    """Ent of every row of the 2-D `tables`, in bits, under the uniform
+    measure on its entries.
+
+    Each row's E g and sum of g log2 g are row-wise reductions along the
+    contiguous last axis, which sum each row pairwise as a 1-D call does.  A
+    row with a zero entry is summed over its positive entries alone, since
+    keeping the zeros would change the pairing; so every value is the same
+    bit for bit whatever the other rows are.
+    """
+    v = _clean_values(tables)
+    size = v.shape[1]
+    ef = v.mean(axis=-1)
+    if not (ef > 0.0).all():
         raise ValueError("entropy requires E f > 0")
-    pos = v > 0
-    plogp = float(np.sum(v[pos] * np.log2(v[pos]))) / v.shape[0]
-    return plogp - ef * math.log2(ef)
+    whole = v.min(axis=-1) > 0.0
+    plogp = np.empty(ef.shape)
+    body = v if whole.all() else v[whole]
+    terms = np.log2(body)
+    terms *= body
+    plogp[whole] = np.sum(terms, axis=-1)
+    for i in np.flatnonzero(~whole).tolist():
+        pos = v[i][v[i] > 0.0]
+        plogp[i] = np.sum(pos * np.log2(pos))
+    # math.log2 for E g, as for a single table: np.log2 can differ in the last bit
+    return np.array(
+        [p / size - e * math.log2(e) for p, e in zip(plogp.tolist(), ef.tolist())]
+    )
 
 
 def renyi_entropy(f: CubeFunction, q: float) -> float:

@@ -21,12 +21,13 @@ from .cube import (
     CubeFunction,
     SubsetMask,
     _butterfly,
+    _expand_into,
     _popcount_table,
     _zeta,
     compact_conditional_expectations,
     dirichlet_form,
+    entropies,
     entropy,
-    expand_to_cube,
     log_lq_norm,
     log_lq_norms,
     lq_norm,
@@ -40,8 +41,9 @@ LN2 = math.log(2.0)
 
 # Exact subset enumeration caps: evaluating h on all 2^n subsets is fine up to
 # n = 22 for cheap h, but verifiers that tabulate E(f|T) on every subset (3^n
-# values on the lattice, 4^n for the entropy's cube tables) stop at 13.  The
-# q = 2 norms take O(n 2^n) by Parseval and stop only at the cube cap.
+# values on the lattice, and 4^n work for the entropy, which expands each
+# table to the cube a buffer at a time) stop at 13.  The q = 2 norms take
+# O(n 2^n) by Parseval and stop only at the cube cap.
 _DEFAULT_ENUM_CAP = 22
 _DEFAULT_EXPENSIVE_CAP = 13
 
@@ -201,9 +203,10 @@ def subset_expectation_exact(
 
 def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
     """The masks that :func:`subset_expectation_mc` draws for these arguments,
-    in sample order."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    in sample order.  One draw would give a standard error of 0, and so
+    decide a verdict alone: at least two are needed."""
+    if samples < 2:
+        raise ValueError("need at least two samples: a standard error needs two draws")
     rng = np.random.default_rng(seed)
     bits = rng.random((samples, n)) < lam if n else np.zeros((samples, 0), bool)
     return bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
@@ -282,19 +285,34 @@ def _log_norms_kernel(q_grid: Sequence[float]) -> _Kernel:
 
 
 def _entropy_kernel(n: int) -> _Kernel:
-    """out[0, i] = Ent(E(f|T)) for T = masks[i].  Each table is expanded to
-    the cube first, as conditional_expectation does: the recorded reference
-    values pin the entropy of the 2^n-point table (README)."""
-    return lambda tables, masks: np.array(
-        [[entropy(expand_to_cube(n, int(t), g)) for t, g in zip(masks, tables)]]
-    )
+    """out[0, i] = Ent(E(f|T)) for T = masks[i], taken on the 2^n-point
+    table of E(f|T): the recorded reference values pin that rounding
+    (README).  The tables are expanded into one reused buffer of at most
+    _NORM_BATCH values (one row at n > 12), a row each, and every full
+    buffer is one cube.entropies call, whose values are cube.entropy's on
+    each expanded table, bit for bit."""
+
+    def kernel(tables: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+        out = np.empty((1, len(masks)))
+        buffer = np.empty((min(len(masks), max(1, _NORM_BATCH >> n)), 1 << n))
+        for start in range(0, len(masks), buffer.shape[0]):
+            rows = buffer[: len(masks) - start]
+            for row, t, g in zip(rows, masks[start:], tables[start:]):
+                _expand_into(n, int(t), g, row)
+            out[0, start : start + rows.shape[0]] = entropies(rows)
+        return out
+
+    return kernel
 
 
 # Values per buffered kernel call on the Monte Carlo tables (32 KiB of
 # float64).  It keeps the peak traced memory of an n = 14 report at that of
 # one kernel call per table (0.85 MiB); 2^14 cut the report's kernel calls
 # from 259 to 78 but raised that peak to 1.56 MiB, since every table size
-# holds a buffer.
+# holds a buffer.  It also caps the entropy kernel's buffer of cube tables:
+# 2^16 there takes an exact n = 11 entropy table from 33 to 21 ms, but raises
+# the sweep's peak traced memory from 0.81 to 1.35 MiB, past that of expanding
+# one table at a time.
 _NORM_BATCH = 1 << 12
 
 
@@ -308,7 +326,10 @@ def _conditional_rows(
     call.  Given masks come from one walk of compact_conditional_expectations:
     a table of _NORM_BATCH values or more goes to the kernel alone, smaller
     ones through a buffer per table size that holds at most _NORM_BATCH
-    values, whenever it is full or its size has no masks left."""
+    values, whenever it is full or its size has no masks left.  Either way
+    the kernel gets compact tables: the entropy kernel expands them to the
+    cube itself, a buffer of rows at a time, so no route builds a cube
+    function per mask."""
     if masks is None:
         out = np.empty((points, 1 << f.n))
         for _, layer, tables in subset_lattice(f):

@@ -395,6 +395,24 @@ def test_run_config_validation():
         RunConfig(tolerance=math.inf)
     with pytest.raises(ValueError):
         RunConfig(mode="mc", samples=0)
+    with pytest.raises(ValueError, match="two draws"):
+        RunConfig(mode="mc", samples=1)
+    RunConfig(mode="exact", samples=1)  # exact mode draws nothing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--target", "entropy", "--n", "3", "--fuzz", "2"),
+        ("verify", "--target", "main", "--n", "3", "--fuzz", "2"),
+        ("code", "--rm", "1", "4"),
+    ],
+)
+def test_mc_single_sample_is_usage_error(capsys, argv):
+    # one draw has standard error 0, so it alone would decide the verdict
+    code, out, err = run(capsys, *argv, "--mode", "mc", "--samples", "1")
+    assert code == 2 and out == ""
+    assert "a standard error needs two draws" in err
 
 
 def test_help_exits_zero(capsys):

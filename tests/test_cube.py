@@ -417,6 +417,22 @@ def test_log_lq_norms_rows_are_log_lq_norm(rows, q_grid):
                 assert got[j, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 64, 1 << 17])
+def test_log_lq_norms_blocks_match_one_block(monkeypatch, width):
+    # past 2^16 values a table spans several blocks of rows (or, one row
+    # longer than a block, one block per row); one block must give the same
+    # bits
+    rng = np.random.default_rng(width)
+    tables = rng.random(((3 << 16) // width + 5, width)) ** 3
+    tables[1] = 0.0
+    tables[-1, ::2] = 0.0
+    q_grid = (1.0, 1.1, 2.0, 3.5, 8.0, math.inf)
+    got = log_lq_norms(tables, q_grid)
+    monkeypatch.setattr(cube, "_NORMS_BLOCK", tables.size)
+    want = log_lq_norms(tables, q_grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def oracle_log_lq_norm(row, q):
     """ln (mean g^q)^(1/q) in 50-digit arithmetic, which neither underflows on
     subnormal entries nor overflows; the -1e-17 entries of the strategy are

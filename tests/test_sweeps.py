@@ -1,10 +1,12 @@
 """Property tests: the layer-sum sweeps of the main and entropy inequalities
 match brute-force sums over all subsets, a gap is its sweep of one, a q-grid
 sweep is its one-q sweeps end to end, an exact sweep walks the subset lattice
-once, a Monte Carlo sweep takes every E(f|T) it draws from one walk, and q = 2
-reads every norm off one Parseval table."""
+once, a Monte Carlo sweep takes every E(f|T) it draws from one walk, q = 2
+reads every norm off one Parseval table, and the row-wise entropy kernel keeps
+the bits of a table-by-table loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,7 +356,7 @@ def test_mc_sweep_shares_halvings(monkeypatch):
 
 
 @SETTINGS
-@given(st.integers(0, 8), RATES, st.integers(1, 300), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 8), RATES, st.integers(2, 300), st.integers(0, 2**32 - 1))
 def test_subset_expectation_mc_evaluates_each_distinct_mask_once(n, lam, samples, seed):
     values = np.random.default_rng(seed).normal(size=1 << n)
     seen = []
@@ -367,9 +369,22 @@ def test_subset_expectation_mc_evaluates_each_distinct_mask_once(n, lam, samples
     # oracle: the same draw, with h evaluated on every sample in sample order
     masks = draw(n, lam, samples, seed)
     vals = np.array([float(values[int(m)]) for m in masks])
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     assert got == (float(vals.mean()), stderr)
     assert sorted(seen) == sorted(set(masks.tolist()))
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_monte_carlo_needs_two_samples(samples):
+    # one draw has standard error 0, so it alone would decide a verdict
+    f = CubeFunction(3, np.arange(1.0, 9.0))
+    for call in (
+        lambda: subset_expectation_mc(3, 0.5, lambda t: 1.0, samples, 0),
+        lambda: main_inequality_sweep(f, (1.5, 2.0), (0.1,), "mc", samples, 0),
+        lambda: noisy_entropy_sweep(f, (0.1,), "mc", samples, 0),
+    ):
+        with pytest.raises(ValueError, match="two draws"):
+            call()
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -466,3 +481,96 @@ def test_mc_q2_estimate_within_four_stderr_of_exact(monkeypatch, n):
         assert (e.params["mode"], m.params["mode"]) == ("exact", "mc")
         assert m.lhs == e.lhs
         assert abs(m.rhs - e.rhs) <= 4.0 * m.params["stderr"]
+
+
+# ---------------------------------------------------------------------------
+# the row-wise entropy kernel
+# ---------------------------------------------------------------------------
+
+def oracle_entropy(values):
+    """Ent of one table as a single 1-D evaluation takes it: E v and the sum
+    of v log2 v over the positive entries, each one pairwise sum."""
+    v = np.asarray(values, dtype=np.float64)
+    ef = float(v.mean())
+    if ef <= 0.0:
+        raise ValueError("entropy requires E f > 0")
+    pos = v > 0
+    return float(np.sum(v[pos] * np.log2(v[pos]))) / v.shape[0] - ef * math.log2(ef)
+
+
+def oracle_entropy_kernel(n):
+    """The kernel as a loop: each compact table expanded to the cube on its
+    own, then its entropy; the rounding the recorded reference values pin."""
+    return lambda tables, masks: np.array(
+        [[oracle_entropy(expand_to_cube(n, int(t), g).values) for t, g in zip(masks, tables)]]
+    )
+
+
+@st.composite
+def zero_heavy_functions(draw, max_n=8):
+    """Corpus functions, and random ones with a drawn share of zero values."""
+    if draw(st.booleans()):
+        return draw(corpus_functions(max_n))
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(1 << n) ** draw(st.sampled_from([1, 8]))
+    values[rng.random(1 << n) < draw(st.sampled_from([0.1, 0.5, 0.9]))] = 0.0
+    values[rng.integers(1 << n)] = 1.0
+    return CubeFunction(n, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_heavy_functions(), st.data())
+def test_entropy_kernel_bit_identical_to_cube_tables(f, data):
+    want = oracle_entropy_kernel(f.n)(
+        [compact_conditional_expectation(f, t) for t in range(1 << f.n)], range(1 << f.n)
+    )
+    exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
+    assert np.array_equal(exact.view(np.uint64), want.view(np.uint64))
+    masks = np.array(
+        sorted(data.draw(st.sets(st.integers(0, (1 << f.n) - 1), min_size=1, max_size=80)))
+    )
+    batch = data.draw(st.sampled_from([1, 8, 1 << 12]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inequalities, "_NORM_BATCH", batch)
+        mc = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1, masks)
+    assert np.array_equal(mc.view(np.uint64), want[:, masks].view(np.uint64))
+
+
+def test_entropy_kernel_rejects_an_underflowing_mean():
+    # E f = 5e-324 > 0, but the halvings round the constant E(f|{}) to 0
+    f = CubeFunction(2, [5e-324, 5e-324, 5e-324, 0.0])
+    assert f.mean() > 0.0
+    with pytest.raises(ValueError, match="E f > 0"):
+        inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
+    with pytest.raises(ValueError, match="E f > 0"):
+        cube.entropies(np.array([[1.0, 2.0], [5e-324, 0.0]]))
+
+
+def test_entropies_rows_are_entropy():
+    rng = np.random.default_rng(11)
+    rows = rng.random((9, 64)) ** 4
+    rows[2, ::3] = 0.0
+    rows[5] = 0.0
+    rows[5, 7] = 2.0
+    got = cube.entropies(rows)
+    for i, row in enumerate(rows):
+        assert got[i] == entropy(CubeFunction(6, row)) == oracle_entropy(row)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_entropy_sweep_peak_memory_at_most_the_loop_kernel(monkeypatch):
+    f = corpus.random_nonneg(11, np.random.default_rng(11))
+    sweep = lambda: noisy_entropy_sweep(f, EPS_GRID)
+    sweep()  # warm caches that would count towards the first peak
+    got = traced_peak(sweep)
+    monkeypatch.setattr(inequalities, "_entropy_kernel", oracle_entropy_kernel)
+    assert got <= traced_peak(sweep)
