@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import comb
 from typing import Iterable, NamedTuple
 
@@ -120,6 +120,36 @@ class LinearCode:
     def size(self) -> int:
         return 1 << self.k
 
+    # Tables derived from the code are cached on it, so each is built once
+    # and freed with the code.
+
+    @cached_property
+    def dual(self) -> LinearCode:
+        """The orthogonal complement over GF(2); dim n - k."""
+        return LinearCode(self.n, tuple(gf2_nullspace(self.generator, self.n)))
+
+    @cached_property
+    def syndromes(self) -> np.ndarray:
+        """The syndrome s(x) of every cube point x, in index order, as uint64:
+        bit j of s(x) is the parity of h_j & x for the dual generator rows h_j."""
+        _require_cube(self)
+        dual = self.dual.generator
+        columns = (sum((h >> i & 1) << j for j, h in enumerate(dual)) for i in range(self.n))
+        syndromes = _span(columns)
+        syndromes.setflags(write=False)
+        return syndromes
+
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1)
+        array, from one :func:`deficiency_table` (which is not kept)."""
+        width = self.n - self.k + 1
+        cells = deficiency_table(self)
+        cells += popcounts(self.n) * width
+        hist = np.bincount(cells, minlength=(self.n + 1) * width).reshape(self.n + 1, width)
+        hist.setflags(write=False)
+        return hist
+
 
 def rank_of_columns(code: LinearCode, t_mask: SubsetMask) -> int:
     """Rank of the generator's column submatrix indexed by T."""
@@ -199,11 +229,6 @@ def _weights_by_gray_walk(code: LinearCode) -> list[int]:
     return counts
 
 
-def dual_code(code: LinearCode) -> LinearCode:
-    """The orthogonal complement over GF(2); dim n - k."""
-    return LinearCode(code.n, tuple(gf2_nullspace(code.generator, code.n)))
-
-
 def krawtchouk(n: int, i: int, k: int) -> int:
     """K_i(k) = sum over j of (-1)^j C(k, j) C(n-k, i-j), exact."""
     return sum(
@@ -256,48 +281,32 @@ def cond_exp_norm_exponent(code: LinearCode, t_mask: SubsetMask, q: float) -> fl
 # subset rank-deficiency machinery
 # ---------------------------------------------------------------------------
 
-def _require_enumerable(n: int, cap: int | None) -> None:
-    if cap is None:
-        cap = max(enum_cap(), 0)
-    if n > cap:
-        raise ValueError(f"deficiency table capped at n={cap}, got {n}")
-
-
-def deficiency_table(code: LinearCode, cap: int | None = None) -> np.ndarray:
+def deficiency_table(code: LinearCode) -> np.ndarray:
     """|T| - rank(T) for every mask T, via a subset-zeta transform.
 
     The deficiency equals the log2-count of dual codewords contained in T, so
     one zeta transform of the dual indicator yields the whole table in
-    O(n 2^n) vector steps.  Reports reduce it at once to
-    :func:`deficiency_histogram` and do not keep it.
+    O(n 2^n) vector steps.  Reports reduce it at once to the code's
+    :attr:`LinearCode.histogram` and do not keep it.  The enumeration cap is
+    checked here, before any 2^n table is built.
     """
-    n = code.n
-    _require_enumerable(n, cap)
-    dual = dual_code(code)
+    n, cap = code.n, max(enum_cap(), 0)
+    if n > cap:
+        raise ValueError(f"deficiency table capped at n={cap}, got {n}")
     # counts are powers of two 2^d <= 2^n (a table past n = 30 would not fit
     # in memory), and 2^d - 1 has exactly d one bits
     counts = np.zeros(1 << n, dtype=np.int32)
-    counts[codeword_masks(dual)] = 1
+    counts[codeword_masks(code.dual)] = 1
     _zeta(counts)
     counts -= 1
     return np.bitwise_count(counts).astype(np.int64)
 
 
-def deficiency_histogram(code: LinearCode, cap: int | None = None) -> np.ndarray:
-    """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1) array,
-    from one :func:`deficiency_table`; memoised per code (the table is not)."""
-    _require_enumerable(code.n, cap)
-    return _histogram(code)
-
-
-@lru_cache(maxsize=4)
-def _histogram(code: LinearCode) -> np.ndarray:
-    width = code.n - code.k + 1
-    cells = popcounts(code.n) * width
-    cells += deficiency_table(code, cap=code.n)
-    hist = np.bincount(cells, minlength=(code.n + 1) * width).reshape(code.n + 1, width)
-    hist.setflags(write=False)
-    return hist
+def deficiency_histogram(code: LinearCode) -> np.ndarray:
+    """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1) array:
+    the code's :attr:`LinearCode.histogram`, built on first use and freed
+    with the code."""
+    return code.histogram
 
 
 def histogram_expectation(hist: np.ndarray, lam: float, values=None) -> float:
@@ -320,13 +329,14 @@ def deficiency_expectation(
     default of d(T) itself), and its standard error (0 in exact mode).
 
     The one exact/Monte Carlo dispatch for code, matroid and graph subset
-    averages: exact mode sums over :func:`deficiency_histogram`, which
-    `values` broadcasts against; mc mode reads the cell of each mask drawn."""
+    averages: exact mode sums over the code's :attr:`LinearCode.histogram`,
+    which `values` broadcasts against; mc mode reads the cell of each mask
+    drawn."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
     _require_mode(mode)
     if mode == "exact":
-        return histogram_expectation(deficiency_histogram(code), lam, values), 0.0
+        return histogram_expectation(code.histogram, lam, values), 0.0
     width = code.n - code.k + 1
     cells = np.broadcast_to(np.arange(width) if values is None else values, (code.n + 1, width))
     h = lambda t: cells[t.bit_count(), t.bit_count() - rank_of_columns(code, t)]
@@ -359,7 +369,7 @@ def dual_weight_distribution(code: LinearCode) -> WeightDistribution:
     """Weight counts of the dual, by enumeration from whichever side fits."""
     cap = codeword_cap()
     if code.n - code.k <= cap:
-        return weight_distribution(dual_code(code))
+        return weight_distribution(code.dual)
     if code.k <= cap:
         return macwilliams_transform(weight_distribution(code), code.n, code.k)
     raise ValueError(f"need k or n-k <= {cap} to reach the dual weights")
@@ -377,21 +387,13 @@ def noisy_indicator(code: LinearCode, eps: float) -> CubeFunction:
     f has Fourier coefficient 1 on the dual code and 0 elsewhere, so with
     rho = 1 - 2 eps and u = aH for the dual generator H, T_eps f(x) = g(Hx),
     g(s) = sum_a rho^wt(aH) (-1)^(a.s): one Walsh-Hadamard transform of size
-    2^(n-k).  :func:`_on_cube` lays g out on the cube, bit for bit equal to
-    the noise operator applied to f on all 2^n points.
+    2^(n-k).  Indexed by :attr:`LinearCode.syndromes`, g lays out on the cube
+    bit for bit equal to the noise operator applied to f on all 2^n points.
     """
     _require_cube(code)
-    dual = dual_code(code)
+    dual = code.dual
     dual_weights = np.bitwise_count(codeword_masks(dual)).astype(np.int64)
     return wht_inverse(FourierSpectrum(dual.k, (1.0 - 2.0 * eps) ** dual_weights))
-
-
-def _on_cube(code: LinearCode, values: np.ndarray) -> np.ndarray:
-    """values[s(x)] for every cube point x in index order, where bit j of the
-    syndrome s(x) is the parity of h_j & x for the dual generator rows h_j."""
-    dual = dual_code(code).generator
-    columns = (sum((h >> i & 1) << j for j, h in enumerate(dual)) for i in range(code.n))
-    return values[_span(columns)]
 
 
 def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValue:
@@ -429,8 +431,8 @@ def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValu
     if q == math.inf:
         return FValue(lam, q, math.log2(float(noisy.max())))
     if q == 1.0:
-        return FValue(lam, q, cube_entropy(CubeFunction(code.n, _on_cube(code, noisy))))
-    moment = float(np.mean(_on_cube(code, np.maximum(noisy, 0.0) ** q)))
+        return FValue(lam, q, cube_entropy(CubeFunction(code.n, noisy[code.syndromes])))
+    moment = float(np.mean((np.maximum(noisy, 0.0) ** q)[code.syndromes]))
     return FValue(lam, q, math.log2(moment) / (q - 1.0))
 
 

@@ -17,7 +17,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,21 +36,16 @@ def full_mask(n: int) -> SubsetMask:
     return (1 << n) - 1
 
 
-@lru_cache(maxsize=None)
-def _popcount_table(n: int) -> np.ndarray:
-    """|T| for every mask T < 2^n, built in place: a mask with top bit i
-    has one more element than the mask below 2^i it extends.  Writable,
-    because np.bincount copies a read-only index array; nothing writes to it."""
-    pc = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        np.add(pc[: 1 << i], 1, out=pc[1 << i : 2 << i])
-    return pc
-
-
 def popcounts(n: int) -> np.ndarray:
-    """|T| for every mask T < 2^n, as a read-only int64 array."""
-    pc = _popcount_table(n).view()
-    pc.setflags(write=False)
+    """|T| for every mask T < 2^n, as a fresh int64 array.  The first 2^10
+    masks are counted by np.bitwise_count; past them a mask with top bit i
+    has one more element than the mask below 2^i it extends, so each doubling
+    is one vector add (faster than np.bitwise_count on large tables)."""
+    low = min(n, 10)
+    pc = np.empty(1 << n, dtype=np.int64)
+    np.bitwise_count(np.arange(1 << low), out=pc[: 1 << low])
+    for i in range(low, n):
+        np.add(pc[: 1 << i], 1, out=pc[1 << i : 2 << i])
     return pc
 
 

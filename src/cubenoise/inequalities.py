@@ -22,7 +22,6 @@ from .cube import (
     SubsetMask,
     _butterfly,
     _expand_into,
-    _popcount_table,
     _zeta,
     compact_conditional_expectations,
     dirichlet_form,
@@ -177,7 +176,7 @@ def size_weights(n: int, lam: float) -> np.ndarray:
 
 def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     """L_k = sum of table[T] over the masks T of size k, for k = 0..n."""
-    return np.bincount(_popcount_table(n), weights=table, minlength=n + 1)
+    return np.bincount(popcounts(n), weights=table, minlength=n + 1)
 
 
 def layer_expectation(lam: float, layers: np.ndarray) -> float:

@@ -7,19 +7,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codes import deficiency_histogram as _code_deficiency_histogram
-from .codes import deficiency_table as _code_deficiency_table
 from .codes import deficiency_expectation, gf2_rank, gf2_rref, histogram_expectation
 from .codes import parse_bit_matrix, LinearCode
 from .cube import SubsetMask
 from .inequalities import GapReport, LN2, _require_mode
-
-_TUTTE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -37,30 +34,22 @@ class BinaryMatroid:
             if not 0 <= row < (1 << self.n):
                 raise ValueError("matrix row out of range for ground-set size")
 
+    @cached_property
+    def row_space_code(self) -> LinearCode:
+        """The code spanned by the rows.  Column ranks depend only on the row
+        space, so its tables (the deficiency histogram above all) are the
+        matroid's, and are built once and freed with the matroid."""
+        return LinearCode(self.n, tuple(gf2_rref(self.rows, self.n)[1]))
+
     @property
     def k(self) -> int:
-        return gf2_rank(self.rows)
-
-    def row_space_code(self) -> LinearCode:
-        return LinearCode(self.n, tuple(gf2_rref(self.rows, self.n)[1]))
+        return self.row_space_code.k
 
 
 def matroid_rank(m: BinaryMatroid, s_mask: SubsetMask) -> int:
     if not 0 <= s_mask < (1 << m.n):
         raise ValueError(f"subset mask {s_mask} out of range for n={m.n}")
     return gf2_rank(row & s_mask for row in m.rows)
-
-
-def matroid_deficiency_table(m: BinaryMatroid, cap: int | None = None) -> np.ndarray:
-    """|S| - rank(S) for every subset mask S (column ranks depend only on the
-    row space, so the code-side table applies verbatim)."""
-    return _code_deficiency_table(m.row_space_code(), cap=cap)
-
-
-def matroid_deficiency_histogram(m: BinaryMatroid, cap: int | None = None) -> np.ndarray:
-    """N[k, d] = #{S : |S| = k, |S| - rank S = d}, from the row-space code
-    (see :func:`cubenoise.codes.deficiency_histogram`)."""
-    return _code_deficiency_histogram(m.row_space_code(), cap=cap)
 
 
 def subset_rate_for(p: float) -> float:
@@ -95,12 +84,11 @@ class TuttePolynomial:
 def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets, expanded to exact monomial
     coefficients; consistency of the expansion is asserted against the
-    subset counts at (1,1) and (2,2).  The subsets come from the deficiency
-    histogram: size s and nullity j give corank k - (s - j)."""
-    if m.n > _TUTTE_CAP:
-        raise ValueError(f"direct Tutte sum capped at n={_TUTTE_CAP}, got {m.n}")
+    subset counts at (1,1) and (2,2).  The subsets come from the row-space
+    code's deficiency histogram, so the enumeration cap bounds n: size s and
+    nullity j give corank k - (s - j)."""
     k = m.k
-    hist = matroid_deficiency_histogram(m, cap=_TUTTE_CAP)
+    hist = m.row_space_code.histogram
 
     coeffs: dict[tuple[int, int], int] = {}
     for (size, j), c in np.ndenumerate(hist):
@@ -141,7 +129,7 @@ def deficiency_inequality_gap(
     cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode;
     mc mode draws the rhs with seed + 1."""
     t = subset_rate_for(p)
-    code = m.row_space_code()
+    code = m.row_space_code
     mgf_values = np.exp2(np.arange(code.n - code.k + 1))
     mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
     rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
@@ -167,7 +155,7 @@ def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
     t = subset_rate_for(p)
     k, n = m.k, m.n
     poly = tutte_polynomial(m)
-    hist = matroid_deficiency_histogram(m)
+    hist = m.row_space_code.histogram
 
     mgf_direct = histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1])))
     mgf_tutte = p**k * (1 - p) ** (n - k) * poly.evaluate(1 / p, (1 + p) / (1 - p))
@@ -199,7 +187,7 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
     if not delta >= 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
     t = subset_rate_for(p)
-    hist = matroid_deficiency_histogram(m)
+    hist = m.row_space_code.histogram
     mean_t = histogram_expectation(hist, t)
     prob = histogram_expectation(hist, p, np.arange(hist.shape[1]) >= mean_t + delta)
     bound = 2.0**-delta
@@ -217,7 +205,7 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
     increasing and convex in p, with mu(0) = 0."""
-    hist = matroid_deficiency_histogram(m)
+    hist = m.row_space_code.histogram
     return [(float(p), histogram_expectation(hist, float(p))) for p in p_grid]
 
 
@@ -229,7 +217,7 @@ def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> flo
         raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
     if not delta >= 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
-    mu_p = histogram_expectation(matroid_deficiency_histogram(m), p)
+    mu_p = histogram_expectation(m.row_space_code.histogram, p)
     return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
 
 
@@ -250,6 +238,19 @@ class Graph:
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
+
+    @cached_property
+    def matroid(self) -> BinaryMatroid:
+        """The graphic matroid: the vertex-edge incidence matrix over GF(2),
+        built once and freed with the graph.  Loops become zero columns and
+        rank(S) = |V| - components(V, S)."""
+        if not self.edges:
+            raise ValueError("graphic matroid needs at least one edge")
+        rows = [0] * self.vertex_count
+        for j, (u, v) in enumerate(self.edges):
+            rows[u] ^= 1 << j
+            rows[v] ^= 1 << j
+        return BinaryMatroid(len(self.edges), tuple(rows))
 
 
 class _UnionFind:
@@ -285,15 +286,8 @@ def connected_components(g: Graph, s_mask: SubsetMask) -> int:
 
 
 def graphic_matroid(g: Graph) -> BinaryMatroid:
-    """Vertex-edge incidence matrix over GF(2); loops become zero columns and
-    rank(S) = |V| - components(V, S)."""
-    if not g.edges:
-        raise ValueError("graphic matroid needs at least one edge")
-    rows = [0] * g.vertex_count
-    for j, (u, v) in enumerate(g.edges):
-        rows[u] ^= 1 << j
-        rows[v] ^= 1 << j
-    return BinaryMatroid(len(g.edges), tuple(rows))
+    """The graph's :attr:`Graph.matroid`."""
+    return g.matroid
 
 
 def graph_inequality_gap(
@@ -315,7 +309,7 @@ def graph_inequality_gap(
     lhs = rhs = float(g.vertex_count)
     stderr = 0.0
     if n:
-        code = graphic_matroid(g).row_space_code()
+        code = g.matroid.row_space_code
         sizes, deficiency = np.indices((n + 1, n - code.k + 1))
         comp = g.vertex_count - sizes + deficiency
         mgf, _ = deficiency_expectation(code, p, np.exp2(sizes + comp), mode, samples, seed)

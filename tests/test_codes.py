@@ -17,7 +17,6 @@ from cubenoise.codes import (
     codeword_masks,
     cond_exp_norm_exponent,
     deficiency_table,
-    dual_code,
     dual_weight_bound,
     dump_bit_matrix,
     enumerator_identities,
@@ -143,9 +142,9 @@ def test_weight_distribution_block_path_crosses_blocks():
 
 def test_dual_code_examples():
     full = LinearCode(3, (1, 2, 4))
-    assert dual_code(full).generator == ()
-    assert sorted(dual_code(REP2).generator) == [0b11]
-    even = dual_code(reed_muller(0, 3))
+    assert full.dual.generator == ()
+    assert sorted(REP2.dual.generator) == [0b11]
+    even = reed_muller(0, 3).dual
     assert even.k == 7
     assert all(c == 0 for w, c in enumerate(weight_distribution(even).counts) if w % 2)
 
@@ -153,13 +152,13 @@ def test_dual_code_examples():
 def test_dual_of_dual_is_original():
     for seed in range(4):
         code = random_code(8, 70 + seed)
-        back = dual_code(dual_code(code))
+        back = code.dual.dual
         assert brute_codewords(back) == brute_codewords(code)
 
 
 def test_dual_orthogonality_exhaustive():
     code = random_code(6, 80)
-    dual = dual_code(code)
+    dual = code.dual
     assert dual.k == code.n - code.k
     for c in brute_codewords(code):
         for d in brute_codewords(dual):
@@ -188,7 +187,7 @@ def test_macwilliams_matches_dual_enumeration():
     for seed in range(6):
         code = random_code(9, 90 + seed)
         got = macwilliams_transform(weight_distribution(code), code.n, code.k)
-        assert got.counts == weight_distribution(dual_code(code)).counts
+        assert got.counts == weight_distribution(code.dual).counts
 
 
 def test_macwilliams_involution():
@@ -231,7 +230,7 @@ def test_indicator_spectrum_is_dual_indicator():
     for seed in range(4):
         code = random_code(6, 120 + seed)
         coeffs = wht_forward(scaled_indicator(code)).coeffs
-        dual_words = brute_codewords(dual_code(code))
+        dual_words = brute_codewords(code.dual)
         for r in range(1 << code.n):
             assert coeffs[r] == pytest.approx(1.0 if r in dual_words else 0.0, abs=1e-12)
 
@@ -242,7 +241,7 @@ def test_cond_exp_closed_form():
     for seed in range(3):
         code = random_code(5, 130 + seed)
         f = scaled_indicator(code)
-        dual_words = brute_codewords(dual_code(code))
+        dual_words = brute_codewords(code.dual)
         for t in range(1 << code.n):
             inside = [d for d in dual_words if d & ~t == 0]
             level = 2 ** (bin(t).count("1") - rank_of_columns(code, t))
@@ -255,7 +254,7 @@ def test_cond_exp_closed_form():
 def test_dual_subspace_dimension_identity():
     for seed in range(4):
         code = random_code(7, 140 + seed)
-        dual_words = brute_codewords(dual_code(code))
+        dual_words = brute_codewords(code.dual)
         rng = np.random.default_rng(seed)
         for t in rng.integers(0, 1 << code.n, 25):
             t = int(t)
@@ -382,7 +381,7 @@ def test_dual_weight_bound_examples():
 def test_dual_weight_bound_dominates_enumeration():
     for seed in range(4):
         code = random_code(8, 220 + seed)
-        b = weight_distribution(dual_code(code)).counts
+        b = weight_distribution(code.dual).counts
         for lam in (0.3, 0.6, 1.0):
             for i, count in enumerate(b):
                 assert count <= dual_weight_bound(code, lam, i) * (1 + 1e-9)
@@ -450,7 +449,7 @@ def test_reed_muller_dimensions():
 
 def test_reed_muller_duality():
     for r, m in [(0, 3), (1, 3), (1, 4), (2, 4)]:
-        dual = dual_code(reed_muller(r, m))
+        dual = reed_muller(r, m).dual
         expected = reed_muller(m - r - 1, m)
         assert brute_codewords(dual) == brute_codewords(expected)
 

@@ -23,6 +23,7 @@ from cubenoise.cube import (
     log_lq_norms,
     lq_norm,
     noise_operator,
+    popcounts,
     renyi_entropy,
     subset_lattice,
     wht_forward,
@@ -117,6 +118,16 @@ def test_parseval(n):
 def test_wht_inverse_examples():
     assert np.allclose(wht_inverse(FourierSpectrum(2, [3.0, 0, 0, 0])).values, 3.0)
     assert wht_inverse(FourierSpectrum(1, [1.0, 1.0])).values.tolist() == [2.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 13])
+def test_popcounts_fresh_per_call(n):
+    # both sides of the 2^10 switch between its two constructions
+    pc = popcounts(n)
+    assert pc.dtype == np.int64
+    assert pc.tolist() == [t.bit_count() for t in range(1 << n)]
+    pc[:] = -1  # a fresh array per call: writing to it changes no later call
+    assert popcounts(n).tolist() == [t.bit_count() for t in range(1 << n)]
 
 
 def test_dimension_cap_enforced():

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from cubenoise.codes import (
     LinearCode,
-    _on_cube,
     deficiency_expectation,
     deficiency_histogram,
-    dual_code,
     f_value,
     gf2_rank,
     noisy_indicator,
@@ -31,7 +29,6 @@ from cubenoise.matroids import (
     connected_components,
     deficiency_inequality_gap,
     graph_inequality_gap,
-    matroid_deficiency_histogram,
     matroid_rank,
     mu_curve,
     subset_rate_for,
@@ -91,12 +88,12 @@ def close(a, b):
 @SETTINGS
 @given(matroids())
 def test_histogram_counts_subsets(m):
-    hist = matroid_deficiency_histogram(m)
+    hist = m.row_space_code.histogram
     brute = np.zeros_like(hist)
     for s, d in enumerate(deficiencies(m)):
         brute[s.bit_count(), d] += 1
     assert np.array_equal(hist, brute)
-    assert np.array_equal(deficiency_histogram(m.row_space_code()), brute)
+    assert np.array_equal(deficiency_histogram(m.row_space_code), brute)
 
 
 @SETTINGS
@@ -107,7 +104,7 @@ def test_mgf_and_mean_deficiency(m, p):
     rep = deficiency_inequality_gap(m, p)
     assert close(rep.lhs, math.log2(expect(m.n, p, [2.0**d for d in defs])))
     assert close(rep.rhs, expect(m.n, t, defs))
-    assert close(rank_deficiency(m.row_space_code(), p), expect(m.n, p, defs))
+    assert close(rank_deficiency(m.row_space_code, p), expect(m.n, p, defs))
     ((_, mu),) = mu_curve(m, [p])
     assert close(mu, expect(m.n, p, defs))
 
@@ -238,12 +235,12 @@ def test_syndrome_route_matches_cube(code, lam, q):
     eps = noise_for(q, lam)
     direct = noise_operator(scaled_indicator(code), eps)
     syndromes = noisy_indicator(code, eps).values
-    dual = dual_code(code).generator
+    dual = code.dual.generator
     for x in range(1 << code.n):
         s = sum(((h & x).bit_count() & 1) << j for j, h in enumerate(dual))
         assert syndromes[s] == direct.values[x]
     # laid out on the cube again, in index order, for cube-order averages
-    assert np.array_equal(_on_cube(code, syndromes), direct.values)
+    assert np.array_equal(syndromes[code.syndromes], direct.values)
     if q == 1.0:
         want = entropy(direct)
     elif q == math.inf:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cubenoise.codes import deficiency_table
 from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
@@ -14,7 +15,6 @@ from cubenoise.matroids import (
     graphic_matroid,
     load_graph,
     load_matroid,
-    matroid_deficiency_table,
     matroid_rank,
     mu_curve,
     subset_rate_for,
@@ -100,7 +100,7 @@ def test_matroid_rank_examples():
 def test_deficiency_table_matches_direct():
     for seed in range(5):
         m = random_matroid(7, seed)
-        table = matroid_deficiency_table(m)
+        table = deficiency_table(m.row_space_code)
         for s in range(1 << m.n):
             assert table[s] == s.bit_count() - matroid_rank(m, s)
 

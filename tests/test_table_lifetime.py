@@ -1,0 +1,83 @@
+"""Each derived table (dual code, syndrome index, deficiency histogram,
+row-space code, graphic matroid) lives on the object it comes from: it is
+built once per report, and freed with its object."""
+
+import gc
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from cubenoise import codes
+from cubenoise.cli import main
+from cubenoise.codes import LinearCode, deficiency_histogram, dump_bit_matrix, f_value
+from cubenoise.matroids import BinaryMatroid, dump_graph, Graph, tutte_polynomial
+
+
+def count_calls(monkeypatch, module, name, counted=lambda result: True):
+    """Wrap module.name so that each call whose result passes `counted` is
+    recorded; returns the list of recorded results."""
+    original = getattr(module, name)
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if counted(result):
+            seen.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypatch, capsys):
+    n, k = 12, 6
+    rng = np.random.default_rng(12)
+    rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
+    path = str(tmp_path / "c.code")
+    dump_bit_matrix(rows, n, path)
+    # the syndrome index is the one 2^n-entry span a code report builds
+    indexes = count_calls(monkeypatch, codes, "_span", lambda words: words.shape == (1 << n,))
+    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1.5,2,3,inf"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert (len(indexes), len(tables)) == (1, 1)
+
+
+def test_graph_report_builds_one_deficiency_table(tmp_path, monkeypatch, capsys):
+    graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
+    path = str(tmp_path / "g.graph")
+    dump_graph(graph, path)
+    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
+    assert len(tables) == 1
+
+
+def test_tables_are_freed_with_their_object():
+    code = LinearCode(6, (0b000111, 0b011001, 0b101010))
+    matroid = BinaryMatroid(6, (0b110011, 0b011110, 0b101101))
+    deficiency_histogram(code)
+    f_value(code, 0.3, 1.5)
+    tutte_polynomial(matroid)
+    refs = [weakref.ref(obj) for obj in (
+        code, code.dual, code.syndromes, code.histogram,
+        matroid, matroid.row_space_code, matroid.row_space_code.histogram,
+    )]
+    del code, matroid
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
+    monkeypatch.delenv("CUBENOISE_MAX_ENUM_N", raising=False)
+    rows = np.random.default_rng(23).integers(0, 1 << 23, size=11)
+    matroid = BinaryMatroid(23, tuple(int(r) for r in rows))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at n=22, got 23"):
+            tutte_polynomial(matroid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # any 2^23-entry table takes 8 MiB or more
