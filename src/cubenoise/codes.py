@@ -130,22 +130,53 @@ class LinearCode:
 
     @cached_property
     def syndromes(self) -> np.ndarray:
-        """The syndrome s(x) of every cube point x, in index order, as uint64:
-        bit j of s(x) is the parity of h_j & x for the dual generator rows h_j."""
+        """The syndrome s(x) of every cube point x, in index order, as np.intp
+        (numpy's index type, so gathers through it cast nothing): bit j of
+        s(x) is the parity of h_j & x for the dual generator rows h_j."""
         _require_cube(self)
         dual = self.dual.generator
         columns = (sum((h >> i & 1) << j for j, h in enumerate(dual)) for i in range(self.n))
-        syndromes = _span(columns)
+        syndromes = _span(columns, np.intp)
         syndromes.setflags(write=False)
         return syndromes
+
+    @cached_property
+    def weights(self) -> WeightDistribution:
+        """Weight counts a_0..a_n, by enumerating all 2^k codewords."""
+        if self.k > codeword_cap():
+            raise ValueError(f"weight enumeration capped at k={codeword_cap()}")
+        if self.n <= 64:
+            return WeightDistribution(tuple(_weights_by_blocks(self)))
+        return WeightDistribution(tuple(_weights_by_gray_walk(self)))
+
+    @cached_property
+    def dual_weights(self) -> WeightDistribution:
+        """Weight counts b_0..b_n of the dual, by enumeration from whichever
+        side fits."""
+        cap = codeword_cap()
+        if self.n - self.k <= cap:
+            return self.dual.weights
+        if self.k <= cap:
+            return macwilliams_transform(self.weights, self.n, self.k)
+        raise ValueError(f"need k or n-k <= {cap} to reach the dual weights")
+
+    @cached_property
+    def codeword_weights(self) -> np.ndarray:
+        """The weight of every codeword, in the order of
+        :func:`codeword_masks`, as uint8 (read-only)."""
+        weights = np.bitwise_count(codeword_masks(self))
+        weights.setflags(write=False)
+        return weights
 
     @cached_property
     def histogram(self) -> np.ndarray:
         """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1)
         array, from one :func:`deficiency_table` (which is not kept)."""
         width = self.n - self.k + 1
-        cells = deficiency_table(self)
-        cells += popcounts(self.n) * width
+        table = deficiency_table(self)  # checks the cap before any 2^n array
+        cells = popcounts(self.n)
+        cells *= width
+        cells += table
         hist = np.bincount(cells, minlength=(self.n + 1) * width).reshape(self.n + 1, width)
         hist.setflags(write=False)
         return hist
@@ -156,11 +187,12 @@ def rank_of_columns(code: LinearCode, t_mask: SubsetMask) -> int:
     return gf2_rank(row & t_mask for row in code.generator)
 
 
-def _span(rows: Iterable[int]) -> np.ndarray:
-    """XOR of every subset a of the rows, at index a (bit j <-> row j), as uint64."""
-    words = np.zeros(1, dtype=np.uint64)
+def _span(rows: Iterable[int], dtype=np.uint64) -> np.ndarray:
+    """XOR of every subset a of the rows, at index a (bit j <-> row j), as
+    `dtype` (uint64 by default)."""
+    words = np.zeros(1, dtype=dtype)
     for row in rows:
-        words = np.concatenate([words, words ^ np.uint64(row)])
+        words = np.concatenate([words, words ^ words.dtype.type(row)])
     return words
 
 
@@ -192,14 +224,9 @@ class WeightDistribution:
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact weight counts by enumerating all 2^k codewords."""
-    if code.k > codeword_cap():
-        raise ValueError(f"weight enumeration capped at k={codeword_cap()}")
-    if code.n <= 64:
-        counts = _weights_by_blocks(code)
-    else:
-        counts = _weights_by_gray_walk(code)
-    return WeightDistribution(tuple(counts))
+    """Exact weight counts by enumerating all 2^k codewords: the code's
+    :attr:`LinearCode.weights`."""
+    return code.weights
 
 
 def _weights_by_blocks(code: LinearCode, block_bits: int = 20) -> list[int]:
@@ -281,25 +308,33 @@ def cond_exp_norm_exponent(code: LinearCode, t_mask: SubsetMask, q: float) -> fl
 # subset rank-deficiency machinery
 # ---------------------------------------------------------------------------
 
+_COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
 def deficiency_table(code: LinearCode) -> np.ndarray:
-    """|T| - rank(T) for every mask T, via a subset-zeta transform.
+    """|T| - rank(T) for every mask T, as uint8, via a subset-zeta transform.
 
     The deficiency equals the log2-count of dual codewords contained in T, so
     one zeta transform of the dual indicator yields the whole table in
-    O(n 2^n) vector steps.  Reports reduce it at once to the code's
-    :attr:`LinearCode.histogram` and do not keep it.  The enumeration cap is
-    checked here, before any 2^n table is built.
+    O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
+    least n - k bits (uint8 up to n - k = 8, uint16 up to 16).  Reports
+    reduce it at once to the code's :attr:`LinearCode.histogram` and do not
+    keep it.  The enumeration cap is checked here, before any 2^n table is
+    built.
     """
     n, cap = code.n, max(enum_cap(), 0)
     if n > cap:
         raise ValueError(f"deficiency table capped at n={cap}, got {n}")
-    # counts are powers of two 2^d <= 2^n (a table past n = 30 would not fit
-    # in memory), and 2^d - 1 has exactly d one bits
-    counts = np.zeros(1 << n, dtype=np.int32)
+    # the count at T is 2^d(T) with d(T) <= n - k; counting modulo 2^bits in
+    # the narrowest unsigned dtype with n - k <= bits keeps 2^d - 1 exact
+    # (2^bits wraps to 0, and 0 - 1 is 2^bits - 1), and 2^d - 1 has exactly
+    # d one bits
+    dtype = next(t for t in _COUNT_DTYPES if n - code.k <= np.iinfo(t).bits)
+    counts = np.zeros(1 << n, dtype=dtype)
     counts[codeword_masks(code.dual)] = 1
     _zeta(counts)
     counts -= 1
-    return np.bitwise_count(counts).astype(np.int64)
+    return np.bitwise_count(counts)
 
 
 def deficiency_histogram(code: LinearCode) -> np.ndarray:
@@ -366,13 +401,9 @@ class FValue(NamedTuple):
 
 
 def dual_weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Weight counts of the dual, by enumeration from whichever side fits."""
-    cap = codeword_cap()
-    if code.n - code.k <= cap:
-        return weight_distribution(code.dual)
-    if code.k <= cap:
-        return macwilliams_transform(weight_distribution(code), code.n, code.k)
-    raise ValueError(f"need k or n-k <= {cap} to reach the dual weights")
+    """Weight counts of the dual, by enumeration from whichever side fits:
+    the code's :attr:`LinearCode.dual_weights`."""
+    return code.dual_weights
 
 
 def _enumerator_value(code: LinearCode, theta: float) -> float:
@@ -392,8 +423,7 @@ def noisy_indicator(code: LinearCode, eps: float) -> CubeFunction:
     """
     _require_cube(code)
     dual = code.dual
-    dual_weights = np.bitwise_count(codeword_masks(dual)).astype(np.int64)
-    return wht_inverse(FourierSpectrum(dual.k, (1.0 - 2.0 * eps) ** dual_weights))
+    return wht_inverse(FourierSpectrum(dual.k, (1.0 - 2.0 * eps) ** dual.codeword_weights))
 
 
 def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValue:

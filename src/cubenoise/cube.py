@@ -117,11 +117,37 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     return values
 
 
+# _zeta runs its first _ZETA_LOW_BITS levels on blocks of _ZETA_BLOCK values
+_ZETA_LOW_BITS = 7
+_ZETA_BLOCK = 1 << 16
+
+
 def _zeta(values: np.ndarray) -> np.ndarray:
     """Subset sums in place, O(n 2^n): values[T] becomes the sum of the old
-    values[R] over every mask R contained in T."""
+    values[R] over every mask R contained in T.
+
+    Levels run in ascending bit order, one add per element and level, so
+    float sums are the same bit for bit however the levels are laid out, and
+    integer sums wrap exactly as the dtype does.  The first min(n, 7) levels
+    work on blocks of 2^16 values, each copied transposed into one scratch
+    buffer (low 7 bits as rows), so that each level is one add over long
+    contiguous rows rather than over runs of 1, 2, 4, ... values; the rest
+    run in place.
+    """
     size = values.shape[0]
-    h = 1
+    low = min(size, 1 << _ZETA_LOW_BITS)
+    block = min(size, _ZETA_BLOCK)
+    scratch = np.empty((low, block // low), dtype=values.dtype)
+    for start in range(0, size, block):
+        chunk = values[start : start + block].reshape(block // low, low)
+        np.copyto(scratch, chunk.T)
+        h = block // low
+        while h < block:
+            rows = scratch.reshape(-1, 2, h)
+            rows[:, 1, :] += rows[:, 0, :]
+            h <<= 1
+        np.copyto(chunk, scratch.T)
+    h = low
     while h < size:
         v = values.reshape(-1, 2, h)
         v[:, 1, :] += v[:, 0, :]

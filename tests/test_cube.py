@@ -130,6 +130,40 @@ def test_popcounts_fresh_per_call(n):
     assert popcounts(n).tolist() == [t.bit_count() for t in range(1 << n)]
 
 
+def level_loop_zeta(values):
+    """Subset sums in place, one level per bit in ascending order, each level
+    one strided add over the whole table."""
+    size, h = values.shape[0], 1
+    while h < size:
+        v = values.reshape(-1, 2, h)
+        v[:, 1, :] += v[:, 0, :]
+        h <<= 1
+    return values
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_zeta_float_bit_identical_to_level_loop(n):
+    # n = 17 spans two 2^16-value blocks; the scale spread makes the sums
+    # depend on the order of the adds
+    rng = np.random.default_rng(300 + n)
+    values = rng.standard_normal(1 << n) * np.exp2(rng.integers(-40, 40, 1 << n))
+    got = cube._zeta(values.copy())
+    assert got.view(np.uint64).tolist() == level_loop_zeta(values.copy()).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+@pytest.mark.parametrize("n", [0, 3, 7, 8, 16, 17])
+def test_zeta_integers_equal_level_loop_and_wrap(dtype, n):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(n)
+    values = rng.integers(info.min, info.max, 1 << n, endpoint=True, dtype=dtype)
+    got = cube._zeta(values.copy())
+    assert got.dtype == dtype
+    assert np.array_equal(got, level_loop_zeta(values.copy()))
+    # the full-set sum wraps modulo 2^bits, as numpy integer adds do
+    assert int(got[-1]) == (int(values.astype(np.int64).sum()) - info.min) % (1 << info.bits) + info.min
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         CubeFunction(dimension_cap() + 1, [0.0])

@@ -13,6 +13,7 @@ from cubenoise.codes import (
     LinearCode,
     deficiency_expectation,
     deficiency_histogram,
+    deficiency_table,
     f_value,
     gf2_rank,
     noisy_indicator,
@@ -81,6 +82,14 @@ def deficiencies(m):
     return [s.bit_count() - matroid_rank(m, s) for s in range(1 << m.n)]
 
 
+def brute_histogram(n, width, defs):
+    """N[k, d] counted mask by mask from the deficiency d of every mask."""
+    brute = np.zeros((n + 1, width), dtype=np.int64)
+    for s, d in enumerate(defs):
+        brute[s.bit_count(), d] += 1
+    return brute
+
+
 def close(a, b):
     return a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
@@ -89,11 +98,38 @@ def close(a, b):
 @given(matroids())
 def test_histogram_counts_subsets(m):
     hist = m.row_space_code.histogram
-    brute = np.zeros_like(hist)
-    for s, d in enumerate(deficiencies(m)):
-        brute[s.bit_count(), d] += 1
+    brute = brute_histogram(m.n, hist.shape[1], deficiencies(m))
     assert np.array_equal(hist, brute)
     assert np.array_equal(deficiency_histogram(m.row_space_code), brute)
+
+
+def code_of_dimension(n, k, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < k:
+        row = int(rng.integers(1, 1 << n))
+        if gf2_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    return LinearCode(n, tuple(rows))
+
+
+# deficiency tables count 2^d in the narrowest unsigned dtype of at least
+# n - k bits: codes on both sides of the uint8/uint16 and uint16/uint32
+# switches, with k = 0 (d(T) = |T|, the largest counts) among them
+@pytest.mark.parametrize(
+    "n,k", [(1, 0), (8, 0), (9, 0), (16, 0), (17, 0), (12, 4), (12, 3), (18, 2), (18, 1)]
+)
+def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
+    code = code_of_dimension(n, k, 40 * n + k)
+    table = deficiency_table(code)
+    assert table.dtype == np.uint8
+    full = (1 << n) - 1
+    masks = np.random.default_rng(n).integers(0, 1 << n, 2000)
+    for t in (0, full, *map(int, masks)):
+        assert table[t] == t.bit_count() - rank_of_columns(code, t)
+    assert table[full] == n - k
+    defs = [s.bit_count() - rank_of_columns(code, s) for s in range(1 << n)]
+    assert np.array_equal(code.histogram, brute_histogram(n, n - k + 1, defs))
 
 
 @SETTINGS

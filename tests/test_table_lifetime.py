@@ -45,6 +45,25 @@ def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypat
     assert (len(indexes), len(tables)) == (1, 1)
 
 
+def test_code_report_enumerates_each_side_once(tmp_path, monkeypatch, capsys):
+    # the weight counts of the code and of its dual, and the dual's weight
+    # per codeword, are each enumerated once and read from the code after
+    n, k = 12, 5
+    rng = np.random.default_rng(5)
+    rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
+    path = str(tmp_path / "c.code")
+    dump_bit_matrix(rows, n, path)
+    weighed = count_calls(monkeypatch, codes, "_weights_by_blocks")
+    listed = count_calls(monkeypatch, codes, "codeword_masks")
+    argv = ["code", "--file", path, "--lambda", "0.1,0.5,0.9", "--q", "1,1.5,2,3,inf"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert sorted(len(counts) - 1 for counts in weighed) == [n, n]
+    assert sorted(sum(counts) for counts in weighed) == [1 << k, 1 << (n - k)]
+    # one listing of the dual's codewords for the deficiency table, one for
+    # the weight of each
+    assert [masks.shape for masks in listed] == [(1 << (n - k),)] * 2
+
+
 def test_graph_report_builds_one_deficiency_table(tmp_path, monkeypatch, capsys):
     graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
     path = str(tmp_path / "g.graph")
@@ -67,6 +86,22 @@ def test_tables_are_freed_with_their_object():
     del code, matroid
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_histogram_peak_memory_below_ten_bytes_a_mask():
+    # one uint8 table and one int64 key per mask, where int32 counts and an
+    # int64 table and key took 16 bytes a mask
+    n, k = 18, 9
+    rng = np.random.default_rng(18)
+    rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
+    code = LinearCode(n, tuple(rows))
+    tracemalloc.start()
+    try:
+        code.histogram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << n
 
 
 def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
