@@ -9,6 +9,7 @@ Exit codes: 0 = all checks pass, 1 = a mathematical violation was found,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, corpus, matroids
-from .cube import noise_operator
+from .cube import noise_table
 from .inequalities import (
     CSV_COLUMNS,
     GapReport,
@@ -168,9 +169,10 @@ def _campaign(
         # the note column records the subset-averaging bound on the same
         # instance so the two upper bounds can be compared offline; each
         # inequality is asserted on its own, their ordering never is.  Both
-        # sweeps read the same T_eps f, one per eps.
+        # sweeps read the same table of T_eps f, a row per eps, built from one
+        # Walsh transform of f.
         for f in functions:
-            noisy = [noise_operator(f, eps) for eps in eps_grid]
+            noisy = noise_table(f, eps_grid)
             mains = main_inequality_sweep(f, q_grid, eps_grid, **sampling, noisy=noisy)
             hypers = hypercontractive_sweep(f, q_grid, eps_grid, noisy=noisy)
             for main_rep, rep in zip(mains, hypers):
@@ -434,10 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call of the process (not at
+    import) and reused: parse_args keeps no state between calls, and no
+    command mutates the default lists (such as --lambda's [0.5]) it shares."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

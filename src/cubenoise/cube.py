@@ -13,6 +13,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -105,14 +106,16 @@ def require_nonnegative(f: CubeFunction, what: str = "function") -> None:
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Hadamard butterflies in place, O(n 2^n)."""
-    size = values.shape[0]
+    """Unnormalized Hadamard butterflies in place along the last axis, O(n 2^n)
+    per row: every row of a block gets the adds and subtracts a row alone
+    would, in the same order."""
+    size = values.shape[-1]
     h = 1
     while h < size:
-        v = values.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = a + v[:, 1, :]
-        v[:, 1, :] = a - v[:, 1, :]
+        v = values.reshape(values.shape[:-1] + (-1, 2, h))
+        a = v[..., 0, :].copy()
+        v[..., 0, :] = a + v[..., 1, :]
+        v[..., 1, :] = a - v[..., 1, :]
         h <<= 1
     return values
 
@@ -179,22 +182,69 @@ def character(n: int, r_mask: SubsetMask) -> CubeFunction:
     return CubeFunction(n, 1.0 - 2.0 * parity)
 
 
-def noise_operator(f: CubeFunction, eps: float) -> CubeFunction:
-    """Average f over independent per-coordinate bit flips with probability eps.
+# Values per block of rows in noise_blocks and log_lq_norms: their
+# temporaries are held for one block at a time, not for a whole noise grid or
+# lattice layer (at n = 16 with 7 q, the walk plus norms peaks at 134.5 MiB
+# instead of 208.7).  A row longer than this is a block of its own.
+_NORMS_BLOCK = 1 << 16
 
-    Computed in the Fourier domain: the coefficient of R picks up the factor
-    (1-2*eps)^|R|, so the mean is untouched and the result stays a convex
-    combination of shifted copies of f.
+
+def noise_operator(f: CubeFunction, eps: float) -> CubeFunction:
+    """Average f over independent per-coordinate bit flips with probability
+    eps: the one-row case of :func:`noise_blocks`."""
+    return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
+
+
+def noise_table(f: CubeFunction, eps_grid: Sequence[float]) -> np.ndarray:
+    """T_eps f for every eps of the grid, as the rows of one 2-D array (row e
+    for eps_grid[e]), written block by block by :func:`noise_blocks`."""
+    table = np.empty((len(eps_grid), 1 << f.n))
+    for _ in noise_blocks(f, eps_grid, table):
+        pass
+    return table
+
+
+def noise_blocks(
+    f: CubeFunction, eps_grid: Sequence[float], out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """T_eps f for every eps of the grid, in grid order, as the rows of 2-D
+    blocks of at most _NORMS_BLOCK values (one row each past that size); the
+    blocks are consecutive row slices of `out` if it is given.
+
+    Computed in the Fourier domain from one :func:`wht_forward` of f: the
+    coefficient of R picks up the factor (1-2*eps)^|R|, so the mean is
+    untouched and each row stays a convex combination of shifted copies of f.
+    One set of butterflies inverts a run of such rows at once.  eps = 0 gives
+    f itself and eps = 1/2 the constant E f.  Every row is checked finite, as
+    a CubeFunction is.
     """
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
-    if eps == 0.0:
-        return CubeFunction(f.n, f.values)
-    if eps == 0.5:
-        return CubeFunction(f.n, np.full(1 << f.n, f.mean()))
-    spectrum = wht_forward(f)
-    mult = (1.0 - 2.0 * eps) ** popcounts(f.n)
-    return wht_inverse(FourierSpectrum(f.n, spectrum.coeffs * mult))
+    grid = list(eps_grid)
+    for eps in grid:
+        if not 0.0 <= eps <= 0.5:
+            raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
+    if any(0.0 < eps < 0.5 for eps in grid):
+        coeffs = wht_forward(f).coeffs
+        sizes, degrees = popcounts(f.n), np.arange(f.n + 1)
+    step = max(1, _NORMS_BLOCK >> f.n)
+    for start in range(0, len(grid), step):
+        chunk = grid[start : start + step]
+        block = np.empty((len(chunk), 1 << f.n)) if out is None else out[start : start + len(chunk)]
+        row = 0
+        for inside, run in itertools.groupby(chunk, lambda e: 0.0 < e < 0.5):
+            run = list(run)
+            rows = block[row : row + len(run)]
+            for values, eps in zip(rows, run):
+                if inside:  # (1-2 eps)^|R| for each R, read off its n+1 values
+                    np.take((1.0 - 2.0 * eps) ** degrees, sizes, out=values)
+                    values *= coeffs
+                else:
+                    values[...] = f.values if eps == 0.0 else f.mean()
+            if inside:
+                _butterfly(rows)
+            row += len(run)
+        if not np.isfinite(block).all():
+            raise ValueError("values must be finite")
+        yield block
 
 
 def conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> CubeFunction:
@@ -364,44 +414,61 @@ def log_lq_norm(f: CubeFunction, q: float) -> float:
     return float(log_lq_norms(f.values, (q,))[0])
 
 
-# Values per block of rows in log_lq_norms: its temporaries (the scaled
-# tables and their q-th power) are held for one block at a time, not for a
-# whole lattice layer (at n = 16 with 7 q, the walk plus norms peaks at 134.5
-# MiB instead of 208.7).  A row longer than this is a block of its own.
-_NORMS_BLOCK = 1 << 16
-
-
 def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
     """ln ||g||_q of every table g along the last axis of `tables` (uniform
     measure on its entries), for every q of the grid: out[j] holds q_grid[j].
 
     Each norm is ln max g + ln E (g / max g)^q / q, so nothing overflows; a
-    zero table gives -inf, and q = inf gives ln max g.  Rows are taken in
-    blocks of about _NORMS_BLOCK values; each row's reductions are the same
-    whatever its block, so the values do not depend on the blocking.
+    zero table gives -inf, and q = inf gives ln max g.  A block of rows takes
+    its max, log and scaled tables once, the power of each finite q with the
+    ** operator (which squares at q = 2), and one mean, log and division over
+    the whole (q, rows) block.  A block's scaled tables, its powers and the
+    power being taken, rows x (finite q + 2) tables, hold at most half of
+    _NORMS_BLOCK values, so a grid too long for one row at all q is split as
+    well (a row too long for two q takes one at a time, as a single q
+    would).  Each row's reductions are the same whatever its block, so the
+    values do not depend on the blocking.
     """
     for q in q_grid:
         if q < 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
     rows = tables.reshape(-1, tables.shape[-1])
     out = np.empty((len(q_grid), rows.shape[0]))
-    step = max(1, _NORMS_BLOCK // rows.shape[1])
+    finite = [j for j, q in enumerate(q_grid) if q != math.inf]
+    infinite = [j for j, q in enumerate(q_grid) if q == math.inf]
+    budget = _NORMS_BLOCK // 2 // rows.shape[1]  # tables per block
+    step = max(1, budget // (len(finite) + 2))
+    q_step = max(1, budget // step - 2)
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
         mx = block.max(axis=-1)
         positive = mx > 0.0
         safe = np.where(positive, mx, 1.0)
         log_mx = np.where(positive, np.log(safe), -math.inf)
-        part, scaled = out[:, start : start + step], None
-        for j, q in enumerate(q_grid):
-            if q == math.inf:
-                part[j] = log_mx
-                continue
-            if scaled is None:
-                scaled = _clean_values(block) / safe[:, None]
-            moment = np.mean(scaled**q, axis=-1)
-            part[j] = np.where(positive, log_mx + np.log(np.where(positive, moment, 1.0)) / q, -math.inf)
+        part = out[:, start : start + step]
+        part[infinite] = log_mx
+        if not finite:
+            continue
+        scaled = _clean_values(block) / safe[:, None]
+        for lo in range(0, len(finite), q_step):
+            js = finite[lo : lo + q_step]
+            qs = [q_grid[j] for j in js]
+            moment = _moments(scaled, qs)
+            logs = np.log(np.where(positive, moment, 1.0)) / np.array(qs, dtype=np.float64)[:, None]
+            part[js] = np.where(positive, log_mx + logs, -math.inf)
     return out.reshape((len(q_grid),) + tables.shape[:-1])
+
+
+def _moments(scaled: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """out[j, i] = the mean of scaled[i] ** qs[j]: each power taken with the
+    ** operator (which squares at q = 2, where np.power can differ in the
+    last bit), into one buffer unless there is one q, then one mean."""
+    if len(qs) == 1:
+        return np.mean(scaled ** qs[0], axis=-1)[None]
+    powers = np.empty((len(qs),) + scaled.shape)
+    for power, q in zip(powers, qs):
+        power[...] = scaled ** q
+    return np.mean(powers, axis=-1)
 
 
 def entropy(f: CubeFunction) -> float:

@@ -26,10 +26,10 @@ from .cube import (
     compact_conditional_expectations,
     dirichlet_form,
     entropies,
-    entropy,
     log_lq_norm,
     log_lq_norms,
     lq_norm,
+    noise_blocks,
     noise_operator,
     popcounts,
     require_nonnegative,
@@ -357,6 +357,25 @@ def _conditional_rows(
     return out
 
 
+def _noisy_rows(
+    kernel: Callable[[np.ndarray], np.ndarray],
+    points: int,
+    f: CubeFunction,
+    eps_grid: Sequence[float],
+    noisy: np.ndarray | None,
+) -> np.ndarray:
+    """out[j, e] = the kernel's value j on T_eps f, eps = eps_grid[e].  The
+    kernel takes the rows of `noisy` (cube.noise_table's rows for the grid)
+    in one call if given, else each block of :func:`cube.noise_blocks`, so
+    that only one block of T_eps f is alive at a time."""
+    out = np.empty((points, len(eps_grid)))
+    start = 0
+    for block in noise_blocks(f, eps_grid) if noisy is None else (noisy,):
+        out[:, start : start + block.shape[0]] = kernel(block)
+        start += block.shape[0]
+    return out
+
+
 def _require_mode(mode: str) -> None:
     """The one check of a `mode` argument: exact enumeration or Monte Carlo."""
     if mode not in ("exact", "mc"):
@@ -441,7 +460,7 @@ def main_inequality_sweep(
     samples: int = 20000,
     seed: int = 0,
     *,
-    noisy: Sequence[CubeFunction] | None = None,
+    noisy: np.ndarray | None = None,
 ) -> list[GapReport]:
     """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
     over a (q, eps) grid, q-major.
@@ -452,8 +471,9 @@ def main_inequality_sweep(
     average of the same table that at eps = 0 is its T = [n] entry, so that
     gap is exactly 0.  The other q take their rhs from one
     :func:`_conditional_rows` call for the whole grid, over every subset in
-    exact mode and over the masks drawn in mc mode; their lhs is the norm of
-    T_eps f, which `noisy`, if given, holds for each eps of the grid.
+    exact mode and over the masks drawn in mc mode; their lhs is one
+    :func:`log_lq_norms` pass over the rows of T_eps f, which `noisy`, if
+    given, holds for each eps of the grid as in cube.noise_table.
     """
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
@@ -471,11 +491,9 @@ def main_inequality_sweep(
         noisy_squares = [layer_expectation((1.0 - 2.0 * eps) ** 2, squares) for eps in eps_grid]
         lhs[at_2] = _log_l2(np.array(noisy_squares), shift)
         table = _log_l2(z, shift, out=z)
-    if others:
-        if noisy is None:  # one T_eps f alive at a time
-            noisy = (noise_operator(f, eps) for eps in eps_grid)
-        for e, g in enumerate(noisy):
-            lhs[~at_2, e] = log_lq_norms(g.values, others)
+    if others:  # from one Walsh transform of f, a block of rows at a time
+        norms = lambda rows: log_lq_norms(rows, others)
+        lhs[~at_2] = _noisy_rows(norms, len(others), f, eps_grid, noisy)
 
     def rows(masks: np.ndarray | None) -> list[np.ndarray]:
         kernel = _log_norms_kernel(others)
@@ -507,11 +525,12 @@ def noisy_entropy_sweep(
     seed: int = 0,
 ) -> list[GapReport]:
     """Check Ent(T_eps f) <= E over T ~ (1-2 eps)^2 of Ent(E(f|T)) over a
-    noise grid, reusing one conditional-entropy table."""
+    noise grid, reusing one conditional-entropy table; each lhs is
+    cube.entropies of the rows of T_eps f, from one Walsh transform of f."""
     _require_sweep_domain("entropy", f, eps_grid, mode)
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
-    lhs = np.array([[entropy(noise_operator(f, eps)) for eps in eps_grid]])
+    lhs = _noisy_rows(entropies, 1, f, eps_grid, None)
     rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
     return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
 
@@ -547,16 +566,16 @@ def hypercontractive_sweep(
     q_grid: Sequence[float],
     eps_grid: Sequence[float],
     *,
-    noisy: Sequence[CubeFunction] | None = None,
+    noisy: np.ndarray | None = None,
 ) -> list[GapReport]:
     """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
-    at the reduced exponent, from one T_eps f per eps (`noisy`, if given).
-    Each eps's lhs is one :func:`log_lq_norms` call on T_eps f over the q
-    grid, and every rhs comes from one call on f over the reduced exponents."""
+    at the reduced exponent.  The lhs is one :func:`log_lq_norms` pass over
+    the rows of T_eps f, which `noisy`, if given, holds for each eps of the
+    grid as in cube.noise_table; every rhs comes from one call on f over the
+    reduced exponents."""
     require_nonnegative(f)
-    if noisy is None:
-        noisy = [noise_operator(f, eps) for eps in eps_grid]
-    lhs = np.exp([log_lq_norms(g.values, q_grid) for g in noisy]).T.tolist()
+    norms = lambda rows: log_lq_norms(rows, q_grid)
+    lhs = np.exp(_noisy_rows(norms, len(q_grid), f, eps_grid, noisy)).tolist()
     exponents = [_reduced_exponent(q, eps) for q in q_grid for eps in eps_grid]
     rhs = np.exp(log_lq_norms(f.values, exponents)).reshape(len(q_grid), len(eps_grid)).tolist()
     out = []

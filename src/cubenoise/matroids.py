@@ -16,7 +16,7 @@ import numpy as np
 from .codes import deficiency_expectation, gf2_rank, gf2_rref, histogram_expectation
 from .codes import parse_bit_matrix, LinearCode
 from .cube import SubsetMask
-from .inequalities import GapReport, LN2, _require_mode
+from .inequalities import GapReport, LN2, _require_mode, layer_expectation
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,12 @@ class BinaryMatroid:
         space, so its tables (the deficiency histogram above all) are the
         matroid's, and are built once and freed with the matroid."""
         return LinearCode(self.n, tuple(gf2_rref(self.rows, self.n)[1]))
+
+    @cached_property
+    def tutte(self) -> TuttePolynomial:
+        """The Tutte polynomial (:func:`tutte_polynomial`), expanded once for
+        every p of a report and freed with the matroid."""
+        return tutte_polynomial(self)
 
     @property
     def k(self) -> int:
@@ -154,7 +160,7 @@ def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
         raise ValueError(f"Tutte arguments have poles at p in {{0,1}}; got {p}")
     t = subset_rate_for(p)
     k, n = m.k, m.n
-    poly = tutte_polynomial(m)
+    poly = m.tutte
     hist = m.row_space_code.histogram
 
     mgf_direct = histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1])))
@@ -204,9 +210,12 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
 
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
-    increasing and convex in p, with mu(0) = 0."""
+    increasing and convex in p, with mu(0) = 0.  The layer sums of the
+    deficiency are taken once, as histogram_expectation takes them, and each
+    p is one layer average of them."""
     hist = m.row_space_code.histogram
-    return [(float(p), histogram_expectation(hist, float(p))) for p in p_grid]
+    layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
+    return [(float(p), layer_expectation(float(p), layers)) for p in p_grid]
 
 
 def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> float:

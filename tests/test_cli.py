@@ -187,20 +187,57 @@ def test_hypercontractive_at_infinite_q_and_half_noise(capsys):
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch, mode):
-    real, calls = cube.noise_operator, {}
+    # both sweeps read one table of T_eps f, a row per eps, built from one
+    # forward transform of f
+    tables, transforms = {}, []
 
-    def counted(f, eps):
-        calls.setdefault(f, []).append(eps)
-        return real(f, eps)
+    def counted_table(f, eps_grid):
+        tables.setdefault(f, []).append(tuple(eps_grid))
+        return cube.noise_table(f, eps_grid)
 
-    for module in (cli, cube, inequalities):
-        monkeypatch.setattr(module, "noise_operator", counted)
+    real = cube.wht_forward
+    monkeypatch.setattr(cli, "noise_table", counted_table)
+    monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real(f))
     cfg = RunConfig(mode=mode, samples=50)
     rows, bad = cli._campaign("hypercontractive", 4, 2, cfg, Q_GRID, EPS_GRID)
-    assert len(rows) == len(calls) * len(Q_GRID) * len(EPS_GRID) and not bad
-    assert len(calls) == len(corpus.standard_corpus(4, 2, np.random.default_rng(cfg.seed)))
-    for eps_calls in calls.values():
-        assert eps_calls == list(EPS_GRID)
+    functions = corpus.standard_corpus(4, 2, np.random.default_rng(cfg.seed))
+    assert len(rows) == len(functions) * len(Q_GRID) * len(EPS_GRID) and not bad
+    assert len(tables) == len(functions)
+    assert all(grids == [EPS_GRID] for grids in tables.values())
+    assert len(transforms) == len({id(f) for f in transforms}) == len(functions)
+
+
+def test_one_parser_per_process_gives_a_fresh_parsers_reports(tmp_path, capsys, monkeypatch, k4_file):
+    # verify, code and matroid back to back through the one parser, with
+    # their default lists (such as --lambda [0.5]) and with explicit flags,
+    # report what a parser built for each call reports
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 4\n1100\n0111\n")
+    argvs = [
+        ["verify", "--target", "main", "--n", "3", "--fuzz", "1"],
+        ["code", "--rm", "1", "3"],
+        ["matroid", "--file", str(matrix)],
+        ["verify", "--target", "hypercontractive", "--n", "2", "--fuzz", "2", "--seed", "5",
+         "--eps", "0.1,0.3", "--q", "1.5,inf", "--mode", "mc", "--samples", "40", "--output", "json"],
+        ["code", "--rm", "1", "3", "--lambda", "0.2,0.7", "--q", "2,inf"],
+        ["matroid", "--graph", k4_file, "--p", "0.3,0.6", "--delta", "0.5"],
+        ["code", "--rm", "1", "3"],
+        ["verify", "--target", "main", "--n", "3", "--fuzz", "1"],
+        ["verify", "--target", "nope"],
+    ]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        shared = [(main(argv), capsys.readouterr()) for argv in argvs]
+        assert len(built) == 1
+        for argv, got in zip(argvs, shared):
+            cli._parser.cache_clear()
+            assert (main(argv), capsys.readouterr()) == got
+    finally:
+        cli._parser.cache_clear()
+    assert [rc for rc, _ in shared] == [0] * 8 + [2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -22,7 +23,9 @@ from cubenoise.cube import (
     log_lq_norm,
     log_lq_norms,
     lq_norm,
+    noise_blocks,
     noise_operator,
+    noise_table,
     popcounts,
     renyi_entropy,
     subset_lattice,
@@ -229,6 +232,79 @@ def test_noise_preserves_mean_and_sign():
     out = noise_operator(f, 0.17)
     assert out.mean() == pytest.approx(f.mean(), abs=1e-13)
     assert out.values.min() >= -1e-13
+
+
+def loop_butterfly(values):
+    """Hadamard butterflies of one 1-D table, a level at a time."""
+    h = 1
+    while h < values.shape[0]:
+        v = values.reshape(-1, 2, h)
+        a = v[:, 0, :].copy()
+        v[:, 0, :] = a + v[:, 1, :]
+        v[:, 1, :] = a - v[:, 1, :]
+        h <<= 1
+    return values
+
+
+def loop_noise_operator(f, eps):
+    """T_eps f as one forward and one inverse transform of its own: the
+    rounding that every noise-table row keeps."""
+    if eps == 0.0:
+        return f.values.copy()
+    if eps == 0.5:
+        return np.full(1 << f.n, f.mean())
+    coeffs = loop_butterfly(f.values.copy())
+    coeffs /= 1 << f.n
+    return loop_butterfly(coeffs * (1.0 - 2.0 * eps) ** popcounts(f.n))
+
+
+NOISE_GRID = (0.0, 0.05, 0.1, 0.17, 0.25, 0.3, 0.45, 0.5, 1e-9, 0.5 - 1e-9, 0.0, 0.2)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_noise_table_rows_are_one_transform_pair_each(n):
+    f = CubeFunction(n, np.random.default_rng(n).random(1 << n) ** 3 * 10.0)
+    table = noise_table(f, NOISE_GRID)
+    assert table.shape == (len(NOISE_GRID), 1 << n)
+    for row, eps in zip(table, NOISE_GRID):
+        want = loop_noise_operator(f, eps)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        got = noise_operator(f, eps).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 48, 1 << 16])
+def test_noise_blocks_split_the_grid_in_order(monkeypatch, block):
+    # blocks of whole rows, within the budget (one row past it), in grid
+    # order, and the same bits however the grid is split
+    monkeypatch.setattr(cube, "_NORMS_BLOCK", block)
+    f = rand_fn(4, 61)
+    blocks = list(noise_blocks(f, NOISE_GRID))
+    assert all(b.shape[0] == max(1, block >> 4) for b in blocks[:-1])
+    got = np.concatenate(blocks)
+    for row, eps in zip(got, NOISE_GRID):
+        assert np.array_equal(row.view(np.uint64), loop_noise_operator(f, eps).view(np.uint64))
+
+
+def test_noise_table_takes_one_forward_transform(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cube, "wht_forward", lambda f: calls.append(f) or wht_forward(f))
+    f = rand_fn(5, 3)
+    noise_table(f, NOISE_GRID)
+    assert len(calls) == 1
+    noise_table(f, (0.0, 0.5, 0.0))  # no interior eps: no transform
+    assert len(calls) == 1
+
+
+def test_noise_table_keeps_the_finiteness_check():
+    # the butterflies of 1e308-scale values overflow, as do their means
+    f = CubeFunction(2, [1.7e308, 1.7e308, 1.7e308, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in (0.25, 0.5):
+            with pytest.raises(ValueError, match="values must be finite"):
+                noise_table(f, (0.0, eps))
+            with pytest.raises(ValueError, match="values must be finite"):
+                noise_operator(f, eps)
 
 
 def test_noise_rate_validated():
@@ -489,6 +565,81 @@ def oracle_log_lq_norm(row, q):
             return float(mpmath.log(top)) if top > 0 else -math.inf
         moment = mpmath.fsum(v**q for v in g) / len(g)
         return float(mpmath.log(moment) / q) if moment > 0 else -math.inf
+
+
+def loop_log_lq_norms(tables, q_grid):
+    """log_lq_norms as one pass per q over every row: max, scaled rows, the
+    power by **, mean, log and division one q at a time."""
+    rows = tables.reshape(-1, tables.shape[-1])
+    out = np.empty((len(q_grid), rows.shape[0]))
+    mx = rows.max(axis=-1)
+    positive = mx > 0.0
+    safe = np.where(positive, mx, 1.0)
+    log_mx = np.where(positive, np.log(safe), -math.inf)
+    scaled = cube._clean_values(rows) / safe[:, None]
+    for j, q in enumerate(q_grid):
+        if q == math.inf:
+            out[j] = log_mx
+            continue
+        moment = np.mean(scaled**q, axis=-1)
+        out[j] = np.where(positive, log_mx + np.log(np.where(positive, moment, 1.0)) / q, -math.inf)
+    return out
+
+
+NORM_GRID = (1.0, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, math.inf)
+REDUCED_EXPONENTS = tuple(
+    1.0 if eps == 0.5 else 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2
+    for q in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0)
+    for eps in (round(0.05 * i, 2) for i in range(11))
+)
+
+
+def norm_tables(rows, width, seed):
+    """Random rows with a zero row, zero entries and -1e-17 roundoff."""
+    rng = np.random.default_rng(seed)
+    tables = rng.random((rows, width)) ** 3
+    tables[0] = 0.0
+    if rows > 1:
+        tables[1, ::3] = -1e-17
+    if rows > 2:
+        tables[2, ::2] = 0.0
+    return tables
+
+
+@pytest.mark.parametrize("q_grid", [NORM_GRID, REDUCED_EXPONENTS, (2.0,), (math.inf,), (2,)])
+@pytest.mark.parametrize("rows,width", [(1, 1), (3, 2), (40, 16), (300, 256), (3, 1 << 14)])
+def test_log_lq_norms_bit_identical_to_a_loop_over_q(q_grid, rows, width):
+    tables = norm_tables(rows, width, rows * width)
+    got = log_lq_norms(tables, q_grid)
+    want = loop_log_lq_norms(tables, q_grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("budget", [1, 64, 1000, 1 << 12])
+@pytest.mark.parametrize("q_grid", [NORM_GRID, REDUCED_EXPONENTS])
+def test_log_lq_norms_grids_across_block_boundaries(monkeypatch, budget, q_grid):
+    # small budgets split the rows, and then the q grid of a row, into
+    # several blocks; the bits are the loop's whatever the split
+    monkeypatch.setattr(cube, "_NORMS_BLOCK", budget)
+    tables = norm_tables(37, 64, budget)
+    got = log_lq_norms(tables, q_grid)
+    want = loop_log_lq_norms(tables, q_grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_log_lq_norms_temporaries_stay_in_half_the_budget():
+    # a block holds rows x (finite q + 2) tables of at most half of
+    # _NORMS_BLOCK values, or one table at a time for a row past that
+    tables = np.random.default_rng(5).random((64, 1 << 12))
+    for q_grid in (NORM_GRID, REDUCED_EXPONENTS):
+        log_lq_norms(tables, q_grid)  # warm
+        tracemalloc.start()
+        try:
+            log_lq_norms(tables, q_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cube._NORMS_BLOCK // 2 + (64 << 10)
 
 
 def test_norm_contraction_under_noise_and_conditioning():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubenoise import corpus, cube, inequalities
-from cubenoise.cli import EPS_GRID, Q_GRID
+from cubenoise.cli import EPS_GRID, Q_GRID, main
 from cubenoise.cube import (
     CubeFunction,
     compact_conditional_expectation,
@@ -459,9 +459,10 @@ def test_q2_sweep_needs_no_lattice_walk_or_noisy_function(monkeypatch, mode):
     def refused(*args):
         raise AssertionError("a q = 2 sweep reads every norm off the Parseval table")
 
-    for name in ("subset_lattice", "compact_conditional_expectations", "noise_operator"):
+    for name in ("subset_lattice", "compact_conditional_expectations", "noise_operator", "noise_blocks"):
         monkeypatch.setattr(cube, name, refused)
         monkeypatch.setattr(inequalities, name, refused)
+    monkeypatch.setattr(cube, "wht_forward", refused)
     refuse_tables_mask_by_mask(monkeypatch)
     f = CubeFunction(6, np.arange(1.0, 65.0))
     reps = main_inequality_sweep(f, (2.0,), EPS_GRID, mode, samples=300, seed=7)
@@ -574,3 +575,19 @@ def test_exact_entropy_sweep_peak_memory_at_most_the_loop_kernel(monkeypatch):
     got = traced_peak(sweep)
     monkeypatch.setattr(inequalities, "_entropy_kernel", oracle_entropy_kernel)
     assert got <= traced_peak(sweep)
+
+
+# One cli.main call's traced peak when each T_eps f took a transform pair of
+# its own, one at a time (MiB): the noise blocks and the norm passes over a q
+# grid are sized to stay within them.
+LARGE_MC_REPORTS = (
+    ("verify --target main --n 18 --fuzz 1 --mode mc --samples 100 --q 1.5,3", 15.2),
+    ("verify --target hypercontractive --n 16 --fuzz 1 --mode mc --samples 100", 8.8),
+    ("verify --target entropy --n 16 --fuzz 1 --mode mc --samples 100", 4.0),
+)
+
+
+@pytest.mark.parametrize("argv,bound_mib", LARGE_MC_REPORTS)
+def test_large_mc_report_peak_memory_within_the_one_eps_at_a_time_route(capsys, argv, bound_mib):
+    assert traced_peak(lambda: main(argv.split())) <= bound_mib * 2**20
+    assert capsys.readouterr().err == ""

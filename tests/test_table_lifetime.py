@@ -1,6 +1,6 @@
 """Each derived table (dual code, syndrome index, deficiency histogram,
-row-space code, graphic matroid) lives on the object it comes from: it is
-built once per report, and freed with its object."""
+row-space code, graphic matroid, Tutte polynomial) lives on the object it
+comes from: it is built once per report, and freed with its object."""
 
 import gc
 import tracemalloc
@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cubenoise import codes
+from cubenoise import codes, matroids
 from cubenoise.cli import main
 from cubenoise.codes import LinearCode, deficiency_histogram, dump_bit_matrix, f_value
 from cubenoise.matroids import BinaryMatroid, dump_graph, Graph, tutte_polynomial
@@ -73,6 +73,17 @@ def test_graph_report_builds_one_deficiency_table(tmp_path, monkeypatch, capsys)
     assert len(tables) == 1
 
 
+def test_graph_report_expands_one_tutte_polynomial(tmp_path, monkeypatch, capsys):
+    # tutte_identity_check runs for each of the three p, on one polynomial
+    graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
+    path = str(tmp_path / "g.graph")
+    dump_graph(graph, path)
+    polynomials = count_calls(monkeypatch, matroids, "tutte_polynomial")
+    checks = count_calls(monkeypatch, matroids, "tutte_identity_check")
+    assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
+    assert (len(polynomials), len(checks)) == (1, 3)
+
+
 def test_tables_are_freed_with_their_object():
     code = LinearCode(6, (0b000111, 0b011001, 0b101010))
     matroid = BinaryMatroid(6, (0b110011, 0b011110, 0b101101))
@@ -81,7 +92,7 @@ def test_tables_are_freed_with_their_object():
     tutte_polynomial(matroid)
     refs = [weakref.ref(obj) for obj in (
         code, code.dual, code.syndromes, code.histogram,
-        matroid, matroid.row_space_code, matroid.row_space_code.histogram,
+        matroid, matroid.row_space_code, matroid.row_space_code.histogram, matroid.tutte,
     )]
     del code, matroid
     gc.collect()
