@@ -19,7 +19,6 @@ from .inequalities import (
     GapReport,
     derivative_check,
     hypercontractive_gap,
-    hypercontractive_rhs,
     log_sobolev_gap,
     main_inequality_gap,
     noisy_entropy_gap,
@@ -40,7 +39,6 @@ __all__ = [
     "dirichlet_form",
     "entropy",
     "hypercontractive_gap",
-    "hypercontractive_rhs",
     "log_sobolev_gap",
     "lq_norm",
     "main_inequality_gap",

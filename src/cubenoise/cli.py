@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, corpus, matroids
-from .cube import noise_table
+from .cube import _require_dimension, noise_table
 from .inequalities import (
     CSV_COLUMNS,
     GapReport,
@@ -136,6 +136,7 @@ def _campaign(
                 check(two_point_gap(t, q, tolerance=cfg.tolerance))
         return rows, bad
 
+    _require_dimension(n)  # before any function of 2^n values is drawn
     functions = corpus.standard_corpus(n, fuzz, rng)
     sampling = {"mode": cfg.mode, "samples": cfg.samples, "seed": cfg.seed}
     if target == "main":
@@ -204,10 +205,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _weight_section(code: codes.LinearCode) -> list[dict]:
     n = code.n
     rate = code.rate
-    a = codes.weight_distribution(code).counts
+    a = code.weights.counts
     b: tuple[int, ...] | None
     try:
-        b = codes.dual_weight_distribution(code).counts
+        b = code.dual_weights.counts
     except ValueError:
         b = None
     rows = []
@@ -260,7 +261,7 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
         for q in q_list:
-            value = codes.f_value(code, lam, q).value
+            value = codes.f_value(code, lam, q)
             slack = deficiency - value
             fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": slack})
             if slack < -allowed_slack(cfg.tolerance, stderr):
@@ -301,7 +302,7 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
     graph = None
     if args.graph is not None:
         graph = matroids.load_graph(args.graph)
-        matroid = matroids.graphic_matroid(graph)
+        matroid = graph.matroid
     else:
         matroid = matroids.load_matroid(args.file)
 

@@ -223,12 +223,6 @@ class WeightDistribution:
         return sum(self.counts)
 
 
-def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact weight counts by enumerating all 2^k codewords: the code's
-    :attr:`LinearCode.weights`."""
-    return code.weights
-
-
 def _weights_by_blocks(code: LinearCode, block_bits: int = 20) -> list[int]:
     # span of the first <= block_bits rows held as one vector, remaining rows
     # folded in by a Gray-code walk of whole-block XORs
@@ -337,13 +331,6 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     return np.bitwise_count(counts)
 
 
-def deficiency_histogram(code: LinearCode) -> np.ndarray:
-    """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1) array:
-    the code's :attr:`LinearCode.histogram`, built on first use and freed
-    with the code."""
-    return code.histogram
-
-
 def histogram_expectation(hist: np.ndarray, lam: float, values=None) -> float:
     """E over T ~ lam of values[|T|, d(T)] (by default of d(T) itself) from
     the deficiency histogram; `values` broadcasts against it."""
@@ -360,8 +347,10 @@ def deficiency_expectation(
     samples: int = 20000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """E over T ~ lam of values[|T|, d(T)] with d(T) = |T| - rank T (by
-    default of d(T) itself), and its standard error (0 in exact mode).
+    """E over T ~ lam of values[|T|, d(T)] with d(T) = |T| - rank T, and its
+    standard error (0 in exact mode).  By default the values are d(T)
+    itself, and the mean is the rank deficiency lam n - E rank(T), always
+    nonnegative.
 
     The one exact/Monte Carlo dispatch for code, matroid and graph subset
     averages: exact mode sums over the code's :attr:`LinearCode.histogram`,
@@ -378,37 +367,13 @@ def deficiency_expectation(
     return subset_expectation_mc(code.n, lam, h, samples, seed)
 
 
-def rank_deficiency(
-    code: LinearCode,
-    lam: float,
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-) -> float:
-    """lam * n - E over T ~ lam of rank(T), always nonnegative: the mean of
-    :func:`deficiency_expectation`."""
-    return deficiency_expectation(code, lam, None, mode, samples, seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # the F(lam, q) value family
 # ---------------------------------------------------------------------------
 
-class FValue(NamedTuple):
-    lam: float
-    q: float
-    value: float
-
-
-def dual_weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Weight counts of the dual, by enumeration from whichever side fits:
-    the code's :attr:`LinearCode.dual_weights`."""
-    return code.dual_weights
-
-
 def _enumerator_value(code: LinearCode, theta: float) -> float:
     """log2 sum_i b_i theta^i from the dual weight counts."""
-    b = dual_weight_distribution(code).counts
+    b = code.dual_weights.counts
     return math.log2(sum(c * theta**i for i, c in enumerate(b) if c))
 
 
@@ -426,7 +391,7 @@ def noisy_indicator(code: LinearCode, eps: float) -> CubeFunction:
     return wht_inverse(FourierSpectrum(dual.k, (1.0 - 2.0 * eps) ** dual.codeword_weights))
 
 
-def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValue:
+def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> float:
     """F(lam, q) = (1/(q-1)) log2 E f_eps^q at the matched noise
     eps = (1 - lam^(1/r(q)))/2, where f is the scaled code indicator.
 
@@ -448,7 +413,7 @@ def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValu
     if mode == "weights":
         if q not in (2.0, math.inf):
             raise ValueError("weight-enumerator route only covers q = 2 and q = inf")
-        return FValue(lam, q, _enumerator_value(code, theta))
+        return _enumerator_value(code, theta)
     if mode != "cube":
         raise ValueError(f"unknown mode {mode!r}")
     if q == 1.0:
@@ -459,11 +424,11 @@ def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> FValu
         eps = noise_rate(q, lam)
     noisy = noisy_indicator(code, eps).values
     if q == math.inf:
-        return FValue(lam, q, math.log2(float(noisy.max())))
+        return math.log2(float(noisy.max()))
     if q == 1.0:
-        return FValue(lam, q, cube_entropy(CubeFunction(code.n, noisy[code.syndromes])))
+        return cube_entropy(CubeFunction(code.n, noisy[code.syndromes]))
     moment = float(np.mean((np.maximum(noisy, 0.0) ** q)[code.syndromes]))
-    return FValue(lam, q, math.log2(moment) / (q - 1.0))
+    return math.log2(moment) / (q - 1.0)
 
 
 class EnumeratorIdentityValues(NamedTuple):
@@ -493,10 +458,10 @@ def enumerator_identities(code: LinearCode, lam: float) -> EnumeratorIdentityVal
     theta = lam ** (2.0 * LN2)
     moment = sup = None
     if code.n <= dimension_cap():
-        moment = f_value(code, lam, 2.0, mode="cube").value
-        sup = f_value(code, lam, math.inf, mode="cube").value
+        moment = f_value(code, lam, 2.0, mode="cube")
+        sup = f_value(code, lam, math.inf, mode="cube")
     dual_sum = _enumerator_value(code, theta)
-    a = weight_distribution(code).counts
+    a = code.weights.counts
     primal = sum(
         c * (1.0 - theta) ** w * (1.0 + theta) ** (code.n - w)
         for w, c in enumerate(a)
@@ -530,7 +495,7 @@ def dual_weight_bound(
         raise ValueError(f"weight index out of range: {i}")
     if lam == 0.0:
         return 1.0 if i == 0 else math.inf
-    deficiency = rank_deficiency(code, lam, mode=mode)
+    deficiency = deficiency_expectation(code, lam, mode=mode)[0]
     return lam ** (-(2.0 * LN2) * i) * 2.0**deficiency
 
 
@@ -566,18 +531,23 @@ def bec_bound_primal_side(n: int, rate: float, k: int, code_size: int) -> float:
     return comb(n, k_star) * code_size / 2.0**n
 
 
-def sberlo_exponent(n: int, rate: float, k: int, constant: float = 30.0) -> float:
-    """Exponent C R k* (2 log2(n/k*) + 3) of the literature comparison bound."""
+# The constant C of the literature comparison bound.
+_SBERLO_CONSTANT = 30.0
+
+
+def sberlo_exponent(n: int, rate: float, k: int) -> float:
+    """Exponent C R k* (2 log2(n/k*) + 3), C = 30, of the literature
+    comparison bound."""
     k_star = min(k, n - k)
     if k_star < 1:
         raise ValueError("comparison bound needs 1 <= k* <= n/2")
-    return constant * rate * k_star * (2.0 * math.log2(n / k_star) + 3.0)
+    return _SBERLO_CONSTANT * rate * k_star * (2.0 * math.log2(n / k_star) + 3.0)
 
 
-def sberlo_bound(n: int, rate: float, k: int, constant: float = 30.0) -> float:
+def sberlo_bound(n: int, rate: float, k: int) -> float:
     """The comparison bound itself; +inf when it overflows a double."""
     try:
-        return 2.0 ** sberlo_exponent(n, rate, k, constant)
+        return 2.0 ** sberlo_exponent(n, rate, k)
     except OverflowError:
         return math.inf
 

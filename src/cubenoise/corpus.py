@@ -14,8 +14,9 @@ def random_nonneg(n: int, rng: np.random.Generator) -> CubeFunction:
     return CubeFunction(n, rng.random(1 << n))
 
 
-def random_positive(n: int, rng: np.random.Generator, low: float = 0.1) -> CubeFunction:
-    return CubeFunction(n, low + rng.random(1 << n))
+def random_positive(n: int, rng: np.random.Generator) -> CubeFunction:
+    """Uniform values in [0.1, 1.1): bounded away from zero."""
+    return CubeFunction(n, 0.1 + rng.random(1 << n))
 
 
 def random_set_indicator(n: int, rng: np.random.Generator) -> CubeFunction:

@@ -33,6 +33,15 @@ def dimension_cap() -> int:
     return int(os.environ.get("CUBENOISE_MAX_N", _DEFAULT_DIMENSION_CAP))
 
 
+def _require_dimension(n: int) -> None:
+    """The one check of a cube dimension: an integer from 0 to the cap."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("cube dimension must be a nonnegative integer")
+    cap = dimension_cap()
+    if n > cap:
+        raise ValueError(f"cube dimension {n} exceeds cap {cap}")
+
+
 def full_mask(n: int) -> SubsetMask:
     return (1 << n) - 1
 
@@ -59,11 +68,7 @@ class CubeFunction:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("cube dimension must be a nonnegative integer")
-        cap = dimension_cap()
-        if n > cap:
-            raise ValueError(f"cube dimension {n} exceeds cap {cap}")
+        _require_dimension(n)
         v = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if v.shape != (1 << n,):
             raise ValueError(f"expected 2^{n} values, got {v.shape[0]}")

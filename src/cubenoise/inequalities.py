@@ -28,7 +28,6 @@ from .cube import (
     entropies,
     log_lq_norm,
     log_lq_norms,
-    lq_norm,
     noise_blocks,
     noise_operator,
     popcounts,
@@ -188,12 +187,9 @@ def layer_expectation(lam: float, layers: np.ndarray) -> float:
     return float(w[used] @ layers[used])
 
 
-def subset_expectation_exact(
-    n: int, lam: float, h: Callable[[SubsetMask], float], cap: int | None = None
-) -> float:
-    """Sum over all T of lam^|T| (1-lam)^(n-|T|) h(T)."""
-    if cap is None:
-        cap = enum_cap()
+def subset_expectation_exact(n: int, lam: float, h: Callable[[SubsetMask], float]) -> float:
+    """Sum over all T of lam^|T| (1-lam)^(n-|T|) h(T), for n up to enum_cap()."""
+    cap = enum_cap()
     if n > cap:
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
@@ -418,14 +414,10 @@ def _subset_sweep(
     then come from its masks' values in sample order, as
     subset_expectation_mc takes them.
     """
-    # the subset rate of each (point, eps); at main's eps = 1/2 the rate is 0:
-    # T is empty a.s. and T_eps f is the constant E f, so both sides equal
-    # ln E f by definition and the report is the exact-equality case
     rates = {
         (j, e): (1.0 - 2.0 * eps) ** r
         for j, (_, r) in enumerate(points)
         for e, eps in enumerate(eps_grid)
-        if not (inequality == "main" and eps == 0.5)
     }
     if rates and mode == "exact":
         layers = [_layer_sums(f.n, row) for row in rows(None)]
@@ -437,10 +429,6 @@ def _subset_sweep(
     for j, (q, _) in enumerate(points):
         for e, eps in enumerate(eps_grid):
             params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
-            if (j, e) not in rates:
-                value = math.log(f.mean())
-                out.append(GapReport("main", value, value, 0.0, params))
-                continue
             lam = rates[j, e]
             if mode == "exact":
                 rhs = layer_expectation(lam, layers[j])
@@ -482,7 +470,11 @@ def main_inequality_sweep(
     q_grid = tuple(q_grid)
     at_2 = np.array([q == 2.0 for q in q_grid], dtype=bool)
     others = tuple(q for q in q_grid if q != 2.0)
-    if others and mode == "exact" and any(eps != 0.5 for eps in eps_grid):
+    # at eps = 1/2 the subset rate is 0: T is empty a.s. and T_eps f is the
+    # constant E f, so both sides equal ln E f by definition and the report
+    # is the exact-equality case, with no subset average to take
+    averaged = [e for e, eps in enumerate(eps_grid) if eps != 0.5]
+    if others and mode == "exact" and averaged:
         _check_expensive_cap(f.n, "use --mode mc, or --q 2 alone")
     lhs = np.empty((len(q_grid), len(eps_grid)))
     if at_2.any():
@@ -502,7 +494,13 @@ def main_inequality_sweep(
         return [l2() if q == 2.0 else next(norms) for q in q_grid]
 
     points = [(q, r_exponent(q)) for q in q_grid]
-    return _subset_sweep("main", f, points, lhs, rows, eps_grid, mode, samples, seed)
+    reports = iter(_subset_sweep("main", f, points, lhs[:, averaged], rows,
+                                 [eps_grid[e] for e in averaged], mode, samples, seed))
+    value = math.log(f.mean())
+    equality = lambda q, eps: GapReport(
+        "main", value, value, 0.0, {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
+    )
+    return [next(reports) if eps != 0.5 else equality(q, eps) for q in q_grid for eps in eps_grid]
 
 
 def main_inequality_gap(
@@ -555,12 +553,6 @@ def _reduced_exponent(q: float, eps: float) -> float:
     return 1.0 if eps == 0.5 else 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2
 
 
-def hypercontractive_rhs(f: CubeFunction, q: float, eps: float) -> float:
-    """The classical comparison norm ||f|| at exponent 1 + (q-1)(1-2 eps)^2;
-    at eps = 1/2 that is the 1-norm E f for every q."""
-    return lq_norm(f, _reduced_exponent(q, eps))
-
-
 def hypercontractive_sweep(
     f: CubeFunction,
     q_grid: Sequence[float],
@@ -569,7 +561,8 @@ def hypercontractive_sweep(
     noisy: np.ndarray | None = None,
 ) -> list[GapReport]:
     """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
-    at the reduced exponent.  The lhs is one :func:`log_lq_norms` pass over
+    at the reduced exponent 1 + (q-1)(1-2 eps)^2, which at eps = 1/2 is the
+    1-norm E f for every q.  The lhs is one :func:`log_lq_norms` pass over
     the rows of T_eps f, which `noisy`, if given, holds for each eps of the
     grid as in cube.noise_table; every rhs comes from one call on f over the
     reduced exponents."""
@@ -593,7 +586,8 @@ def hypercontractive_gap(f: CubeFunction, q: float, eps: float) -> GapReport:
 
 def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
     """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, from the top two
-    layers of the subset lattice."""
+    layers of the subset lattice: the one route for :func:`log_sobolev_gap`
+    and :func:`derivative_check`."""
     if f.n == 0:
         return 0.0
     walk = subset_lattice(f)  # layer n, then n - 1; the rest is never built
@@ -683,13 +677,19 @@ def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
     return GapReport("twopoint", bound, energy, gap, params)
 
 
-def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport:
+# The one-sided finite-difference step of derivative_check, in noise rate.
+_DERIVATIVE_STEP = 1e-5
+
+
+def derivative_check(f: CubeFunction, q: float) -> GapReport:
     """Compare the closed forms of the derivatives at zero noise with one-sided
-    finite differences, and check the strict ordering between them.
+    finite differences at step 1e-5, and check the strict ordering between
+    them.
 
     The log-norm side has derivative -E(f^(q-1), f) / (2 E f^q); the averaged
     conditional-norm side has derivative -2 r(q) (n ln||f||_q - sum over
-    |T| = n-1 of ln||E(f|T)||_q).  For nonconstant f the first is strictly
+    |T| = n-1 of ln||E(f|T)||_q), the deficit :func:`log_sobolev_gap` bounds
+    with, taken by the same route.  For nonconstant f the first is strictly
     smaller; the report's gap is their difference.
     """
     require_nonnegative(f)
@@ -702,14 +702,13 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     efq = float(np.mean(f.values**q))
     formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
-    # L[n] = ln||f||_q and L[n-1] sums the co-singleton conditional log-norms
+    formula_rhs = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
+    # the finite differences average every layer; L[n] = ln||f||_q
     layers = _layer_sums(f.n, _conditional_rows(f, _log_norms_kernel((q,)), 1)[0])
     base = float(layers[f.n])
-    formula_rhs = -2.0 * r_exponent(q) * (f.n * base - float(layers[f.n - 1]))
-
-    fd_lhs = (log_lq_norm(noise_operator(f, step), q) - base) / step
-    gh = layer_expectation(subset_rate(q, step), layers)
-    fd_rhs = (gh - base) / step
+    fd_lhs = (log_lq_norm(noise_operator(f, _DERIVATIVE_STEP), q) - base) / _DERIVATIVE_STEP
+    gh = layer_expectation(subset_rate(q, _DERIVATIVE_STEP), layers)
+    fd_rhs = (gh - base) / _DERIVATIVE_STEP
 
     rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))
     rel_rhs = abs(fd_rhs - formula_rhs) / max(1e-300, abs(formula_rhs))
@@ -718,7 +717,7 @@ def derivative_check(f: CubeFunction, q: float, step: float = 1e-5) -> GapReport
         "q": q,
         "eps_or_lambda": 0.0,
         "mode": "exact",
-        "step": step,
+        "step": _DERIVATIVE_STEP,
         "fd_lhs": fd_lhs,
         "fd_rhs": fd_rhs,
         "rel_err_lhs": rel_lhs,

@@ -294,11 +294,6 @@ def connected_components(g: Graph, s_mask: SubsetMask) -> int:
     return uf.components
 
 
-def graphic_matroid(g: Graph) -> BinaryMatroid:
-    """The graph's :attr:`Graph.matroid`."""
-    return g.matroid
-
-
 def graph_inequality_gap(
     g: Graph,
     p: float,

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from cubenoise import corpus
 from cubenoise.codes import LinearCode, reed_muller
-from cubenoise.matroids import BinaryMatroid, Graph, graphic_matroid
+from cubenoise.matroids import BinaryMatroid, Graph
 
 # Every run draws the same hypothesis examples, and no saved failure is
 # replayed, so tier-1 passes or fails the same way each time.
@@ -70,8 +70,8 @@ def matroid_corpus():
         ("loop", BinaryMatroid(1, (0,))),
         ("twin", BinaryMatroid(2, (0b11,))),
         ("free4", BinaryMatroid(4, (1, 2, 4, 8))),
-        ("k3", graphic_matroid(K3)),
-        ("k4", graphic_matroid(K4)),
+        ("k3", K3.matroid),
+        ("k4", K4.matroid),
     ]
     rng = np.random.default_rng(777)
     for i in range(50):

@@ -19,14 +19,13 @@ from cubenoise.codes import (
     alpha_reversal_holds,
     bec_bound_primal_side,
     bec_dual_exponent,
+    deficiency_expectation,
     enumerator_identities,
     f_value,
     macwilliams_transform,
-    rank_deficiency,
     reed_muller,
     sberlo_comparison_rows,
     sberlo_exponent,
-    weight_distribution,
 )
 from cubenoise.cube import CubeFunction
 from cubenoise.inequalities import (
@@ -40,7 +39,6 @@ from cubenoise.matroids import (
     connected_components,
     deficiency_inequality_gap,
     graph_inequality_gap,
-    graphic_matroid,
     matroid_rank,
     mu_curve,
     tail_bound_check,
@@ -148,8 +146,8 @@ def test_criterion_05_enumerator_identities(code_corpus):
         if code.n > 10:
             continue
         for lam in (0.2, 0.5, 0.8):
-            a = f_value(code, lam, 2.0, mode="cube").value
-            b = f_value(code, lam, math.inf, mode="cube").value
+            a = f_value(code, lam, 2.0, mode="cube")
+            b = f_value(code, lam, math.inf, mode="cube")
             assert abs(a - b) <= 1e-9, (name, lam)
     _pass(5, f"four-way enumerator identity within 1e-9 for {len(code_corpus)} "
              "codes x 9 rates, cube cross-check for n <= 10")
@@ -160,9 +158,9 @@ def test_criterion_06_deficiency_dominates_f(code_corpus):
     checked = 0
     for name, code in code_corpus:
         for lam in lam_grid:
-            deficiency = rank_deficiency(code, lam)
+            deficiency = deficiency_expectation(code, lam)[0]
             for q in (1.5, 2.0, 3.0, math.inf):
-                value = f_value(code, lam, q).value
+                value = f_value(code, lam, q)
                 assert deficiency >= value - GAP_TOL, (name, lam, q)
                 checked += 1
     _pass(6, f"rank deficiency dominates the value family on {checked} "
@@ -172,9 +170,9 @@ def test_criterion_06_deficiency_dominates_f(code_corpus):
 def test_criterion_07_macwilliams_and_alpha_reversal(code_corpus):
     alphas = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
     for name, code in code_corpus:
-        a = weight_distribution(code)
+        a = code.weights
         b = macwilliams_transform(a, code.n, code.k)
-        assert b.counts == weight_distribution(code.dual).counts, name
+        assert b.counts == code.dual.weights.counts, name
         for alpha in alphas:
             assert alpha_reversal_holds(a, alpha), (name, alpha)
     _pass(7, f"transform equals dual enumeration exactly and the reversal "
@@ -201,7 +199,7 @@ def test_criterion_08_matroid_suite(matroid_corpus):
                 rep = tail_bound_check(m, p, delta)
                 assert rep.lhs <= rep.rhs + 1e-12, (name, p, delta)
                 tails += 1
-    assert dict(tutte_polynomial(graphic_matroid(K3)).coeffs) == {
+    assert dict(tutte_polynomial(K3.matroid).coeffs) == {
         (2, 0): 1,
         (1, 0): 1,
         (0, 1): 1,
@@ -210,7 +208,7 @@ def test_criterion_08_matroid_suite(matroid_corpus):
                      random_multigraph_with_loops(6, 5, 10)]
     for g in oracle_graphs:
         assert len(g.edges) <= 10
-        got = dict(tutte_polynomial(graphic_matroid(g)).coeffs)
+        got = dict(tutte_polynomial(g.matroid).coeffs)
         assert got == oracle_tutte(list(g.edges))
     _pass(8, f"matroid inequality, Tutte identities, {tails} exhaustive tails, "
              "triangle polynomial and deletion-contraction agreement")
@@ -233,7 +231,7 @@ def test_criterion_09_graph_suite():
     for name, g in graphs:
         if len(g.edges) > 14:
             continue
-        m = graphic_matroid(g)
+        m = g.matroid
         for s in range(1 << len(g.edges)):
             assert matroid_rank(m, s) == g.vertex_count - connected_components(g, s)
     _pass(9, "component-count inequality exhaustive on K4, C5, Petersen and "
@@ -270,7 +268,7 @@ def test_criterion_11_bound_comparison_table():
     # subexponential factor makes a strict check unsound at finite length
     print("  bound/actual ratios (no assertion; subexponential factor set to 1):")
     for label, code in (("RM(1,4)", reed_muller(1, 4)), ("RM(2,4)", reed_muller(2, 4))):
-        counts = weight_distribution(code).counts
+        counts = code.weights.counts
         for w, actual in enumerate(counts):
             if actual == 0 or min(w, code.n - w) == 0:
                 continue

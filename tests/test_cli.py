@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,24 @@ def test_verify_cap_names_the_route(capsys, monkeypatch, target, route):
     assert code == 2
     assert out == ""
     assert err.startswith("error: exact subset averaging capped at n=13") and route in err
+
+
+@pytest.mark.parametrize("target", [t for t in cli.TARGETS if t != "twopoint"])
+@pytest.mark.parametrize("n", [20, -1])
+def test_verify_checks_the_dimension_before_drawing(capsys, monkeypatch, target, n):
+    # a bad --n fails with CubeFunction's own message before any function of
+    # 2^n values is drawn (at n = 20 one draw would be 8 MiB)
+    monkeypatch.setenv("CUBENOISE_MAX_N", "4")
+    with pytest.raises(ValueError) as want:
+        cube.CubeFunction(n, np.zeros(1))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--target", target, "--n", str(n), "--fuzz", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {want.value}\n")
+    assert peak < 1 << 20
 
 
 def test_verify_main_q2_runs_exact_past_the_verify_cap(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from cubenoise.codes import (
     bec_dual_exponent,
     codeword_masks,
     cond_exp_norm_exponent,
+    deficiency_expectation,
     deficiency_table,
     dual_weight_bound,
     dump_bit_matrix,
@@ -27,14 +28,12 @@ from cubenoise.codes import (
     krawtchouk,
     load_code,
     macwilliams_transform,
-    rank_deficiency,
     rank_of_columns,
     reed_muller,
     sberlo_bound,
     sberlo_comparison_rows,
     sberlo_exponent,
     scaled_indicator,
-    weight_distribution,
 )
 
 LN2 = math.log(2.0)
@@ -116,11 +115,11 @@ def test_rank_of_columns_monotone_submodular():
 # ---------------------------------------------------------------------------
 
 def test_weight_distribution_examples():
-    assert weight_distribution(REP2).counts == (1, 0, 1)
+    assert REP2.weights.counts == (1, 0, 1)
     rm13 = reed_muller(1, 3)
-    assert weight_distribution(rm13).counts == (1, 0, 0, 0, 14, 0, 0, 0, 1)
+    assert rm13.weights.counts == (1, 0, 0, 0, 14, 0, 0, 0, 1)
     full = LinearCode(4, (1, 2, 4, 8))
-    assert weight_distribution(full).counts == tuple(comb(4, w) for w in range(5))
+    assert full.weights.counts == tuple(comb(4, w) for w in range(5))
 
 
 def test_weight_distribution_matches_brute_enumeration():
@@ -129,15 +128,15 @@ def test_weight_distribution_matches_brute_enumeration():
         counts = [0] * (code.n + 1)
         for w in brute_codewords(code):
             counts[bin(w).count("1")] += 1
-        assert weight_distribution(code).counts == tuple(counts)
-        assert weight_distribution(code).total() == code.size
+        assert code.weights.counts == tuple(counts)
+        assert code.weights.total() == code.size
 
 
 def test_weight_distribution_block_path_crosses_blocks():
     from cubenoise.codes import _weights_by_blocks
 
     code = reed_muller(2, 4)  # k = 11
-    assert _weights_by_blocks(code, block_bits=3) == list(weight_distribution(code).counts)
+    assert _weights_by_blocks(code, block_bits=3) == list(code.weights.counts)
 
 
 def test_dual_code_examples():
@@ -146,7 +145,7 @@ def test_dual_code_examples():
     assert sorted(REP2.dual.generator) == [0b11]
     even = reed_muller(0, 3).dual
     assert even.k == 7
-    assert all(c == 0 for w, c in enumerate(weight_distribution(even).counts) if w % 2)
+    assert all(c == 0 for w, c in enumerate(even.weights.counts) if w % 2)
 
 
 def test_dual_of_dual_is_original():
@@ -178,7 +177,7 @@ def test_krawtchouk_small_values():
 
 def test_macwilliams_examples():
     full = LinearCode(3, (1, 2, 4))
-    a = weight_distribution(full)
+    a = full.weights
     assert macwilliams_transform(a, 3, 3).counts == (1, 0, 0, 0)
     assert macwilliams_transform(WeightDistribution((1, 0, 1)), 2, 1).counts == (1, 0, 1)
 
@@ -186,13 +185,13 @@ def test_macwilliams_examples():
 def test_macwilliams_matches_dual_enumeration():
     for seed in range(6):
         code = random_code(9, 90 + seed)
-        got = macwilliams_transform(weight_distribution(code), code.n, code.k)
-        assert got.counts == weight_distribution(code.dual).counts
+        got = macwilliams_transform(code.weights, code.n, code.k)
+        assert got.counts == code.dual.weights.counts
 
 
 def test_macwilliams_involution():
     code = random_code(8, 99)
-    a = weight_distribution(code)
+    a = code.weights
     b = macwilliams_transform(a, code.n, code.k)
     back = macwilliams_transform(b, code.n, code.n - code.k)
     assert back.counts == a.counts
@@ -205,7 +204,7 @@ def test_macwilliams_rejects_invalid_distribution():
 
 def test_alpha_reversal_exact():
     for seed in range(6):
-        a = weight_distribution(random_code(8, 110 + seed))
+        a = random_code(8, 110 + seed).weights
         for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
             assert alpha_reversal_holds(a, alpha)
 
@@ -286,19 +285,19 @@ def test_deficiency_table_matches_direct_ranks():
 
 
 def test_rank_deficiency_examples():
-    assert rank_deficiency(random_code(6, 170), 0.0) == 0.0
+    assert deficiency_expectation(random_code(6, 170), 0.0)[0] == 0.0
     full = LinearCode(5, (1, 2, 4, 8, 16))
     for lam in (0.0, 0.3, 1.0):
-        assert rank_deficiency(full, lam) == 0.0
-    assert rank_deficiency(REP2, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert deficiency_expectation(full, lam)[0] == 0.0
+    assert deficiency_expectation(REP2, 0.5)[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_rank_deficiency_nonnegative_and_mc_consistent():
     code = random_code(9, 180)
     for lam in (0.1, 0.5, 0.9):
-        exact = rank_deficiency(code, lam)
+        exact = deficiency_expectation(code, lam)[0]
         assert exact >= 0.0
-        mc = rank_deficiency(code, lam, mode="mc", samples=30_000, seed=7)
+        mc = deficiency_expectation(code, lam, mode="mc", samples=30_000, seed=7)[0]
         assert mc == pytest.approx(exact, abs=0.05)
 
 
@@ -309,9 +308,9 @@ def test_rank_deficiency_nonnegative_and_mc_consistent():
 def test_f_value_degenerate_rates():
     code = random_code(6, 190)
     for q in (1.0, 1.5, 2.0, math.inf):
-        assert f_value(code, 0.0, q, mode="cube").value == pytest.approx(0.0, abs=1e-12)
+        assert f_value(code, 0.0, q, mode="cube") == pytest.approx(0.0, abs=1e-12)
     for q in (1.5, 2.0, 3.0):
-        assert f_value(code, 1.0, q, mode="cube").value == pytest.approx(
+        assert f_value(code, 1.0, q, mode="cube") == pytest.approx(
             code.n - code.k, abs=1e-9
         )
 
@@ -320,8 +319,8 @@ def test_f_value_repetition_closed_form():
     for lam in (0.2, 0.5, 0.8):
         theta = lam ** (2 * LN2)
         expect = math.log2(1 + theta**2)
-        assert f_value(REP2, lam, 2.0, mode="weights").value == pytest.approx(expect, abs=1e-12)
-        assert f_value(REP2, lam, 2.0, mode="cube").value == pytest.approx(expect, abs=1e-9)
+        assert f_value(REP2, lam, 2.0, mode="weights") == pytest.approx(expect, abs=1e-12)
+        assert f_value(REP2, lam, 2.0, mode="cube") == pytest.approx(expect, abs=1e-9)
 
 
 def test_f_value_two_routes_agree():
@@ -329,8 +328,8 @@ def test_f_value_two_routes_agree():
         code = random_code(7, 200 + seed)
         for lam in (0.25, 0.6):
             for q in (2.0, math.inf):
-                a = f_value(code, lam, q, mode="cube").value
-                b = f_value(code, lam, q, mode="weights").value
+                a = f_value(code, lam, q, mode="cube")
+                b = f_value(code, lam, q, mode="weights")
                 assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -358,9 +357,9 @@ def test_rank_deficiency_dominates_f_values():
     for seed in range(4):
         code = random_code(7, 210 + seed)
         for lam in (0.2, 0.5, 0.8):
-            deficiency = rank_deficiency(code, lam)
+            deficiency = deficiency_expectation(code, lam)[0]
             for q in (1.5, 2.0, 3.0, math.inf):
-                assert deficiency >= f_value(code, lam, q).value - 1e-9
+                assert deficiency >= f_value(code, lam, q) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def test_dual_weight_bound_examples():
 def test_dual_weight_bound_dominates_enumeration():
     for seed in range(4):
         code = random_code(8, 220 + seed)
-        b = weight_distribution(code.dual).counts
+        b = code.dual.weights.counts
         for lam in (0.3, 0.6, 1.0):
             for i, count in enumerate(b):
                 assert count <= dual_weight_bound(code, lam, i) * (1 + 1e-9)

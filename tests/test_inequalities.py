@@ -12,7 +12,6 @@ from cubenoise.inequalities import (
     cond_exp_log_norms,
     derivative_check,
     hypercontractive_gap,
-    hypercontractive_rhs,
     log_sobolev_equality_expected,
     log_sobolev_gap,
     main_inequality_gap,
@@ -267,13 +266,13 @@ def test_hypercontractive_endpoints():
     f = rand_fn(3, 41)
     from cubenoise.cube import lq_norm
 
-    assert hypercontractive_rhs(f, 2.0, 0.0) == pytest.approx(lq_norm(f, 2.0))
-    assert hypercontractive_rhs(f, 2.0, 0.5) == pytest.approx(f.mean(), abs=1e-13)
+    assert hypercontractive_gap(f, 2.0, 0.0).rhs == pytest.approx(lq_norm(f, 2.0))
+    assert hypercontractive_gap(f, 2.0, 0.5).rhs == pytest.approx(f.mean(), abs=1e-13)
 
 
 def test_hypercontractive_closed_form():
     f = CubeFunction(1, [2.0, 0.0])
-    got = hypercontractive_rhs(f, 2.0, 0.25)
+    got = hypercontractive_gap(f, 2.0, 0.25).rhs
     assert got == pytest.approx((2.0**1.25 / 2.0) ** (1 / 1.25), abs=1e-13)
 
 
@@ -399,14 +398,13 @@ def test_derivative_strict_order_random():
 
 
 def test_derivative_rhs_is_coordinate_deficit():
-    # derivative_check reads the deficit off the layer sums L[n] and L[n-1];
-    # the direct sum over the n co-singleton subsets differs only in order
+    # derivative_check and log_sobolev_gap take the deficit by one route
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 5, 7):
         f = corpus.random_positive(n, rng)
         for q in Q_GRID:
             want = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
-            assert derivative_check(f, q).rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert derivative_check(f, q).rhs == want
 
 
 def test_derivative_rejects_constant():

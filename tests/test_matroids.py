@@ -12,7 +12,6 @@ from cubenoise.matroids import (
     deficiency_inequality_gap,
     dump_graph,
     graph_inequality_gap,
-    graphic_matroid,
     load_graph,
     load_matroid,
     matroid_rank,
@@ -115,7 +114,7 @@ def test_tutte_primitive_matroids():
 
 
 def test_tutte_triangle():
-    poly = tutte_polynomial(graphic_matroid(K3))
+    poly = tutte_polynomial(K3.matroid)
     assert dict(poly.coeffs) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
     assert poly.basis_count() == 3
 
@@ -146,7 +145,7 @@ def test_tutte_counts_subsets_and_bases():
     ],
 )
 def test_tutte_matches_deletion_contraction(graph):
-    got = dict(tutte_polynomial(graphic_matroid(graph)).coeffs)
+    got = dict(tutte_polynomial(graph.matroid).coeffs)
     assert got == oracle_tutte(list(graph.edges))
 
 
@@ -206,7 +205,7 @@ def test_tutte_identity_primitives():
 
 def test_tutte_identity_triangle_and_random():
     for p in (0.2, 0.5, 0.8):
-        rep = tutte_identity_check(graphic_matroid(K3), p)
+        rep = tutte_identity_check(K3.matroid, p)
         assert rep.params["mgf_residual"] <= 1e-9
         assert rep.params["deficiency_residual"] <= 1e-9
         assert rep.gap >= -1e-9
@@ -243,7 +242,7 @@ def test_tail_bound_free_matroid():
 
 
 def test_tail_bound_k4_exact():
-    m = graphic_matroid(K4)
+    m = K4.matroid
     for delta in (0.5, 1.0, 2.0):
         rep = tail_bound_check(m, 0.5, delta)
         assert rep.lhs <= 2.0**-delta + 1e-12
@@ -277,7 +276,7 @@ def test_bounded_diff_comparator():
     assert bounded_diff_tail(free, 0.5, 0.9, 1.0) == pytest.approx(
         math.exp(-2 * 0.25 / 0.25 / 4 * 1), abs=1e-12
     )
-    m = graphic_matroid(K4)
+    m = K4.matroid
     value = bounded_diff_tail(m, 0.3, 0.5, 1.0)
     assert 0.0 < value <= 1.0
     with pytest.raises(ValueError):
@@ -288,7 +287,7 @@ def test_bounded_diff_comparator():
 
 @pytest.mark.parametrize("delta", [-1.0, math.nan])
 def test_tail_offsets_must_be_nonnegative(delta):
-    m = graphic_matroid(K4)
+    m = K4.matroid
     with pytest.raises(ValueError, match="threshold offset"):
         tail_bound_check(m, 0.5, delta)
     with pytest.raises(ValueError, match="threshold offset"):
@@ -308,11 +307,11 @@ def test_connected_components_examples():
 
 
 def test_graphic_matroid_examples():
-    single = graphic_matroid(Graph(2, ((0, 1),)))
+    single = Graph(2, ((0, 1),)).matroid
     assert matroid_rank(single, 1) == 1
-    loop = graphic_matroid(Graph(1, ((0, 0),)))
+    loop = Graph(1, ((0, 0),)).matroid
     assert matroid_rank(loop, 1) == 0
-    tri = graphic_matroid(K3)
+    tri = K3.matroid
     assert matroid_rank(tri, 0b111) == 2
 
 
@@ -321,7 +320,7 @@ def test_graphic_matroid_examples():
     [K3, K4, Graph(3, ((0, 1), (0, 1), (1, 1), (1, 2))), Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))],
 )
 def test_graphic_rank_identity_exhaustive(graph):
-    m = graphic_matroid(graph)
+    m = graph.matroid
     for s in range(1 << len(graph.edges)):
         assert matroid_rank(m, s) == graph.vertex_count - connected_components(graph, s)
 
@@ -359,7 +358,7 @@ def test_graph_gap_consistent_with_matroid_form():
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 1)))
     p = 0.35
     gg = graph_inequality_gap(g, p)
-    mg = deficiency_inequality_gap(graphic_matroid(g), p)
+    mg = deficiency_inequality_gap(g.matroid, p)
     assert gg.lhs == pytest.approx(mg.lhs + g.vertex_count, abs=1e-9)
     assert gg.rhs == pytest.approx(mg.rhs + g.vertex_count, abs=1e-9)
 

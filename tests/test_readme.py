@@ -1,0 +1,30 @@
+import pathlib
+import re
+
+import cubenoise.cli  # imports every module of the package
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("cube", "inequalities", "codes", "matroids", "corpus", "cli")
+
+
+def readme_references() -> set[str]:
+    """Every backticked `module.name` (or `module.name.attr`) in README.md
+    whose module is one of the package's, outside fenced code blocks."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    ref = re.compile(rf"(?:{'|'.join(MODULES)})(?:\.\w+)+")
+    return {m.group() for span in re.findall(r"`([^`]*)`", text) if (m := ref.match(span))}
+
+
+def resolves(ref: str) -> bool:
+    obj = cubenoise
+    for name in ref.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_readme_module_references_resolve():
+    refs = readme_references()
+    assert len(refs) >= 10  # the scan finds the references at all
+    assert sorted(r for r in refs if not resolves(r)) == []

@@ -11,7 +11,7 @@ import pytest
 
 from cubenoise import codes, matroids
 from cubenoise.cli import main
-from cubenoise.codes import LinearCode, deficiency_histogram, dump_bit_matrix, f_value
+from cubenoise.codes import LinearCode, dump_bit_matrix, f_value
 from cubenoise.matroids import BinaryMatroid, dump_graph, Graph, tutte_polynomial
 
 
@@ -87,7 +87,7 @@ def test_graph_report_expands_one_tutte_polynomial(tmp_path, monkeypatch, capsys
 def test_tables_are_freed_with_their_object():
     code = LinearCode(6, (0b000111, 0b011001, 0b101010))
     matroid = BinaryMatroid(6, (0b110011, 0b011110, 0b101101))
-    deficiency_histogram(code)
+    code.histogram
     f_value(code, 0.3, 1.5)
     tutte_polynomial(matroid)
     refs = [weakref.ref(obj) for obj in (
