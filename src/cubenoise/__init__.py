@@ -9,21 +9,18 @@ from .cube import (
     conditional_expectation,
     dirichlet_form,
     entropy,
-    lq_norm,
     noise_operator,
-    renyi_entropy,
     wht_forward,
     wht_inverse,
 )
 from .inequalities import (
     GapReport,
     derivative_check,
-    hypercontractive_gap,
+    hypercontractive_sweep,
     log_sobolev_gap,
-    main_inequality_gap,
-    noisy_entropy_gap,
+    main_inequality_sweep,
+    noisy_entropy_sweep,
     r_exponent,
-    subset_expectation_exact,
     subset_expectation_mc,
     two_point_gap,
 )
@@ -38,15 +35,12 @@ __all__ = [
     "derivative_check",
     "dirichlet_form",
     "entropy",
-    "hypercontractive_gap",
+    "hypercontractive_sweep",
     "log_sobolev_gap",
-    "lq_norm",
-    "main_inequality_gap",
+    "main_inequality_sweep",
     "noise_operator",
-    "noisy_entropy_gap",
+    "noisy_entropy_sweep",
     "r_exponent",
-    "renyi_entropy",
-    "subset_expectation_exact",
     "subset_expectation_mc",
     "two_point_gap",
     "wht_forward",

@@ -290,14 +290,6 @@ def scaled_indicator(code: LinearCode) -> CubeFunction:
     return CubeFunction(code.n, vals)
 
 
-def cond_exp_norm_exponent(code: LinearCode, t_mask: SubsetMask, q: float) -> float:
-    """q ln||E(f|T)||_q for the scaled indicator: (q-1)(|T| - rank(T)) ln 2."""
-    if not q > 1.0:
-        raise ValueError(f"need q > 1, got {q}")
-    deficiency = t_mask.bit_count() - rank_of_columns(code, t_mask)
-    return (q - 1.0) * deficiency * LN2
-
-
 # ---------------------------------------------------------------------------
 # subset rank-deficiency machinery
 # ---------------------------------------------------------------------------
@@ -331,14 +323,6 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     return np.bitwise_count(counts)
 
 
-def histogram_expectation(hist: np.ndarray, lam: float, values=None) -> float:
-    """E over T ~ lam of values[|T|, d(T)] (by default of d(T) itself) from
-    the deficiency histogram; `values` broadcasts against it."""
-    if values is None:
-        values = np.arange(hist.shape[1])
-    return layer_expectation(lam, (hist * values).sum(axis=1))
-
-
 def deficiency_expectation(
     code: LinearCode,
     lam: float,
@@ -359,10 +343,11 @@ def deficiency_expectation(
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
     _require_mode(mode)
-    if mode == "exact":
-        return histogram_expectation(code.histogram, lam, values), 0.0
     width = code.n - code.k + 1
-    cells = np.broadcast_to(np.arange(width) if values is None else values, (code.n + 1, width))
+    values = np.arange(width) if values is None else values
+    if mode == "exact":
+        return layer_expectation(lam, (code.histogram * values).sum(axis=1)), 0.0
+    cells = np.broadcast_to(values, (code.n + 1, width))
     h = lambda t: cells[t.bit_count(), t.bit_count() - rank_of_columns(code, t)]
     return subset_expectation_mc(code.n, lam, h, samples, seed)
 
@@ -471,6 +456,7 @@ def enumerator_identities(code: LinearCode, lam: float) -> EnumeratorIdentityVal
     return EnumeratorIdentityValues(moment, sup, dual_sum, primal_sum)
 
 
+# A result of the paper that no report checks yet.
 def alpha_reversal_holds(a: WeightDistribution, alpha: Fraction) -> bool:
     """Exact check of sum_k a_k alpha^(n-k) <= sum_k a_k alpha^k for alpha in [0,1]."""
     if not 0 <= alpha <= 1:
@@ -485,6 +471,7 @@ def alpha_reversal_holds(a: WeightDistribution, alpha: Fraction) -> bool:
 # weight-distribution bounds
 # ---------------------------------------------------------------------------
 
+# A result of the paper that no report checks yet.
 def dual_weight_bound(
     code: LinearCode, lam: float, i: int, mode: str = "exact"
 ) -> float:
@@ -552,6 +539,7 @@ def sberlo_bound(n: int, rate: float, k: int) -> float:
         return math.inf
 
 
+# A result of the paper that no report checks yet.
 def sberlo_comparison_rows(n: int, rate: float, k_max: int) -> list[dict]:
     """Exponent table comparing the erasure-based dual-side bound with the
     literature bound for 1 <= k* <= k_max."""
@@ -619,11 +607,3 @@ def load_code(path: str) -> LinearCode:
     with open(path, "r", encoding="ascii") as fh:
         rows, _, n = parse_bit_matrix(fh.read(), source=path)
     return LinearCode(n, tuple(rows))
-
-
-def dump_bit_matrix(rows: Iterable[int], n: int, path: str) -> None:
-    rows = list(rows)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{len(rows)} {n}\n")
-        for row in rows:
-            fh.write("".join("1" if row >> j & 1 else "0" for j in range(n)) + "\n")

@@ -28,12 +28,6 @@ def random_set_indicator(n: int, rng: np.random.Generator) -> CubeFunction:
     return CubeFunction(n, vals)
 
 
-def point_indicator(n: int, point: int = 0, scale: float | None = None) -> CubeFunction:
-    vals = np.zeros(1 << n)
-    vals[point] = (1 << n) if scale is None else scale
-    return CubeFunction(n, vals)
-
-
 def shifted_character(n: int, rng: np.random.Generator) -> CubeFunction:
     r_mask = int(rng.integers(1, 1 << n))
     amp = float(rng.uniform(0.0, 1.0))

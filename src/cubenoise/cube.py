@@ -252,31 +252,23 @@ def noise_blocks(
         yield block
 
 
+# Reached by no command; kept for perfbench/, which traces it by name and reads (f, t_mask).
 def conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> CubeFunction:
     """Average f over the coordinates outside T; constant on subcubes fixing T.
 
     Equivalently: keep only the Fourier coefficients of subsets R contained in T.
-    The compact table of :func:`compact_conditional_expectation` is copied back
-    to the cube by :func:`expand_to_cube`.
+    The compact table of T from :func:`compact_conditional_expectations` is
+    copied back to the cube by :func:`expand_to_cube`.
     """
-    return expand_to_cube(f.n, t_mask, compact_conditional_expectation(f, t_mask))
-
-
-def compact_conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> np.ndarray:
-    """The 2^|T| distinct values of E(f|T), indexed by the coordinates of T in
-    ascending order (the lowest coordinate of T at bit 0).
-
-    Each coordinate outside T halves the table, in ascending order: a rounding
-    that the recorded reference values pin, and that :func:`subset_lattice`
-    replays operation for operation.
-    """
-    return next(compact_conditional_expectations(f, (t_mask,)))[1]
+    return expand_to_cube(f.n, t_mask, next(compact_conditional_expectations(f, (t_mask,)))[1])
 
 
 def compact_conditional_expectations(
     f: CubeFunction, masks: Iterable[SubsetMask]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(T, compact E(f|T)) once for each distinct mask T of `masks`.
+    """(T, compact E(f|T)) once for each distinct mask T of `masks`: the
+    2^|T| distinct values of E(f|T), indexed by the coordinates of T in
+    ascending order (the lowest coordinate of T at bit 0).
 
     E(f|T) halves f over each coordinate T misses, in ascending order, and the
     table after the first j halvings is shared by every mask with the same j
@@ -288,8 +280,10 @@ def compact_conditional_expectations(
     and starts from there.  After j halvings the missing coordinate c sits at
     compact position c - j whatever the mask, so every halving is the one the
     ascending chain for T alone would make, and every table is the same bit
-    for bit.  The stack holds fewer than 2^n values besides f; a yielded table
-    stays valid after the walk moves on.
+    for bit: a rounding that the recorded reference values pin, and that
+    :func:`subset_lattice` replays operation for operation.  The stack holds
+    fewer than 2^n values besides f; a yielded table stays valid after the
+    walk moves on.
     """
     n, full = f.n, full_mask(f.n)
     masks = {operator.index(t) for t in masks}
@@ -328,7 +322,7 @@ def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> 
 
 def expand_to_cube(n: int, t_mask: SubsetMask, compact: np.ndarray) -> CubeFunction:
     """The cube function of the coordinates in T whose compact table (as in
-    :func:`compact_conditional_expectation`) is `compact`."""
+    :func:`compact_conditional_expectations`) is `compact`."""
     _check_mask(n, t_mask)
     out = np.empty(1 << n)
     _expand_into(n, t_mask, compact, out)
@@ -355,8 +349,8 @@ def _expand_into(n: int, t_mask: SubsetMask, compact: np.ndarray, out: np.ndarra
 
 def subset_lattice(f: CubeFunction) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Every subset's compact E(f|T), one layer |T| = k at a time for k = n..0:
-    yields (k, masks, tables), where tables[j] is
-    compact_conditional_expectation(f, masks[j]), bit for bit.
+    yields (k, masks, tables), where tables[j] is the compact table that
+    compact_conditional_expectations yields for masks[j], bit for bit.
 
     The parent of T is T + {h}, h the highest coordinate not in T, and T's
     table is the parent's halved over h.  That is the last of the ascending
@@ -405,18 +399,6 @@ def _clean_values(v: np.ndarray) -> np.ndarray:
     if (mn < -1e-12 * scale).any():
         raise ValueError("function has significantly negative values")
     return np.maximum(v, 0.0)
-
-
-def lq_norm(f: CubeFunction, q: float) -> float:
-    """(E f^q)^(1/q) under the uniform measure; q = inf returns the maximum value."""
-    if q == math.inf:
-        return float(f.values.max())
-    return math.exp(log_lq_norm(f, q))
-
-
-def log_lq_norm(f: CubeFunction, q: float) -> float:
-    """Natural log of the q-norm, computed without overflow; -inf for f = 0."""
-    return float(log_lq_norms(f.values, (q,))[0])
 
 
 def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
@@ -509,15 +491,6 @@ def entropies(tables: np.ndarray) -> np.ndarray:
     return np.array(
         [p / size - e * math.log2(e) for p, e in zip(plogp.tolist(), ef.tolist())]
     )
-
-
-def renyi_entropy(f: CubeFunction, q: float) -> float:
-    """(1/(q-1)) log2 E f^q for f normalized to E f = 1; tends to Ent(f) as q -> 1."""
-    if not q > 1 or q == math.inf:
-        raise ValueError(f"Renyi order must be finite and > 1, got {q}")
-    if abs(f.mean() - 1.0) > 1e-9:
-        raise ValueError("Renyi entropy expects E f = 1; normalize the input")
-    return q * log_lq_norm(f, q) / ((q - 1.0) * math.log(2.0))
 
 
 def dirichlet_form(f: CubeFunction, g: CubeFunction) -> float:

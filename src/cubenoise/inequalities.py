@@ -26,7 +26,6 @@ from .cube import (
     compact_conditional_expectations,
     dirichlet_form,
     entropies,
-    log_lq_norm,
     log_lq_norms,
     noise_blocks,
     noise_operator,
@@ -159,6 +158,7 @@ class GapReport:
         return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
 
 
+# Reached by no command; kept for perfbench/, which traces it by name and reads (n, lam).
 def subset_weights(n: int, lam: float) -> np.ndarray:
     """Probability of each mask T under independent inclusion with rate lam."""
     return size_weights(n, lam)[popcounts(n)]
@@ -187,24 +187,27 @@ def layer_expectation(lam: float, layers: np.ndarray) -> float:
     return float(w[used] @ layers[used])
 
 
-def subset_expectation_exact(n: int, lam: float, h: Callable[[SubsetMask], float]) -> float:
-    """Sum over all T of lam^|T| (1-lam)^(n-|T|) h(T), for n up to enum_cap()."""
-    cap = enum_cap()
-    if n > cap:
-        raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
-    table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
-    return layer_expectation(lam, _layer_sums(n, table))
-
-
 def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
     """The masks that :func:`subset_expectation_mc` draws for these arguments,
     in sample order.  One draw would give a standard error of 0, and so
-    decide a verdict alone: at least two are needed."""
+    decide a verdict alone: at least two are needed.
+
+    Coordinate i + 1 of a draw is bit i of its mask.  The masks are uint64 up
+    to n = 64, so bit 63 is not a sign bit, and Python ints (an object array)
+    past it, joined from one uint64 word per 64 coordinates."""
     if samples < 2:
         raise ValueError("need at least two samples: a standard error needs two draws")
-    rng = np.random.default_rng(seed)
-    bits = rng.random((samples, n)) < lam if n else np.zeros((samples, 0), bool)
-    return bits.dot(1 << np.arange(n, dtype=np.int64)) if n else np.zeros(samples, np.int64)
+    bits = np.random.default_rng(seed).random((samples, n)) < lam
+    words = [
+        bits[:, i : i + 64].dot(np.uint64(1) << np.arange(min(n - i, 64), dtype=np.uint64))
+        for i in range(0, n, 64)
+    ]
+    if len(words) < 2:
+        return words[0] if words else np.zeros(samples, np.uint64)
+    masks = np.zeros(samples, dtype=object)
+    for c, word in enumerate(words):
+        masks += word.astype(object) << 64 * c
+    return masks
 
 
 def subset_expectation_mc(
@@ -259,6 +262,7 @@ def _log_l2(z: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+# Reached by no command; kept for perfbench/, which traces it by name and reads (f, q).
 def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
     """ln of the q-norm of the conditional expectation of f on every subset T,
     in mask order; q = 2 by Parseval (:func:`_squared_l2_norms`), any other q
@@ -503,18 +507,6 @@ def main_inequality_sweep(
     return [next(reports) if eps != 0.5 else equality(q, eps) for q in q_grid for eps in eps_grid]
 
 
-def main_inequality_gap(
-    f: CubeFunction,
-    q: float,
-    eps: float,
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-) -> GapReport:
-    """:func:`main_inequality_sweep` at one (q, eps) point."""
-    return main_inequality_sweep(f, (q,), (eps,), mode, samples, seed)[0]
-
-
 def noisy_entropy_sweep(
     f: CubeFunction,
     eps_grid: Sequence[float],
@@ -531,17 +523,6 @@ def noisy_entropy_sweep(
     lhs = _noisy_rows(entropies, 1, f, eps_grid, None)
     rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
     return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
-
-
-def noisy_entropy_gap(
-    f: CubeFunction,
-    eps: float,
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-) -> GapReport:
-    """:func:`noisy_entropy_sweep` at one noise rate."""
-    return noisy_entropy_sweep(f, (eps,), mode, samples, seed)[0]
 
 
 def _reduced_exponent(q: float, eps: float) -> float:
@@ -577,11 +558,6 @@ def hypercontractive_sweep(
             params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
             out.append(GapReport("hypercontractive", lhs[j][e], rhs[j][e], rhs[j][e] - lhs[j][e], params))
     return out
-
-
-def hypercontractive_gap(f: CubeFunction, q: float, eps: float) -> GapReport:
-    """:func:`hypercontractive_sweep` at one (q, eps) point."""
-    return hypercontractive_sweep(f, (q,), (eps,))[0]
 
 
 def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
@@ -706,7 +682,8 @@ def derivative_check(f: CubeFunction, q: float) -> GapReport:
     # the finite differences average every layer; L[n] = ln||f||_q
     layers = _layer_sums(f.n, _conditional_rows(f, _log_norms_kernel((q,)), 1)[0])
     base = float(layers[f.n])
-    fd_lhs = (log_lq_norm(noise_operator(f, _DERIVATIVE_STEP), q) - base) / _DERIVATIVE_STEP
+    noisy = noise_operator(f, _DERIVATIVE_STEP).values
+    fd_lhs = (float(log_lq_norms(noisy, (q,))[0]) - base) / _DERIVATIVE_STEP
     gh = layer_expectation(subset_rate(q, _DERIVATIVE_STEP), layers)
     fd_rhs = (gh - base) / _DERIVATIVE_STEP
 

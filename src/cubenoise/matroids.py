@@ -13,9 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codes import deficiency_expectation, gf2_rank, gf2_rref, histogram_expectation
+from .codes import deficiency_expectation, gf2_rref
 from .codes import parse_bit_matrix, LinearCode
-from .cube import SubsetMask
 from .inequalities import GapReport, LN2, _require_mode, layer_expectation
 
 
@@ -50,12 +49,6 @@ class BinaryMatroid:
     @property
     def k(self) -> int:
         return self.row_space_code.k
-
-
-def matroid_rank(m: BinaryMatroid, s_mask: SubsetMask) -> int:
-    if not 0 <= s_mask < (1 << m.n):
-        raise ValueError(f"subset mask {s_mask} out of range for n={m.n}")
-    return gf2_rank(row & s_mask for row in m.rows)
 
 
 def subset_rate_for(p: float) -> float:
@@ -161,11 +154,11 @@ def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
     t = subset_rate_for(p)
     k, n = m.k, m.n
     poly = m.tutte
-    hist = m.row_space_code.histogram
+    code = m.row_space_code
 
-    mgf_direct = histogram_expectation(hist, p, np.exp2(np.arange(hist.shape[1])))
+    mgf_direct = deficiency_expectation(code, p, np.exp2(np.arange(n - k + 1)))[0]
     mgf_tutte = p**k * (1 - p) ** (n - k) * poly.evaluate(1 / p, (1 + p) / (1 - p))
-    drv_direct = histogram_expectation(hist, t)
+    drv_direct = deficiency_expectation(code, t)[0]
     drv_tutte = t ** (k + 1) * (1 - t) ** (n - k - 1) * poly.derivative_y(
         1 / t, 1 / (1 - t)
     )
@@ -193,9 +186,9 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
     if not delta >= 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
     t = subset_rate_for(p)
-    hist = m.row_space_code.histogram
-    mean_t = histogram_expectation(hist, t)
-    prob = histogram_expectation(hist, p, np.arange(hist.shape[1]) >= mean_t + delta)
+    code = m.row_space_code
+    mean_t = deficiency_expectation(code, t)[0]
+    prob = deficiency_expectation(code, p, np.arange(code.n - code.k + 1) >= mean_t + delta)[0]
     bound = 2.0**-delta
     params = {
         "n": m.n,
@@ -211,7 +204,7 @@ def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
     increasing and convex in p, with mu(0) = 0.  The layer sums of the
-    deficiency are taken once, as histogram_expectation takes them, and each
+    deficiency are taken once, as deficiency_expectation takes them, and each
     p is one layer average of them."""
     hist = m.row_space_code.histogram
     layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
@@ -226,7 +219,7 @@ def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> flo
         raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
     if not delta >= 0:
         raise ValueError(f"threshold offset must be >= 0, got {delta}")
-    mu_p = histogram_expectation(m.row_space_code.histogram, p)
+    mu_p = deficiency_expectation(m.row_space_code, p)[0]
     return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
 
 
@@ -260,38 +253,6 @@ class Graph:
             rows[u] ^= 1 << j
             rows[v] ^= 1 << j
         return BinaryMatroid(len(self.edges), tuple(rows))
-
-
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.components = size
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.components -= 1
-
-
-def connected_components(g: Graph, s_mask: SubsetMask) -> int:
-    """Components of (V, S), isolated vertices included, by union-find: the
-    reference the tests check graphic ranks against (reports read the cells)."""
-    if not 0 <= s_mask < (1 << len(g.edges)):
-        raise ValueError(f"edge mask {s_mask} out of range")
-    uf = _UnionFind(g.vertex_count)
-    for j, (u, v) in enumerate(g.edges):
-        if s_mask >> j & 1:
-            uf.union(u, v)
-    return uf.components
 
 
 def graph_inequality_gap(
@@ -355,10 +316,3 @@ def load_graph(path: str) -> Graph:
             raise ValueError(f"{path}: edge lines must be 'u v'")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph(v_count, tuple(edges))
-
-
-def dump_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.vertex_count} {len(g.edges)}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import C5, EPS_GRID, K3, K4, PETERSEN, Q_GRID, random_multigraph_with_loops
+from references import connected_components, matroid_rank, point_indicator
 from test_matroids import oracle_tutte
 
 from cubenoise import corpus
@@ -36,10 +37,8 @@ from cubenoise.inequalities import (
 )
 from cubenoise.matroids import (
     BinaryMatroid,
-    connected_components,
     deficiency_inequality_gap,
     graph_inequality_gap,
-    matroid_rank,
     mu_curve,
     tail_bound_check,
     tutte_identity_check,
@@ -87,7 +86,7 @@ def test_criterion_02_log_sobolev_suite(function_corpus):
     # equality for scaled single-point indicators at q in {2, 3, 4}
     for n in (2, 3, 4):
         for q in (2.0, 3.0, 4.0):
-            f = corpus.point_indicator(n, point=n, scale=float(3 << n))
+            f = point_indicator(n, point=n, scale=float(3 << n))
             rep = log_sobolev_gap(f, q)
             assert abs(rep.gap) <= 1e-9, (n, q, rep.gap)
             assert rep.params["equality"] and rep.params["equality_expected"]

@@ -7,7 +7,7 @@ import pytest
 
 from cubenoise import cli, corpus, cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID, RunConfig, main
-from cubenoise.inequalities import GapReport, main_inequality_gap
+from cubenoise.inequalities import GapReport, main_inequality_sweep
 
 
 @pytest.fixture
@@ -187,7 +187,7 @@ def test_hypercontractive_note_is_the_main_rhs(capsys, mode):
     assert len(rows) == len(cases)
     for row, (f, q, eps) in zip(rows, cases):
         assert (float(row["q"]), float(row["eps_or_lambda"])) == (q, eps)
-        rhs = main_inequality_gap(f, q, eps, mode=mode, samples=50, seed=0).rhs
+        rhs = main_inequality_sweep(f, (q,), (eps,), mode=mode, samples=50, seed=0)[0].rhs
         assert row["note"] == f"subset_bound={math.exp(rhs)!r}"
 
 
@@ -302,6 +302,16 @@ def test_code_mc_slack_allows_four_standard_errors(capsys):
     assert code == 0, err
     slacks = [float(r["slack"]) for r in parse_csv(out)["fvalues"]]
     assert min(slacks) < -1e-9  # the mc estimate falls below an f_value here
+
+
+def test_code_mc_at_length_64(capsys):
+    # masks keep bit 63: at lam = 0.9 rank T = 7 for all but a negligible
+    # share of T, so E d(T) = 0.9 * 64 - 7 and no f_value is violated
+    argv = ("code", "--rm", "1", "6", "--mode", "mc", "--q", "2,inf", "--lambda", "0.9")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    (row,) = parse_csv(out)["deficiency"]
+    assert abs(float(row["rank_deficiency"]) - (0.9 * 64 - 7)) < 0.1
 
 
 def test_code_missing_file(capsys):

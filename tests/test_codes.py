@@ -5,7 +5,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from cubenoise.cube import CubeFunction, conditional_expectation, log_lq_norm, wht_forward
+from references import dump_bit_matrix
+
+from cubenoise.cube import CubeFunction, conditional_expectation, wht_forward
 from cubenoise.codes import (
     EnumeratorIdentityValues,
     LinearCode,
@@ -15,11 +17,9 @@ from cubenoise.codes import (
     bec_bound_primal_side,
     bec_dual_exponent,
     codeword_masks,
-    cond_exp_norm_exponent,
     deficiency_expectation,
     deficiency_table,
     dual_weight_bound,
-    dump_bit_matrix,
     enumerator_identities,
     f_value,
     gf2_nullspace,
@@ -35,6 +35,7 @@ from cubenoise.codes import (
     sberlo_exponent,
     scaled_indicator,
 )
+from cubenoise.inequalities import cond_exp_log_norms
 
 LN2 = math.log(2.0)
 
@@ -262,14 +263,13 @@ def test_dual_subspace_dimension_identity():
 
 
 def test_cond_exp_norm_exponent():
-    assert cond_exp_norm_exponent(REP2, 0, 2.0) == 0.0
-    assert cond_exp_norm_exponent(REP2, 0b11, 2.0) == pytest.approx(LN2)
-    code = random_code(8, 150)
-    for t in (0b10110001, 0b00001111):
+    # q ln||E(f|T)||_q = (q-1)(|T| - rank T) ln 2 for the scaled indicator f
+    assert deficiency_table(REP2).tolist() == [0, 0, 0, 1]
+    for code in (REP2, random_code(8, 150)):
+        table = deficiency_table(code)
         for q in (1.5, 2.0, 3.0):
-            got = cond_exp_norm_exponent(code, t, q)
-            direct = q * log_lq_norm(conditional_expectation(scaled_indicator(code), t), q)
-            assert got == pytest.approx(direct, abs=1e-10)
+            got = q * cond_exp_log_norms(scaled_indicator(code), q)
+            np.testing.assert_allclose(got, (q - 1.0) * table * LN2, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +451,13 @@ def test_reed_muller_duality():
         dual = reed_muller(r, m).dual
         expected = reed_muller(m - r - 1, m)
         assert brute_codewords(dual) == brute_codewords(expected)
+
+
+def test_mc_deficiency_past_63_coordinates():
+    # E d(T) = lam n - E rank T, and rank T = 7 for all but a negligible share
+    # of T at lam = 0.9
+    mean, stderr = deficiency_expectation(reed_muller(1, 6), 0.9, mode="mc", seed=1)
+    assert abs(mean - (0.9 * 64 - 7)) <= 4 * stderr
 
 
 # ---------------------------------------------------------------------------

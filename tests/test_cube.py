@@ -20,14 +20,11 @@ from cubenoise.cube import (
     dirichlet_form,
     entropy,
     full_mask,
-    log_lq_norm,
     log_lq_norms,
-    lq_norm,
     noise_blocks,
     noise_operator,
     noise_table,
     popcounts,
-    renyi_entropy,
     subset_lattice,
     wht_forward,
     wht_inverse,
@@ -490,22 +487,28 @@ def test_mask_validated():
 # norms, entropies, Dirichlet form
 # ---------------------------------------------------------------------------
 
+def lq_norm(f, q):
+    """||f||_q, from the one-table call of log_lq_norms."""
+    return math.exp(log_lq_norms(f.values, (q,))[0])
+
+
 def test_lq_norm_examples():
     c = CubeFunction(3, np.full(8, 1.7))
     for q in (1, 2, 3.5, math.inf):
         assert lq_norm(c, q) == pytest.approx(1.7, abs=1e-14)
     f = CubeFunction(1, [2.0, 0.0])
     assert lq_norm(f, 2) == pytest.approx(math.sqrt(2), abs=1e-14)
-    assert lq_norm(f, math.inf) == 2.0
+    assert log_lq_norms(f.values, (math.inf,))[0] == math.log(2.0)
     with pytest.raises(ValueError):
-        lq_norm(f, 0.5)
+        log_lq_norms(f.values, (0.5,))
 
 
 def test_log_lq_norm_consistent():
     f = rand_fn(4, 44)
     for q in (1.0, 1.5, 2, 8):
-        assert log_lq_norm(f, q) == pytest.approx(math.log(lq_norm(f, q)), abs=1e-12)
-    assert log_lq_norm(f, math.inf) == pytest.approx(math.log(f.values.max()))
+        want = math.log(np.mean(f.values**q)) / q
+        assert log_lq_norms(f.values, (q,))[0] == pytest.approx(want, abs=1e-12)
+    assert log_lq_norms(f.values, (math.inf,))[0] == pytest.approx(math.log(f.values.max()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -528,9 +531,8 @@ def test_log_lq_norms_rows_are_log_lq_norm(rows, q_grid):
     got = log_lq_norms(tables, q_grid)
     assert got.shape == (len(q_grid), len(rows))
     for i, row in enumerate(rows):
-        f = CubeFunction(int(math.log2(len(row))), row)
         for j, q in enumerate(q_grid):
-            assert got[j, i] == log_lq_norm(f, q)
+            assert got[j, i] == log_lq_norms(np.array(row), (q,))[0]
             want = oracle_log_lq_norm(row, q)
             if want == -math.inf:  # a zero table, or roundoff below zero at q = inf
                 assert got[j, i] == -math.inf
@@ -665,24 +667,6 @@ def test_entropy_examples():
     assert entropy(f) >= 0.0
     with pytest.raises(ValueError):
         entropy(CubeFunction(1, [0.0, 0.0]))
-
-
-def test_renyi_entropy_examples():
-    assert renyi_entropy(CubeFunction(2, [1.0] * 4), 3) == pytest.approx(0.0, abs=1e-14)
-    n = 4
-    point = np.zeros(16)
-    point[5] = 16.0
-    for q in (1.5, 2, 7):
-        assert renyi_entropy(CubeFunction(n, point), q) == pytest.approx(n, abs=1e-12)
-    assert renyi_entropy(CubeFunction(1, [2.0, 0.0]), 2) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        renyi_entropy(CubeFunction(1, [2.0, 1.0]), 2)
-
-
-def test_renyi_limit_is_entropy():
-    f = rand_fn(4, 23)
-    f = f.scaled(1.0 / f.mean())
-    assert renyi_entropy(f, 1 + 1e-4) == pytest.approx(entropy(f), abs=1e-3)
 
 
 def test_dirichlet_form_examples():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import connected_components, matroid_rank
+
 from cubenoise.codes import (
     LinearCode,
     deficiency_expectation,
@@ -25,10 +27,8 @@ from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
     bounded_diff_tail,
-    connected_components,
     deficiency_inequality_gap,
     graph_inequality_gap,
-    matroid_rank,
     mu_curve,
     subset_rate_for,
     tail_bound_check,

@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from references import subset_expectation_exact
+
 from cubenoise import corpus
-from cubenoise.cube import CubeFunction, character, conditional_expectation, entropy
+from cubenoise.cube import CubeFunction, character, conditional_expectation, entropy, log_lq_norms
 from cubenoise.inequalities import (
     GapReport,
     CSV_COLUMNS,
     _coordinate_log_norm_deficit,
+    _sample_masks,
     cond_exp_log_norms,
     derivative_check,
-    hypercontractive_gap,
+    hypercontractive_sweep,
     log_sobolev_equality_expected,
     log_sobolev_gap,
-    main_inequality_gap,
     main_inequality_sweep,
     noise_rate,
-    noisy_entropy_gap,
+    noisy_entropy_sweep,
     r_exponent,
-    subset_expectation_exact,
     subset_expectation_mc,
     subset_rate,
     two_point_gap,
@@ -112,6 +113,14 @@ def test_subset_expectation_mc_agrees_with_exact():
     assert abs(mean - exact) <= 4 * se
 
 
+@pytest.mark.parametrize("n", [1, 14, 63, 64, 65, 70])
+def test_sample_masks_keep_every_coordinate(n):
+    # a per-bit reference from the same generator: coordinate i + 1 is bit i
+    bits = np.random.default_rng(7).random((300, n)) < 0.9
+    want = [sum(1 << i for i in range(n) if row[i]) for row in bits]
+    assert _sample_masks(n, 0.9, 300, 7).tolist() == want
+
+
 def test_subset_expectation_mc_deterministic():
     h = lambda t: float(t % 7)
     a = subset_expectation_mc(6, 0.5, h, 1000, seed=9)
@@ -151,21 +160,21 @@ def oracle_main_sides(f, q, eps):
 
 def test_main_gap_zero_at_zero_noise():
     f = rand_fn(3, 10)
-    rep = main_inequality_gap(f, 2.0, 0.0)
+    rep = main_inequality_sweep(f, (2.0,), (0.0,))[0]
     assert rep.gap == 0.0
 
 
 def test_main_gap_constant_function():
     f = CubeFunction(3, np.full(8, 2.5))
     for eps in (0.0, 0.2, 0.5):
-        rep = main_inequality_gap(f, 1.5, eps)
+        rep = main_inequality_sweep(f, (1.5,), (eps,))[0]
         assert rep.lhs == pytest.approx(math.log(2.5), abs=1e-12)
         assert abs(rep.gap) <= 1e-12
 
 
 def test_main_gap_matches_oracle():
     f = rand_fn(3, 12)
-    rep = main_inequality_gap(f, 2.0, 0.2)
+    rep = main_inequality_sweep(f, (2.0,), (0.2,))[0]
     lhs, rhs = oracle_main_sides(f, 2.0, 0.2)
     assert rep.lhs == pytest.approx(lhs, abs=1e-10)
     assert rep.rhs == pytest.approx(rhs, abs=1e-10)
@@ -191,33 +200,33 @@ def test_main_gap_sup_norm_endpoint():
 
 def test_main_gap_scale_invariant():
     f = rand_fn(3, 33)
-    a = main_inequality_gap(f, 2.5, 0.15)
-    b = main_inequality_gap(f.scaled(37.0), 2.5, 0.15)
+    a = main_inequality_sweep(f, (2.5,), (0.15,))[0]
+    b = main_inequality_sweep(f.scaled(37.0), (2.5,), (0.15,))[0]
     assert a.gap == pytest.approx(b.gap, abs=1e-12)
 
 
 def test_main_gap_total_noise_exact_equality():
     f = rand_fn(4, 55)
-    rep = main_inequality_gap(f, 3.0, 0.5)
+    rep = main_inequality_sweep(f, (3.0,), (0.5,))[0]
     assert rep.gap == 0.0
     assert rep.lhs == pytest.approx(math.log(f.mean()), abs=1e-14)
 
 
 def test_main_gap_mc_mode_consistent():
     f = rand_fn(3, 71)
-    exact = main_inequality_gap(f, 2.0, 0.1)
-    mc = main_inequality_gap(f, 2.0, 0.1, mode="mc", samples=40_000, seed=3)
+    exact = main_inequality_sweep(f, (2.0,), (0.1,))[0]
+    mc = main_inequality_sweep(f, (2.0,), (0.1,), mode="mc", samples=40_000, seed=3)[0]
     assert abs(mc.rhs - exact.rhs) <= 4 * mc.params["stderr"]
     assert mc.params["samples"] == 40_000
 
 
 def test_main_gap_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        main_inequality_gap(CubeFunction(2, [0.0] * 4), 2.0, 0.1)
+        main_inequality_sweep(CubeFunction(2, [0.0] * 4), (2.0,), (0.1,))[0]
     with pytest.raises(ValueError):
-        main_inequality_gap(CubeFunction(2, [1, -1, 1, 1]), 2.0, 0.1)
+        main_inequality_sweep(CubeFunction(2, [1, -1, 1, 1]), (2.0,), (0.1,))[0]
     with pytest.raises(ValueError):
-        main_inequality_gap(rand_fn(2, 0), 1.0, 0.1)
+        main_inequality_sweep(rand_fn(2, 0), (1.0,), (0.1,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +235,13 @@ def test_main_gap_rejects_bad_inputs():
 
 def test_entropy_gap_total_noise():
     f = rand_fn(3, 14)
-    rep = noisy_entropy_gap(f, 0.5)
+    rep = noisy_entropy_sweep(f, (0.5,))[0]
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs >= -1e-12
 
 
 def test_entropy_gap_constant():
-    rep = noisy_entropy_gap(CubeFunction(2, np.full(4, 3.0)), 0.2)
+    rep = noisy_entropy_sweep(CubeFunction(2, np.full(4, 3.0)), (0.2,))[0]
     assert abs(rep.lhs) <= 1e-12 and abs(rep.rhs) <= 1e-12
 
 
@@ -240,7 +249,7 @@ def test_entropy_gap_random_nonnegative():
     for seed in range(6):
         f = rand_fn(3, 400 + seed)
         for eps in (0.05, 0.1, 0.3):
-            assert noisy_entropy_gap(f, eps).gap >= -1e-9
+            assert noisy_entropy_sweep(f, (eps,))[0].gap >= -1e-9
 
 
 def test_entropy_gap_is_small_q_limit_of_main():
@@ -251,8 +260,8 @@ def test_entropy_gap_is_small_q_limit_of_main():
     f = f.scaled(1.0 / f.mean())
     q = 1.0 + 1e-4
     eps = 0.2
-    ent = noisy_entropy_gap(f, eps)
-    norm = main_inequality_gap(f, q, eps)
+    ent = noisy_entropy_sweep(f, (eps,))[0]
+    norm = main_inequality_sweep(f, (q,), (eps,))[0]
     factor = q / ((q - 1.0) * LN2)
     assert norm.lhs * factor == pytest.approx(ent.lhs, abs=1e-3)
     assert norm.rhs * factor == pytest.approx(ent.rhs, abs=1e-3)
@@ -264,15 +273,14 @@ def test_entropy_gap_is_small_q_limit_of_main():
 
 def test_hypercontractive_endpoints():
     f = rand_fn(3, 41)
-    from cubenoise.cube import lq_norm
-
-    assert hypercontractive_gap(f, 2.0, 0.0).rhs == pytest.approx(lq_norm(f, 2.0))
-    assert hypercontractive_gap(f, 2.0, 0.5).rhs == pytest.approx(f.mean(), abs=1e-13)
+    norm = math.exp(log_lq_norms(f.values, (2.0,))[0])
+    assert hypercontractive_sweep(f, (2.0,), (0.0,))[0].rhs == pytest.approx(norm)
+    assert hypercontractive_sweep(f, (2.0,), (0.5,))[0].rhs == pytest.approx(f.mean(), abs=1e-13)
 
 
 def test_hypercontractive_closed_form():
     f = CubeFunction(1, [2.0, 0.0])
-    got = hypercontractive_gap(f, 2.0, 0.25).rhs
+    got = hypercontractive_sweep(f, (2.0,), (0.25,))[0].rhs
     assert got == pytest.approx((2.0**1.25 / 2.0) ** (1 / 1.25), abs=1e-13)
 
 
@@ -281,7 +289,7 @@ def test_hypercontractive_gap_nonnegative():
         f = rand_fn(4, 500 + seed)
         for q in (1.5, 2.0, 4.0):
             for eps in (0.0, 0.1, 0.3, 0.5):
-                assert hypercontractive_gap(f, q, eps).gap >= -1e-9
+                assert hypercontractive_sweep(f, (q,), (eps,))[0].gap >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +436,7 @@ def test_gap_report_serialization():
 def test_cond_exp_log_norm_table_matches_direct():
     f = rand_fn(3, 9)
     table = cond_exp_log_norms(f, 2.0)
-    from cubenoise.cube import log_lq_norm
-
     for t in range(8):
         assert table[t] == pytest.approx(
-            log_lq_norm(conditional_expectation(f, t), 2.0), abs=1e-14
+            log_lq_norms(conditional_expectation(f, t).values, (2.0,))[0], abs=1e-14
         )

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from references import connected_components, dump_graph, matroid_rank
+
 from cubenoise.codes import deficiency_table
 from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
     bounded_diff_tail,
-    connected_components,
     deficiency_inequality_gap,
-    dump_graph,
     graph_inequality_gap,
     load_graph,
     load_matroid,
-    matroid_rank,
     mu_curve,
     subset_rate_for,
     tail_bound_check,

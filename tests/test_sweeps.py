@@ -1,6 +1,6 @@
 """Property tests: the layer-sum sweeps of the main and entropy inequalities
-match brute-force sums over all subsets, a gap is its sweep of one, a q-grid
-sweep is its one-q sweeps end to end, an exact sweep walks the subset lattice
+match brute-force sums over all subsets, a q-grid or noise-grid sweep is its
+one-point sweeps end to end, an exact sweep walks the subset lattice
 once, a Monte Carlo sweep takes every E(f|T) it draws from one walk, q = 2
 reads every norm off one Parseval table, and the row-wise entropy kernel keeps
 the bits of a table-by-table loop."""
@@ -13,16 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import point_indicator, subset_expectation_exact
+
 from cubenoise import corpus, cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID, main
 from cubenoise.cube import (
     CubeFunction,
-    compact_conditional_expectation,
     compact_conditional_expectations,
     conditional_expectation,
     entropy,
     expand_to_cube,
-    log_lq_norm,
     log_lq_norms,
     noise_operator,
     subset_lattice,
@@ -30,14 +30,10 @@ from cubenoise.cube import (
 from cubenoise.inequalities import (
     GapReport,
     cond_exp_log_norms,
-    hypercontractive_gap,
     hypercontractive_sweep,
-    main_inequality_gap,
     main_inequality_sweep,
-    noisy_entropy_gap,
     noisy_entropy_sweep,
     r_exponent,
-    subset_expectation_exact,
     subset_expectation_mc,
     subset_rate,
     subset_weights,
@@ -102,27 +98,33 @@ def test_entropy_sweep_rhs_matches_brute_force(f, eps_grid):
 
 
 def outcome(call):
-    """Every field of the report, or the error raised instead."""
+    """Every field of each report, or the error raised instead."""
     try:
-        rep = call()
+        reps = call()
     except ValueError as err:
         return str(err)
-    return [rep.inequality, rep.lhs, rep.rhs, rep.gap, rep.params]
+    return [[rep.inequality, rep.lhs, rep.rhs, rep.gap, rep.params] for rep in reps]
 
 
 @SETTINGS
-@given(functions(max_n=4), Q, NOISE, st.sampled_from(["exact", "mc"]), st.integers(0, 99))
-def test_gap_is_sweep_of_one(f, q, eps, mode, seed):
+@given(
+    functions(max_n=4),
+    Q,
+    st.lists(NOISE, min_size=1, max_size=3),
+    st.sampled_from(["exact", "mc"]),
+    st.integers(0, 99),
+)
+def test_eps_grid_sweep_is_its_one_eps_sweeps(f, q, eps_grid, mode, seed):
     opts = {"mode": mode, "samples": 50, "seed": seed}
-    # assert_equal counts NaN as equal to NaN, as it is the same computation.
-    np.testing.assert_equal(
-        outcome(lambda: main_inequality_gap(f, q, eps, **opts)),
-        outcome(lambda: main_inequality_sweep(f, (q,), [eps], **opts)[0]),
-    )
-    np.testing.assert_equal(
-        outcome(lambda: noisy_entropy_gap(f, eps, **opts)),
-        outcome(lambda: noisy_entropy_sweep(f, [eps], **opts)[0]),
-    )
+    for sweep in (
+        lambda grid: main_inequality_sweep(f, (q,), grid, **opts),
+        lambda grid: noisy_entropy_sweep(f, grid, **opts),
+    ):
+        # assert_equal counts NaN as equal to NaN, as it is the same computation.
+        np.testing.assert_equal(
+            outcome(lambda: sweep(eps_grid)),
+            outcome(lambda: [rep for eps in eps_grid for rep in sweep([eps])]),
+        )
 
 
 @SETTINGS
@@ -148,9 +150,8 @@ def refuse_tables_mask_by_mask(monkeypatch):
     def refused(*args):
         raise AssertionError("a sweep builds no E(f|T) one mask at a time")
 
-    for name in ("conditional_expectation", "compact_conditional_expectation"):
-        monkeypatch.setattr(cube, name, refused)
-        monkeypatch.setattr(inequalities, name, refused, raising=False)
+    monkeypatch.setattr(cube, "conditional_expectation", refused)
+    monkeypatch.setattr(inequalities, "conditional_expectation", refused, raising=False)
 
 
 @pytest.mark.parametrize("sweep", ["main", "entropy"])
@@ -183,7 +184,7 @@ def test_exact_sweep_builds_each_subset_table_once(monkeypatch, sweep):
 )
 def test_hypercontractive_sweep_is_its_gaps(f, q_grid, eps_grid):
     sweep = hypercontractive_sweep(f, q_grid, eps_grid)
-    gaps = [hypercontractive_gap(f, q, eps) for q in q_grid for eps in eps_grid]
+    gaps = [hypercontractive_sweep(f, (q,), (eps,))[0] for q in q_grid for eps in eps_grid]
     fields = lambda reps: [[r.inequality, r.lhs, r.rhs, r.gap, r.params] for r in reps]
     np.testing.assert_equal(fields(sweep), fields(gaps))
     for rep in sweep:
@@ -404,7 +405,7 @@ def test_sweeps_reject_underflowing_mean(mode, eps):
 @SETTINGS
 @given(functions(), Q, st.sampled_from([0.0, 0.5]))
 def test_main_gap_zero_at_noise_endpoints(f, q, eps):
-    rep = main_inequality_gap(f, q, eps)
+    rep = main_inequality_sweep(f, (q,), (eps,))[0]
     assert rep.gap == 0.0
     if eps == 0.5:
         assert rep.lhs == rep.rhs == math.log(f.mean())
@@ -429,7 +430,7 @@ def corpus_functions(draw, max_n=10):
     n = draw(st.integers(1 if kind in ("character", "code") else 0, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "point":
-        return corpus.point_indicator(n, int(rng.integers(1 << n)))
+        return point_indicator(n, int(rng.integers(1 << n)))
     return {
         "nonneg": corpus.random_nonneg,
         "positive": corpus.random_positive,
@@ -448,10 +449,10 @@ def test_parseval_table_is_each_conditional_norm(f, scale):
     f = f.scaled(scale)
     table = cond_exp_log_norms(f, 2.0)
     for t in range(1 << f.n):
-        g = CubeFunction(t.bit_count(), compact_conditional_expectation(f, t))
-        assert table[t] == pytest.approx(log_lq_norm(g, 2.0), rel=1e-14, abs=1e-14)
+        want = log_lq_norms(loop_compact(f, t), (2.0,))[0]
+        assert table[t] == pytest.approx(want, rel=1e-14, abs=1e-14)
     assert table[0] == pytest.approx(math.log(f.mean()), rel=1e-14, abs=1e-14)
-    assert main_inequality_gap(f, 2.0, 0.0).gap == 0.0
+    assert main_inequality_sweep(f, (2.0,), (0.0,))[0].gap == 0.0
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -524,7 +525,7 @@ def zero_heavy_functions(draw, max_n=8):
 @given(zero_heavy_functions(), st.data())
 def test_entropy_kernel_bit_identical_to_cube_tables(f, data):
     want = oracle_entropy_kernel(f.n)(
-        [compact_conditional_expectation(f, t) for t in range(1 << f.n)], range(1 << f.n)
+        [loop_compact(f, t) for t in range(1 << f.n)], range(1 << f.n)
     )
     exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
     assert np.array_equal(exact.view(np.uint64), want.view(np.uint64))

@@ -9,10 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
+from references import dump_bit_matrix, dump_graph
+
 from cubenoise import codes, matroids
 from cubenoise.cli import main
-from cubenoise.codes import LinearCode, dump_bit_matrix, f_value
-from cubenoise.matroids import BinaryMatroid, dump_graph, Graph, tutte_polynomial
+from cubenoise.codes import LinearCode, f_value
+from cubenoise.matroids import BinaryMatroid, Graph, tutte_polynomial
 
 
 def count_calls(monkeypatch, module, name, counted=lambda result: True):
