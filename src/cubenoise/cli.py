@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, corpus, matroids
-from .cube import _require_dimension, noise_table
+from .cube import _require_dimension
 from .inequalities import (
     CSV_COLUMNS,
     GapReport,
@@ -116,8 +116,8 @@ def _campaign(
     n: int,
     fuzz: int,
     cfg: RunConfig,
-    q_grid: tuple[float, ...] = Q_GRID,
-    eps_grid: tuple[float, ...] = EPS_GRID,
+    q_grid: tuple[float, ...],
+    eps_grid: tuple[float, ...],
 ) -> tuple[list[GapReport], list[GapReport]]:
     """Returns (rows, violations)."""
     rng = np.random.default_rng(cfg.seed)
@@ -139,13 +139,15 @@ def _campaign(
     _require_dimension(n)  # before any function of 2^n values is drawn
     functions = corpus.standard_corpus(n, fuzz, rng)
     sampling = {"mode": cfg.mode, "samples": cfg.samples, "seed": cfg.seed}
-    if target == "main":
+    # sampling applies to the main bound that each hypercontractive row notes
+    sweeps = {
+        "main": lambda f: main_inequality_sweep(f, q_grid, eps_grid, **sampling),
+        "entropy": lambda f: noisy_entropy_sweep(f, eps_grid, **sampling),
+        "hypercontractive": lambda f: hypercontractive_sweep(f, q_grid, eps_grid, **sampling),
+    }
+    if target in sweeps:
         for f in functions:
-            for rep in main_inequality_sweep(f, q_grid, eps_grid, **sampling):
-                check(rep)
-    elif target == "entropy":
-        for f in functions:
-            for rep in noisy_entropy_sweep(f, eps_grid, **sampling):
+            for rep in sweeps[target](f):
                 check(rep)
     elif target == "logsobolev":
         for f in functions:
@@ -166,19 +168,6 @@ def _campaign(
                 )
                 if rep.gap <= 0.0 or not fd_ok:
                     bad.append(rep)
-    elif target == "hypercontractive":
-        # the note column records the subset-averaging bound on the same
-        # instance so the two upper bounds can be compared offline; each
-        # inequality is asserted on its own, their ordering never is.  Both
-        # sweeps read the same table of T_eps f, a row per eps, built from one
-        # Walsh transform of f.
-        for f in functions:
-            noisy = noise_table(f, eps_grid)
-            mains = main_inequality_sweep(f, q_grid, eps_grid, **sampling, noisy=noisy)
-            hypers = hypercontractive_sweep(f, q_grid, eps_grid, noisy=noisy)
-            for main_rep, rep in zip(mains, hypers):
-                rep.params["note"] = f"subset_bound={math.exp(main_rep.rhs)!r}"
-                check(rep)
     else:
         raise ValueError(f"unknown verify target {target!r}")
     return rows, bad

@@ -34,9 +34,8 @@ def shifted_character(n: int, rng: np.random.Generator) -> CubeFunction:
     return CubeFunction(n, 1.0 + amp * character(n, r_mask).values)
 
 
-def random_code(n: int, rng: np.random.Generator, rows: int | None = None) -> LinearCode:
-    if rows is None:
-        rows = int(rng.integers(1, n + 1))
+def random_code(n: int, rng: np.random.Generator) -> LinearCode:
+    rows = int(rng.integers(1, n + 1))
     basis = gf2_rref((int(r) for r in rng.integers(1, 1 << n, rows)), n)[1]
     return LinearCode(n, tuple(basis) if basis else (1,))
 

@@ -102,12 +102,12 @@ class FourierSpectrum:
         object.__setattr__(self, "coeffs", v)
 
 
-def require_nonnegative(f: CubeFunction, what: str = "function") -> None:
+def require_nonnegative(f: CubeFunction) -> None:
     """Reject inputs the noise-inequality verifiers are not defined for."""
     if float(f.values.min()) < 0.0:
-        raise ValueError(f"{what} must be nonnegative")
+        raise ValueError("function must be nonnegative")
     if float(f.values.max()) <= 0.0:
-        raise ValueError(f"{what} must not be identically zero")
+        raise ValueError("function must not be identically zero")
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -200,21 +200,10 @@ def noise_operator(f: CubeFunction, eps: float) -> CubeFunction:
     return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
 
 
-def noise_table(f: CubeFunction, eps_grid: Sequence[float]) -> np.ndarray:
-    """T_eps f for every eps of the grid, as the rows of one 2-D array (row e
-    for eps_grid[e]), written block by block by :func:`noise_blocks`."""
-    table = np.empty((len(eps_grid), 1 << f.n))
-    for _ in noise_blocks(f, eps_grid, table):
-        pass
-    return table
-
-
-def noise_blocks(
-    f: CubeFunction, eps_grid: Sequence[float], out: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
+def noise_blocks(f: CubeFunction, eps_grid: Sequence[float]) -> Iterator[np.ndarray]:
     """T_eps f for every eps of the grid, in grid order, as the rows of 2-D
-    blocks of at most _NORMS_BLOCK values (one row each past that size); the
-    blocks are consecutive row slices of `out` if it is given.
+    blocks of at most _NORMS_BLOCK values (one row each past that size), a
+    fresh array each.
 
     Computed in the Fourier domain from one :func:`wht_forward` of f: the
     coefficient of R picks up the factor (1-2*eps)^|R|, so the mean is
@@ -233,7 +222,7 @@ def noise_blocks(
     step = max(1, _NORMS_BLOCK >> f.n)
     for start in range(0, len(grid), step):
         chunk = grid[start : start + step]
-        block = np.empty((len(chunk), 1 << f.n)) if out is None else out[start : start + len(chunk)]
+        block = np.empty((len(chunk), 1 << f.n))
         row = 0
         for inside, run in itertools.groupby(chunk, lambda e: 0.0 < e < 0.5):
             run = list(run)
@@ -417,7 +406,7 @@ def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
     values do not depend on the blocking.
     """
     for q in q_grid:
-        if q < 1:
+        if not q >= 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
     rows = tables.reshape(-1, tables.shape[-1])
     out = np.empty((len(q_grid), rows.shape[0]))

@@ -9,6 +9,7 @@ sides of each inequality share it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -26,6 +27,7 @@ from .cube import (
     compact_conditional_expectations,
     dirichlet_form,
     entropies,
+    full_mask,
     log_lq_norms,
     noise_blocks,
     noise_operator,
@@ -358,19 +360,13 @@ def _conditional_rows(
 
 
 def _noisy_rows(
-    kernel: Callable[[np.ndarray], np.ndarray],
-    points: int,
-    f: CubeFunction,
-    eps_grid: Sequence[float],
-    noisy: np.ndarray | None,
+    kernel: Callable[[np.ndarray], np.ndarray], points: int, f: CubeFunction, eps_grid: Sequence[float]
 ) -> np.ndarray:
-    """out[j, e] = the kernel's value j on T_eps f, eps = eps_grid[e].  The
-    kernel takes the rows of `noisy` (cube.noise_table's rows for the grid)
-    in one call if given, else each block of :func:`cube.noise_blocks`, so
-    that only one block of T_eps f is alive at a time."""
+    """out[j, e] = the kernel's value j on T_eps f, eps = eps_grid[e], from one
+    kernel call per block of :func:`cube.noise_blocks` (none with no points)."""
     out = np.empty((points, len(eps_grid)))
     start = 0
-    for block in noise_blocks(f, eps_grid) if noisy is None else (noisy,):
+    for block in noise_blocks(f, eps_grid) if points else ():
         out[:, start : start + block.shape[0]] = kernel(block)
         start += block.shape[0]
     return out
@@ -444,33 +440,30 @@ def _subset_sweep(
     return out
 
 
-def main_inequality_sweep(
-    f: CubeFunction,
-    q_grid: Sequence[float],
-    eps_grid: Sequence[float],
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-    *,
-    noisy: np.ndarray | None = None,
-) -> list[GapReport]:
-    """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
-    over a (q, eps) grid, q-major.
-
-    q = 2 reads both sides off one Parseval table (:func:`_squared_l2_norms`),
-    in both modes: the rhs averages its ln ||E(f|T)||_2, and the lhs uses
-    ||T_eps f||_2^2 = E over T ~ (1-2 eps)^2 of ||E(f|T)||_2^2, a layer
-    average of the same table that at eps = 0 is its T = [n] entry, so that
-    gap is exactly 0.  The other q take their rhs from one
-    :func:`_conditional_rows` call for the whole grid, over every subset in
-    exact mode and over the masks drawn in mc mode; their lhs is one
-    :func:`log_lq_norms` pass over the rows of T_eps f, which `noisy`, if
-    given, holds for each eps of the grid as in cube.noise_table.
-    """
+def _require_main_domain(
+    f: CubeFunction, q_grid: Sequence[float], eps_grid: Sequence[float], mode: str
+) -> None:
+    """The main inequality's checks, in order: q, f, mode, eps, then the cap
+    of the exact lattice walk, taken at some q != 2 and eps != 1/2."""
     for q in q_grid:
         if not (q > 1.0 or q == math.inf):
             raise ValueError(f"norm inequality needs q > 1, got {q}")
     _require_sweep_domain("main", f, eps_grid, mode)
+    if mode == "exact" and any(q != 2.0 for q in q_grid) and any(eps != 0.5 for eps in eps_grid):
+        _check_expensive_cap(f.n, "use --mode mc, or --q 2 alone")
+
+
+def _main_reports(
+    f: CubeFunction,
+    q_grid: Sequence[float],
+    eps_grid: Sequence[float],
+    noisy_norms: np.ndarray,
+    mode: str,
+    samples: int,
+    seed: int,
+) -> list[GapReport]:
+    """The reports of :func:`main_inequality_sweep` on a checked grid, given
+    the lhs ln ||T_eps f||_q, a row per q != 2 of the grid and a column per eps."""
     q_grid = tuple(q_grid)
     at_2 = np.array([q == 2.0 for q in q_grid], dtype=bool)
     others = tuple(q for q in q_grid if q != 2.0)
@@ -478,18 +471,14 @@ def main_inequality_sweep(
     # constant E f, so both sides equal ln E f by definition and the report
     # is the exact-equality case, with no subset average to take
     averaged = [e for e, eps in enumerate(eps_grid) if eps != 0.5]
-    if others and mode == "exact" and averaged:
-        _check_expensive_cap(f.n, "use --mode mc, or --q 2 alone")
     lhs = np.empty((len(q_grid), len(eps_grid)))
+    lhs[~at_2] = noisy_norms
     if at_2.any():
         z, shift = _squared_l2_norms(f)
         squares = _layer_sums(f.n, z)
         noisy_squares = [layer_expectation((1.0 - 2.0 * eps) ** 2, squares) for eps in eps_grid]
         lhs[at_2] = _log_l2(np.array(noisy_squares), shift)
         table = _log_l2(z, shift, out=z)
-    if others:  # from one Walsh transform of f, a block of rows at a time
-        norms = lambda rows: log_lq_norms(rows, others)
-        lhs[~at_2] = _noisy_rows(norms, len(others), f, eps_grid, noisy)
 
     def rows(masks: np.ndarray | None) -> list[np.ndarray]:
         kernel = _log_norms_kernel(others)
@@ -507,6 +496,32 @@ def main_inequality_sweep(
     return [next(reports) if eps != 0.5 else equality(q, eps) for q in q_grid for eps in eps_grid]
 
 
+def main_inequality_sweep(
+    f: CubeFunction,
+    q_grid: Sequence[float],
+    eps_grid: Sequence[float],
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
+) -> list[GapReport]:
+    """Check ln ||T_eps f||_q <= E over T ~ (1-2 eps)^r(q) of ln ||E(f|T)||_q
+    over a (q, eps) grid, q-major.
+
+    q = 2 reads both sides off one Parseval table (:func:`_squared_l2_norms`),
+    in both modes: the rhs averages its ln ||E(f|T)||_2, and the lhs uses
+    ||T_eps f||_2^2 = E over T ~ (1-2 eps)^2 of ||E(f|T)||_2^2, a layer
+    average of the same table that at eps = 0 is its T = [n] entry, so that
+    gap is exactly 0.  The other q take their rhs from one
+    :func:`_conditional_rows` call for the whole grid, over every subset in
+    exact mode and over the masks drawn in mc mode; their lhs is one
+    :func:`log_lq_norms` pass over the blocks of T_eps f.
+    """
+    _require_main_domain(f, q_grid, eps_grid, mode)
+    others = tuple(q for q in q_grid if q != 2.0)
+    lhs = _noisy_rows(lambda rows: log_lq_norms(rows, others), len(others), f, eps_grid)
+    return _main_reports(f, q_grid, eps_grid, lhs, mode, samples, seed)
+
+
 def noisy_entropy_sweep(
     f: CubeFunction,
     eps_grid: Sequence[float],
@@ -520,55 +535,57 @@ def noisy_entropy_sweep(
     _require_sweep_domain("entropy", f, eps_grid, mode)
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
-    lhs = _noisy_rows(entropies, 1, f, eps_grid, None)
+    lhs = _noisy_rows(entropies, 1, f, eps_grid)
     rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
     return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
-
-
-def _reduced_exponent(q: float, eps: float) -> float:
-    """1 + (q-1)(1-2 eps)^2, and 1 at eps = 1/2 for every q, q = inf included."""
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
-    return 1.0 if eps == 0.5 else 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2
 
 
 def hypercontractive_sweep(
     f: CubeFunction,
     q_grid: Sequence[float],
     eps_grid: Sequence[float],
-    *,
-    noisy: np.ndarray | None = None,
+    mode: str = "exact",
+    samples: int = 20000,
+    seed: int = 0,
 ) -> list[GapReport]:
     """Baseline comparator over a (q, eps) grid, q-major: ||T_eps f||_q <= ||f||
     at the reduced exponent 1 + (q-1)(1-2 eps)^2, which at eps = 1/2 is the
-    1-norm E f for every q.  The lhs is one :func:`log_lq_norms` pass over
-    the rows of T_eps f, which `noisy`, if given, holds for each eps of the
-    grid as in cube.noise_table; every rhs comes from one call on f over the
-    reduced exponents."""
-    require_nonnegative(f)
-    norms = lambda rows: log_lq_norms(rows, q_grid)
-    lhs = np.exp(_noisy_rows(norms, len(q_grid), f, eps_grid, noisy)).tolist()
-    exponents = [_reduced_exponent(q, eps) for q in q_grid for eps in eps_grid]
-    rhs = np.exp(log_lq_norms(f.values, exponents)).reshape(len(q_grid), len(eps_grid)).tolist()
-    out = []
-    for j, q in enumerate(q_grid):
-        for e, eps in enumerate(eps_grid):
-            params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact"}
-            out.append(GapReport("hypercontractive", lhs[j][e], rhs[j][e], rhs[j][e] - lhs[j][e], params))
-    return out
+    1-norm E f for every q.  Exact in either mode; `mode` is that of the
+    main inequality's bound on the same instance, which each note records
+    (exp of the main rhs), so the grid is checked as main checks it.  The lhs
+    is one :func:`log_lq_norms` pass over T_eps f, whose q != 2 rows are the
+    main lhs; every rhs comes from one call on f over the reduced exponents.
+    """
+    _require_main_domain(f, q_grid, eps_grid, mode)
+    norms = _noisy_rows(lambda rows: log_lq_norms(rows, q_grid), len(q_grid), f, eps_grid)
+    others = [j for j, q in enumerate(q_grid) if q != 2.0]
+    bounds = _main_reports(f, q_grid, eps_grid, norms[others], mode, samples, seed)
+    points = [(q, eps) for q in q_grid for eps in eps_grid]
+    # the reduced exponent is 1 at eps = 1/2 for every q, q = inf included
+    exponents = [1.0 if eps == 0.5 else 1.0 + (q - 1.0) * (1.0 - 2.0 * eps) ** 2 for q, eps in points]
+    lhs = np.exp(norms).ravel().tolist()
+    rhs = np.exp(log_lq_norms(f.values, exponents)).tolist()
+    return [
+        GapReport("hypercontractive", left, right, right - left,
+                  {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact",
+                   "note": f"subset_bound={math.exp(bound.rhs)!r}"})
+        for (q, eps), left, right, bound in zip(points, lhs, rhs, bounds)
+    ]
+
+
+def _coordinate_deficit(n: int, norms: np.ndarray) -> float:
+    """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, given ln||E(f|T)||_q
+    on the top two layers of the subset lattice in its order: T = [n], then
+    [n] - {h} for h ascending.  The one formula of :func:`log_sobolev_gap`
+    and :func:`derivative_check`."""
+    return n * float(norms[0]) - float(norms[1:].sum()) if n else 0.0
 
 
 def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
-    """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, from the top two
-    layers of the subset lattice: the one route for :func:`log_sobolev_gap`
-    and :func:`derivative_check`."""
-    if f.n == 0:
-        return 0.0
-    walk = subset_lattice(f)  # layer n, then n - 1; the rest is never built
-    top, below = (float(log_lq_norms(next(walk)[2], (q,)).sum()) for _ in range(2))
-    return f.n * top - below
+    """:func:`_coordinate_deficit` from the top two layers of the subset
+    lattice alone, the rest never built: the route of log_sobolev_gap."""
+    layers = itertools.islice(subset_lattice(f), 2)
+    return _coordinate_deficit(f.n, np.concatenate([log_lq_norms(t, (q,))[0] for _, _, t in layers]))
 
 
 def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
@@ -665,7 +682,8 @@ def derivative_check(f: CubeFunction, q: float) -> GapReport:
     The log-norm side has derivative -E(f^(q-1), f) / (2 E f^q); the averaged
     conditional-norm side has derivative -2 r(q) (n ln||f||_q - sum over
     |T| = n-1 of ln||E(f|T)||_q), the deficit :func:`log_sobolev_gap` bounds
-    with, taken by the same route.  For nonconstant f the first is strictly
+    with, by the same formula and with the same bits, read off the full walk
+    that the finite differences take.  For nonconstant f the first is strictly
     smaller; the report's gap is their difference.
     """
     require_nonnegative(f)
@@ -678,9 +696,12 @@ def derivative_check(f: CubeFunction, q: float) -> GapReport:
     power = CubeFunction(f.n, np.power(f.values, q - 1.0))
     efq = float(np.mean(f.values**q))
     formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
-    formula_rhs = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
-    # the finite differences average every layer; L[n] = ln||f||_q
-    layers = _layer_sums(f.n, _conditional_rows(f, _log_norms_kernel((q,)), 1)[0])
+    # one walk for the deficit and the finite differences, which average
+    # every layer; L[n] = ln||f||_q
+    norms = _conditional_rows(f, _log_norms_kernel((q,)), 1)[0]
+    top = [full_mask(f.n) ^ c for c in (0, *(1 << h for h in range(f.n)))]
+    formula_rhs = -2.0 * r_exponent(q) * _coordinate_deficit(f.n, norms[top])
+    layers = _layer_sums(f.n, norms)
     base = float(layers[f.n])
     noisy = noise_operator(f, _DERIVATIVE_STEP).values
     fd_lhs = (float(log_lq_norms(noisy, (q,))[0]) - base) / _DERIVATIVE_STEP

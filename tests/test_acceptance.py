@@ -19,14 +19,12 @@ from cubenoise.cli import main as cli_main
 from cubenoise.codes import (
     alpha_reversal_holds,
     bec_bound_primal_side,
-    bec_dual_exponent,
     deficiency_expectation,
     enumerator_identities,
     f_value,
     macwilliams_transform,
     reed_muller,
     sberlo_comparison_rows,
-    sberlo_exponent,
 )
 from cubenoise.cube import CubeFunction
 from cubenoise.inequalities import (
@@ -36,7 +34,6 @@ from cubenoise.inequalities import (
     two_point_gap,
 )
 from cubenoise.matroids import (
-    BinaryMatroid,
     deficiency_inequality_gap,
     graph_inequality_gap,
     mu_curve,

@@ -206,24 +206,28 @@ def test_hypercontractive_at_infinite_q_and_half_noise(capsys):
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch, mode):
-    # both sweeps read one table of T_eps f, a row per eps, built from one
-    # forward transform of f
-    tables, transforms = {}, []
+    # per function: one forward transform of f, and one log_lq_norms pass
+    # over the rows of T_eps f, a row per eps, for the whole q grid
+    transforms, passes = [], []
+    real_transform, real_norms = cube.wht_forward, inequalities.log_lq_norms
 
-    def counted_table(f, eps_grid):
-        tables.setdefault(f, []).append(tuple(eps_grid))
-        return cube.noise_table(f, eps_grid)
+    def counted_norms(tables, q_grid):
+        if tables.shape == (len(EPS_GRID), 1 << 4):
+            passes.append((tables.copy(), tuple(q_grid)))
+        return real_norms(tables, q_grid)
 
-    real = cube.wht_forward
-    monkeypatch.setattr(cli, "noise_table", counted_table)
-    monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real(f))
+    monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real_transform(f))
+    monkeypatch.setattr(inequalities, "log_lq_norms", counted_norms)
     cfg = RunConfig(mode=mode, samples=50)
     rows, bad = cli._campaign("hypercontractive", 4, 2, cfg, Q_GRID, EPS_GRID)
     functions = corpus.standard_corpus(4, 2, np.random.default_rng(cfg.seed))
     assert len(rows) == len(functions) * len(Q_GRID) * len(EPS_GRID) and not bad
-    assert len(tables) == len(functions)
-    assert all(grids == [EPS_GRID] for grids in tables.values())
     assert len(transforms) == len({id(f) for f in transforms}) == len(functions)
+    assert len(passes) == len(functions)
+    for f, (tables, q_grid) in zip(functions, passes):
+        assert q_grid == Q_GRID
+        for row, eps in zip(tables, EPS_GRID):
+            assert np.array_equal(row, cube.noise_operator(f, eps).values)
 
 
 def test_one_parser_per_process_gives_a_fresh_parsers_reports(tmp_path, capsys, monkeypatch, k4_file):

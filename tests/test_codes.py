@@ -7,16 +7,14 @@ import pytest
 
 from references import dump_bit_matrix
 
-from cubenoise.cube import CubeFunction, conditional_expectation, wht_forward
+from cubenoise.cube import conditional_expectation, wht_forward
 from cubenoise.codes import (
-    EnumeratorIdentityValues,
     LinearCode,
     WeightDistribution,
     alpha_reversal_holds,
     bec_bound_dual_side,
     bec_bound_primal_side,
     bec_dual_exponent,
-    codeword_masks,
     deficiency_expectation,
     deficiency_table,
     dual_weight_bound,

@@ -23,7 +23,6 @@ from cubenoise.cube import (
     log_lq_norms,
     noise_blocks,
     noise_operator,
-    noise_table,
     popcounts,
     subset_lattice,
     wht_forward,
@@ -260,8 +259,9 @@ NOISE_GRID = (0.0, 0.05, 0.1, 0.17, 0.25, 0.3, 0.45, 0.5, 1e-9, 0.5 - 1e-9, 0.0,
 
 @pytest.mark.parametrize("n", range(11))
 def test_noise_table_rows_are_one_transform_pair_each(n):
+    # the table of T_eps f, a row per eps, as noise_blocks yields it
     f = CubeFunction(n, np.random.default_rng(n).random(1 << n) ** 3 * 10.0)
-    table = noise_table(f, NOISE_GRID)
+    table = np.concatenate(list(noise_blocks(f, NOISE_GRID)))
     assert table.shape == (len(NOISE_GRID), 1 << n)
     for row, eps in zip(table, NOISE_GRID):
         want = loop_noise_operator(f, eps)
@@ -287,9 +287,9 @@ def test_noise_table_takes_one_forward_transform(monkeypatch):
     calls = []
     monkeypatch.setattr(cube, "wht_forward", lambda f: calls.append(f) or wht_forward(f))
     f = rand_fn(5, 3)
-    noise_table(f, NOISE_GRID)
+    list(noise_blocks(f, NOISE_GRID))
     assert len(calls) == 1
-    noise_table(f, (0.0, 0.5, 0.0))  # no interior eps: no transform
+    list(noise_blocks(f, (0.0, 0.5, 0.0)))  # no interior eps: no transform
     assert len(calls) == 1
 
 
@@ -299,7 +299,7 @@ def test_noise_table_keeps_the_finiteness_check():
     with np.errstate(over="ignore", invalid="ignore"):
         for eps in (0.25, 0.5):
             with pytest.raises(ValueError, match="values must be finite"):
-                noise_table(f, (0.0, eps))
+                list(noise_blocks(f, (0.0, eps)))
             with pytest.raises(ValueError, match="values must be finite"):
                 noise_operator(f, eps)
 
@@ -501,6 +501,11 @@ def test_lq_norm_examples():
     assert log_lq_norms(f.values, (math.inf,))[0] == math.log(2.0)
     with pytest.raises(ValueError):
         log_lq_norms(f.values, (0.5,))
+
+
+def test_log_lq_norms_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="norm exponent must be >= 1, got nan"):
+        log_lq_norms(rand_fn(2, 1).values, (2.0, math.nan))
 
 
 def test_log_lq_norm_consistent():

@@ -5,8 +5,8 @@ import pytest
 
 from references import subset_expectation_exact
 
-from cubenoise import corpus
-from cubenoise.cube import CubeFunction, character, conditional_expectation, entropy, log_lq_norms
+from cubenoise import corpus, inequalities
+from cubenoise.cube import CubeFunction, character, conditional_expectation, log_lq_norms
 from cubenoise.inequalities import (
     GapReport,
     CSV_COLUMNS,
@@ -284,6 +284,11 @@ def test_hypercontractive_closed_form():
     assert got == pytest.approx((2.0**1.25 / 2.0) ** (1 / 1.25), abs=1e-13)
 
 
+def test_hypercontractive_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="norm inequality needs q > 1, got nan"):
+        hypercontractive_sweep(rand_fn(3, 41), (math.nan,), (0.1,))
+
+
 def test_hypercontractive_gap_nonnegative():
     for seed in range(5):
         f = rand_fn(4, 500 + seed)
@@ -405,14 +410,41 @@ def test_derivative_strict_order_random():
             assert rep.params["rel_err_rhs"] <= 1e-4
 
 
-def test_derivative_rhs_is_coordinate_deficit():
-    # derivative_check and log_sobolev_gap take the deficit by one route
+def test_derivative_rhs_is_coordinate_deficit(monkeypatch):
+    # derivative_check reads the deficit off its one lattice walk, with the
+    # bits of log_sobolev_gap's top-two-layer route
+    walks = []
+    real = inequalities.subset_lattice
+    monkeypatch.setattr(inequalities, "subset_lattice", lambda f: walks.append(f) or real(f))
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 5, 7):
         f = corpus.random_positive(n, rng)
         for q in Q_GRID:
             want = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
+            walks.clear()
             assert derivative_check(f, q).rhs == want
+            assert len(walks) == 1
+
+
+# (n, q, derivative rhs, log-Sobolev lhs) of random_positive draws from
+# default_rng(23), as the two-layer deficit route gave them
+DEFICIT_VALUES = [
+    (1, 1.5, "-0x1.02bc1a461235ap-10", "0x1.ec3f2503a151fp-10"),
+    (1, 3.0, "-0x1.4abc31c4b04cep-9", "0x1.2c10973827b5ep-8"),
+    (4, 1.5, "-0x1.27dd188c6ef25p-2", "0x1.f1533e03026abp-3"),
+    (4, 3.0, "-0x1.20825dbe6ded3p-1", "0x1.1dbda49332bd6p-2"),
+    (8, 1.5, "-0x1.8e24b3c2f3b6ap-1", "0x1.71630954969fdp-1"),
+    (8, 3.0, "-0x1.53e08c624817fp+0", "0x1.96aec8596ddfcp-1"),
+]
+
+
+def test_deficit_values_keep_their_bits():
+    rng = np.random.default_rng(23)
+    functions = {n: corpus.random_positive(n, rng) for n in (1, 4, 8)}
+    for n, q, rhs, bound in DEFICIT_VALUES:
+        f = functions[n]
+        assert derivative_check(f, q).rhs == float.fromhex(rhs)
+        assert log_sobolev_gap(f, q).lhs == float.fromhex(bound)
 
 
 def test_derivative_rejects_constant():
