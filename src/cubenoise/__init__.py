@@ -3,7 +3,6 @@ boolean cube and their consequences for binary linear codes and binary matroids.
 
 from .cube import (
     CubeFunction,
-    FourierSpectrum,
     SubsetMask,
     character,
     conditional_expectation,
@@ -27,7 +26,6 @@ from .inequalities import (
 
 __all__ = [
     "CubeFunction",
-    "FourierSpectrum",
     "GapReport",
     "SubsetMask",
     "character",

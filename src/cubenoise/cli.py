@@ -12,7 +12,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +38,8 @@ T_POINTS = 50
 
 TARGETS = ("main", "entropy", "logsobolev", "twopoint", "derivative", "hypercontractive")
 
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerance: float = 1e-9
-    mode: str = "exact"
-    samples: int = 20000
-    output: str = "csv"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.mode == "mc" and self.samples < 2:
-            raise ValueError("mc mode needs at least two samples: a standard error needs two draws")
+# a report section: its name, its columns and its rows
+Section = tuple[str, tuple[str, ...], list[dict]]
 
 
 def _jsonable(value):
@@ -66,7 +52,7 @@ def _jsonable(value):
     return value
 
 
-def _render(sections: list[tuple[str, tuple[str, ...], list[dict]]], output: str) -> str:
+def _render(sections: list[Section], output: str) -> str:
     if output == "json":
         import json
 
@@ -111,34 +97,30 @@ def _float_list(text: str) -> list[float]:
 # verify campaigns
 # ---------------------------------------------------------------------------
 
-def _campaign(
-    target: str,
-    n: int,
-    fuzz: int,
-    cfg: RunConfig,
-    q_grid: tuple[float, ...],
-    eps_grid: tuple[float, ...],
-) -> tuple[list[GapReport], list[GapReport]]:
-    """Returns (rows, violations)."""
-    rng = np.random.default_rng(cfg.seed)
+def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport]]:
+    """Returns (rows, violations) for the parsed `verify` arguments."""
+    target, n, fuzz, tolerance = args.target, args.n, args.fuzz, args.tolerance
+    q_grid = tuple(args.q_list) if args.q_list else Q_GRID
+    eps_grid = tuple(args.eps_list) if args.eps_list else EPS_GRID
+    rng = np.random.default_rng(args.seed)
     rows: list[GapReport] = []
     bad: list[GapReport] = []
 
     def check(rep: GapReport) -> None:
         rows.append(rep)
-        if not rep.holds(cfg.tolerance):
+        if not rep.holds(tolerance):
             bad.append(rep)
 
     if target == "twopoint":
         grid = [float(t) for t in np.logspace(0.0, 3.0, T_POINTS)] + [math.inf]
         for t in grid:
             for q in q_grid:
-                check(two_point_gap(t, q, tolerance=cfg.tolerance))
+                check(two_point_gap(t, q, tolerance=tolerance))
         return rows, bad
 
     _require_dimension(n)  # before any function of 2^n values is drawn
     functions = corpus.standard_corpus(n, fuzz, rng)
-    sampling = {"mode": cfg.mode, "samples": cfg.samples, "seed": cfg.seed}
+    sampling = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
     # sampling applies to the main bound that each hypercontractive row notes
     sweeps = {
         "main": lambda f: main_inequality_sweep(f, q_grid, eps_grid, **sampling),
@@ -152,7 +134,7 @@ def _campaign(
     elif target == "logsobolev":
         for f in functions:
             for q in q_grid:
-                check(log_sobolev_gap(f, q, tolerance=cfg.tolerance))
+                check(log_sobolev_gap(f, q, tolerance=tolerance))
     elif target == "derivative":
         # strictly positive inputs keep the one-sided finite differences at
         # the pinned step within the 1e-4 agreement tolerance for all q
@@ -173,18 +155,11 @@ def _campaign(
     return rows, bad
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    q_grid = tuple(args.q_list) if args.q_list else Q_GRID
-    eps_grid = tuple(args.eps_list) if args.eps_list else EPS_GRID
-    rows, bad = _campaign(args.target, args.n, args.fuzz, cfg, q_grid, eps_grid)
+def cmd_verify(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
+    rows, bad = _campaign(args)
     if not rows:
         raise ValueError(f"verify --target {args.target} checked no rows; use --fuzz >= 1")
-    sections = [("gaps", CSV_COLUMNS, [r.row() for r in rows])]
-    _emit(_render(sections, cfg.output), cfg.out)
-    if bad:
-        print(f"violation: {bad[0].csv_row()}", file=sys.stderr)
-        return 1
-    return 0
+    return [("gaps", CSV_COLUMNS, [r.row() for r in rows])], [r.csv_row() for r in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +196,11 @@ def _weight_section(code: codes.LinearCode) -> list[dict]:
     return rows
 
 
-def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
     if args.rm is not None:
         code = codes.reed_muller(args.rm[0], args.rm[1])
     else:
         code = codes.load_code(args.file)
-    lam_grid = args.lam_grid
-    q_list = args.q_list
 
     sections = []
     violations: list[str] = []
@@ -244,16 +217,16 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
     deficiency_rows = []
     fvalue_rows = []
     identity_rows = []
-    for lam in lam_grid:
+    for lam in args.lam_grid:
         deficiency, stderr = codes.deficiency_expectation(
-            code, lam, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
+            code, lam, mode=args.mode, samples=args.samples, seed=args.seed
         )
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
-        for q in q_list:
+        for q in args.q_list:
             value = codes.f_value(code, lam, q)
             slack = deficiency - value
             fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": slack})
-            if slack < -allowed_slack(cfg.tolerance, stderr):
+            if slack < -allowed_slack(args.tolerance, stderr):
                 violations.append(f"fvalues,lambda={lam},q={q},slack={slack!r}")
         vals = codes.enumerator_identities(code, lam)
         spread = vals.spread()
@@ -267,7 +240,7 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "spread": spread,
             }
         )
-        if spread > cfg.tolerance:
+        if spread > args.tolerance:
             violations.append(f"identities,lambda={lam},spread={spread!r}")
 
     sections.append(("deficiency", ("lambda", "rank_deficiency"), deficiency_rows))
@@ -275,19 +248,14 @@ def cmd_code(args: argparse.Namespace, cfg: RunConfig) -> int:
     sections.append(
         ("identities", ("lambda", "moment", "sup", "dual_sum", "primal_sum", "spread"), identity_rows)
     )
-
-    _emit(_render(sections, cfg.output), cfg.out)
-    if violations:
-        print(f"violation: {violations[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return sections, violations
 
 
 # ---------------------------------------------------------------------------
 # matroid reports
 # ---------------------------------------------------------------------------
 
-def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
     graph = None
     if args.graph is not None:
         graph = matroids.load_graph(args.graph)
@@ -309,10 +277,10 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
     tutte_rows = []
     for p in args.p_grid:
         rep = matroids.deficiency_inequality_gap(
-            matroid, p, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
+            matroid, p, mode=args.mode, samples=args.samples, seed=args.seed
         )
         gap_rows.append(rep.row())
-        if not rep.holds(cfg.tolerance):
+        if not rep.holds(args.tolerance):
             violations.append(rep.csv_row())
         if 0.0 < p < 1.0:
             ident = matroids.tutte_identity_check(matroid, p)
@@ -327,9 +295,9 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
                 }
             )
             if (
-                ident.params["mgf_residual"] > cfg.tolerance
-                or ident.params["deficiency_residual"] > cfg.tolerance
-                or not ident.holds(cfg.tolerance)
+                ident.params["mgf_residual"] > args.tolerance
+                or ident.params["deficiency_residual"] > args.tolerance
+                or not ident.holds(args.tolerance)
             ):
                 violations.append(ident.csv_row())
     sections.append(("deficiency_gap", CSV_COLUMNS, gap_rows))
@@ -352,7 +320,7 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
             row = rep.row()
             row["note"] = f"bounded_diff={comparator!r}"
             tail_rows.append(row)
-            if not rep.holds(cfg.tolerance):
+            if not rep.holds(args.tolerance):
                 violations.append(rep.csv_row())
     sections.append(("tail", CSV_COLUMNS, tail_rows))
 
@@ -366,18 +334,13 @@ def cmd_matroid(args: argparse.Namespace, cfg: RunConfig) -> int:
         graph_rows = []
         for p in args.p_grid:
             rep = matroids.graph_inequality_gap(
-                graph, p, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
+                graph, p, mode=args.mode, samples=args.samples, seed=args.seed
             )
             graph_rows.append(rep.row())
-            if not rep.holds(cfg.tolerance):
+            if not rep.holds(args.tolerance):
                 violations.append(rep.csv_row())
         sections.append(("graph_gap", CSV_COLUMNS, graph_rows))
-
-    _emit(_render(sections, cfg.output), cfg.out)
-    if violations:
-        print(f"violation: {violations[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return sections, violations
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +402,21 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = {"verify": cmd_verify, "code": cmd_code, "matroid": cmd_matroid}[args.command]
     try:
-        cfg = RunConfig(
-            seed=args.seed,
-            tolerance=args.tolerance,
-            mode=args.mode,
-            samples=args.samples,
-            output=args.output,
-            out=args.out,
-        )
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        if args.command == "code":
-            return cmd_code(args, cfg)
-        return cmd_matroid(args, cfg)
+        if not 0 < args.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if args.mode == "mc" and args.samples < 2:
+            raise ValueError("mc mode needs at least two samples: a standard error needs two draws")
+        sections, violations = command(args)
+        _emit(_render(sections, args.output), args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if violations:
+        print(f"violation: {violations[0]}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

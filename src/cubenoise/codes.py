@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cube import CubeFunction, FourierSpectrum, SubsetMask, _zeta, dimension_cap, popcounts
+from .cube import CubeFunction, SubsetMask, _zeta, dimension_cap, popcounts
 from .cube import entropy as cube_entropy, wht_inverse
 from .inequalities import LN2, _require_mode, enum_cap, layer_expectation, noise_rate
 from .inequalities import subset_expectation_mc
@@ -269,7 +269,7 @@ def macwilliams_transform(a: WeightDistribution, n: int, k: int) -> WeightDistri
     size = 1 << k
     out = []
     for i in range(n + 1):
-        num = sum(a.counts[w] * krawtchouk(n, i, w) for w in range(n + 1))
+        num = sum(c * krawtchouk(n, i, w) for w, c in enumerate(a.counts) if c)
         q, r = divmod(num, size)
         if r != 0 or q < 0:
             raise ValueError(f"transform gives non-integer count at weight {i}")
@@ -373,38 +373,39 @@ def noisy_indicator(code: LinearCode, eps: float) -> CubeFunction:
     """
     _require_cube(code)
     dual = code.dual
-    return wht_inverse(FourierSpectrum(dual.k, (1.0 - 2.0 * eps) ** dual.codeword_weights))
+    return wht_inverse((1.0 - 2.0 * eps) ** dual.codeword_weights)
 
 
-def f_value(code: LinearCode, lam: float, q: float, mode: str = "auto") -> float:
+def f_value(code: LinearCode, lam: float, q: float) -> float:
     """F(lam, q) = (1/(q-1)) log2 E f_eps^q at the matched noise
     eps = (1 - lam^(1/r(q)))/2, where f is the scaled code indicator.
 
     q = 1 is the entropy limit Ent(f at noise (1-sqrt(lam))/2); q = inf is
-    log2 of the sup norm at noise (1 - lam^(2 ln 2))/2.  mode 'weights' uses
-    the dual weight enumerator (valid for q in {2, inf} at any length with
-    k or n-k enumerable); mode 'cube' uses :func:`noisy_indicator` (n up to
-    the cube dimension cap); 'auto' picks.  Cube means run over all 2^n
-    points in index order: near lam = 0.1 one ulp of the moment moves F by
-    ~6e-12 of itself, and this keeps F equal to the direct cube value.
+    log2 of the sup norm at noise (1 - lam^(2 ln 2))/2.  q = 2 and q = inf
+    come from the dual weight enumerator (any length with k or n-k
+    enumerable); every other q from :func:`noisy_indicator` on the cube (n up
+    to the cube dimension cap).
     """
+    if q not in (2.0, math.inf):
+        return _cube_f_value(code, lam, q)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
+    return _enumerator_value(code, lam ** (2.0 * LN2))
+
+
+def _cube_f_value(code: LinearCode, lam: float, q: float) -> float:
+    """F(lam, q) from :func:`noisy_indicator`, for any q >= 1.  Cube means run
+    over all 2^n points in index order: near lam = 0.1 one ulp of the moment
+    moves F by ~6e-12 of itself, and this keeps F equal to the direct cube
+    value."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
     if not (q == math.inf or q >= 1.0):
         raise ValueError(f"need q >= 1, got {q}")
-    if mode == "auto":
-        mode = "weights" if q in (2.0, math.inf) else "cube"
-    theta = lam ** (2.0 * LN2)
-    if mode == "weights":
-        if q not in (2.0, math.inf):
-            raise ValueError("weight-enumerator route only covers q = 2 and q = inf")
-        return _enumerator_value(code, theta)
-    if mode != "cube":
-        raise ValueError(f"unknown mode {mode!r}")
     if q == 1.0:
         eps = (1.0 - math.sqrt(lam)) / 2.0
     elif q == math.inf:
-        eps = (1.0 - theta) / 2.0
+        eps = (1.0 - lam ** (2.0 * LN2)) / 2.0
     else:
         eps = noise_rate(q, lam)
     noisy = noisy_indicator(code, eps).values
@@ -443,8 +444,8 @@ def enumerator_identities(code: LinearCode, lam: float) -> EnumeratorIdentityVal
     theta = lam ** (2.0 * LN2)
     moment = sup = None
     if code.n <= dimension_cap():
-        moment = f_value(code, lam, 2.0, mode="cube")
-        sup = f_value(code, lam, math.inf, mode="cube")
+        moment = _cube_f_value(code, lam, 2.0)
+        sup = _cube_f_value(code, lam, math.inf)
     dual_sum = _enumerator_value(code, theta)
     a = code.weights.counts
     primal = sum(

@@ -87,21 +87,6 @@ class CubeFunction:
         return CubeFunction(self.n, self.values * c)
 
 
-@dataclass(frozen=True, eq=False)
-class FourierSpectrum:
-    """Walsh-Fourier coefficients, coefficient of subset R at index = mask of R."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.coeffs, dtype=np.float64, copy=True).reshape(-1)
-        if v.shape != (1 << self.n,):
-            raise ValueError(f"expected 2^{self.n} coefficients, got {v.shape[0]}")
-        v.setflags(write=False)
-        object.__setattr__(self, "coeffs", v)
-
-
 def require_nonnegative(f: CubeFunction) -> None:
     """Reject inputs the noise-inequality verifiers are not defined for."""
     if float(f.values.min()) < 0.0:
@@ -163,19 +148,25 @@ def _zeta(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def wht_forward(f: CubeFunction) -> FourierSpectrum:
-    """Coefficients c(R) = E_x f(x) w_R(x), with w_R(x) = (-1)^(sum of x_i, i in R)."""
+def wht_forward(f: CubeFunction) -> np.ndarray:
+    """Coefficients c(R) = E_x f(x) w_R(x), with w_R(x) = (-1)^(sum of x_i, i in R),
+    as a fresh array with the coefficient of subset R at index = mask of R."""
     arr = f.values.copy()
     _butterfly(arr)
     arr /= 1 << f.n
-    return FourierSpectrum(f.n, arr)
+    return arr
 
 
-def wht_inverse(s: FourierSpectrum) -> CubeFunction:
-    """f(x) = sum_R c(R) w_R(x); exact inverse of :func:`wht_forward` up to roundoff."""
-    arr = s.coeffs.copy()
+def wht_inverse(coeffs: np.ndarray) -> CubeFunction:
+    """f(x) = sum_R c(R) w_R(x) for 2^n coefficients in mask order; exact
+    inverse of :func:`wht_forward` up to roundoff."""
+    arr = np.array(coeffs, dtype=np.float64).reshape(-1)
+    n = arr.size.bit_length() - 1
+    _require_dimension(n)
+    if arr.size != 1 << n:
+        raise ValueError(f"expected 2^{n} values, got {arr.size}")
     _butterfly(arr)
-    return CubeFunction(s.n, arr)
+    return CubeFunction(n, arr)
 
 
 def character(n: int, r_mask: SubsetMask) -> CubeFunction:
@@ -217,7 +208,7 @@ def noise_blocks(f: CubeFunction, eps_grid: Sequence[float]) -> Iterator[np.ndar
         if not 0.0 <= eps <= 0.5:
             raise ValueError(f"noise rate must be in [0, 1/2], got {eps}")
     if any(0.0 < eps < 0.5 for eps in grid):
-        coeffs = wht_forward(f).coeffs
+        coeffs = wht_forward(f)
         sizes, degrees = popcounts(f.n), np.arange(f.n + 1)
     step = max(1, _NORMS_BLOCK >> f.n)
     for start in range(0, len(grid), step):

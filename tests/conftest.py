@@ -36,6 +36,20 @@ def random_multigraph_with_loops(seed: int, vertices: int = 5, edges: int = 10) 
     return Graph(vertices, tuple(out))
 
 
+@pytest.fixture
+def rep2_file(tmp_path):
+    path = tmp_path / "rep2.code"
+    path.write_text("1 2\n11\n")
+    return str(path)
+
+
+@pytest.fixture
+def k4_file(tmp_path):
+    path = tmp_path / "k4.graph"
+    path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    return str(path)
+
+
 @pytest.fixture(scope="session")
 def function_corpus():
     """200 seeded random nonnegative functions for each n in 1..4."""

@@ -6,22 +6,8 @@ import numpy as np
 import pytest
 
 from cubenoise import cli, corpus, cube, inequalities
-from cubenoise.cli import EPS_GRID, Q_GRID, RunConfig, main
+from cubenoise.cli import EPS_GRID, Q_GRID, main
 from cubenoise.inequalities import GapReport, main_inequality_sweep
-
-
-@pytest.fixture
-def rep2_file(tmp_path):
-    path = tmp_path / "rep2.code"
-    path.write_text("1 2\n11\n")
-    return str(path)
-
-
-@pytest.fixture
-def k4_file(tmp_path):
-    path = tmp_path / "k4.graph"
-    path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
-    return str(path)
 
 
 def run(capsys, *argv):
@@ -218,9 +204,12 @@ def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch,
 
     monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real_transform(f))
     monkeypatch.setattr(inequalities, "log_lq_norms", counted_norms)
-    cfg = RunConfig(mode=mode, samples=50)
-    rows, bad = cli._campaign("hypercontractive", 4, 2, cfg, Q_GRID, EPS_GRID)
-    functions = corpus.standard_corpus(4, 2, np.random.default_rng(cfg.seed))
+    args = cli.build_parser().parse_args(
+        ["verify", "--target", "hypercontractive", "--n", "4", "--fuzz", "2",
+         "--mode", mode, "--samples", "50"]
+    )
+    rows, bad = cli._campaign(args)
+    functions = corpus.standard_corpus(4, 2, np.random.default_rng(args.seed))
     assert len(rows) == len(functions) * len(Q_GRID) * len(EPS_GRID) and not bad
     assert len(transforms) == len({id(f) for f in transforms}) == len(functions)
     assert len(passes) == len(functions)
@@ -456,18 +445,38 @@ def test_violation_reporting_logic():
     assert good.holds(1e-9)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=math.nan)
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=math.inf)
-    with pytest.raises(ValueError):
-        RunConfig(mode="mc", samples=0)
-    with pytest.raises(ValueError, match="two draws"):
-        RunConfig(mode="mc", samples=1)
-    RunConfig(mode="exact", samples=1)  # exact mode draws nothing
+RUN_ARGS = {
+    "verify": "verify --target logsobolev --n 2 --fuzz 2",
+    "code": "code --rm 1 3",
+    "matroid": "matroid --graph K4",
+}
+BAD_TOLERANCE = "error: tolerance must be positive and finite\n"
+ONE_DRAW = "error: mc mode needs at least two samples: a standard error needs two draws\n"
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ARGS))
+@pytest.mark.parametrize(
+    "flags, err_want",
+    [
+        pytest.param(flags, err_want, id=flags)
+        for flags, err_want in (
+            ("--tolerance 0", BAD_TOLERANCE),
+            ("--tolerance nan", BAD_TOLERANCE),
+            ("--tolerance inf", BAD_TOLERANCE),
+            ("--mode mc --samples 0", ONE_DRAW),
+            ("--mode mc --samples 1", ONE_DRAW),
+            ("--mode exact --samples 1", ""),  # exact mode draws nothing
+        )
+    ],
+)
+def test_run_flags_checked_before_any_report(capsys, k4_file, command, flags, err_want):
+    argv = [k4_file if a == "K4" else a for a in f"{RUN_ARGS[command]} {flags}".split()]
+    code, out, err = run(capsys, *argv)
+    assert err == err_want
+    if err_want:
+        assert code == 2 and out == ""
+    else:
+        assert code == 0 and out.startswith("# cubenoise-report v1")
 
 
 @pytest.mark.parametrize(

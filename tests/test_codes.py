@@ -7,10 +7,12 @@ import pytest
 
 from references import dump_bit_matrix
 
+from cubenoise import codes
 from cubenoise.cube import conditional_expectation, wht_forward
 from cubenoise.codes import (
     LinearCode,
     WeightDistribution,
+    _cube_f_value,
     alpha_reversal_holds,
     bec_bound_dual_side,
     bec_bound_primal_side,
@@ -196,6 +198,22 @@ def test_macwilliams_involution():
     assert back.counts == a.counts
 
 
+def test_macwilliams_skips_absent_weights(monkeypatch):
+    # RM(1,6) has codewords of weights 0, 32 and 64 only: the transform
+    # evaluates K_i at those three weights, not at all 65
+    code = reed_muller(1, 6)
+    a = code.weights
+    present = sum(1 for c in a.counts if c)
+    assert present == 3
+    calls = []
+    real = codes.krawtchouk
+    monkeypatch.setattr(codes, "krawtchouk", lambda n, i, w: calls.append(w) or real(n, i, w))
+    b = macwilliams_transform(a, code.n, code.k)
+    assert len(calls) <= (code.n + 1) * present
+    assert set(calls) == {0, 32, 64}
+    assert sum(b.counts) == 1 << (code.n - code.k)
+
+
 def test_macwilliams_rejects_invalid_distribution():
     with pytest.raises(ValueError, match="non-integer"):
         macwilliams_transform(WeightDistribution((1, 1, 1)), 2, 1)
@@ -218,16 +236,16 @@ def test_scaled_indicator_examples():
     zero = LinearCode(2, ())
     f = scaled_indicator(zero)
     assert f.values.tolist() == [4.0, 0.0, 0.0, 0.0]
-    assert np.allclose(wht_forward(f).coeffs, 1.0)
+    assert np.allclose(wht_forward(f), 1.0)
     rep = scaled_indicator(REP2)
     assert rep.values.tolist() == [2.0, 0.0, 0.0, 2.0]
-    assert wht_forward(rep).coeffs.tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert wht_forward(rep).tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_indicator_spectrum_is_dual_indicator():
     for seed in range(4):
         code = random_code(6, 120 + seed)
-        coeffs = wht_forward(scaled_indicator(code)).coeffs
+        coeffs = wht_forward(scaled_indicator(code))
         dual_words = brute_codewords(code.dual)
         for r in range(1 << code.n):
             assert coeffs[r] == pytest.approx(1.0 if r in dual_words else 0.0, abs=1e-12)
@@ -306,9 +324,9 @@ def test_rank_deficiency_nonnegative_and_mc_consistent():
 def test_f_value_degenerate_rates():
     code = random_code(6, 190)
     for q in (1.0, 1.5, 2.0, math.inf):
-        assert f_value(code, 0.0, q, mode="cube") == pytest.approx(0.0, abs=1e-12)
+        assert _cube_f_value(code, 0.0, q) == pytest.approx(0.0, abs=1e-12)
     for q in (1.5, 2.0, 3.0):
-        assert f_value(code, 1.0, q, mode="cube") == pytest.approx(
+        assert _cube_f_value(code, 1.0, q) == pytest.approx(
             code.n - code.k, abs=1e-9
         )
 
@@ -317,8 +335,8 @@ def test_f_value_repetition_closed_form():
     for lam in (0.2, 0.5, 0.8):
         theta = lam ** (2 * LN2)
         expect = math.log2(1 + theta**2)
-        assert f_value(REP2, lam, 2.0, mode="weights") == pytest.approx(expect, abs=1e-12)
-        assert f_value(REP2, lam, 2.0, mode="cube") == pytest.approx(expect, abs=1e-9)
+        assert f_value(REP2, lam, 2.0) == pytest.approx(expect, abs=1e-12)
+        assert _cube_f_value(REP2, lam, 2.0) == pytest.approx(expect, abs=1e-9)
 
 
 def test_f_value_two_routes_agree():
@@ -326,8 +344,8 @@ def test_f_value_two_routes_agree():
         code = random_code(7, 200 + seed)
         for lam in (0.25, 0.6):
             for q in (2.0, math.inf):
-                a = f_value(code, lam, q, mode="cube")
-                b = f_value(code, lam, q, mode="weights")
+                a = _cube_f_value(code, lam, q)
+                b = f_value(code, lam, q)
                 assert a == pytest.approx(b, abs=1e-9)
 
 

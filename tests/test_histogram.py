@@ -13,9 +13,9 @@ from references import connected_components, matroid_rank
 
 from cubenoise.codes import (
     LinearCode,
+    _cube_f_value,
     deficiency_expectation,
     deficiency_table,
-    f_value,
     gf2_rank,
     noisy_indicator,
     rank_of_columns,
@@ -281,7 +281,7 @@ def test_syndrome_route_matches_cube(code, lam, q):
         want = math.log2(float(direct.values.max()))
     else:
         want = math.log2(float(np.mean(np.maximum(direct.values, 0.0) ** q))) / (q - 1.0)
-    assert f_value(code, lam, q, mode="cube") == want
+    assert _cube_f_value(code, lam, q) == want
 
 
 def test_syndrome_route_extreme_dimensions():

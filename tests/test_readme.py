@@ -1,5 +1,6 @@
 import pathlib
 import re
+import shlex
 
 import cubenoise.cli  # imports every module of the package
 
@@ -28,3 +29,16 @@ def test_readme_module_references_resolve():
     refs = readme_references()
     assert len(refs) >= 10  # the scan finds the references at all
     assert sorted(r for r in refs if not resolves(r)) == []
+
+
+def test_readme_commands_run(capsys, rep2_file, k4_file):
+    # every `cubenoise ...` line of the "Command line" block, with the
+    # example files it names written by the fixtures
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for line in block.group(1).splitlines() if line.startswith("cubenoise ")]
+    assert len(lines) >= 7
+    files = {"rep2.code": rep2_file, "k4.graph": k4_file}
+    for line in lines:
+        argv = [files.get(a, a) for a in shlex.split(line)[1:]]
+        code = cubenoise.cli.main(argv)
+        assert code == 0, (line, capsys.readouterr().err)
