@@ -14,9 +14,9 @@ from .cube import (
 )
 from .inequalities import (
     GapReport,
-    derivative_check,
+    derivative_sweep,
     hypercontractive_sweep,
-    log_sobolev_gap,
+    log_sobolev_sweep,
     main_inequality_sweep,
     noisy_entropy_sweep,
     r_exponent,
@@ -30,11 +30,11 @@ __all__ = [
     "SubsetMask",
     "character",
     "conditional_expectation",
-    "derivative_check",
+    "derivative_sweep",
     "dirichlet_form",
     "entropy",
     "hypercontractive_sweep",
-    "log_sobolev_gap",
+    "log_sobolev_sweep",
     "main_inequality_sweep",
     "noise_operator",
     "noisy_entropy_sweep",

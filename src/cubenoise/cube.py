@@ -185,6 +185,7 @@ def character(n: int, r_mask: SubsetMask) -> CubeFunction:
 _NORMS_BLOCK = 1 << 16
 
 
+# Reached by no command; kept for perfbench/, whose layer table reports its calls by name.
 def noise_operator(f: CubeFunction, eps: float) -> CubeFunction:
     """Average f over independent per-coordinate bit flips with probability
     eps: the one-row case of :func:`noise_blocks`."""

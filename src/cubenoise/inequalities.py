@@ -30,7 +30,6 @@ from .cube import (
     full_mask,
     log_lq_norms,
     noise_blocks,
-    noise_operator,
     popcounts,
     require_nonnegative,
     subset_lattice,
@@ -573,19 +572,19 @@ def hypercontractive_sweep(
     ]
 
 
+def _require_finite_q_grid(q_grid: Sequence[float]) -> None:
+    """The one check of the Dirichlet-form checks' exponents: finite q > 1."""
+    for q in q_grid:
+        if not q > 1.0 or q == math.inf:
+            raise ValueError(f"need finite q > 1, got {q}")
+
+
 def _coordinate_deficit(n: int, norms: np.ndarray) -> float:
     """n ln||f||_q - sum over |T| = n-1 of ln||E(f|T)||_q, given ln||E(f|T)||_q
     on the top two layers of the subset lattice in its order: T = [n], then
-    [n] - {h} for h ascending.  The one formula of :func:`log_sobolev_gap`
-    and :func:`derivative_check`."""
+    [n] - {h} for h ascending.  The one formula of :func:`log_sobolev_sweep`
+    and :func:`derivative_sweep`, one q of their grid at a time."""
     return n * float(norms[0]) - float(norms[1:].sum()) if n else 0.0
-
-
-def _coordinate_log_norm_deficit(f: CubeFunction, q: float) -> float:
-    """:func:`_coordinate_deficit` from the top two layers of the subset
-    lattice alone, the rest never built: the route of log_sobolev_gap."""
-    layers = itertools.islice(subset_lattice(f), 2)
-    return _coordinate_deficit(f.n, np.concatenate([log_lq_norms(t, (q,))[0] for _, _, t in layers]))
 
 
 def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
@@ -605,49 +604,57 @@ def log_sobolev_equality_expected(f: CubeFunction, q: float) -> bool:
     return True
 
 
-def log_sobolev_gap(f: CubeFunction, q: float, tolerance: float = 1e-9) -> GapReport:
+def log_sobolev_sweep(
+    f: CubeFunction, q_grid: Sequence[float], tolerance: float = 1e-9
+) -> list[GapReport]:
     """Check the Dirichlet-form lower bound
 
         E(f^(q-1), f) >= 4 r(q) E f^q (n ln||f||_q - sum_{|T|=n-1} ln||E(f|T)||_q),
 
-    reporting lhs = the right-hand bound and rhs = the Dirichlet form so that a
-    nonnegative gap certifies the instance.  Both sides are homogeneous of
-    degree q, so the input is rescaled to unit maximum first; this keeps every
-    reported quantity of order one and the absolute gap tolerance meaningful.
-    The params carry the applied scale, an equality flag and the structural
-    equality condition for cross-checking.
+    for every q of the grid, in grid order, reporting lhs = the right-hand
+    bound and rhs = the Dirichlet form so that a nonnegative gap certifies the
+    instance.  Both sides are homogeneous of degree q, so the input is
+    rescaled to unit maximum first; this keeps every reported quantity of
+    order one and the absolute gap tolerance meaningful.  The whole grid is
+    checked first; then every deficit comes from one walk of the top two
+    layers of the subset lattice, the rest never built, and one
+    :func:`log_lq_norms` call per layer over the grid.  The params carry the
+    applied scale, an equality flag and the structural equality condition for
+    cross-checking.
     """
     require_nonnegative(f)
-    if not q > 1.0 or q == math.inf:
-        raise ValueError(f"need finite q > 1, got {q}")
+    _require_finite_q_grid(q_grid)
     scale = float(f.values.max())
     f = f.scaled(1.0 / scale)
-    power = CubeFunction(f.n, np.power(f.values, q - 1.0))
-    energy = dirichlet_form(power, f)
-    efq = float(np.mean(f.values**q))
-    deficit = _coordinate_log_norm_deficit(f, q)
-    bound = 4.0 * r_exponent(q) * efq * deficit
-    gap = energy - bound
-    equality = abs(gap) <= tolerance * max(1.0, abs(bound))
-    params = {
-        "n": f.n,
-        "q": q,
-        "eps_or_lambda": None,
-        "mode": "exact",
-        "scale": scale,
-        "equality": equality,
-        "equality_expected": log_sobolev_equality_expected(f, q),
-        "note": "equality" if equality else "",
-    }
-    return GapReport("logsobolev", bound, energy, gap, params)
+    layers = itertools.islice(subset_lattice(f), 2)
+    norms = np.concatenate([log_lq_norms(t, q_grid) for _, _, t in layers], axis=1)
+    out = []
+    for q, row in zip(q_grid, norms):
+        power = CubeFunction(f.n, np.power(f.values, q - 1.0))
+        energy = dirichlet_form(power, f)
+        efq = float(np.mean(f.values**q))
+        bound = 4.0 * r_exponent(q) * efq * _coordinate_deficit(f.n, row)
+        gap = energy - bound
+        equality = abs(gap) <= tolerance * max(1.0, abs(bound))
+        params = {
+            "n": f.n,
+            "q": q,
+            "eps_or_lambda": None,
+            "mode": "exact",
+            "scale": scale,
+            "equality": equality,
+            "equality_expected": log_sobolev_equality_expected(f, q),
+            "note": "equality" if equality else "",
+        }
+        out.append(GapReport("logsobolev", bound, energy, gap, params))
+    return out
 
 
 def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
     """One-coordinate case of the Dirichlet-form bound, parametrized by the
     value ratio t >= 1 of the two-point function g = (x, 2-x) with mean one;
     t = inf is the boundary case g = (0, 2)."""
-    if not q > 1.0 or q == math.inf:
-        raise ValueError(f"need finite q > 1, got {q}")
+    _require_finite_q_grid((q,))
     if not t >= 1.0:
         raise ValueError(f"value ratio must be >= 1, got {t}")
     x = 0.0 if t == math.inf else 2.0 / (t + 1.0)
@@ -670,56 +677,65 @@ def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
     return GapReport("twopoint", bound, energy, gap, params)
 
 
-# The one-sided finite-difference step of derivative_check, in noise rate.
+# The step h of derivative_sweep's one-sided differences, in noise rate.
 _DERIVATIVE_STEP = 1e-5
 
 
-def derivative_check(f: CubeFunction, q: float) -> GapReport:
-    """Compare the closed forms of the derivatives at zero noise with one-sided
-    finite differences at step 1e-5, and check the strict ordering between
-    them.
+def _one_sided_difference(g0: float, gh: float, g2h: float) -> float:
+    """(4 g(h) - g(2h) - 3 g(0)) / 2h at h = _DERIVATIVE_STEP: the one-sided
+    difference whose error is O(h^2), not the O(h) of (g(h) - g(0)) / h."""
+    return (4.0 * gh - g2h - 3.0 * g0) / (2.0 * _DERIVATIVE_STEP)
+
+
+def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport]:
+    """For every q of the grid, in grid order, compare the closed forms of the
+    derivatives at zero noise with second-order one-sided differences at step
+    h = 1e-5, and check the strict ordering between them.
 
     The log-norm side has derivative -E(f^(q-1), f) / (2 E f^q); the averaged
     conditional-norm side has derivative -2 r(q) (n ln||f||_q - sum over
-    |T| = n-1 of ln||E(f|T)||_q), the deficit :func:`log_sobolev_gap` bounds
-    with, by the same formula and with the same bits, read off the full walk
-    that the finite differences take.  For nonconstant f the first is strictly
-    smaller; the report's gap is their difference.
+    |T| = n-1 of ln||E(f|T)||_q), the deficit :func:`log_sobolev_sweep` bounds
+    with, by the same formula and with the same bits.  For nonconstant f the
+    first is strictly smaller; the report's gap is their difference.  After
+    the grid is checked, one :func:`_conditional_rows` walk gives each q's
+    deficit and layer sums L_k (L_n = ln||f||_q), which the rhs differences
+    average, and one :func:`noise_blocks` call gives T_h f and T_2h f.
     """
     require_nonnegative(f)
-    if not q > 1.0 or q == math.inf:
-        raise ValueError(f"need finite q > 1, got {q}")
+    _require_finite_q_grid(q_grid)
     if f.is_constant():
         raise ValueError("derivative comparison requires a nonconstant function")
     _check_expensive_cap(f.n, "raise CUBENOISE_MAX_VERIFY_N")
 
-    power = CubeFunction(f.n, np.power(f.values, q - 1.0))
-    efq = float(np.mean(f.values**q))
-    formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
-    # one walk for the deficit and the finite differences, which average
-    # every layer; L[n] = ln||f||_q
-    norms = _conditional_rows(f, _log_norms_kernel((q,)), 1)[0]
+    steps = (_DERIVATIVE_STEP, 2.0 * _DERIVATIVE_STEP)
+    norms = _conditional_rows(f, _log_norms_kernel(q_grid), len(q_grid))
+    noisy = _noisy_rows(lambda rows: log_lq_norms(rows, q_grid), len(q_grid), f, steps)
     top = [full_mask(f.n) ^ c for c in (0, *(1 << h for h in range(f.n)))]
-    formula_rhs = -2.0 * r_exponent(q) * _coordinate_deficit(f.n, norms[top])
-    layers = _layer_sums(f.n, norms)
-    base = float(layers[f.n])
-    noisy = noise_operator(f, _DERIVATIVE_STEP).values
-    fd_lhs = (float(log_lq_norms(noisy, (q,))[0]) - base) / _DERIVATIVE_STEP
-    gh = layer_expectation(subset_rate(q, _DERIVATIVE_STEP), layers)
-    fd_rhs = (gh - base) / _DERIVATIVE_STEP
+    out = []
+    for q, row, noisy_norms in zip(q_grid, norms, noisy):
+        power = CubeFunction(f.n, np.power(f.values, q - 1.0))
+        efq = float(np.mean(f.values**q))
+        formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
+        formula_rhs = -2.0 * r_exponent(q) * _coordinate_deficit(f.n, row[top])
+        layers = _layer_sums(f.n, row)
+        base = float(layers[f.n])
+        fd_lhs = _one_sided_difference(base, *map(float, noisy_norms))
+        averaged = [layer_expectation(subset_rate(q, step), layers) for step in steps]
+        fd_rhs = _one_sided_difference(base, *averaged)
 
-    rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))
-    rel_rhs = abs(fd_rhs - formula_rhs) / max(1e-300, abs(formula_rhs))
-    params = {
-        "n": f.n,
-        "q": q,
-        "eps_or_lambda": 0.0,
-        "mode": "exact",
-        "step": _DERIVATIVE_STEP,
-        "fd_lhs": fd_lhs,
-        "fd_rhs": fd_rhs,
-        "rel_err_lhs": rel_lhs,
-        "rel_err_rhs": rel_rhs,
-        "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
-    }
-    return GapReport("derivative", formula_lhs, formula_rhs, formula_rhs - formula_lhs, params)
+        rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))
+        rel_rhs = abs(fd_rhs - formula_rhs) / max(1e-300, abs(formula_rhs))
+        params = {
+            "n": f.n,
+            "q": q,
+            "eps_or_lambda": 0.0,
+            "mode": "exact",
+            "step": _DERIVATIVE_STEP,
+            "fd_lhs": fd_lhs,
+            "fd_rhs": fd_rhs,
+            "rel_err_lhs": rel_lhs,
+            "rel_err_rhs": rel_rhs,
+            "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
+        }
+        out.append(GapReport("derivative", formula_lhs, formula_rhs, formula_rhs - formula_lhs, params))
+    return out

@@ -1,11 +1,34 @@
-"""Per-mask and per-point references that the tests check the package's batch
-routes against, and the writers of the file formats the commands read."""
+"""Per-mask, per-point and per-q references that the tests check the package's
+batch routes against, and the writers of the file formats the commands read."""
+
+import itertools
+import math
 
 import numpy as np
 
 from cubenoise.codes import gf2_rank
-from cubenoise.cube import CubeFunction
-from cubenoise.inequalities import _layer_sums, enum_cap, layer_expectation
+from cubenoise.cube import (
+    CubeFunction,
+    dirichlet_form,
+    full_mask,
+    log_lq_norms,
+    noise_operator,
+    subset_lattice,
+)
+from cubenoise.inequalities import (
+    _DERIVATIVE_STEP,
+    GapReport,
+    _conditional_rows,
+    _coordinate_deficit,
+    _layer_sums,
+    _log_norms_kernel,
+    _one_sided_difference,
+    enum_cap,
+    layer_expectation,
+    log_sobolev_equality_expected,
+    r_exponent,
+    subset_rate,
+)
 
 
 def subset_expectation_exact(n, lam, h):
@@ -16,6 +39,70 @@ def subset_expectation_exact(n, lam, h):
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
     return layer_expectation(lam, _layer_sums(n, table))
+
+
+def coordinate_log_norm_deficit(f, q):
+    """The co-singleton deficit at one q from the top two layers of the subset
+    lattice, one log_lq_norms call per layer at that q alone."""
+    layers = itertools.islice(subset_lattice(f), 2)
+    return _coordinate_deficit(f.n, np.concatenate([log_lq_norms(t, (q,))[0] for _, _, t in layers]))
+
+
+def log_sobolev_gap(f, q, tolerance=1e-9):
+    """The Dirichlet-form bound of log_sobolev_sweep at one q, its own two-layer
+    walk per call."""
+    if not q > 1.0 or q == math.inf:
+        raise ValueError(f"need finite q > 1, got {q}")
+    scale = float(f.values.max())
+    f = f.scaled(1.0 / scale)
+    energy = dirichlet_form(CubeFunction(f.n, np.power(f.values, q - 1.0)), f)
+    bound = 4.0 * r_exponent(q) * float(np.mean(f.values**q)) * coordinate_log_norm_deficit(f, q)
+    gap = energy - bound
+    equality = abs(gap) <= tolerance * max(1.0, abs(bound))
+    params = {
+        "n": f.n,
+        "q": q,
+        "eps_or_lambda": None,
+        "mode": "exact",
+        "scale": scale,
+        "equality": equality,
+        "equality_expected": log_sobolev_equality_expected(f, q),
+        "note": "equality" if equality else "",
+    }
+    return GapReport("logsobolev", bound, energy, gap, params)
+
+
+def derivative_check(f, q):
+    """The derivative comparison of derivative_sweep at one q: its own walk of
+    the whole subset lattice, and T_h f and T_2h f each from a transform of f."""
+    if f.is_constant():
+        raise ValueError("derivative comparison requires a nonconstant function")
+    efq = float(np.mean(f.values**q))
+    lhs = -dirichlet_form(CubeFunction(f.n, np.power(f.values, q - 1.0)), f) / (2.0 * efq)
+    norms = _conditional_rows(f, _log_norms_kernel((q,)), 1)[0]
+    top = [full_mask(f.n) ^ c for c in (0, *(1 << h for h in range(f.n)))]
+    rhs = -2.0 * r_exponent(q) * _coordinate_deficit(f.n, norms[top])
+    layers = _layer_sums(f.n, norms)
+    base = float(layers[f.n])
+    steps = (_DERIVATIVE_STEP, 2.0 * _DERIVATIVE_STEP)
+    noisy = [float(log_lq_norms(noise_operator(f, h).values, (q,))[0]) for h in steps]
+    fd_lhs = _one_sided_difference(base, *noisy)
+    fd_rhs = _one_sided_difference(base, *(layer_expectation(subset_rate(q, h), layers) for h in steps))
+    rel_lhs = abs(fd_lhs - lhs) / max(1e-300, abs(lhs))
+    rel_rhs = abs(fd_rhs - rhs) / max(1e-300, abs(rhs))
+    params = {
+        "n": f.n,
+        "q": q,
+        "eps_or_lambda": 0.0,
+        "mode": "exact",
+        "step": _DERIVATIVE_STEP,
+        "fd_lhs": fd_lhs,
+        "fd_rhs": fd_rhs,
+        "rel_err_lhs": rel_lhs,
+        "rel_err_rhs": rel_rhs,
+        "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
+    }
+    return GapReport("derivative", lhs, rhs, rhs - lhs, params)
 
 
 def matroid_rank(m, s_mask):

@@ -91,6 +91,21 @@ def test_verify_zero_rows_is_usage_error(capsys, target):
     assert err.startswith("error:") and "checked no rows" in err
 
 
+@pytest.mark.parametrize("n", range(8, 14))
+def test_verify_derivative_differences_agree_up_to_the_cap(capsys, n):
+    # from n = 8 on, a first-order difference at step 1e-5 misses the 1e-4 rule
+    code, out, err = run(capsys, "verify", "--target", "derivative", "--n", str(n), "--fuzz", "4")
+    assert (code, err) == (0, "")
+    assert len(parse_csv(out)["gaps"]) == 4 * len(Q_GRID)
+
+
+def test_verify_derivative_of_a_constant_is_usage_error(capsys):
+    # at n = 0 every function is constant, whatever --fuzz asks for
+    code, out, err = run(capsys, "verify", "--target", "derivative", "--n", "0", "--fuzz", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: derivative comparison requires a nonconstant function\n"
+
+
 def test_verify_mc_mode(capsys):
     # a mid-grid noise rate keeps the estimator well inside the CLT regime
     code, out, _ = run(
@@ -217,6 +232,22 @@ def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch,
         assert q_grid == Q_GRID
         for row, eps in zip(tables, EPS_GRID):
             assert np.array_equal(row, cube.noise_operator(f, eps).values)
+
+
+@pytest.mark.parametrize("target, transforms_per_function", [("derivative", 1), ("logsobolev", 0)])
+def test_zero_noise_campaigns_walk_the_lattice_once_per_function(monkeypatch, target, transforms_per_function):
+    # the whole q grid of a function is read off one subset_lattice walk (the
+    # top two layers of it for logsobolev), and the derivative's T_h f and
+    # T_2h f come from one forward transform
+    walks, transforms = [], []
+    real_walk, real_transform = cube.subset_lattice, cube.wht_forward
+    monkeypatch.setattr(inequalities, "subset_lattice", lambda f: walks.append(f) or real_walk(f))
+    monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real_transform(f))
+    args = cli.build_parser().parse_args(["verify", "--target", target, "--n", "5", "--fuzz", "3"])
+    rows, bad = cli._campaign(args)
+    assert len(rows) == 3 * len(Q_GRID) and not bad
+    assert len(walks) == 3
+    assert len(transforms) == 3 * transforms_per_function
 
 
 def test_one_parser_per_process_gives_a_fresh_parsers_reports(tmp_path, capsys, monkeypatch, k4_file):

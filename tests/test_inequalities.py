@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from references import subset_expectation_exact
+from references import coordinate_log_norm_deficit, subset_expectation_exact
 
 from cubenoise import corpus, inequalities
 from cubenoise.cube import CubeFunction, character, conditional_expectation, log_lq_norms
 from cubenoise.inequalities import (
     GapReport,
     CSV_COLUMNS,
-    _coordinate_log_norm_deficit,
     _sample_masks,
     cond_exp_log_norms,
-    derivative_check,
+    derivative_sweep,
     hypercontractive_sweep,
     log_sobolev_equality_expected,
-    log_sobolev_gap,
+    log_sobolev_sweep,
     main_inequality_sweep,
     noise_rate,
     noisy_entropy_sweep,
@@ -302,7 +301,7 @@ def test_hypercontractive_gap_nonnegative():
 # ---------------------------------------------------------------------------
 
 def test_log_sobolev_constant_zero_both_sides():
-    rep = log_sobolev_gap(CubeFunction(3, np.full(8, 4.0)), 2.0)
+    (rep,) = log_sobolev_sweep(CubeFunction(3, np.full(8, 4.0)), (2.0,))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.params["equality"] and rep.params["equality_expected"]
 
@@ -311,8 +310,7 @@ def test_log_sobolev_point_indicator_equality():
     vals = np.zeros(8)
     vals[3] = 8.0
     f = CubeFunction(3, vals)
-    for q in (2.0, 3.0, 4.0):
-        rep = log_sobolev_gap(f, q)
+    for rep in log_sobolev_sweep(f, (2.0, 3.0, 4.0)):
         assert abs(rep.gap) <= 1e-9 * max(1.0, abs(rep.lhs))
         assert rep.params["equality"] and rep.params["equality_expected"]
 
@@ -320,7 +318,7 @@ def test_log_sobolev_point_indicator_equality():
 def test_log_sobolev_strict_below_two():
     for seed in range(5):
         f = CubeFunction(3, 0.1 + np.random.default_rng(600 + seed).random(8))
-        rep = log_sobolev_gap(f, 1.5)
+        (rep,) = log_sobolev_sweep(f, (1.5,))
         assert rep.gap > 1e-12
         assert not rep.params["equality"]
         assert not rep.params["equality_expected"]
@@ -329,21 +327,19 @@ def test_log_sobolev_strict_below_two():
 def test_log_sobolev_nonnegative_random():
     for seed in range(8):
         f = rand_fn(3, 700 + seed)
-        for q in Q_GRID:
-            assert log_sobolev_gap(f, q).gap >= -1e-9
+        assert all(rep.gap >= -1e-9 for rep in log_sobolev_sweep(f, Q_GRID))
 
 
 def test_log_sobolev_equality_condition_detector():
     # disjoint-support pattern: every edge with unequal values has a zero end
     f = CubeFunction(2, [1.0, 0.0, 0.0, 5.0])
     assert log_sobolev_equality_expected(f, 3.0)
-    rep = log_sobolev_gap(f, 3.0)
-    assert rep.params["equality"]
+    assert log_sobolev_sweep(f, (3.0,))[0].params["equality"]
     # same function fails the condition below q = 2
     assert not log_sobolev_equality_expected(f, 1.5)
     g = CubeFunction(2, [1.0, 2.0, 3.0, 4.0])
     assert not log_sobolev_equality_expected(g, 3.0)
-    assert not log_sobolev_gap(g, 3.0).params["equality"]
+    assert not log_sobolev_sweep(g, (3.0,))[0].params["equality"]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +390,7 @@ def test_derivative_closed_form_small_case():
     # f = 1 + w/2 on {0,1}^2 has E(f,f) = 1 and E f^2 = 5/4, so the log-norm
     # derivative at zero noise is -1/(2 * 5/4) = -0.4
     f = CubeFunction(2, 1.0 + 0.5 * character(2, 0b01).values)
-    rep = derivative_check(f, 2.0)
+    (rep,) = derivative_sweep(f, (2.0,))
     assert rep.lhs == pytest.approx(-0.4, abs=1e-12)
     assert rep.params["rel_err_lhs"] <= 1e-4
     assert rep.params["rel_err_rhs"] <= 1e-4
@@ -403,27 +399,25 @@ def test_derivative_closed_form_small_case():
 def test_derivative_strict_order_random():
     for seed in range(6):
         f = rand_fn(3, 800 + seed)
-        for q in (1.5, 2.0, 3.0):
-            rep = derivative_check(f, q)
+        for rep in derivative_sweep(f, (1.5, 2.0, 3.0)):
             assert rep.gap > 0.0
             assert rep.params["rel_err_lhs"] <= 1e-4
             assert rep.params["rel_err_rhs"] <= 1e-4
 
 
 def test_derivative_rhs_is_coordinate_deficit(monkeypatch):
-    # derivative_check reads the deficit off its one lattice walk, with the
-    # bits of log_sobolev_gap's top-two-layer route
+    # derivative_sweep reads the deficit of its whole q grid off one lattice
+    # walk, with the bits of a top-two-layer route at each q alone
     walks = []
     real = inequalities.subset_lattice
     monkeypatch.setattr(inequalities, "subset_lattice", lambda f: walks.append(f) or real(f))
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 5, 7):
         f = corpus.random_positive(n, rng)
-        for q in Q_GRID:
-            want = -2.0 * r_exponent(q) * _coordinate_log_norm_deficit(f, q)
-            walks.clear()
-            assert derivative_check(f, q).rhs == want
-            assert len(walks) == 1
+        want = [-2.0 * r_exponent(q) * coordinate_log_norm_deficit(f, q) for q in Q_GRID]
+        walks.clear()
+        assert [rep.rhs for rep in derivative_sweep(f, Q_GRID)] == want
+        assert len(walks) == 1
 
 
 # (n, q, derivative rhs, log-Sobolev lhs) of random_positive draws from
@@ -443,13 +437,13 @@ def test_deficit_values_keep_their_bits():
     functions = {n: corpus.random_positive(n, rng) for n in (1, 4, 8)}
     for n, q, rhs, bound in DEFICIT_VALUES:
         f = functions[n]
-        assert derivative_check(f, q).rhs == float.fromhex(rhs)
-        assert log_sobolev_gap(f, q).lhs == float.fromhex(bound)
+        assert derivative_sweep(f, (q,))[0].rhs == float.fromhex(rhs)
+        assert log_sobolev_sweep(f, (q,))[0].lhs == float.fromhex(bound)
 
 
 def test_derivative_rejects_constant():
     with pytest.raises(ValueError, match="nonconstant"):
-        derivative_check(CubeFunction(2, np.full(4, 1.0)), 2.0)
+        derivative_sweep(CubeFunction(2, np.full(4, 1.0)), (2.0,))
 
 
 # ---------------------------------------------------------------------------

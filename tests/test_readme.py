@@ -42,3 +42,11 @@ def test_readme_commands_run(capsys, rep2_file, k4_file):
         argv = [files.get(a, a) for a in shlex.split(line)[1:]]
         code = cubenoise.cli.main(argv)
         assert code == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_names_every_sweep():
+    # the Layout row lists the library's entry points by their bare names
+    text = README.read_text(encoding="utf-8")
+    sweeps = {name for name in vars(cubenoise.inequalities) if name.endswith("_sweep") and name[0] != "_"}
+    assert len(sweeps) == 5
+    assert set(re.findall(r"`(\w+_sweep)`", text)) == sweeps

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import point_indicator, subset_expectation_exact
+from references import derivative_check, log_sobolev_gap, point_indicator, subset_expectation_exact
 
 from cubenoise import corpus, cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID, main
@@ -30,7 +30,9 @@ from cubenoise.cube import (
 from cubenoise.inequalities import (
     GapReport,
     cond_exp_log_norms,
+    derivative_sweep,
     hypercontractive_sweep,
+    log_sobolev_sweep,
     main_inequality_sweep,
     noisy_entropy_sweep,
     r_exponent,
@@ -470,7 +472,7 @@ def test_q2_sweep_needs_no_lattice_walk_or_noisy_function(monkeypatch, mode):
 
     for name in ("subset_lattice", "compact_conditional_expectations", "noise_operator", "noise_blocks"):
         monkeypatch.setattr(cube, name, refused)
-        monkeypatch.setattr(inequalities, name, refused)
+        monkeypatch.setattr(inequalities, name, refused, raising=False)
     monkeypatch.setattr(cube, "wht_forward", refused)
     refuse_tables_mask_by_mask(monkeypatch)
     f = CubeFunction(6, np.arange(1.0, 65.0))
@@ -600,3 +602,25 @@ LARGE_MC_REPORTS = (
 def test_large_mc_report_peak_memory_within_the_one_eps_at_a_time_route(capsys, argv, bound_mib):
     assert traced_peak(lambda: main(argv.split())) <= bound_mib * 2**20
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# derivative and log-Sobolev sweeps
+# ---------------------------------------------------------------------------
+
+FINITE_Q = st.one_of(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]), st.floats(1.01, 16.0))
+
+
+@SETTINGS
+@given(corpus_functions(max_n=8), st.lists(FINITE_Q, max_size=3).flatmap(
+    lambda extra: st.permutations([1.1, 8.0, *extra])))
+def test_zero_noise_sweeps_match_their_one_q_oracles(f, q_grid):
+    # every field, the derivative's differences too: the sweep's T_h f and
+    # T_2h f share one transform, the oracle's take one each
+    fields = lambda reps: [[r.inequality, r.lhs, r.rhs, r.gap, r.params] for r in reps]
+    assert fields(log_sobolev_sweep(f, q_grid)) == fields(log_sobolev_gap(f, q) for q in q_grid)
+    if f.is_constant():
+        with pytest.raises(ValueError, match="nonconstant"):
+            derivative_sweep(f, q_grid)
+        return
+    assert fields(derivative_sweep(f, q_grid)) == fields(derivative_check(f, q) for q in q_grid)
