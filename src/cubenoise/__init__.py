@@ -8,7 +8,6 @@ from .cube import (
     conditional_expectation,
     dirichlet_form,
     entropy,
-    noise_operator,
     wht_forward,
     wht_inverse,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "hypercontractive_sweep",
     "log_sobolev_sweep",
     "main_inequality_sweep",
-    "noise_operator",
     "noisy_entropy_sweep",
     "r_exponent",
     "subset_expectation_mc",

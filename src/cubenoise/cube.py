@@ -185,13 +185,6 @@ def character(n: int, r_mask: SubsetMask) -> CubeFunction:
 _NORMS_BLOCK = 1 << 16
 
 
-# Reached by no command; kept for perfbench/, whose layer table reports its calls by name.
-def noise_operator(f: CubeFunction, eps: float) -> CubeFunction:
-    """Average f over independent per-coordinate bit flips with probability
-    eps: the one-row case of :func:`noise_blocks`."""
-    return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
-
-
 def noise_blocks(f: CubeFunction, eps_grid: Sequence[float]) -> Iterator[np.ndarray]:
     """T_eps f for every eps of the grid, in grid order, as the rows of 2-D
     blocks of at most _NORMS_BLOCK values (one row each past that size), a

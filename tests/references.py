@@ -12,7 +12,7 @@ from cubenoise.cube import (
     dirichlet_form,
     full_mask,
     log_lq_norms,
-    noise_operator,
+    noise_blocks,
     subset_lattice,
 )
 from cubenoise.inequalities import (
@@ -22,7 +22,6 @@ from cubenoise.inequalities import (
     _coordinate_deficit,
     _layer_sums,
     _log_norms_kernel,
-    _one_sided_difference,
     enum_cap,
     layer_expectation,
     log_sobolev_equality_expected,
@@ -39,6 +38,11 @@ def subset_expectation_exact(n, lam, h):
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
     return layer_expectation(lam, _layer_sums(n, table))
+
+
+def noise_operator(f, eps):
+    """T_eps f at one eps: the one-row case of noise_blocks."""
+    return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
 
 
 def coordinate_log_norm_deficit(f, q):
@@ -86,8 +90,10 @@ def derivative_check(f, q):
     base = float(layers[f.n])
     steps = (_DERIVATIVE_STEP, 2.0 * _DERIVATIVE_STEP)
     noisy = [float(log_lq_norms(noise_operator(f, h).values, (q,))[0]) for h in steps]
-    fd_lhs = _one_sided_difference(base, *noisy)
-    fd_rhs = _one_sided_difference(base, *(layer_expectation(subset_rate(q, h), layers) for h in steps))
+    averaged = [layer_expectation(subset_rate(q, h), layers) for h in steps]
+    # second-order one-sided differences, (4 g(h) - g(2h) - 3 g(0)) / 2h
+    fd_lhs = (4.0 * noisy[0] - noisy[1] - 3.0 * base) / (2.0 * _DERIVATIVE_STEP)
+    fd_rhs = (4.0 * averaged[0] - averaged[1] - 3.0 * base) / (2.0 * _DERIVATIVE_STEP)
     rel_lhs = abs(fd_lhs - lhs) / max(1e-300, abs(lhs))
     rel_rhs = abs(fd_rhs - rhs) / max(1e-300, abs(rhs))
     params = {

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import noise_operator
+
 from cubenoise import cube
 from cubenoise.cube import (
     CubeFunction,
@@ -21,7 +23,6 @@ from cubenoise.cube import (
     full_mask,
     log_lq_norms,
     noise_blocks,
-    noise_operator,
     popcounts,
     subset_lattice,
     wht_forward,

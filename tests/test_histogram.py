@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import connected_components, matroid_rank
+from references import connected_components, matroid_rank, noise_operator
 
 from cubenoise.codes import (
     LinearCode,
@@ -21,7 +21,7 @@ from cubenoise.codes import (
     rank_of_columns,
     scaled_indicator,
 )
-from cubenoise.cube import entropy, noise_operator
+from cubenoise.cube import entropy
 from cubenoise.inequalities import noise_rate, subset_expectation_mc
 from cubenoise.matroids import (
     BinaryMatroid,

@@ -1,9 +1,8 @@
 """The package's public surface is what its commands reach.
 
-Three kinds of public name may stay without a caller in src/: the functions
+Two kinds of public name may stay without a caller in src/: the functions
 the benchmark harness (perfbench/) traces by name and reads arguments of by
-position, the one-point operators its layer table reports by name, and
-results of the paper that no report checks yet.
+position, and results of the paper that no report checks yet.
 """
 
 import ast
@@ -18,11 +17,9 @@ import cubenoise.cli  # imports every module of the package
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cubenoise"
 MODULES = ("cube", "inequalities", "codes", "matroids", "corpus", "cli")
-# the console entry point, T_eps f at one eps (perfbench/run.py's LAYERS reports
-# its calls; every route in src/ takes a grid through cube.noise_blocks), and
-# results of the paper that no report checks yet
-UNREFERENCED = {"cli.main", "cube.noise_operator", "codes.alpha_reversal_holds",
-                "codes.sberlo_comparison_rows", "codes.dual_weight_bound"}
+# the console entry point, and results of the paper that no report checks yet
+UNREFERENCED = {"cli.main", "codes.alpha_reversal_holds", "codes.sberlo_comparison_rows",
+                "codes.dual_weight_bound"}
 
 
 def harness_arguments() -> dict[str, dict[int, str]]:
