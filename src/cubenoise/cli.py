@@ -110,7 +110,6 @@ def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport
         return rows, [rep for rep in rows if not rep.holds(tolerance)]
 
     _require_dimension(n)  # before any function of 2^n values is drawn
-    functions = corpus.standard_corpus(n, fuzz, rng)
     sampling = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
     # sampling applies to the main bound that each hypercontractive row notes
     sweeps = {
@@ -124,14 +123,16 @@ def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport
         raise ValueError(f"unknown verify target {target!r}")
     holds = lambda rep: rep.holds(tolerance)
     if target == "derivative":
-        # Strictly positive inputs, drawn after the standard corpus: at a zero
-        # of f, ||T_eps f||_q^q has a term of order eps^q, which no difference
-        # at a small step resolves for q near 1.  A row holds when the order
-        # is strict and both differences agree with their closed forms.
+        # Strictly positive inputs: at a zero of f, ||T_eps f||_q^q has a term
+        # of order eps^q, which no difference at a small step resolves for q
+        # near 1.  A row holds when the order is strict and both differences
+        # agree with their closed forms.
         functions = [corpus.random_positive(n, rng) for _ in range(fuzz)]
         holds = lambda rep: (
             rep.gap > 0.0 and rep.params["rel_err_lhs"] <= 1e-4 and rep.params["rel_err_rhs"] <= 1e-4
         )
+    else:
+        functions = corpus.standard_corpus(n, fuzz, rng)
     rows = [rep for f in functions for rep in sweeps[target](f)]
     return rows, [rep for rep in rows if not holds(rep)]
 
@@ -243,85 +244,37 @@ def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
         matroid = graph.matroid
     else:
         matroid = matroids.load_matroid(args.file)
+    sampling = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
+    holds = lambda rep: rep.holds(args.tolerance)
 
-    for p in args.p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"sampling rate must be in [0, 1], got {p}")
-    for delta in args.delta_list:
-        if not delta >= 0:
-            raise ValueError(f"threshold offset must be >= 0, got {delta}")
-
-    sections = []
-    violations: list[str] = []
-
-    gap_rows = []
-    tutte_rows = []
-    for p in args.p_grid:
-        rep = matroids.deficiency_inequality_gap(
-            matroid, p, mode=args.mode, samples=args.samples, seed=args.seed
-        )
-        gap_rows.append(rep.row())
-        if not rep.holds(args.tolerance):
-            violations.append(rep.csv_row())
-        if 0.0 < p < 1.0:
-            ident = matroids.tutte_identity_check(matroid, p)
-            tutte_rows.append(
-                {
-                    "p": p,
-                    "mgf_residual": ident.params["mgf_residual"],
-                    "deficiency_residual": ident.params["deficiency_residual"],
-                    "lhs": ident.lhs,
-                    "rhs": ident.rhs,
-                    "gap": ident.gap,
-                }
-            )
-            if (
-                ident.params["mgf_residual"] > args.tolerance
-                or ident.params["deficiency_residual"] > args.tolerance
-                or not ident.holds(args.tolerance)
-            ):
-                violations.append(ident.csv_row())
-    sections.append(("deficiency_gap", CSV_COLUMNS, gap_rows))
-    sections.append(
-        (
-            "tutte_identity",
-            ("p", "mgf_residual", "deficiency_residual", "lhs", "rhs", "gap"),
-            tutte_rows,
-        )
+    gaps = matroids.deficiency_sweep(matroid, args.p_grid, **sampling)
+    # a Tutte row fails on either residual as well as on its gap
+    tuttes = matroids.tutte_sweep(matroid, args.p_grid)
+    tutte_holds = lambda rep: holds(rep) and not (
+        rep.params["mgf_residual"] > args.tolerance or rep.params["deficiency_residual"] > args.tolerance
     )
+    tails = matroids.tail_sweep(matroid, args.p_grid, args.delta_list)
+    mu = matroids.mu_curve(matroid, np.linspace(0.0, 1.0, 101))
+    graph_gaps = [] if graph is None else matroids.graph_sweep(graph, args.p_grid, **sampling)
 
-    tail_rows = []
-    for p in args.p_grid:
-        if p == 0.0:
-            continue
-        t = matroids.subset_rate_for(p)
-        for delta in args.delta_list:
-            rep = matroids.tail_bound_check(matroid, p, delta)
-            comparator = matroids.bounded_diff_tail(matroid, p, t, delta)
-            row = rep.row()
-            row["note"] = f"bounded_diff={comparator!r}"
-            tail_rows.append(row)
-            if not rep.holds(args.tolerance):
-                violations.append(rep.csv_row())
-    sections.append(("tail", CSV_COLUMNS, tail_rows))
-
-    mu_rows = [
-        {"p": p, "mu": mu}
-        for p, mu in matroids.mu_curve(matroid, np.linspace(0.0, 1.0, 101))
+    tutte_rows = [
+        {"p": rep.params["eps_or_lambda"], "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
+         "mgf_residual": rep.params["mgf_residual"], "deficiency_residual": rep.params["deficiency_residual"]}
+        for rep in tuttes
     ]
-    sections.append(("mu", ("p", "mu"), mu_rows))
-
+    sections = [
+        ("deficiency_gap", CSV_COLUMNS, [rep.row() for rep in gaps]),
+        ("tutte_identity", ("p", "mgf_residual", "deficiency_residual", "lhs", "rhs", "gap"), tutte_rows),
+        ("tail", CSV_COLUMNS, [rep.row() for rep in tails]),
+        ("mu", ("p", "mu"), [{"p": p, "mu": value} for p, value in mu]),
+    ]
     if graph is not None:
-        graph_rows = []
-        for p in args.p_grid:
-            rep = matroids.graph_inequality_gap(
-                graph, p, mode=args.mode, samples=args.samples, seed=args.seed
-            )
-            graph_rows.append(rep.row())
-            if not rep.holds(args.tolerance):
-                violations.append(rep.csv_row())
-        sections.append(("graph_gap", CSV_COLUMNS, graph_rows))
-    return sections, violations
+        sections.append(("graph_gap", CSV_COLUMNS, [rep.row() for rep in graph_gaps]))
+    # the gap and Tutte rows of one p come before those of the next
+    by_p = lambda rep: args.p_grid.index(rep.params["eps_or_lambda"])
+    bad = sorted([r for r in gaps if not holds(r)] + [r for r in tuttes if not tutte_holds(r)], key=by_p)
+    bad += [r for r in tails + graph_gaps if not holds(r)]
+    return sections, [rep.csv_row() for rep in bad]
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,12 @@ def subset_weights(n: int, lam: float) -> np.ndarray:
     return size_weights(n, lam)[popcounts(n)]
 
 
-def size_weights(n: int, lam: float) -> np.ndarray:
+def size_weights(n: int, lam) -> np.ndarray:
     """Probability lam^k (1-lam)^(n-k) of one particular mask of size k, for
-    k = 0..n."""
-    if not 0.0 <= lam <= 1.0:
+    k = 0..n; for a column of rates (shape (m, 1)), one such row per rate,
+    each with the bits of its one-rate call."""
+    inside = (lam >= 0.0) & (lam <= 1.0)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ValueError(f"subset density must be in [0, 1], got {lam}")
     k = np.arange(n + 1)
     return np.power(lam, k) * np.power(1.0 - lam, n - k)
@@ -179,13 +181,26 @@ def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     return np.bincount(popcounts(n), weights=table, minlength=n + 1)
 
 
-def layer_expectation(lam: float, layers: np.ndarray) -> float:
-    """E over T ~ lam of a table given by its layer sums L_k, k = 0..n: the one
-    place that computes size_weights(n, lam) @ L.  Layers of probability zero
-    are left out, so an infinite table entry there cannot make the sum NaN."""
-    w = size_weights(layers.shape[0] - 1, lam)
+def _weighted_sum(w: np.ndarray, layers: np.ndarray) -> float:
+    """w @ L over the layers of nonzero weight, so that an infinite table
+    entry in a layer of probability zero cannot make the sum NaN."""
     used = w > 0.0
     return float(w[used] @ layers[used])
+
+
+def layer_expectation(lam: float, layers: np.ndarray) -> float:
+    """E over T ~ lam of a table given by its layer sums L_k, k = 0..n: with
+    :func:`layer_expectations`, the one place that computes
+    size_weights(n, lam) @ L."""
+    return _weighted_sum(size_weights(layers.shape[0] - 1, lam), layers)
+
+
+def layer_expectations(rates: Sequence[float], layers: np.ndarray) -> list[float]:
+    """:func:`layer_expectation` at every rate of the grid, from one
+    size_weights matrix and one dot product per rate, each with the bits of
+    its one-rate call (a single matrix product would move some)."""
+    column = np.asarray(rates, dtype=np.float64)[:, None]
+    return [_weighted_sum(w, layers) for w in size_weights(layers.shape[0] - 1, column)]
 
 
 def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
@@ -659,9 +674,16 @@ def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
         raise ValueError(f"value ratio must be >= 1, got {t}")
     x = 0.0 if t == math.inf else 2.0 / (t + 1.0)
     g0, g1 = x, 2.0 - x
-    energy = (g1 ** (q - 1.0) - g0 ** (q - 1.0)) * (g1 - g0)
-    egq = 0.5 * (g0**q + g1**q)
-    bound = 4.0 * r_exponent(q) * egq * math.log(egq) / q
+    try:
+        energy = (g1 ** (q - 1.0) - g0 ** (q - 1.0)) * (g1 - g0)
+        egq = 0.5 * (g0**q + g1**q)
+        bound = 4.0 * r_exponent(q) * egq * math.log(egq) / q
+    except OverflowError:
+        energy = bound = math.inf
+    if not math.isfinite(energy) or not math.isfinite(bound):
+        # the largest values are at t = inf, where g = (0, 2) and the bound
+        # passes the largest double between q = 1014.01 and 1014.02
+        raise ValueError(f"two-point values at q={q} are not finite doubles; use q <= 1014")
     gap = energy - bound
     equality = abs(gap) <= tolerance * max(1.0, abs(bound))
     params = {

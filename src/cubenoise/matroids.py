@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import deficiency_expectation, gf2_rref
 from .codes import parse_bit_matrix, LinearCode
-from .inequalities import GapReport, LN2, _require_mode, layer_expectation
+from .inequalities import GapReport, LN2, _require_mode, layer_expectations
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ class TuttePolynomial:
     def evaluate(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
-    def derivative_y(self, x, y):
-        return sum(
-            c * j * x**i * y ** (j - 1) for (i, j), c in self.coeffs.items() if j
-        )
-
     def basis_count(self) -> int:
         return int(self.evaluate(1, 1))
 
@@ -111,116 +106,129 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# inequality, identity and tail checks
+# inequality, identity and tail sweeps
 # ---------------------------------------------------------------------------
 
-def deficiency_inequality_gap(
+def deficiency_sweep(
     m: BinaryMatroid,
-    p: float,
+    p_grid: Sequence[float],
     mode: str = "exact",
     samples: int = 20000,
     seed: int = 0,
-) -> GapReport:
-    """Check log2 E over S ~ p of 2^(|S| - rank S)
-    <= E over T ~ t of (|T| - rank T), with t = p^(1/(2 ln 2)).
+) -> list[GapReport]:
+    """For every p of the grid, in grid order, check
+    log2 E over S ~ p of 2^(|S| - rank S) <= E over T ~ t of (|T| - rank T),
+    with t = p^(1/(2 ln 2)).
 
     Both sides are averages over the row-space code's (size, deficiency)
     cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode;
     mc mode draws the rhs with seed + 1."""
-    t = subset_rate_for(p)
+    rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
+    _require_mode(mode)
     code = m.row_space_code
     mgf_values = np.exp2(np.arange(code.n - code.k + 1))
-    mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
-    rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
-    lhs = math.log2(mgf)
-    params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
-              "samples": samples, "seed": seed, "stderr": stderr}
-    return GapReport("deficiency", lhs, rhs, rhs - lhs, params)
+    out = []
+    for p, t in zip(p_grid, rates):
+        mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
+        rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
+        lhs = math.log2(mgf)
+        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+                  "samples": samples, "seed": seed, "stderr": stderr}
+        out.append(GapReport("deficiency", lhs, rhs, rhs - lhs, params))
+    return out
 
 
-def tutte_identity_check(m: BinaryMatroid, p: float) -> GapReport:
-    """Recompute both sides of the deficiency inequality through the Tutte
-    polynomial:
+def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
+    """For every p of the grid strictly between 0 and 1 (the Tutte arguments
+    below have poles at 0 and 1), recompute both sides of the deficiency
+    inequality through the Tutte polynomial:
 
         E over S ~ p of 2^(|S| - r(S)) = p^k (1-p)^(n-k) T(1/p, (1+p)/(1-p))
         E over T ~ t of (|T| - r(T))  = t^(k+1) (1-t)^(n-k-1) dT/dy(1/t, 1/(1-t))
 
+    The prefactors are folded into the terms, as
+    sum of c_ij p^(k-i) (1-p)^(n-k-j) (1+p)^j and
+    sum of c_ij j t^(k+1-i) (1-t)^(n-k-j), whose exponents are nonnegative
+    (i <= k, j <= n - k), so no power of 1/p overflows however small p is.
     The report's gap is the inequality restated through the Tutte forms; the
-    params carry the relative residuals of each identity against direct
-    enumeration.
+    params carry the relative residuals of each identity against the
+    histogram averages.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"Tutte arguments have poles at p in {{0,1}}; got {p}")
-    t = subset_rate_for(p)
+    rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     k, n = m.k, m.n
-    poly = m.tutte
     code = m.row_space_code
-
-    mgf_direct = deficiency_expectation(code, p, np.exp2(np.arange(n - k + 1)))[0]
-    mgf_tutte = p**k * (1 - p) ** (n - k) * poly.evaluate(1 / p, (1 + p) / (1 - p))
-    drv_direct = deficiency_expectation(code, t)[0]
-    drv_tutte = t ** (k + 1) * (1 - t) ** (n - k - 1) * poly.derivative_y(
-        1 / t, 1 / (1 - t)
-    )
+    mgf_values = np.exp2(np.arange(n - k + 1))
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
-    params = {
-        "n": n,
-        "q": None,
-        "eps_or_lambda": p,
-        "mode": "exact",
-        "t": t,
-        "mgf_residual": rel(mgf_direct, mgf_tutte),
-        "deficiency_residual": rel(drv_direct, drv_tutte),
-        "note": f"residuals={rel(mgf_direct, mgf_tutte):.2e},{rel(drv_direct, drv_tutte):.2e}",
-    }
-    lhs = math.log2(mgf_tutte)
-    return GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params)
+    out = []
+    for p, t in zip(p_grid, rates):
+        if not 0.0 < p < 1.0:
+            continue
+        terms = m.tutte.coeffs.items()
+        mgf_tutte = sum(c * p ** (k - i) * (1 - p) ** (n - k - j) * (1 + p) ** j for (i, j), c in terms)
+        drv_tutte = sum(c * j * t ** (k + 1 - i) * (1 - t) ** (n - k - j) for (i, j), c in terms)
+        mgf_residual = rel(deficiency_expectation(code, p, mgf_values)[0], mgf_tutte)
+        deficiency_residual = rel(deficiency_expectation(code, t)[0], drv_tutte)
+        params = {
+            "n": n,
+            "q": None,
+            "eps_or_lambda": p,
+            "mode": "exact",
+            "t": t,
+            "mgf_residual": mgf_residual,
+            "deficiency_residual": deficiency_residual,
+            "note": f"residuals={mgf_residual:.2e},{deficiency_residual:.2e}",
+        }
+        lhs = math.log2(mgf_tutte)
+        out.append(GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params))
+    return out
 
 
-def tail_bound_check(m: BinaryMatroid, p: float, delta: float) -> GapReport:
-    """Exact tail probability of the deficiency exceeding its comparison mean
-    by delta, against the guaranteed bound 2^(-delta)."""
-    if not delta >= 0:
-        raise ValueError(f"threshold offset must be >= 0, got {delta}")
-    t = subset_rate_for(p)
+def tail_sweep(m: BinaryMatroid, p_grid: Sequence[float], delta_grid: Sequence[float]) -> list[GapReport]:
+    """For every p > 0 of the grid and then every delta, the exact tail
+    probability that the deficiency reaches its comparison mean E over
+    T ~ t of d(T) plus delta, against the guaranteed bound 2^(-delta).  Both
+    grids are checked first, delta even when every p is 0.
+
+    Each row notes the comparator from the bounded-differences inequality
+    plus convexity of mu, exp(-2 y^2 / n) with y = (t - p) mu(p) / p + delta
+    (:func:`mu_curve`), which is reported, never asserted; written with y it
+    has no p^2 to underflow and no square of a huge delta to overflow.  Per
+    p, E over t of d and mu(p) are each read once."""
+    rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
+    for delta in delta_grid:
+        if not delta >= 0:
+            raise ValueError(f"threshold offset must be >= 0, got {delta}")
     code = m.row_space_code
-    mean_t = deficiency_expectation(code, t)[0]
-    prob = deficiency_expectation(code, p, np.arange(code.n - code.k + 1) >= mean_t + delta)[0]
-    bound = 2.0**-delta
-    params = {
-        "n": m.n,
-        "q": None,
-        "eps_or_lambda": p,
-        "mode": "exact",
-        "delta": delta,
-        "threshold": mean_t + delta,
-    }
-    return GapReport("tail", prob, bound, bound - prob, params)
+    deficiency = np.arange(code.n - code.k + 1)
+    out = []
+    for p, t in zip(p_grid, rates):
+        if p == 0.0:
+            continue
+        mean_t = deficiency_expectation(code, t)[0]
+        mu_p = deficiency_expectation(code, p)[0]
+        for delta in delta_grid:
+            prob = deficiency_expectation(code, p, deficiency >= mean_t + delta)[0]
+            bound = 2.0**-delta
+            y = (t - p) * (mu_p / p) + delta
+            comparator = math.exp(-2.0 * y * y / m.n)
+            params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta,
+                      "threshold": mean_t + delta, "note": f"bounded_diff={comparator!r}"}
+            out.append(GapReport("tail", prob, bound, bound - prob, params))
+    return out
 
 
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
     increasing and convex in p, with mu(0) = 0.  The layer sums of the
-    deficiency are taken once, as deficiency_expectation takes them, and each
-    p is one layer average of them."""
+    deficiency are taken once, as deficiency_expectation takes them, and
+    every p is a layer average of them, all weighted by one size_weights
+    matrix."""
     hist = m.row_space_code.histogram
     layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
-    return [(float(p), layer_expectation(float(p), layers)) for p in p_grid]
-
-
-def bounded_diff_tail(m: BinaryMatroid, p: float, t: float, delta: float) -> float:
-    """Comparator from the bounded-differences inequality plus convexity of mu:
-    exp(-2 ((t - p) mu(p) + p delta)^2 / (p^2 n)).  Reported alongside the
-    2^(-delta) bound, never asserted against it."""
-    if not 0.0 < p <= t <= 1.0:
-        raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
-    if not delta >= 0:
-        raise ValueError(f"threshold offset must be >= 0, got {delta}")
-    mu_p = deficiency_expectation(m.row_space_code, p)[0]
-    return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
+    return [(float(p), mu) for p, mu in zip(p_grid, layer_expectations(p_grid, layers))]
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +263,40 @@ class Graph:
         return BinaryMatroid(len(self.edges), tuple(rows))
 
 
-def graph_inequality_gap(
+def graph_sweep(
     g: Graph,
-    p: float,
+    p_grid: Sequence[float],
     mode: str = "exact",
     samples: int = 20000,
     seed: int = 0,
-) -> GapReport:
-    """Check log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T).
+) -> list[GapReport]:
+    """For every p of the grid, in grid order, check
+    log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T).
 
     Both modes read the components off the graphic matroid's (size,
     deficiency) cells: a subset of size k and deficiency d has
     c = |V| - k + d components.  With no edges the only subset is empty, and
     both sides are |V|."""
+    rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     _require_mode(mode)
     n = len(g.edges)
-    t = subset_rate_for(p)
-    lhs = rhs = float(g.vertex_count)
-    stderr = 0.0
     if n:
         code = g.matroid.row_space_code
         sizes, deficiency = np.indices((n + 1, n - code.k + 1))
         comp = g.vertex_count - sizes + deficiency
-        mgf, _ = deficiency_expectation(code, p, np.exp2(sizes + comp), mode, samples, seed)
-        mean_c, stderr = deficiency_expectation(code, t, comp, mode, samples, seed + 1)
-        lhs, rhs = math.log2(mgf), t * n + mean_c
-    params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
-              "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
-    return GapReport("graph", lhs, rhs, rhs - lhs, params)
+        mgf_values = np.exp2(sizes + comp)
+    out = []
+    for p, t in zip(p_grid, rates):
+        lhs = rhs = float(g.vertex_count)
+        stderr = 0.0
+        if n:
+            mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
+            mean_c, stderr = deficiency_expectation(code, t, comp, mode, samples, seed + 1)
+            lhs, rhs = math.log2(mgf), t * n + mean_c
+        params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+                  "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
+        out.append(GapReport("graph", lhs, rhs, rhs - lhs, params))
+    return out
 
 
 # ---------------------------------------------------------------------------

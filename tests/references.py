@@ -1,12 +1,13 @@
-"""Per-mask, per-point and per-q references that the tests check the package's
-batch routes against, and the writers of the file formats the commands read."""
+"""Per-mask, per-point, per-q and per-p references that the tests check the
+package's batch routes against, and the writers of the file formats the
+commands read."""
 
 import itertools
 import math
 
 import numpy as np
 
-from cubenoise.codes import gf2_rank
+from cubenoise.codes import deficiency_expectation, gf2_rank
 from cubenoise.cube import (
     CubeFunction,
     dirichlet_form,
@@ -28,6 +29,7 @@ from cubenoise.inequalities import (
     r_exponent,
     subset_rate,
 )
+from cubenoise.matroids import subset_rate_for
 
 
 def subset_expectation_exact(n, lam, h):
@@ -137,6 +139,119 @@ def connected_components(g, s_mask):
             parent[rv] = ru
             components -= 1
     return components
+
+
+def deficiency_inequality_gap(m, p, mode="exact", samples=20000, seed=0):
+    """The row of matroids.deficiency_sweep at one p."""
+    t = subset_rate_for(p)
+    code = m.row_space_code
+    mgf_values = np.exp2(np.arange(code.n - code.k + 1))
+    mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
+    rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
+    lhs = math.log2(mgf)
+    params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+              "samples": samples, "seed": seed, "stderr": stderr}
+    return GapReport("deficiency", lhs, rhs, rhs - lhs, params)
+
+
+def tutte_identity_check(m, p):
+    """The row of matroids.tutte_sweep at one p, by the unfolded Tutte forms
+
+        p^k (1-p)^(n-k) T(1/p, (1+p)/(1-p)) and
+        t^(k+1) (1-t)^(n-k-1) dT/dy(1/t, 1/(1-t)),
+
+    whose powers of 1/p overflow for p below about 1e-300 / k."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"Tutte arguments have poles at p in {{0,1}}; got {p}")
+    t = subset_rate_for(p)
+    k, n = m.k, m.n
+    coeffs = m.tutte.coeffs.items()
+    code = m.row_space_code
+    x, y = 1 / p, (1 + p) / (1 - p)
+    mgf_direct = deficiency_expectation(code, p, np.exp2(np.arange(n - k + 1)))[0]
+    mgf_tutte = p**k * (1 - p) ** (n - k) * sum(c * x**i * y**j for (i, j), c in coeffs)
+    drv_direct = deficiency_expectation(code, t)[0]
+    x, y = 1 / t, 1 / (1 - t)
+    drv_tutte = t ** (k + 1) * (1 - t) ** (n - k - 1) * sum(
+        c * j * x**i * y ** (j - 1) for (i, j), c in coeffs if j
+    )
+
+    def rel(a, b):
+        return abs(a - b) / max(1.0, abs(a), abs(b))
+
+    params = {
+        "n": n,
+        "q": None,
+        "eps_or_lambda": p,
+        "mode": "exact",
+        "t": t,
+        "mgf_residual": rel(mgf_direct, mgf_tutte),
+        "deficiency_residual": rel(drv_direct, drv_tutte),
+        "note": f"residuals={rel(mgf_direct, mgf_tutte):.2e},{rel(drv_direct, drv_tutte):.2e}",
+    }
+    lhs = math.log2(mgf_tutte)
+    return GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params)
+
+
+def bounded_diff_tail(m, p, t, delta):
+    """exp(-2 ((t - p) mu(p) + p delta)^2 / (p^2 n)), the comparator a
+    matroids.tail_sweep row notes, for any 0 < p <= t <= 1."""
+    if not 0.0 < p <= t <= 1.0:
+        raise ValueError(f"need 0 < p <= t <= 1, got p={p}, t={t}")
+    if not delta >= 0:
+        raise ValueError(f"threshold offset must be >= 0, got {delta}")
+    mu_p = deficiency_expectation(m.row_space_code, p)[0]
+    return math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
+
+
+def tail_bound_check(m, p, delta):
+    """The row of matroids.tail_sweep at one p > 0 and one delta, its
+    bounded_diff note included."""
+    if not delta >= 0:
+        raise ValueError(f"threshold offset must be >= 0, got {delta}")
+    t = subset_rate_for(p)
+    code = m.row_space_code
+    mean_t = deficiency_expectation(code, t)[0]
+    prob = deficiency_expectation(code, p, np.arange(code.n - code.k + 1) >= mean_t + delta)[0]
+    bound = 2.0**-delta
+    params = {
+        "n": m.n,
+        "q": None,
+        "eps_or_lambda": p,
+        "mode": "exact",
+        "delta": delta,
+        "threshold": mean_t + delta,
+        "note": f"bounded_diff={bounded_diff_tail(m, p, t, delta)!r}",
+    }
+    return GapReport("tail", prob, bound, bound - prob, params)
+
+
+def graph_inequality_gap(g, p, mode="exact", samples=20000, seed=0):
+    """The row of matroids.graph_sweep at one p."""
+    n = len(g.edges)
+    t = subset_rate_for(p)
+    lhs = rhs = float(g.vertex_count)
+    stderr = 0.0
+    if n:
+        code = g.matroid.row_space_code
+        sizes, deficiency = np.indices((n + 1, n - code.k + 1))
+        comp = g.vertex_count - sizes + deficiency
+        mgf, _ = deficiency_expectation(code, p, np.exp2(sizes + comp), mode, samples, seed)
+        mean_c, stderr = deficiency_expectation(code, t, comp, mode, samples, seed + 1)
+        lhs, rhs = math.log2(mgf), t * n + mean_c
+    params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
+              "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
+    return GapReport("graph", lhs, rhs, rhs - lhs, params)
+
+
+def mean_deficiency(m, p):
+    """mu(p) of matroids.mu_curve at one p, by its own size weights
+    p^k (1-p)^(n-k) and one masked dot product with the layer sums."""
+    hist = m.row_space_code.histogram
+    layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
+    k = np.arange(m.n + 1)
+    w = np.power(p, k) * np.power(1.0 - p, m.n - k)
+    return float(w[w > 0.0] @ layers[w > 0.0])
 
 
 def point_indicator(n, point=0, scale=None):

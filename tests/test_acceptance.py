@@ -35,12 +35,12 @@ from cubenoise.inequalities import (
     two_point_gap,
 )
 from cubenoise.matroids import (
-    deficiency_inequality_gap,
-    graph_inequality_gap,
+    deficiency_sweep,
+    graph_sweep,
     mu_curve,
-    tail_bound_check,
-    tutte_identity_check,
+    tail_sweep,
     tutte_polynomial,
+    tutte_sweep,
 )
 
 GAP_TOL = 1e-9
@@ -179,20 +179,19 @@ def test_criterion_08_matroid_suite(matroid_corpus):
     assert len(randoms) == 50
     for name, m in randoms:
         extra = rng.uniform(0.05, 0.95, 2)
-        for p in (0.2, 0.5, 0.8, *[float(x) for x in extra]):
-            assert deficiency_inequality_gap(m, p).gap >= -GAP_TOL, (name, p)
-            rep = tutte_identity_check(m, p)
+        grid = (0.2, 0.5, 0.8, *[float(x) for x in extra])
+        for p, rep in zip(grid, deficiency_sweep(m, grid)):
+            assert rep.gap >= -GAP_TOL, (name, p)
+        for p, rep in zip(grid, tutte_sweep(m, grid)):
             assert rep.params["mgf_residual"] <= 1e-9, (name, p)
             assert rep.params["deficiency_residual"] <= 1e-9, (name, p)
             assert rep.gap >= -GAP_TOL, (name, p)
     tails = 0
     for name, m in matroid_corpus:
         assert m.n <= 14
-        for delta in (0.0, 0.5, 1.0, 2.0, 4.0):
-            for p in (0.2, 0.5, 0.8):
-                rep = tail_bound_check(m, p, delta)
-                assert rep.lhs <= rep.rhs + 1e-12, (name, p, delta)
-                tails += 1
+        for rep in tail_sweep(m, (0.2, 0.5, 0.8), (0.0, 0.5, 1.0, 2.0, 4.0)):
+            assert rep.lhs <= rep.rhs + 1e-12, (name, rep.params["eps_or_lambda"], rep.params["delta"])
+            tails += 1
     assert dict(tutte_polynomial(K3.matroid).coeffs) == {
         (2, 0): 1,
         (1, 0): 1,
@@ -217,8 +216,7 @@ def test_criterion_09_graph_suite():
         ("multi2", random_multigraph_with_loops(12, 6, 12)),
     ]
     for name, g in graphs:
-        for p in (0.2, 0.5, 0.8):
-            rep = graph_inequality_gap(g, p)
+        for p, rep in zip((0.2, 0.5, 0.8), graph_sweep(g, (0.2, 0.5, 0.8))):
             assert rep.params["mode"] == "exact"
             assert rep.gap >= -GAP_TOL, (name, p)
     # exhaustive rank identity for every graph with at most 14 edges

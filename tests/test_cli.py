@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import noise_operator
+from references import dump_bit_matrix, noise_operator
 
 from cubenoise import cli, corpus, cube, inequalities
 from cubenoise.cli import EPS_GRID, Q_GRID, main
@@ -93,12 +93,21 @@ def test_verify_zero_rows_is_usage_error(capsys, target):
     assert err.startswith("error:") and "checked no rows" in err
 
 
-@pytest.mark.parametrize("n", range(8, 14))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_verify_derivative_differences_agree_up_to_the_cap(capsys, n):
     # from n = 8 on, a first-order difference at step 1e-5 misses the 1e-4 rule
-    code, out, err = run(capsys, "verify", "--target", "derivative", "--n", str(n), "--fuzz", "4")
-    assert (code, err) == (0, "")
-    assert len(parse_csv(out)["gaps"]) == 4 * len(Q_GRID)
+    for seed in ("0", "5"):
+        argv = ["verify", "--target", "derivative", "--n", str(n), "--fuzz", "4", "--seed", seed]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)["gaps"]) == 4 * len(Q_GRID)
+
+
+def test_verify_derivative_draws_only_its_positive_functions(monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(corpus, "standard_corpus", lambda *args: drawn.append(args) or [])
+    code, _, err = run(capsys, "verify", "--target", "derivative", "--n", "3", "--fuzz", "2")
+    assert (code, err, drawn) == (0, "", [])
 
 
 def test_verify_derivative_of_a_constant_is_usage_error(capsys):
@@ -373,11 +382,11 @@ def test_matroid_tail_check_uses_tolerance(capsys, monkeypatch, k4_file):
     # the fixed -1e-12 the check once used
     from cubenoise import matroids
 
-    def tail_bound_check(m, p, delta):
-        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta}
-        return GapReport("tail", 0.5, 0.5 - 1e-10, -1e-10, params)
+    def tail_sweep(m, p_grid, delta_grid):
+        params = {"n": m.n, "q": None, "eps_or_lambda": p_grid[0], "mode": "exact", "delta": delta_grid[0]}
+        return [GapReport("tail", 0.5, 0.5 - 1e-10, -1e-10, params)]
 
-    monkeypatch.setattr(matroids, "tail_bound_check", tail_bound_check)
+    monkeypatch.setattr(matroids, "tail_sweep", tail_sweep)
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
     assert code == 0, err
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5", "--tolerance", "1e-11")
@@ -389,11 +398,11 @@ def test_matroid_tail_nan_gap_is_a_violation(capsys, monkeypatch, k4_file):
     # the tail rows take the GapReport.holds verdict, which a NaN gap fails
     from cubenoise import matroids
 
-    def tail_bound_check(m, p, delta):
-        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta}
-        return GapReport("tail", math.nan, 0.5, math.nan, params)
+    def tail_sweep(m, p_grid, delta_grid):
+        params = {"n": m.n, "q": None, "eps_or_lambda": p_grid[0], "mode": "exact", "delta": delta_grid[0]}
+        return [GapReport("tail", math.nan, 0.5, math.nan, params)]
 
-    monkeypatch.setattr(matroids, "tail_bound_check", tail_bound_check)
+    monkeypatch.setattr(matroids, "tail_sweep", tail_sweep)
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
     assert code == 1
     assert err.startswith("violation: tail,")
@@ -436,6 +445,50 @@ def test_infinite_tolerance_or_bad_delta_at_zero_rate_is_usage_error(capsys, k4_
 def test_matroid_rate_out_of_range(capsys, rep2_file):
     code, _, err = run(capsys, "matroid", "--file", rep2_file, "--p", "1.5")
     assert code == 2 and "sampling rate" in err
+
+
+@pytest.fixture
+def rank9_file(tmp_path):
+    # a random 9 x 19 matrix, as the benchmark's n = 19 matroids are drawn
+    rows = np.random.default_rng(19).integers(0, 1 << 19, size=9)
+    path = tmp_path / "m19.matroid"
+    dump_bit_matrix((int(r) for r in rows), 19, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # powers of 1/p in unfolded Tutte forms overflow here
+        ["--graph", "K4", "--p", "1e-300"],
+        ["--file", "M19", "--p", "1e-40"],
+        # a comparator that squares delta overflows, and p^2 is 0 below 2e-162
+        ["--graph", "K4", "--p", "0.5", "--delta", "1e200"],
+        ["--file", "REP2", "--p", "1e-200"],
+        ["--graph", "K4", "--p", "0,1e-300,0.5,1", "--delta", "0,1e200"],
+    ],
+)
+def test_matroid_edge_rates_and_offsets_pass(capsys, k4_file, rep2_file, rank9_file, argv):
+    files = {"K4": k4_file, "REP2": rep2_file, "M19": rank9_file}
+    code, out, err = run(capsys, "matroid", *(files.get(a, a) for a in argv))
+    assert (code, err) == (0, "")
+    sections = parse_csv(out)
+    assert all(math.isfinite(float(r["lhs"])) for r in sections["tutte_identity"])
+    assert all(r["note"].startswith("bounded_diff=") for r in sections["tail"])
+
+
+@pytest.mark.parametrize("q", ["1020", "1100", "2,1014.02"])
+def test_verify_twopoint_q_past_finite_doubles_is_usage_error(capsys, q):
+    # at q = 1020 the t = inf row's lhs is inf, and at 1100 a power overflows
+    code, out, err = run(capsys, "verify", "--target", "twopoint", "--q", q)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: two-point values at q=") and "use q <= 1014" in err
+
+
+def test_verify_twopoint_q_at_the_limit_has_finite_rows(capsys):
+    code, out, err = run(capsys, "verify", "--target", "twopoint", "--q", "1014", "--tolerance", "1e300")
+    assert (code, err) == (0, "")
+    assert all(math.isfinite(float(r["lhs"])) for r in parse_csv(out)["gaps"])
 
 
 # ---------------------------------------------------------------------------

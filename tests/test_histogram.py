@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import connected_components, matroid_rank, noise_operator
+from conftest import PETERSEN, random_multigraph_with_loops
+from references import (
+    connected_components,
+    deficiency_inequality_gap,
+    graph_inequality_gap,
+    matroid_rank,
+    mean_deficiency,
+    noise_operator,
+    tail_bound_check,
+    tutte_identity_check,
+)
 
 from cubenoise.codes import (
     LinearCode,
@@ -26,14 +36,13 @@ from cubenoise.inequalities import noise_rate, subset_expectation_mc
 from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
-    bounded_diff_tail,
-    deficiency_inequality_gap,
-    graph_inequality_gap,
+    deficiency_sweep,
+    graph_sweep,
     mu_curve,
     subset_rate_for,
-    tail_bound_check,
-    tutte_identity_check,
+    tail_sweep,
     tutte_polynomial,
+    tutte_sweep,
 )
 
 RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -135,7 +144,7 @@ def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
 def test_mgf_and_mean_deficiency(m, p):
     defs = deficiencies(m)
     t = subset_rate_for(p)
-    rep = deficiency_inequality_gap(m, p)
+    (rep,) = deficiency_sweep(m, [p])
     assert close(rep.lhs, math.log2(expect(m.n, p, [2.0**d for d in defs])))
     assert close(rep.rhs, expect(m.n, t, defs))
     assert close(deficiency_expectation(m.row_space_code, p)[0], expect(m.n, p, defs))
@@ -148,20 +157,20 @@ def test_mgf_and_mean_deficiency(m, p):
 def test_tail_and_bounded_difference(m, p, delta):
     defs = deficiencies(m)
     t = subset_rate_for(p)
-    rep = tail_bound_check(m, p, delta)
+    (rep,) = tail_sweep(m, [p], [delta])
     threshold = rep.params["threshold"]
     assert close(threshold, expect(m.n, t, defs) + delta)
     assert close(rep.lhs, expect(m.n, p, [float(d >= threshold) for d in defs]))
     mu_p = expect(m.n, p, defs)
     want = math.exp(-2.0 * ((t - p) * mu_p + p * delta) ** 2 / (p**2 * m.n))
-    assert close(bounded_diff_tail(m, p, t, delta), want)
+    assert close(float(rep.params["note"].removeprefix("bounded_diff=")), want)
 
 
 @SETTINGS
 @given(matroids(), INNER_RATES)
 def test_tutte_identity_sides(m, p):
     defs = deficiencies(m)
-    rep = tutte_identity_check(m, p)
+    (rep,) = tutte_sweep(m, [p])
     assert close(2.0**rep.lhs, expect(m.n, p, [2.0**d for d in defs]))
     assert close(rep.rhs, expect(m.n, subset_rate_for(p), defs))
 
@@ -186,7 +195,7 @@ def test_graph_gap_matches_union_find(g, p):
     n = len(g.edges)
     comps = [connected_components(g, s) for s in range(1 << n)]
     t = subset_rate_for(p)
-    rep = graph_inequality_gap(g, p)
+    (rep,) = graph_sweep(g, [p])
     lhs = math.log2(expect(n, p, [2.0 ** (s.bit_count() + c) for s, c in enumerate(comps)]))
     assert close(rep.lhs, lhs)
     assert close(rep.rhs, t * n + expect(n, t, comps))
@@ -225,7 +234,7 @@ def test_mc_matroid_gap_is_per_mask_oracle(m, p, seed):
     h_def = lambda s: float(s.bit_count() - matroid_rank(m, s))
     mgf, _ = subset_expectation_mc(m.n, p, h_mgf, MC_SAMPLES, seed)
     rhs, stderr = subset_expectation_mc(m.n, t, h_def, MC_SAMPLES, seed + 1)
-    rep = deficiency_inequality_gap(m, p, mode="mc", samples=MC_SAMPLES, seed=seed)
+    (rep,) = deficiency_sweep(m, [p], mode="mc", samples=MC_SAMPLES, seed=seed)
     assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (math.log2(mgf), rhs, stderr)
 
 
@@ -237,17 +246,86 @@ def test_mc_graph_gap_is_union_find_oracle(g, p, seed):
     h_rhs = lambda s: float(connected_components(g, s))
     mgf, _ = subset_expectation_mc(n, p, h_lhs, MC_SAMPLES, seed)
     mean_c, stderr = subset_expectation_mc(n, t, h_rhs, MC_SAMPLES, seed + 1)
-    rep = graph_inequality_gap(g, p, mode="mc", samples=MC_SAMPLES, seed=seed)
+    (rep,) = graph_sweep(g, [p], mode="mc", samples=MC_SAMPLES, seed=seed)
     assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (math.log2(mgf), t * n + mean_c, stderr)
+
+
+# Each sweep against its one-p oracle.  The Tutte sweep folds the prefactors
+# into the terms and the tail sweep writes the comparator through
+# y = (t - p) mu / p + delta, so those values move in the last bits: against
+# exact rationals, the oracle's unfolded Tutte forms err by up to 1.3e-15
+# relative and the folded ones by 0.9e-15, and log2 of the first turns that
+# into an absolute change of the lhs; the comparator exp(-z) changes by z
+# times the change of its exponent, so the exponents are compared.  The
+# oracles' powers of 1/p overflow at tiny p (the sweeps' edge tests are in
+# test_matroids.py), so the drawn p stay at or above 1e-5.
+P_GRIDS = st.lists(st.floats(1e-5, 1.0), max_size=3).flatmap(
+    lambda extra: st.permutations([0.0, 1.0, 1e-5, *extra])
+)
+DELTA_GRIDS = st.lists(st.floats(0.0, 8.0), max_size=2).flatmap(
+    lambda extra: st.permutations([0.0, math.inf, *extra])
+)
+TUTTE_TOL = 4e-15
+
+
+def near(a, b, tol):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def fields(reps):
+    return [[r.inequality, r.lhs, r.rhs, r.gap, r.params] for r in reps]
+
+
+def without(rep, *keys):
+    return [rep.inequality, {k: v for k, v in rep.params.items() if k not in keys}]
+
+
+@SETTINGS
+@given(st.data(), P_GRIDS, DELTA_GRIDS, st.sampled_from(["exact", "mc"]), SEEDS)
+def test_matroid_sweeps_match_their_one_p_oracles(matroid_corpus, data, p_grid, delta_grid, mode, seed):
+    graphs = st.one_of(st.just(PETERSEN), st.integers(0, 99).map(random_multigraph_with_loops))
+    g = data.draw(st.one_of(st.none(), graphs))
+    m = data.draw(st.sampled_from([m for _, m in matroid_corpus])) if g is None else g.matroid
+    sampling = {"mode": mode, "samples": MC_SAMPLES, "seed": seed}
+
+    gaps = deficiency_sweep(m, p_grid, **sampling)
+    assert fields(gaps) == fields(deficiency_inequality_gap(m, p, **sampling) for p in p_grid)
+    if g is not None:
+        assert fields(graph_sweep(g, p_grid, **sampling)) == fields(
+            graph_inequality_gap(g, p, **sampling) for p in p_grid
+        )
+
+    tuttes = tutte_sweep(m, p_grid)
+    oracle = [tutte_identity_check(m, p) for p in p_grid if 0.0 < p < 1.0]
+    assert [without(r, "mgf_residual", "deficiency_residual", "note") for r in tuttes] == [
+        without(r, "mgf_residual", "deficiency_residual", "note") for r in oracle
+    ]
+    for a, b in zip(tuttes, oracle):
+        assert near(a.lhs, b.lhs, TUTTE_TOL) and near(a.rhs, b.rhs, TUTTE_TOL), (a.params, b.params)
+        assert near(a.gap, b.gap, TUTTE_TOL * max(1.0, abs(a.lhs), abs(a.rhs)))
+        for key in ("mgf_residual", "deficiency_residual"):
+            assert abs(a.params[key] - b.params[key]) <= TUTTE_TOL
+
+    tails = tail_sweep(m, p_grid, delta_grid)
+    oracle = [tail_bound_check(m, p, delta) for p in p_grid if p > 0.0 for delta in delta_grid]
+    assert [[r.lhs, r.rhs, r.gap, *without(r, "note")] for r in tails] == [
+        [r.lhs, r.rhs, r.gap, *without(r, "note")] for r in oracle
+    ]
+    for a, b in zip(tails, oracle):
+        got, want = (float(r.params["note"].removeprefix("bounded_diff=")) for r in (a, b))
+        assert got == want or near(math.log(got), math.log(want), 1e-15), (a.params, b.params)
+
+    grid = [*np.linspace(0.0, 1.0, 101), *p_grid]
+    assert mu_curve(m, grid) == [(float(p), mean_deficiency(m, float(p))) for p in grid]
 
 
 @pytest.mark.parametrize(
     "entry",
     [
         lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), 0.5, mode=mode),
-        lambda mode: deficiency_inequality_gap(BinaryMatroid(3, (0b011, 0b011)), 0.5, mode=mode),
-        lambda mode: graph_inequality_gap(Graph(3, ((0, 1), (1, 1))), 0.5, mode=mode),
-        lambda mode: graph_inequality_gap(Graph(4, ()), 0.4, mode=mode),
+        lambda mode: deficiency_sweep(BinaryMatroid(3, (0b011, 0b011)), [0.5], mode=mode),
+        lambda mode: graph_sweep(Graph(3, ((0, 1), (1, 1))), [0.5], mode=mode),
+        lambda mode: graph_sweep(Graph(4, ()), [0.4], mode=mode),
     ],
 )
 def test_unknown_mode_raises_at_every_entry(entry):

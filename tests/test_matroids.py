@@ -3,22 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from references import connected_components, dump_graph, matroid_rank
+from references import bounded_diff_tail, connected_components, dump_graph, matroid_rank
 
 from cubenoise.codes import deficiency_table
 from cubenoise.matroids import (
     BinaryMatroid,
     Graph,
-    bounded_diff_tail,
-    deficiency_inequality_gap,
-    graph_inequality_gap,
+    deficiency_sweep,
+    graph_sweep,
     load_graph,
     load_matroid,
     mu_curve,
     subset_rate_for,
-    tail_bound_check,
-    tutte_identity_check,
+    tail_sweep,
     tutte_polynomial,
+    tutte_sweep,
 )
 
 LN2 = math.log(2.0)
@@ -154,18 +153,18 @@ def test_tutte_matches_deletion_contraction(graph):
 
 def test_deficiency_gap_free_matroid():
     free = BinaryMatroid(5, (1, 2, 4, 8, 16))
-    rep = deficiency_inequality_gap(free, 0.6)
+    (rep,) = deficiency_sweep(free, [0.6])
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == 0.0
 
 
 def test_deficiency_gap_degenerate_rate():
-    rep = deficiency_inequality_gap(random_matroid(6, 20), 0.0)
+    (rep,) = deficiency_sweep(random_matroid(6, 20), [0.0])
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_deficiency_gap_repetition_pair():
-    rep = deficiency_inequality_gap(BinaryMatroid(2, (0b11,)), 0.5)
+    (rep,) = deficiency_sweep(BinaryMatroid(2, (0b11,)), [0.5])
     t = subset_rate_for(0.5)
     assert rep.lhs == pytest.approx(math.log2(5 / 4), abs=1e-14)
     assert rep.rhs == pytest.approx(t * t, abs=1e-14)
@@ -175,14 +174,14 @@ def test_deficiency_gap_repetition_pair():
 def test_deficiency_gap_random_corpus():
     for seed in range(10):
         m = random_matroid(8, 30 + seed)
-        for p in (0.2, 0.5, 0.8, 1.0):
-            assert deficiency_inequality_gap(m, p).gap >= -1e-9
+        for rep in deficiency_sweep(m, (0.2, 0.5, 0.8, 1.0)):
+            assert rep.gap >= -1e-9
 
 
 def test_deficiency_gap_mc_close_to_exact():
     m = random_matroid(8, 41)
-    exact = deficiency_inequality_gap(m, 0.4)
-    mc = deficiency_inequality_gap(m, 0.4, mode="mc", samples=40_000, seed=5)
+    (exact,) = deficiency_sweep(m, [0.4])
+    (mc,) = deficiency_sweep(m, [0.4], mode="mc", samples=40_000, seed=5)
     assert mc.rhs == pytest.approx(exact.rhs, abs=0.05)
     assert mc.lhs == pytest.approx(exact.lhs, abs=0.1)
 
@@ -193,35 +192,46 @@ def test_deficiency_gap_mc_close_to_exact():
 
 def test_tutte_identity_primitives():
     # coloop at p = 1/2: both routes give E 2^(|S|-r) = 1
-    rep = tutte_identity_check(BinaryMatroid(1, (1,)), 0.5)
+    (rep,) = tutte_sweep(BinaryMatroid(1, (1,)), [0.5])
     assert 2.0**rep.lhs == pytest.approx(1.0, abs=1e-12)
     assert rep.params["mgf_residual"] <= 1e-12
     # loop at p = 1/2: E 2^|S| = 3/2
-    rep = tutte_identity_check(BinaryMatroid(1, (0,)), 0.5)
+    (rep,) = tutte_sweep(BinaryMatroid(1, (0,)), [0.5])
     assert 2.0**rep.lhs == pytest.approx(1.5, abs=1e-12)
     assert rep.params["mgf_residual"] <= 1e-12
 
 
 def test_tutte_identity_triangle_and_random():
-    for p in (0.2, 0.5, 0.8):
-        rep = tutte_identity_check(K3.matroid, p)
+    for rep in tutte_sweep(K3.matroid, (0.2, 0.5, 0.8)):
         assert rep.params["mgf_residual"] <= 1e-9
         assert rep.params["deficiency_residual"] <= 1e-9
         assert rep.gap >= -1e-9
     for seed in range(8):
         m = random_matroid(7, 50 + seed)
-        for p in (0.25, 0.6):
-            rep = tutte_identity_check(m, p)
+        for rep in tutte_sweep(m, (0.25, 0.6)):
             assert rep.params["mgf_residual"] <= 1e-9
             assert rep.params["deficiency_residual"] <= 1e-9
             assert rep.gap >= -1e-9
 
 
 def test_tutte_identity_rejects_poles():
-    with pytest.raises(ValueError):
-        tutte_identity_check(random_matroid(4, 60), 0.0)
-    with pytest.raises(ValueError):
-        tutte_identity_check(random_matroid(4, 60), 1.0)
+    # the Tutte arguments have poles at p = 0 and 1: those p get no row
+    m = random_matroid(4, 60)
+    assert tutte_sweep(m, (0.0, 1.0)) == []
+    assert [rep.params["eps_or_lambda"] for rep in tutte_sweep(m, (0.0, 0.5, 1.0))] == [0.5]
+    with pytest.raises(ValueError, match="sampling rate"):
+        tutte_sweep(m, (0.5, 1.5))
+
+
+def test_tutte_identity_keeps_tiny_rates_finite():
+    # the unfolded forms take powers of 1/p, which overflow at p = 1e-300 on
+    # K4 and at p = 1e-40 once the rank reaches 8
+    m = random_matroid(19, 61)
+    assert m.k >= 8
+    for matroid, p in ((K4.matroid, 1e-300), (m, 1e-40), (m, 5e-324)):
+        (rep,) = tutte_sweep(matroid, [p])
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs), p
+        assert rep.params["mgf_residual"] <= 1e-15 and rep.params["deficiency_residual"] <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +240,18 @@ def test_tutte_identity_rejects_poles():
 
 def test_tail_bound_trivial_threshold():
     m = random_matroid(6, 70)
-    rep = tail_bound_check(m, 0.5, 0.0)
+    (rep,) = tail_sweep(m, [0.5], [0.0])
     assert rep.lhs <= 1.0 + 1e-12
 
 
 def test_tail_bound_free_matroid():
     free = BinaryMatroid(4, (1, 2, 4, 8))
-    for delta in (0.5, 1.0):
-        assert tail_bound_check(free, 0.5, delta).lhs == 0.0
+    assert [rep.lhs for rep in tail_sweep(free, [0.5], (0.5, 1.0))] == [0.0, 0.0]
 
 
 def test_tail_bound_k4_exact():
     m = K4.matroid
-    for delta in (0.5, 1.0, 2.0):
-        rep = tail_bound_check(m, 0.5, delta)
+    for delta, rep in zip((0.5, 1.0, 2.0), tail_sweep(m, [0.5], (0.5, 1.0, 2.0))):
         assert rep.lhs <= 2.0**-delta + 1e-12
 
 
@@ -269,28 +277,45 @@ def test_mu_curve_monotone_convex():
         assert np.diff(diffs).min() >= -1e-9
 
 
+def bounded_diff(rep):
+    return float(rep.params["note"].removeprefix("bounded_diff="))
+
+
 def test_bounded_diff_comparator():
+    # free matroid: mu = 0, so the comparator is exp(-2 delta^2 / n)
     free = BinaryMatroid(4, (1, 2, 4, 8))
-    assert bounded_diff_tail(free, 0.3, 0.3, 0.0) == 1.0
-    assert bounded_diff_tail(free, 0.5, 0.9, 1.0) == pytest.approx(
-        math.exp(-2 * 0.25 / 0.25 / 4 * 1), abs=1e-12
-    )
+    assert bounded_diff(tail_sweep(free, [0.3], [0.0])[0]) == 1.0
+    assert bounded_diff(tail_sweep(free, [0.5], [1.0])[0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
     m = K4.matroid
-    value = bounded_diff_tail(m, 0.3, 0.5, 1.0)
-    assert 0.0 < value <= 1.0
-    with pytest.raises(ValueError):
-        bounded_diff_tail(m, 0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        bounded_diff_tail(m, 0.6, 0.5, 1.0)
+    (rep,) = tail_sweep(m, [0.3], [1.0])
+    want = bounded_diff_tail(m, 0.3, subset_rate_for(0.3), 1.0)
+    assert 0.0 < bounded_diff(rep) <= 1.0
+    assert bounded_diff(rep) == pytest.approx(want, rel=1e-15)
+    # no row at p = 0, where the comparator divides by p
+    assert tail_sweep(m, [0.0], [1.0]) == []
+    with pytest.raises(ValueError, match="sampling rate"):
+        tail_sweep(m, [1.5], [1.0])
+
+
+def test_bounded_diff_comparator_at_the_edges():
+    # y = (t - p) mu / p + delta has no p^2 to underflow to 0 (below
+    # p = 2e-162) and no delta^2 to overflow (delta = 1e200)
+    m = K4.matroid
+    edges = tail_sweep(m, (1e-300, 0.5, 1.0), (0.0, 1e200, math.inf))
+    at_half = pytest.approx(bounded_diff_tail(m, 0.5, subset_rate_for(0.5), 0.0), rel=1e-15)
+    assert [bounded_diff(rep) for rep in edges] == [1.0, 0.0, 0.0, at_half, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert [rep.rhs for rep in edges[1::3]] == [0.0, 0.0, 0.0]
+    assert all(rep.gap >= 0.0 for rep in edges)
 
 
 @pytest.mark.parametrize("delta", [-1.0, math.nan])
 def test_tail_offsets_must_be_nonnegative(delta):
     m = K4.matroid
     with pytest.raises(ValueError, match="threshold offset"):
-        tail_bound_check(m, 0.5, delta)
+        tail_sweep(m, [0.5], [1.0, delta])
+    # checked even when no p gets a row
     with pytest.raises(ValueError, match="threshold offset"):
-        bounded_diff_tail(m, 0.5, 0.6, delta)
+        tail_sweep(m, [0.0], [delta])
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +351,28 @@ def test_graphic_rank_identity_exhaustive(graph):
 
 def test_graph_gap_edgeless():
     # no edges: both sides collapse to the vertex count
-    rep = graph_inequality_gap(Graph(4, ()), 0.4)
+    (rep,) = graph_sweep(Graph(4, ()), [0.4])
     assert rep.lhs == 4.0 and rep.rhs == 4.0
 
 
 def test_graph_gap_edgeless_mc():
     # nothing to sample: both sides are the vertex count, with no spread
-    rep = graph_inequality_gap(Graph(4, ()), 0.4, mode="mc", samples=50, seed=3)
+    (rep,) = graph_sweep(Graph(4, ()), [0.4], mode="mc", samples=50, seed=3)
     assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (4.0, 4.0, 0.0)
     assert (rep.row()["samples"], rep.row()["seed"]) == (50, 3)
-    exact = graph_inequality_gap(Graph(4, ()), 0.4).row()
+    exact = graph_sweep(Graph(4, ()), [0.4])[0].row()
     assert (exact["samples"], exact["seed"]) == (None, None)
 
 
 def test_graph_gap_single_edge():
-    rep = graph_inequality_gap(Graph(2, ((0, 1),)), 0.3)
+    (rep,) = graph_sweep(Graph(2, ((0, 1),)), [0.3])
     # closed form: both sides equal 2 for a single edge on two vertices
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
 
 
 def test_graph_gap_k4_exhaustive():
-    rep = graph_inequality_gap(K4, 0.5)
+    (rep,) = graph_sweep(K4, [0.5])
     assert rep.gap >= -1e-9
 
 
@@ -356,21 +381,21 @@ def test_graph_gap_consistent_with_matroid_form():
     # shifting by the vertex count
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 1)))
     p = 0.35
-    gg = graph_inequality_gap(g, p)
-    mg = deficiency_inequality_gap(g.matroid, p)
+    (gg,) = graph_sweep(g, [p])
+    (mg,) = deficiency_sweep(g.matroid, [p])
     assert gg.lhs == pytest.approx(mg.lhs + g.vertex_count, abs=1e-9)
     assert gg.rhs == pytest.approx(mg.rhs + g.vertex_count, abs=1e-9)
 
 
 def test_graph_gap_large_path_uses_rank_route():
     edges = tuple((i, i + 1) for i in range(17))
-    rep = graph_inequality_gap(Graph(18, edges), 0.4)
+    (rep,) = graph_sweep(Graph(18, edges), [0.4])
     assert rep.gap >= -1e-9
 
 
 def test_graph_gap_mc_mode():
-    rep = graph_inequality_gap(K4, 0.5, mode="mc", samples=20_000, seed=11)
-    exact = graph_inequality_gap(K4, 0.5)
+    (rep,) = graph_sweep(K4, [0.5], mode="mc", samples=20_000, seed=11)
+    (exact,) = graph_sweep(K4, [0.5])
     assert rep.rhs == pytest.approx(exact.rhs, abs=0.05)
 
 

@@ -45,8 +45,9 @@ def test_readme_commands_run(capsys, rep2_file, k4_file):
 
 
 def test_readme_names_every_sweep():
-    # the Layout row lists the library's entry points by their bare names
+    # the Layout rows list the library's entry points by their bare names
     text = README.read_text(encoding="utf-8")
-    sweeps = {name for name in vars(cubenoise.inequalities) if name.endswith("_sweep") and name[0] != "_"}
-    assert len(sweeps) == 5
+    modules = (cubenoise.inequalities, cubenoise.matroids)
+    sweeps = {name for mod in modules for name in vars(mod) if name.endswith("_sweep") and name[0] != "_"}
+    assert len(sweeps) == 9
     assert set(re.findall(r"`(\w+_sweep)`", text)) == sweeps

@@ -1,6 +1,7 @@
 """Each derived table (dual code, syndrome index, deficiency histogram,
 row-space code, graphic matroid, Tutte polynomial) lives on the object it
-comes from: it is built once per report, and freed with its object."""
+comes from: it is built once per report, and freed with its object; a
+matroid report weighs its whole mean curve with one weights matrix."""
 
 import gc
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from references import dump_bit_matrix, dump_graph
 
-from cubenoise import codes, matroids
+from cubenoise import codes, inequalities, matroids
 from cubenoise.cli import main
 from cubenoise.codes import LinearCode, f_value
 from cubenoise.matroids import BinaryMatroid, Graph, tutte_polynomial
@@ -76,14 +77,32 @@ def test_graph_report_builds_one_deficiency_table(tmp_path, monkeypatch, capsys)
 
 
 def test_graph_report_expands_one_tutte_polynomial(tmp_path, monkeypatch, capsys):
-    # tutte_identity_check runs for each of the three p, on one polynomial
+    # one tutte_sweep for the three p, on one polynomial
     graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
     path = str(tmp_path / "g.graph")
     dump_graph(graph, path)
     polynomials = count_calls(monkeypatch, matroids, "tutte_polynomial")
-    checks = count_calls(monkeypatch, matroids, "tutte_identity_check")
+    checks = count_calls(monkeypatch, matroids, "tutte_sweep")
     assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
-    assert (len(polynomials), len(checks)) == (1, 3)
+    assert (len(polynomials), len(checks)) == (1, 1)
+
+
+@pytest.mark.parametrize("source, most", [("--file", 30), ("--graph", 36)])
+def test_matroid_report_builds_few_weight_vectors(tmp_path, monkeypatch, capsys, source, most):
+    # per p: two averages for the gap, two for the Tutte residuals, E_t d,
+    # E_p d and one tail probability per delta (and two for the graph gap);
+    # the 101-point mean curve takes one matrix
+    graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
+    path = str(tmp_path / "g")
+    if source == "--graph":
+        dump_graph(graph, path)
+    else:
+        dump_bit_matrix(graph.matroid.rows, graph.matroid.n, path)
+    weights = count_calls(monkeypatch, inequalities, "size_weights")
+    argv = ["matroid", source, path, "--p", "0.2,0.5,0.8", "--delta", "0.5,1,2"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(weights) <= most
+    assert sum(w.shape == (101, graph.matroid.n + 1) for w in weights) == 1
 
 
 def test_tables_are_freed_with_their_object():
