@@ -21,7 +21,6 @@ from .inequalities import (
     CSV_COLUMNS,
     GapReport,
     _fmt,
-    allowed_slack,
     derivative_sweep,
     hypercontractive_sweep,
     log_sobolev_sweep,
@@ -97,8 +96,8 @@ def _float_list(text: str) -> list[float]:
 # verify campaigns
 # ---------------------------------------------------------------------------
 
-def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport]]:
-    """Returns (rows, violations) for the parsed `verify` arguments."""
+def _campaign(args: argparse.Namespace) -> list[GapReport]:
+    """The rows of the parsed `verify` arguments."""
     target, n, fuzz, tolerance = args.target, args.n, args.fuzz, args.tolerance
     q_grid = tuple(args.q_list) if args.q_list else Q_GRID
     eps_grid = tuple(args.eps_list) if args.eps_list else EPS_GRID
@@ -106,8 +105,7 @@ def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport
 
     if target == "twopoint":
         grid = [float(t) for t in np.logspace(0.0, 3.0, T_POINTS)] + [math.inf]
-        rows = [two_point_gap(t, q, tolerance=tolerance) for t in grid for q in q_grid]
-        return rows, [rep for rep in rows if not rep.holds(tolerance)]
+        return [two_point_gap(t, q, tolerance=tolerance) for t in grid for q in q_grid]
 
     _require_dimension(n)  # before any function of 2^n values is drawn
     sampling = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
@@ -121,27 +119,21 @@ def _campaign(args: argparse.Namespace) -> tuple[list[GapReport], list[GapReport
     }
     if target not in sweeps:
         raise ValueError(f"unknown verify target {target!r}")
-    holds = lambda rep: rep.holds(tolerance)
     if target == "derivative":
         # Strictly positive inputs: at a zero of f, ||T_eps f||_q^q has a term
         # of order eps^q, which no difference at a small step resolves for q
-        # near 1.  A row holds when the order is strict and both differences
-        # agree with their closed forms.
+        # near 1.
         functions = [corpus.random_positive(n, rng) for _ in range(fuzz)]
-        holds = lambda rep: (
-            rep.gap > 0.0 and rep.params["rel_err_lhs"] <= 1e-4 and rep.params["rel_err_rhs"] <= 1e-4
-        )
     else:
         functions = corpus.standard_corpus(n, fuzz, rng)
-    rows = [rep for f in functions for rep in sweeps[target](f)]
-    return rows, [rep for rep in rows if not holds(rep)]
+    return [rep for f in functions for rep in sweeps[target](f)]
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
-    rows, bad = _campaign(args)
+def cmd_verify(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
+    rows = _campaign(args)
     if not rows:
         raise ValueError(f"verify --target {args.target} checked no rows; use --fuzz >= 1")
-    return [("gaps", CSV_COLUMNS, [r.row() for r in rows])], [r.csv_row() for r in bad]
+    return [("gaps", CSV_COLUMNS, [r.row(args.tolerance) for r in rows])], rows
 
 
 # ---------------------------------------------------------------------------
@@ -178,66 +170,61 @@ def _weight_section(code: codes.LinearCode) -> list[dict]:
     return rows
 
 
-def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
+def _margin(rep: GapReport, tolerance: float) -> dict:
+    """The cells that show a judged row's verdict: the margin it was held to
+    and, for a Monte Carlo estimate, its standard error."""
+    row = rep.row(tolerance)
+    return {"allowed": row["allowed"], "stderr": row["stderr"]}
+
+
+def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
     if args.rm is not None:
         code = codes.reed_muller(args.rm[0], args.rm[1])
     else:
         code = codes.load_code(args.file)
 
-    sections = []
-    violations: list[str] = []
-
     weight_rows = _weight_section(code)
-    sections.append(
-        (
-            "weights",
-            ("k", "a_k", "b_k", "bound_primal", "bound_dual", "bound_sberlo", "o_n_factor"),
-            weight_rows,
-        )
-    )
-
-    deficiency_rows = []
-    fvalue_rows = []
-    identity_rows = []
+    deficiency_rows, fvalue_rows, identity_rows = [], [], []
+    fvalues, identities = [], []
     for lam in args.lam_grid:
         deficiency, stderr = codes.deficiency_expectation(
             code, lam, mode=args.mode, samples=args.samples, seed=args.seed
         )
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
+        params = {"n": code.n, "eps_or_lambda": lam, "mode": args.mode, "samples": args.samples,
+                  "seed": args.seed, "stderr": stderr}
         for q in args.q_list:
+            # F(lam, q) <= rank deficiency, whose gap is the slack
             value = codes.f_value(code, lam, q)
-            slack = deficiency - value
-            fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": slack})
-            if slack < -allowed_slack(args.tolerance, stderr):
-                violations.append(f"fvalues,lambda={lam},q={q},slack={slack!r}")
+            rep = GapReport("fvalues", value, deficiency, deficiency - value, {**params, "q": q})
+            fvalues.append(rep)
+            fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": rep.gap,
+                                **_margin(rep, args.tolerance)})
+        # the routes agree when the largest is at most the smallest: gap = -spread
         vals = codes.enumerator_identities(code, lam)
-        spread = vals.spread()
-        identity_rows.append(
-            {
-                "lambda": lam,
-                "moment": vals.moment,
-                "sup": vals.sup,
-                "dual_sum": vals.dual_sum,
-                "primal_sum": vals.primal_sum,
-                "spread": spread,
-            }
-        )
-        if spread > args.tolerance:
-            violations.append(f"identities,lambda={lam},spread={spread!r}")
+        routes = [v for v in vals if v is not None]
+        rep = GapReport("identities", max(routes), min(routes), min(routes) - max(routes),
+                        {"n": code.n, "eps_or_lambda": lam, "mode": "exact"})
+        identities.append(rep)
+        identity_rows.append({"lambda": lam, **vals._asdict(), "spread": vals.spread(),
+                              **_margin(rep, args.tolerance)})
 
-    sections.append(("deficiency", ("lambda", "rank_deficiency"), deficiency_rows))
-    sections.append(("fvalues", ("lambda", "q", "f_value", "slack"), fvalue_rows))
-    sections.append(
-        ("identities", ("lambda", "moment", "sup", "dual_sum", "primal_sum", "spread"), identity_rows)
-    )
-    return sections, violations
+    sections = [
+        ("weights", ("k", "a_k", "b_k", "bound_primal", "bound_dual", "bound_sberlo", "o_n_factor"),
+         weight_rows),
+        ("deficiency", ("lambda", "rank_deficiency"), deficiency_rows),
+        ("fvalues", ("lambda", "q", "f_value", "slack", "allowed", "stderr"), fvalue_rows),
+        ("identities", ("lambda", "moment", "sup", "dual_sum", "primal_sum", "spread", "allowed", "stderr"),
+         identity_rows),
+    ]
+    return sections, fvalues + identities
 
 
 # ---------------------------------------------------------------------------
 # matroid reports
 # ---------------------------------------------------------------------------
 
-def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
+def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
     graph = None
     if args.graph is not None:
         graph = matroids.load_graph(args.graph)
@@ -245,36 +232,30 @@ def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[str]]:
     else:
         matroid = matroids.load_matroid(args.file)
     sampling = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
-    holds = lambda rep: rep.holds(args.tolerance)
 
     gaps = matroids.deficiency_sweep(matroid, args.p_grid, **sampling)
-    # a Tutte row fails on either residual as well as on its gap
     tuttes = matroids.tutte_sweep(matroid, args.p_grid)
-    tutte_holds = lambda rep: holds(rep) and not (
-        rep.params["mgf_residual"] > args.tolerance or rep.params["deficiency_residual"] > args.tolerance
-    )
     tails = matroids.tail_sweep(matroid, args.p_grid, args.delta_list)
     mu = matroids.mu_curve(matroid, np.linspace(0.0, 1.0, 101))
     graph_gaps = [] if graph is None else matroids.graph_sweep(graph, args.p_grid, **sampling)
 
+    rows = lambda reps: [rep.row(args.tolerance) for rep in reps]
     tutte_rows = [
         {"p": rep.params["eps_or_lambda"], "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-         "mgf_residual": rep.params["mgf_residual"], "deficiency_residual": rep.params["deficiency_residual"]}
+         "mgf_residual": rep.params["mgf_residual"], "deficiency_residual": rep.params["deficiency_residual"],
+         **_margin(rep, args.tolerance)}
         for rep in tuttes
     ]
+    tutte_columns = ("p", "mgf_residual", "deficiency_residual", "lhs", "rhs", "gap", "allowed", "stderr")
     sections = [
-        ("deficiency_gap", CSV_COLUMNS, [rep.row() for rep in gaps]),
-        ("tutte_identity", ("p", "mgf_residual", "deficiency_residual", "lhs", "rhs", "gap"), tutte_rows),
-        ("tail", CSV_COLUMNS, [rep.row() for rep in tails]),
+        ("deficiency_gap", CSV_COLUMNS, rows(gaps)),
+        ("tutte_identity", tutte_columns, tutte_rows),
+        ("tail", CSV_COLUMNS, rows(tails)),
         ("mu", ("p", "mu"), [{"p": p, "mu": value} for p, value in mu]),
     ]
     if graph is not None:
-        sections.append(("graph_gap", CSV_COLUMNS, [rep.row() for rep in graph_gaps]))
-    # the gap and Tutte rows of one p come before those of the next
-    by_p = lambda rep: args.p_grid.index(rep.params["eps_or_lambda"])
-    bad = sorted([r for r in gaps if not holds(r)] + [r for r in tuttes if not tutte_holds(r)], key=by_p)
-    bad += [r for r in tails + graph_gaps if not holds(r)]
-    return sections, [rep.csv_row() for rep in bad]
+        sections.append(("graph_gap", CSV_COLUMNS, rows(graph_gaps)))
+    return sections, gaps + tuttes + tails + graph_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +323,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("tolerance must be positive and finite")
         if args.mode == "mc" and args.samples < 2:
             raise ValueError("mc mode needs at least two samples: a standard error needs two draws")
-        sections, violations = command(args)
+        sections, judged = command(args)
         _emit(_render(sections, args.output), args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if violations:
-        print(f"violation: {violations[0]}", file=sys.stderr)
-        return 1
+    # the one verdict of every judged row, reported at the first that fails
+    for rep in judged:
+        if not rep.holds(args.tolerance):
+            print(f"violation: {rep.csv_row(args.tolerance)}", file=sys.stderr)
+            return 1
     return 0
 
 

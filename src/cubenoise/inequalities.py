@@ -103,6 +103,8 @@ CSV_COLUMNS = (
     "samples",
     "seed",
     "note",
+    "allowed",
+    "stderr",
 )
 
 
@@ -117,29 +119,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def allowed_slack(tolerance: float, stderr: float) -> float:
-    """How far below zero a checked slack may fall: the tolerance, plus 4
-    standard errors for a Monte Carlo estimate (stderr 0 for an exact one)."""
-    return tolerance + 4.0 * stderr
-
-
 @dataclass
 class GapReport:
-    """Outcome of one inequality check: claim is lhs <= rhs, gap = rhs - lhs."""
+    """Outcome of one inequality check: claim is lhs <= rhs, gap = rhs - lhs.
+
+    The one verdict of every report row is :meth:`holds`.  `budgets` maps
+    residuals in params to their budgets (None: the tolerance), and a
+    `strict` claim needs gap > 0 with no margin.  A Monte Carlo estimate
+    carries its standard error as params["stderr"]."""
 
     inequality: str
     lhs: float
     rhs: float
     gap: float
     params: dict = field(default_factory=dict)
+    budgets: dict = field(default_factory=dict)
+    strict: bool = False
+
+    def allowed(self, tolerance: float) -> float:
+        """How far below zero the gap may fall: tolerance * max(1, |lhs|, |rhs|)
+        over the finite sides, the scale of the rounding in rhs - lhs, plus 4
+        standard errors; 0 for a strict claim."""
+        if self.strict:
+            return 0.0
+        lhs, rhs = abs(self.lhs), abs(self.rhs)  # an infinite side would pass any gap
+        scale = max(1.0, lhs if lhs < math.inf else 1.0, rhs if rhs < math.inf else 1.0)
+        return tolerance * scale + 4.0 * self.params.get("stderr", 0.0)
 
     def holds(self, tolerance: float = 1e-9) -> bool:
-        return self.gap >= -allowed_slack(tolerance, self.params.get("stderr", 0.0))
+        order = self.gap > 0.0 if self.strict else self.gap >= -self.allowed(tolerance)
+        return order and all(self.params[k] <= (tolerance if b is None else b) for k, b in self.budgets.items())
 
-    def row(self) -> dict:
-        """The report's cells; only a Monte Carlo estimate names samples and seed."""
+    def row(self, tolerance: float = 1e-9) -> dict:
+        """The report's cells; only a Monte Carlo estimate names samples, seed
+        and stderr."""
         sampled = self.params.get("mode") == "mc"
-        out = {
+        return {
             "inequality": self.inequality,
             "n": self.params.get("n"),
             "q": self.params.get("q"),
@@ -151,12 +166,20 @@ class GapReport:
             "samples": self.params.get("samples") if sampled else None,
             "seed": self.params.get("seed") if sampled else None,
             "note": self.params.get("note", ""),
+            "allowed": self.allowed(tolerance),
+            "stderr": self.params.get("stderr") if sampled else None,
         }
-        return out
 
-    def csv_row(self) -> str:
-        row = self.row()
+    def csv_row(self, tolerance: float = 1e-9) -> str:
+        row = self.row(tolerance)
         return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
+
+    def note_equality(self, tolerance: float) -> GapReport:
+        """Flags an exact row whose |gap| is within its margin as an equality
+        case, in params["equality"] and the note."""
+        equality = abs(self.gap) <= self.allowed(tolerance)
+        self.params.update(equality=equality, note="equality" if equality else "")
+        return self
 
 
 # Reached by no command; kept for perfbench/, which traces it by name and reads (n, lam).
@@ -630,12 +653,12 @@ def log_sobolev_sweep(
     bound and rhs = the Dirichlet form so that a nonnegative gap certifies the
     instance.  Both sides are homogeneous of degree q, so the input is
     rescaled to unit maximum first; this keeps every reported quantity of
-    order one and the absolute gap tolerance meaningful.  The whole grid is
+    order one, where a gap's margin is the tolerance itself.  The whole grid is
     checked first; then every deficit comes from one walk of the top two
     layers of the subset lattice, the rest never built, and one
     :func:`log_lq_norms` call per layer over the grid.  The params carry the
-    applied scale, an equality flag and the structural equality condition for
-    cross-checking.
+    applied scale, an equality flag (|gap| within the row's margin) and the
+    structural equality condition for cross-checking.
     """
     require_nonnegative(f)
     _require_finite_q_grid(q_grid)
@@ -649,19 +672,15 @@ def log_sobolev_sweep(
         energy = dirichlet_form(power, f)
         efq = float(np.mean(f.values**q))
         bound = 4.0 * r_exponent(q) * efq * _coordinate_deficit(f.n, row)
-        gap = energy - bound
-        equality = abs(gap) <= tolerance * max(1.0, abs(bound))
         params = {
             "n": f.n,
             "q": q,
             "eps_or_lambda": None,
             "mode": "exact",
             "scale": scale,
-            "equality": equality,
             "equality_expected": log_sobolev_equality_expected(f, q),
-            "note": "equality" if equality else "",
         }
-        out.append(GapReport("logsobolev", bound, energy, gap, params))
+        out.append(GapReport("logsobolev", bound, energy, energy - bound, params).note_equality(tolerance))
     return out
 
 
@@ -684,19 +703,8 @@ def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
         # the largest values are at t = inf, where g = (0, 2) and the bound
         # passes the largest double between q = 1014.01 and 1014.02
         raise ValueError(f"two-point values at q={q} are not finite doubles; use q <= 1014")
-    gap = energy - bound
-    equality = abs(gap) <= tolerance * max(1.0, abs(bound))
-    params = {
-        "n": 1,
-        "q": q,
-        "eps_or_lambda": t,
-        "mode": "exact",
-        "t": t,
-        "x": x,
-        "equality": equality,
-        "note": "equality" if equality else "",
-    }
-    return GapReport("twopoint", bound, energy, gap, params)
+    params = {"n": 1, "q": q, "eps_or_lambda": t, "mode": "exact", "t": t, "x": x}
+    return GapReport("twopoint", bound, energy, energy - bound, params).note_equality(tolerance)
 
 
 # The step h of derivative_sweep's one-sided differences, in noise rate.
@@ -718,7 +726,9 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
     conditional-norm side has derivative -2 r(q) (n ln||f||_q - sum over
     |T| = n-1 of ln||E(f|T)||_q), the deficit :func:`log_sobolev_sweep` bounds
     with, by the same formula and with the same bits.  For nonconstant f the
-    first is strictly smaller; the report's gap is their difference.  After
+    first is strictly smaller; the report's gap is their difference, which
+    must be positive with no margin, and both differences must agree with
+    their closed forms to a relative 1e-4 (the row's budgets).  After
     the grid is checked, one :func:`_conditional_rows` walk gives each q's
     deficit and layer sums L_k (L_n = ln||f||_q), which the rhs differences
     average, and one :func:`noise_blocks` call gives T_h f and T_2h f.
@@ -759,5 +769,7 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
             "rel_err_rhs": rel_rhs,
             "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
         }
-        out.append(GapReport("derivative", formula_lhs, formula_rhs, formula_rhs - formula_lhs, params))
+        budgets = {"rel_err_lhs": 1e-4, "rel_err_rhs": 1e-4}
+        out.append(GapReport("derivative", formula_lhs, formula_rhs, formula_rhs - formula_lhs,
+                             params, budgets, strict=True))
     return out

@@ -152,7 +152,7 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
     (i <= k, j <= n - k), so no power of 1/p overflows however small p is.
     The report's gap is the inequality restated through the Tutte forms; the
     params carry the relative residuals of each identity against the
-    histogram averages.
+    histogram averages, each held to the tolerance.
     """
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     k, n = m.k, m.n
@@ -182,7 +182,8 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
             "note": f"residuals={mgf_residual:.2e},{deficiency_residual:.2e}",
         }
         lhs = math.log2(mgf_tutte)
-        out.append(GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params))
+        budgets = {"mgf_residual": None, "deficiency_residual": None}
+        out.append(GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params, budgets))
     return out
 
 

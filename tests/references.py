@@ -64,7 +64,7 @@ def log_sobolev_gap(f, q, tolerance=1e-9):
     energy = dirichlet_form(CubeFunction(f.n, np.power(f.values, q - 1.0)), f)
     bound = 4.0 * r_exponent(q) * float(np.mean(f.values**q)) * coordinate_log_norm_deficit(f, q)
     gap = energy - bound
-    equality = abs(gap) <= tolerance * max(1.0, abs(bound))
+    equality = abs(gap) <= tolerance * max(1.0, abs(bound), abs(energy))
     params = {
         "n": f.n,
         "q": q,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -7,9 +8,9 @@ import pytest
 
 from references import dump_bit_matrix, noise_operator
 
-from cubenoise import cli, corpus, cube, inequalities
+from cubenoise import cli, codes, corpus, cube, inequalities, matroids
 from cubenoise.cli import EPS_GRID, Q_GRID, main
-from cubenoise.inequalities import GapReport, main_inequality_sweep
+from cubenoise.inequalities import GapReport, derivative_sweep, main_inequality_sweep, two_point_gap
 
 
 def run(capsys, *argv):
@@ -234,9 +235,10 @@ def test_hypercontractive_campaign_takes_one_noisy_function_per_eps(monkeypatch,
         ["verify", "--target", "hypercontractive", "--n", "4", "--fuzz", "2",
          "--mode", mode, "--samples", "50"]
     )
-    rows, bad = cli._campaign(args)
+    rows = cli._campaign(args)
     functions = corpus.standard_corpus(4, 2, np.random.default_rng(args.seed))
-    assert len(rows) == len(functions) * len(Q_GRID) * len(EPS_GRID) and not bad
+    assert len(rows) == len(functions) * len(Q_GRID) * len(EPS_GRID)
+    assert all(rep.holds(args.tolerance) for rep in rows)
     assert len(transforms) == len({id(f) for f in transforms}) == len(functions)
     assert len(passes) == len(functions)
     for f, (tables, q_grid) in zip(functions, passes):
@@ -255,8 +257,8 @@ def test_zero_noise_campaigns_walk_the_lattice_once_per_function(monkeypatch, ta
     monkeypatch.setattr(inequalities, "subset_lattice", lambda f: walks.append(f) or real_walk(f))
     monkeypatch.setattr(cube, "wht_forward", lambda f: transforms.append(f) or real_transform(f))
     args = cli.build_parser().parse_args(["verify", "--target", target, "--n", "5", "--fuzz", "3"])
-    rows, bad = cli._campaign(args)
-    assert len(rows) == 3 * len(Q_GRID) and not bad
+    rows = cli._campaign(args)
+    assert len(rows) == 3 * len(Q_GRID) and all(rep.holds(args.tolerance) for rep in rows)
     assert len(walks) == 3
     assert len(transforms) == 3 * transforms_per_function
 
@@ -485,6 +487,15 @@ def test_verify_twopoint_q_past_finite_doubles_is_usage_error(capsys, q):
     assert err.startswith("error: two-point values at q=") and "use q <= 1014" in err
 
 
+def test_verify_twopoint_large_q_rows_hold(capsys):
+    # at t = inf the gap is rounding of values near 2^q, and the margin
+    # scales with them: each such row is an equality case, not a violation
+    code, out, err = run(capsys, "verify", "--target", "twopoint", "--q", "60,500,1014")
+    assert (code, err) == (0, "")
+    boundary = [r for r in parse_csv(out)["gaps"] if r["eps_or_lambda"] == "inf"]
+    assert len(boundary) == 3 and all(r["note"] == "equality" for r in boundary)
+
+
 def test_verify_twopoint_q_at_the_limit_has_finite_rows(capsys):
     code, out, err = run(capsys, "verify", "--target", "twopoint", "--q", "1014", "--tolerance", "1e300")
     assert (code, err) == (0, "")
@@ -523,12 +534,63 @@ def test_seed_changes_fuzz_rows(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
-def test_violation_reporting_logic():
-    # the inequalities are true, so force the aggregation path directly
-    bad = GapReport("main", 1.0, 0.0, -1.0, {"n": 1})
-    assert not bad.holds(1e-9)
-    good = GapReport("main", 0.0, 1.0, 1.0, {"n": 1})
-    assert good.holds(1e-9)
+def _code_row(monkeypatch, inequality, f_value=0.0, routes=(0.0,) * 4):
+    # the row cmd_code judges, on forced values of order <= 1 and a rank
+    # deficiency of 0
+    with monkeypatch.context() as m:
+        m.setattr(codes, "deficiency_expectation", lambda *args, **kwargs: (0.0, 0.0))
+        m.setattr(codes, "f_value", lambda *args: f_value)
+        m.setattr(codes, "enumerator_identities", lambda *args: codes.EnumeratorIdentityValues(*routes))
+        _, judged = cli.cmd_code(cli.build_parser().parse_args(["code", "--rm", "1", "3", "--q", "2"]))
+    (rep,) = [r for r in judged if r.inequality == inequality]
+    return rep
+
+
+def _swept_row(sweep, gap=None, **params):
+    # a true row of a sweep, with its gap or residuals forced
+    rep = sweep()[0]
+    return dataclasses.replace(rep, gap=rep.gap if gap is None else gap, params={**rep.params, **params})
+
+
+_DERIVATIVE = lambda: derivative_sweep(corpus.random_positive(3, np.random.default_rng(1)), (2.0,))
+_TUTTE = lambda: matroids.tutte_sweep(matroids.Graph(3, ((0, 1), (1, 2), (0, 2))).matroid, (0.5,))
+_MC_MARGIN = 1e-9 + 4.0 * 1e-3  # tolerance + 4 stderr at stderr 1e-3
+
+# (case, row, verdict at tolerance 1e-9): each of the five rules the verdict
+# replaced, at its boundary, on rows of order <= 1, then one large row
+VERDICTS = [
+    ("gap at -tol", lambda mp: GapReport("main", 0.5, 0.5, -1e-9, {"mode": "exact"}), True),
+    ("gap below -tol", lambda mp: GapReport("main", 0.5, 0.5, -1.1e-9, {"mode": "exact"}), False),
+    ("nan gap", lambda mp: GapReport("tail", math.nan, 0.5, math.nan, {"mode": "exact"}), False),
+    ("infinite lhs", lambda mp: GapReport("main", math.inf, 0.5, -math.inf, {"mode": "exact"}), False),
+    ("mc gap at -(tol + 4 stderr)",
+     lambda mp: GapReport("main", 0.5, 0.5, -_MC_MARGIN, {"mode": "mc", "stderr": 1e-3}), True),
+    ("mc gap below -(tol + 4 stderr)",
+     lambda mp: GapReport("main", 0.5, 0.5, math.nextafter(-_MC_MARGIN, -math.inf),
+                          {"mode": "mc", "stderr": 1e-3}), False),
+    ("derivative row", lambda mp: _swept_row(_DERIVATIVE), True),
+    ("derivative gap 0", lambda mp: _swept_row(_DERIVATIVE, gap=0.0), False),
+    ("derivative rel_err 1.01e-4", lambda mp: _swept_row(_DERIVATIVE, rel_err_rhs=1.01e-4), False),
+    ("tutte residual at tol", lambda mp: _swept_row(_TUTTE, mgf_residual=1e-9), True),
+    ("tutte residual 1.1e-9", lambda mp: _swept_row(_TUTTE, deficiency_residual=1.1e-9), False),
+    ("identities spread 1e-9", lambda mp: _code_row(mp, "identities", routes=(None, None, 0.0, 1e-9)), True),
+    ("identities spread 1.1e-9", lambda mp: _code_row(mp, "identities", routes=(0.0, 0.0, 0.0, 1.1e-9)),
+     False),
+    ("fvalues slack -1e-9", lambda mp: _code_row(mp, "fvalues", f_value=1e-9), True),
+    ("fvalues slack -1.1e-9", lambda mp: _code_row(mp, "fvalues", f_value=1.1e-9), False),
+    # gap -256 on values near 2^60: rounding, within 1e-9 of the values
+    ("twopoint q = 60, t = inf", lambda mp: two_point_gap(math.inf, 60.0), True),
+]
+
+
+def test_violation_reporting_logic(monkeypatch):
+    for case, build, verdict in VERDICTS:
+        rep = build(monkeypatch)
+        assert rep.holds(1e-9) is verdict, case
+        if case.startswith("twopoint"):
+            assert rep.lhs > 1e18 and rep.params["note"] == "equality"
+        else:
+            assert max(abs(rep.lhs), abs(rep.rhs)) <= 1.0 or not math.isfinite(rep.lhs), case
 
 
 RUN_ARGS = {
