@@ -6,10 +6,9 @@ from .cube import (
     SubsetMask,
     character,
     conditional_expectation,
-    dirichlet_form,
+    dirichlet_forms,
     entropy,
     wht_forward,
-    wht_inverse,
 )
 from .inequalities import (
     GapReport,
@@ -30,7 +29,7 @@ __all__ = [
     "character",
     "conditional_expectation",
     "derivative_sweep",
-    "dirichlet_form",
+    "dirichlet_forms",
     "entropy",
     "hypercontractive_sweep",
     "log_sobolev_sweep",
@@ -40,7 +39,6 @@ __all__ = [
     "subset_expectation_mc",
     "two_point_gap",
     "wht_forward",
-    "wht_inverse",
 ]
 
 __version__ = "0.1.0"

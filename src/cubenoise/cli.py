@@ -186,22 +186,22 @@ def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
     weight_rows = _weight_section(code)
     deficiency_rows, fvalue_rows, identity_rows = [], [], []
     fvalues, identities = [], []
-    for lam in args.lam_grid:
-        deficiency, stderr = codes.deficiency_expectation(
-            code, lam, mode=args.mode, samples=args.samples, seed=args.seed
-        )
+    deficiencies = [
+        codes.deficiency_expectation(code, lam, mode=args.mode, samples=args.samples, seed=args.seed)
+        for lam in args.lam_grid
+    ]
+    sweep = codes.f_sweep(code, args.lam_grid, args.q_list)
+    for lam, (deficiency, stderr), (values, vals) in zip(args.lam_grid, deficiencies, sweep):
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
         params = {"n": code.n, "eps_or_lambda": lam, "mode": args.mode, "samples": args.samples,
                   "seed": args.seed, "stderr": stderr}
-        for q in args.q_list:
+        for q, value in zip(args.q_list, values):
             # F(lam, q) <= rank deficiency, whose gap is the slack
-            value = codes.f_value(code, lam, q)
             rep = GapReport("fvalues", value, deficiency, deficiency - value, {**params, "q": q})
             fvalues.append(rep)
             fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": rep.gap,
                                 **_margin(rep, args.tolerance)})
         # the routes agree when the largest is at most the smallest: gap = -spread
-        vals = codes.enumerator_identities(code, lam)
         routes = [v for v in vals if v is not None]
         rep = GapReport("identities", max(routes), min(routes), min(routes) - max(routes),
                         {"n": code.n, "eps_or_lambda": lam, "mode": "exact"})

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import CubeFunction, SubsetMask, _zeta, dimension_cap, popcounts
-from .cube import entropy as cube_entropy, wht_inverse
+from .cube import _NORMS_BLOCK, CubeFunction, SubsetMask, _butterfly, _zeta, dimension_cap, popcounts
+from .cube import entropy as cube_entropy
 from .inequalities import LN2, _require_mode, enum_cap, layer_expectation, noise_rate
 from .inequalities import subset_expectation_mc
 
@@ -129,16 +129,36 @@ class LinearCode:
         return LinearCode(self.n, tuple(gf2_nullspace(self.generator, self.n)))
 
     @cached_property
-    def syndromes(self) -> np.ndarray:
-        """The syndrome s(x) of every cube point x, in index order, as np.intp
-        (numpy's index type, so gathers through it cast nothing): bit j of
-        s(x) is the parity of h_j & x for the dual generator rows h_j."""
-        _require_cube(self)
+    def syndrome_layout(self) -> SyndromeLayout:
+        """The 2^(n-k) syndromes relabelled for sums in cube order (see
+        :func:`_cube_sums`).  The syndrome s(x) of a cube point x has bit j
+        the parity of h_j & x for the dual generator rows h_j, so s is linear
+        and s(x) is the XOR of the syndromes of x's coordinates.  The labels
+        are coordinates in a basis of coordinate syndromes, taken greedily in
+        the reverse of the order in which numpy's sum tree pairs coordinates
+        and then the lane coordinates (:func:`_pairwise_order`): so the
+        syndromes spanned by the coordinates a level of the tree has yet to
+        pair are the labels 0 to 2^d - 1."""
         dual = self.dual.generator
-        columns = (sum((h >> i & 1) << j for j, h in enumerate(dual)) for i in range(self.n))
-        syndromes = _span(columns, np.intp)
+        columns = [sum((h >> i & 1) << j for j, h in enumerate(dual)) for i in range(self.n)]
+        lanes, pairs = _pairwise_order(self.n)
+        basis: list[int] = []
+        pivots: dict[int, tuple[int, int]] = {}  # top bit -> (vector, its label)
+        labels = [0] * self.n
+        for i in pairs[::-1] + lanes:
+            vector, label = columns[i], 0
+            while vector and vector.bit_length() - 1 in pivots:
+                pivot, pivot_label = pivots[vector.bit_length() - 1]
+                vector ^= pivot
+                label ^= pivot_label
+            if vector:  # a new basis vector: columns[i] = vector ^ (the labelled sum)
+                pivots[vector.bit_length() - 1] = (vector, label ^ (1 << len(basis)))
+                label = 1 << len(basis)
+                basis.append(columns[i])
+            labels[i] = label
+        syndromes = _span(basis, np.intp)
         syndromes.setflags(write=False)
-        return syndromes
+        return SyndromeLayout(tuple(labels), syndromes)
 
     @cached_property
     def weights(self) -> WeightDistribution:
@@ -180,6 +200,16 @@ class LinearCode:
         hist = np.bincount(cells, minlength=(self.n + 1) * width).reshape(self.n + 1, width)
         hist.setflags(write=False)
         return hist
+
+
+class SyndromeLayout(NamedTuple):
+    """`labels[i]`: the label of the syndrome of cube coordinate i, so the
+    label of a point is the XOR of its coordinates' labels; `syndromes[l]`:
+    the syndrome with label l, as np.intp (numpy's index type, so gathers
+    through it cast nothing)."""
+
+    labels: tuple[int, ...]
+    syndromes: np.ndarray
 
 
 def rank_of_columns(code: LinearCode, t_mask: SubsetMask) -> int:
@@ -362,59 +392,132 @@ def _enumerator_value(code: LinearCode, theta: float) -> float:
     return math.log2(sum(c * theta**i for i, c in enumerate(b) if c))
 
 
-def noisy_indicator(code: LinearCode, eps: float) -> CubeFunction:
-    """T_eps f for the scaled code indicator f, on the 2^(n-k) syndromes.
+def _pairwise_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """numpy's float64 sum of 2^n values in index order, by cube coordinate:
+    (lane coordinates, pair coordinates).
+
+    numpy sums pairwise: fewer than 8 values one after another, from 0.0; up
+    to 128 in 8 lanes, lane j adding the values at j, j + 8, j + 16, ... one
+    after another, and the lane totals as ((0+1)+(2+3))+((4+5)+(6+7)); more
+    as the sum of the two halves.  On 2^n points a lane runs over
+    coordinates 3 to 6 in counting order, and every later add pairs the two
+    blocks that differ in one coordinate: 0, 1, 2, then 7 up to n - 1.  Below
+    3 coordinates the one lane runs over all of them.
+    """
+    if n < 3:
+        return tuple(range(n)), ()
+    return tuple(range(3, min(n, 7))), (0, 1, 2, *range(7, n))
+
+
+def _prefix(labels: Iterable[int]) -> int:
+    """The size 2^d of the label prefix that `labels` span (see
+    :attr:`LinearCode.syndrome_layout`)."""
+    return 1 << max(labels, default=0).bit_length()
+
+
+def _xor_take(rows: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """rows[:, l ^ offset] for the labels l below `size`, a power of two: a
+    slice, then a gather when offset has bits below size."""
+    start, low = offset & -size, offset & (size - 1)
+    part = rows[:, start : start + size]
+    return np.take(part, np.arange(size) ^ low, axis=1) if low else part
+
+
+def _cube_sums(rows: np.ndarray, labels: Sequence[int]) -> np.ndarray:
+    """np.add.reduce of each row laid out on the cube, bit for bit, without
+    the layout: the sum over cube points x in index order of row[l(x)], where
+    the label l(x) is the XOR of labels[i] over the coordinates i of x.
+
+    Every node of numpy's sum tree (:func:`_pairwise_order`) covers an
+    aligned block of points, and its value depends only on the label of the
+    block's first point: so the tree runs level by level over labels, each
+    level holding one sum per label of a first point, and float addition
+    being commutative, every add is one numpy makes.  With the labels of
+    :attr:`LinearCode.syndrome_layout` a level's first points are a prefix
+    of labels, so pairing over a coordinate whose label adds a basis vector
+    adds the two halves of the prefix, and over any other coordinate adds a
+    gather within it.  Work and memory are O(2^(n-k)) a row.
+    """
+    lanes, pairs = _pairwise_order(len(labels))
+    size = _prefix(labels[i] for i in pairs)
+    sums = rows[:, :size].copy()
+    for offset in _span((labels[i] for i in lanes), np.intp)[1:].tolist():
+        sums += _xor_take(rows, offset, size)
+    for j, i in enumerate(pairs):
+        size = _prefix(labels[c] for c in pairs[j + 1 :])
+        sums = sums[:, :size] + _xor_take(sums, labels[i], size)
+    return sums[:, 0] + 0.0  # numpy adds the sum to its initial 0.0
+
+
+def _noisy_rows(code: LinearCode, eps_grid: Sequence[float]) -> np.ndarray:
+    """T_eps f for the scaled code indicator f and every eps of the grid, as
+    the rows of one array, on the 2^(n-k) syndromes in label order
+    (:attr:`LinearCode.syndrome_layout`).
 
     f has Fourier coefficient 1 on the dual code and 0 elsewhere, so with
     rho = 1 - 2 eps and u = aH for the dual generator H, T_eps f(x) = g(Hx),
     g(s) = sum_a rho^wt(aH) (-1)^(a.s): one Walsh-Hadamard transform of size
-    2^(n-k).  Indexed by :attr:`LinearCode.syndromes`, g lays out on the cube
-    bit for bit equal to the noise operator applied to f on all 2^n points.
+    2^(n-k) per eps, all run by one set of butterflies, which gives each row
+    the values its own transform would.
     """
-    _require_cube(code)
-    dual = code.dual
-    return wht_inverse((1.0 - 2.0 * eps) ** dual.codeword_weights)
+    weights = code.dual.codeword_weights
+    rows = np.empty((len(eps_grid), weights.size))
+    for row, eps in zip(rows, eps_grid):
+        np.power(1.0 - 2.0 * eps, weights, out=row)
+    return _butterfly(rows)[:, code.syndrome_layout.syndromes]
 
 
-def f_value(code: LinearCode, lam: float, q: float) -> float:
-    """F(lam, q) = (1/(q-1)) log2 E f_eps^q at the matched noise
-    eps = (1 - lam^(1/r(q)))/2, where f is the scaled code indicator.
+def _syndrome_values(
+    code: LinearCode, points: Iterable[tuple[float, float]]
+) -> dict[tuple[float, float], float]:
+    """F at each (eps, q) of `points` from T_eps f on the syndromes, in blocks
+    of at most _NORMS_BLOCK values (one point each past that size), each
+    block one :func:`_block_values` call, whose tables are freed before the
+    next block is built."""
+    m, cap = code.n - code.k, dimension_cap()
+    if m > cap:
+        raise ValueError(
+            f"F(lambda, q) for q other than 2 and inf runs on the 2^(n-k) syndromes, "
+            f"capped at n-k={cap}, got {m}; q = 2 and inf run on the weight enumerator"
+        )
+    points = list(dict.fromkeys(points))
+    if code.n > cap and any(q == 1.0 for _, q in points):
+        raise ValueError(f"F(lambda, 1) lays T_eps f out on all 2^n points, capped at n={cap}, got {code.n}")
+    step = max(1, _NORMS_BLOCK >> m)
+    out = {}
+    for start in range(0, len(points), step):
+        out.update(_block_values(code, points[start : start + step]))
+    return out
 
-    q = 1 is the entropy limit Ent(f at noise (1-sqrt(lam))/2); q = inf is
-    log2 of the sup norm at noise (1 - lam^(2 ln 2))/2.  q = 2 and q = inf
-    come from the dual weight enumerator (any length with k or n-k
-    enumerable); every other q from :func:`noisy_indicator` on the cube (n up
-    to the cube dimension cap).
-    """
-    if q not in (2.0, math.inf):
-        return _cube_f_value(code, lam, q)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
-    return _enumerator_value(code, lam ** (2.0 * LN2))
 
-
-def _cube_f_value(code: LinearCode, lam: float, q: float) -> float:
-    """F(lam, q) from :func:`noisy_indicator`, for any q >= 1.  Cube means run
-    over all 2^n points in index order: near lam = 0.1 one ulp of the moment
-    moves F by ~6e-12 of itself, and this keeps F equal to the direct cube
-    value."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
-    if not (q == math.inf or q >= 1.0):
-        raise ValueError(f"need q >= 1, got {q}")
-    if q == 1.0:
-        eps = (1.0 - math.sqrt(lam)) / 2.0
-    elif q == math.inf:
-        eps = (1.0 - lam ** (2.0 * LN2)) / 2.0
-    else:
-        eps = noise_rate(q, lam)
-    noisy = noisy_indicator(code, eps).values
-    if q == math.inf:
-        return math.log2(float(noisy.max()))
-    if q == 1.0:
-        return cube_entropy(CubeFunction(code.n, noisy[code.syndromes]))
-    moment = float(np.mean((np.maximum(noisy, 0.0) ** q)[code.syndromes]))
-    return math.log2(moment) / (q - 1.0)
+def _block_values(
+    code: LinearCode, points: list[tuple[float, float]]
+) -> dict[tuple[float, float], float]:
+    """F at each (eps, q) of `points` from one set of transforms
+    (:func:`_noisy_rows`) for their rates: q = inf from the max, q = 1 from
+    the entropy of T_eps f laid out on the cube (n up to the cube dimension
+    cap), and any other q from the mean of max(T_eps f, 0)^q over the cube
+    in index order, all such q in one :func:`_cube_sums` call, which equals
+    the mean of the direct cube evaluation bit for bit."""
+    rates = list(dict.fromkeys(eps for eps, _ in points))
+    noisy = dict(zip(rates, _noisy_rows(code, rates)))
+    labels = code.syndrome_layout.labels
+    finite = [(eps, q) for eps, q in points if q not in (1.0, math.inf)]
+    powers = np.empty((len(finite), 1 << (code.n - code.k)))
+    for power, (eps, q) in zip(powers, finite):
+        np.maximum(noisy[eps], 0.0, out=power)
+        power **= q  # the ** operator, as on a whole array: it squares at q = 2
+    sums = iter(_cube_sums(powers, labels).tolist())
+    out = {}
+    for eps, q in points:
+        if q == math.inf:
+            out[eps, q] = math.log2(float(noisy[eps].max()))
+        elif q == 1.0:
+            cube = noisy[eps][_span(labels, np.intp)]
+            out[eps, q] = cube_entropy(CubeFunction(code.n, cube))
+        else:
+            out[eps, q] = math.log2(next(sums) / (1 << code.n)) / (q - 1.0)
+    return out
 
 
 class EnumeratorIdentityValues(NamedTuple):
@@ -432,29 +535,67 @@ class EnumeratorIdentityValues(NamedTuple):
         return max(vals) - min(vals)
 
 
-def enumerator_identities(code: LinearCode, lam: float) -> EnumeratorIdentityValues:
-    """Evaluate, with theta = lam^(2 ln 2):
+class FRow(NamedTuple):
+    """F at one lam: `values[j]` at the j-th q of the grid, and the four
+    routes of the enumerator identity."""
 
-    F(lam, 2) and F(lam, inf) on the cube, log2 sum_i b_i theta^i from the
-    dual weights, and log2((1/|C|) sum_k a_k (1-theta)^k (1+theta)^(n-k))
-    from the primal weights.  All four agree for every linear code.  Past the
-    cube dimension cap the moment and sup routes are not run (the weights
-    route for them is the dual sum itself), and they are None.
+    values: tuple[float, ...]
+    identities: EnumeratorIdentityValues
+
+
+def f_sweep(code: LinearCode, lam_grid: Sequence[float], q_grid: Sequence[float]) -> list[FRow]:
+    """F(lam, q) = (1/(q-1)) log2 E f_eps^q at the matched noise
+    eps = (1 - lam^(1/r(q)))/2, f the scaled code indicator, for every lam
+    and q of the grids, with the enumerator identities at each lam.
+
+    q = 1 is the entropy limit Ent(f at noise (1-sqrt(lam))/2); q = inf is
+    log2 of the sup norm at noise (1 - lam^(2 ln 2))/2.  q = 2 and q = inf
+    come from the dual weight enumerator (any length with k or n-k
+    enumerable); every other q from T_eps f on the syndromes
+    (:func:`_syndrome_values`, n - k up to the cube dimension cap).
+
+    The identities set, with theta = lam^(2 ln 2), the syndrome route's
+    F(lam, 2) and F(lam, inf) against log2 sum_i b_i theta^i from the dual
+    weights and log2((1/|C|) sum_k a_k (1-theta)^k (1+theta)^(n-k)) from the
+    primal weights; all four agree for every linear code.  Past the cube cap
+    on n - k the moment and sup routes are not run (their enumerator route is
+    the dual sum itself), and they are None.
     """
-    theta = lam ** (2.0 * LN2)
-    moment = sup = None
-    if code.n <= dimension_cap():
-        moment = _cube_f_value(code, lam, 2.0)
-        sup = _cube_f_value(code, lam, math.inf)
-    dual_sum = _enumerator_value(code, theta)
+    lam_grid, q_grid = list(lam_grid), list(q_grid)
+    for lam in lam_grid:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
+    for q in q_grid:
+        if not (q == math.inf or q >= 1.0):
+            raise ValueError(f"need q >= 1, got {q}")
+
+    def point(lam: float, q: float) -> tuple[float, float]:
+        if q == 1.0:
+            return (1.0 - math.sqrt(lam)) / 2.0, q
+        if q == math.inf:
+            return (1.0 - lam ** (2.0 * LN2)) / 2.0, q
+        return noise_rate(q, lam), q
+
+    points = [point(lam, q) for lam in lam_grid for q in q_grid if q not in (2.0, math.inf)]
+    checked = code.n - code.k <= dimension_cap()
+    if checked:
+        points += [point(lam, q) for lam in lam_grid for q in (2.0, math.inf)]
+    values = _syndrome_values(code, points) if points else {}
     a = code.weights.counts
-    primal = sum(
-        c * (1.0 - theta) ** w * (1.0 + theta) ** (code.n - w)
-        for w, c in enumerate(a)
-        if c
-    )
-    primal_sum = math.log2(primal / code.size)
-    return EnumeratorIdentityValues(moment, sup, dual_sum, primal_sum)
+    rows = []
+    for lam in lam_grid:
+        theta = lam ** (2.0 * LN2)
+        dual_sum = _enumerator_value(code, theta)
+        primal = sum(c * (1.0 - theta) ** w * (1.0 + theta) ** (code.n - w) for w, c in enumerate(a) if c)
+        identities = EnumeratorIdentityValues(
+            values[point(lam, 2.0)] if checked else None,
+            values[point(lam, math.inf)] if checked else None,
+            dual_sum,
+            math.log2(primal / code.size),
+        )
+        row = tuple(dual_sum if q in (2.0, math.inf) else values[point(lam, q)] for q in q_grid)
+        rows.append(FRow(row, identities))
+    return rows
 
 
 # A result of the paper that no report checks yet.

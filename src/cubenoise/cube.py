@@ -150,23 +150,12 @@ def _zeta(values: np.ndarray) -> np.ndarray:
 
 def wht_forward(f: CubeFunction) -> np.ndarray:
     """Coefficients c(R) = E_x f(x) w_R(x), with w_R(x) = (-1)^(sum of x_i, i in R),
-    as a fresh array with the coefficient of subset R at index = mask of R."""
+    as a fresh array with the coefficient of subset R at index = mask of R.
+    :func:`_butterfly` alone inverts it: f(x) = sum_R c(R) w_R(x)."""
     arr = f.values.copy()
     _butterfly(arr)
     arr /= 1 << f.n
     return arr
-
-
-def wht_inverse(coeffs: np.ndarray) -> CubeFunction:
-    """f(x) = sum_R c(R) w_R(x) for 2^n coefficients in mask order; exact
-    inverse of :func:`wht_forward` up to roundoff."""
-    arr = np.array(coeffs, dtype=np.float64).reshape(-1)
-    n = arr.size.bit_length() - 1
-    _require_dimension(n)
-    if arr.size != 1 << n:
-        raise ValueError(f"expected 2^{n} values, got {arr.size}")
-    _butterfly(arr)
-    return CubeFunction(n, arr)
 
 
 def character(n: int, r_mask: SubsetMask) -> CubeFunction:
@@ -467,15 +456,27 @@ def entropies(tables: np.ndarray) -> np.ndarray:
     )
 
 
-def dirichlet_form(f: CubeFunction, g: CubeFunction) -> float:
-    """E_x sum over neighbors y of (f(x)-f(y)) (g(x)-g(y)) on the hypercube graph."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
-    total = 0.0
-    for i in range(f.n):
-        fv = f.values.reshape(-1, 2, 1 << i)
-        gv = g.values.reshape(-1, 2, 1 << i)
-        df = fv[:, 0, :] - fv[:, 1, :]
-        dg = gv[:, 0, :] - gv[:, 1, :]
-        total += float(np.sum(df * dg))
-    return 2.0 * total / (1 << f.n)
+def dirichlet_forms(fs: Sequence[CubeFunction], g: CubeFunction) -> list[float]:
+    """E(f, g) = E_x sum over neighbors y of (f(x)-f(y)) (g(x)-g(y)) on the
+    hypercube graph, for every f of `fs` against one g.
+
+    One coordinate at a time, g's edge differences are taken once for all
+    the f, and each f's differences and their products with them go into
+    two buffers reused for every coordinate; each product table is summed
+    whole, as a fresh one would be, so each form has the bits of a one-f
+    call.
+    """
+    for f in fs:
+        if f.n != g.n:
+            raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    half = (1 << g.n) // 2
+    dg, product = np.empty(half), np.empty(half)
+    totals = [0.0] * len(fs)
+    for i in range(g.n):
+        rows = lambda values: values.reshape(-1, 2, 1 << i)
+        np.subtract(rows(g.values)[:, 0, :], rows(g.values)[:, 1, :], out=dg.reshape(-1, 1 << i))
+        for j, f in enumerate(fs):
+            np.subtract(rows(f.values)[:, 0, :], rows(f.values)[:, 1, :], out=product.reshape(-1, 1 << i))
+            product *= dg
+            totals[j] += float(np.sum(product))
+    return [2.0 * total / (1 << g.n) for total in totals]

@@ -25,7 +25,7 @@ from .cube import (
     _expand_into,
     _zeta,
     compact_conditional_expectations,
-    dirichlet_form,
+    dirichlet_forms,
     entropies,
     full_mask,
     log_lq_norms,
@@ -666,10 +666,9 @@ def log_sobolev_sweep(
     f = f.scaled(1.0 / scale)
     layers = itertools.islice(subset_lattice(f), 2)
     norms = np.concatenate([log_lq_norms(t, q_grid) for _, _, t in layers], axis=1)
+    energies = dirichlet_forms([CubeFunction(f.n, np.power(f.values, q - 1.0)) for q in q_grid], f)
     out = []
-    for q, row in zip(q_grid, norms):
-        power = CubeFunction(f.n, np.power(f.values, q - 1.0))
-        energy = dirichlet_form(power, f)
+    for q, row, energy in zip(q_grid, norms, energies):
         efq = float(np.mean(f.values**q))
         bound = 4.0 * r_exponent(q) * efq * _coordinate_deficit(f.n, row)
         params = {
@@ -743,11 +742,11 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
     norms = _conditional_rows(f, _log_norms_kernel(q_grid), len(q_grid))
     noisy = _noisy_rows(lambda rows: log_lq_norms(rows, q_grid), len(q_grid), f, steps)
     top = [full_mask(f.n) ^ c for c in (0, *(1 << h for h in range(f.n)))]
+    energies = dirichlet_forms([CubeFunction(f.n, np.power(f.values, q - 1.0)) for q in q_grid], f)
     out = []
-    for q, row, noisy_norms in zip(q_grid, norms, noisy):
-        power = CubeFunction(f.n, np.power(f.values, q - 1.0))
+    for q, row, noisy_norms, energy in zip(q_grid, norms, noisy, energies):
         efq = float(np.mean(f.values**q))
-        formula_lhs = -dirichlet_form(power, f) / (2.0 * efq)
+        formula_lhs = -energy / (2.0 * efq)
         formula_rhs = -2.0 * r_exponent(q) * _coordinate_deficit(f.n, row[top])
         layers = _layer_sums(f.n, row)
         base = float(layers[f.n])

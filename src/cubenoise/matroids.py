@@ -179,7 +179,7 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
             "t": t,
             "mgf_residual": mgf_residual,
             "deficiency_residual": deficiency_residual,
-            "note": f"residuals={mgf_residual:.2e},{deficiency_residual:.2e}",
+            "note": f"mgf_residual={mgf_residual:.2e};deficiency_residual={deficiency_residual:.2e}",
         }
         lhs = math.log2(mgf_tutte)
         budgets = {"mgf_residual": None, "deficiency_residual": None}

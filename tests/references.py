@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 
-from cubenoise.codes import deficiency_expectation, gf2_rank
+from cubenoise.codes import _enumerator_value, deficiency_expectation, gf2_rank
 from cubenoise.cube import (
     CubeFunction,
-    dirichlet_form,
+    _butterfly,
+    entropy,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -23,9 +24,11 @@ from cubenoise.inequalities import (
     _coordinate_deficit,
     _layer_sums,
     _log_norms_kernel,
+    LN2,
     enum_cap,
     layer_expectation,
     log_sobolev_equality_expected,
+    noise_rate,
     r_exponent,
     subset_rate,
 )
@@ -45,6 +48,21 @@ def subset_expectation_exact(n, lam, h):
 def noise_operator(f, eps):
     """T_eps f at one eps: the one-row case of noise_blocks."""
     return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
+
+
+def dirichlet_form(f, g):
+    """E(f, g) summed edge direction by edge direction, each direction's
+    differences of f and of g taken afresh."""
+    if f.n != g.n:
+        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    total = 0.0
+    for i in range(f.n):
+        fv = f.values.reshape(-1, 2, 1 << i)
+        gv = g.values.reshape(-1, 2, 1 << i)
+        df = fv[:, 0, :] - fv[:, 1, :]
+        dg = gv[:, 0, :] - gv[:, 1, :]
+        total += float(np.sum(df * dg))
+    return 2.0 * total / (1 << f.n)
 
 
 def coordinate_log_norm_deficit(f, q):
@@ -111,6 +129,44 @@ def derivative_check(f, q):
         "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
     }
     return GapReport("derivative", lhs, rhs, rhs - lhs, params)
+
+
+def syndromes(code):
+    """The syndrome of every cube point, in index order, as np.intp: bit j of
+    s(x) is the parity of h_j & x for the dual generator rows h_j."""
+    out = np.zeros(1 << code.n, dtype=np.intp)
+    for i in range(code.n):
+        column = sum((h >> i & 1) << j for j, h in enumerate(code.dual.generator))
+        out[1 << i : 2 << i] = out[: 1 << i] ^ column
+    return out
+
+
+def f_value(code, lam, q):
+    """F(lam, q) at one point: q = 2 and inf from the dual weight enumerator,
+    any other q from T_eps f gathered onto all 2^n points and averaged there
+    in index order (n up to the cube dimension cap)."""
+    if q in (2.0, math.inf):
+        return _enumerator_value(code, lam ** (2.0 * LN2))
+    return cube_f_value(code, lam, q)
+
+
+def cube_f_value(code, lam, q):
+    """F(lam, q) from T_eps f laid out on all 2^n points, for any q >= 1:
+    T_eps f on the syndromes, in syndrome order, is one transform of the
+    dual codewords' rho^wt."""
+    if q == 1.0:
+        eps = (1.0 - math.sqrt(lam)) / 2.0
+    elif q == math.inf:
+        eps = (1.0 - lam ** (2.0 * LN2)) / 2.0
+    else:
+        eps = noise_rate(q, lam)
+    noisy = _butterfly((1.0 - 2.0 * eps) ** code.dual.codeword_weights)
+    if q == math.inf:
+        return math.log2(float(noisy.max()))
+    if q == 1.0:
+        return entropy(CubeFunction(code.n, noisy[syndromes(code)]))
+    moment = float(np.mean((np.maximum(noisy, 0.0) ** q)[syndromes(code)]))
+    return math.log2(moment) / (q - 1.0)
 
 
 def matroid_rank(m, s_mask):
@@ -187,7 +243,7 @@ def tutte_identity_check(m, p):
         "t": t,
         "mgf_residual": rel(mgf_direct, mgf_tutte),
         "deficiency_residual": rel(drv_direct, drv_tutte),
-        "note": f"residuals={rel(mgf_direct, mgf_tutte):.2e},{rel(drv_direct, drv_tutte):.2e}",
+        "note": f"mgf_residual={rel(mgf_direct, mgf_tutte):.2e};deficiency_residual={rel(drv_direct, drv_tutte):.2e}",
     }
     lhs = math.log2(mgf_tutte)
     return GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params)

@@ -17,12 +17,10 @@ from test_matroids import oracle_tutte
 from cubenoise import corpus
 from cubenoise.cli import main as cli_main
 from cubenoise.codes import (
-    _cube_f_value,
     alpha_reversal_holds,
     bec_bound_primal_side,
     deficiency_expectation,
-    enumerator_identities,
-    f_value,
+    f_sweep,
     macwilliams_transform,
     reed_muller,
     sberlo_comparison_rows,
@@ -132,16 +130,14 @@ def test_criterion_04_derivative_identities():
 def test_criterion_05_enumerator_identities(code_corpus):
     lam_grid = [round(0.1 * i, 1) for i in range(1, 10)]
     for name, code in code_corpus:
-        for lam in lam_grid:
-            vals = enumerator_identities(code, lam)
-            assert vals.spread() <= 1e-9, (name, lam, vals)
+        for lam, row in zip(lam_grid, f_sweep(code, lam_grid, ())):
+            assert row.identities.spread() <= 1e-9, (name, lam, row.identities)
     # cube-route cross-check of the q = 2 / q = inf agreement for n <= 10
     for name, code in code_corpus:
         if code.n > 10:
             continue
-        for lam in (0.2, 0.5, 0.8):
-            a = _cube_f_value(code, lam, 2.0)
-            b = _cube_f_value(code, lam, math.inf)
+        for lam, row in zip((0.2, 0.5, 0.8), f_sweep(code, (0.2, 0.5, 0.8), ())):
+            a, b = row.identities.moment, row.identities.sup
             assert abs(a - b) <= 1e-9, (name, lam)
     _pass(5, f"four-way enumerator identity within 1e-9 for {len(code_corpus)} "
              "codes x 9 rates, cube cross-check for n <= 10")
@@ -151,10 +147,9 @@ def test_criterion_06_deficiency_dominates_f(code_corpus):
     lam_grid = [round(0.1 * i, 1) for i in range(1, 10)]
     checked = 0
     for name, code in code_corpus:
-        for lam in lam_grid:
+        for lam, row in zip(lam_grid, f_sweep(code, lam_grid, (1.5, 2.0, 3.0, math.inf))):
             deficiency = deficiency_expectation(code, lam)[0]
-            for q in (1.5, 2.0, 3.0, math.inf):
-                value = f_value(code, lam, q)
+            for q, value in zip((1.5, 2.0, 3.0, math.inf), row.values):
                 assert deficiency >= value - GAP_TOL, (name, lam, q)
                 checked += 1
     _pass(6, f"rank deficiency dominates the value family on {checked} "

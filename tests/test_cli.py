@@ -351,6 +351,27 @@ def test_code_mc_at_length_64(capsys):
     assert abs(float(row["rank_deficiency"]) - (0.9 * 64 - 7)) < 0.1
 
 
+def test_code_reed_muller_2_5_in_mc_mode_runs_on_its_syndromes(capsys):
+    # n = 32 is past the cube cap and n - k = 16 is not: every F, and the
+    # identities' moment and sup, come from the 2^16 syndromes
+    code, out, err = run(capsys, "code", "--rm", "2", "5", "--mode", "mc", "--samples", "200")
+    assert code == 0, err
+    sections = parse_csv(out)
+    assert [r["q"] for r in sections["fvalues"]] == ["1.5", "2.0", "3.0", "inf"]
+    (row,) = sections["identities"]
+    assert row["moment"] != "" and row["sup"] != ""
+    assert float(row["spread"]) <= 1e-9
+
+
+def test_code_syndrome_cap_names_n_minus_k_and_the_enumerator_route(capsys, monkeypatch):
+    monkeypatch.setenv("CUBENOISE_MAX_N", "12")
+    argv = ("code", "--rm", "2", "5", "--mode", "mc", "--samples", "50")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "capped at n-k=12, got 16" in err and "q = 2 and inf run on the weight enumerator" in err
+    code, _, err = run(capsys, *argv, "--q", "2,inf")
+    assert code == 0, err
+
 def test_code_missing_file(capsys):
     code, _, err = run(capsys, "code", "--file", "/definitely/not/here.code")
     assert code == 2
@@ -539,8 +560,8 @@ def _code_row(monkeypatch, inequality, f_value=0.0, routes=(0.0,) * 4):
     # deficiency of 0
     with monkeypatch.context() as m:
         m.setattr(codes, "deficiency_expectation", lambda *args, **kwargs: (0.0, 0.0))
-        m.setattr(codes, "f_value", lambda *args: f_value)
-        m.setattr(codes, "enumerator_identities", lambda *args: codes.EnumeratorIdentityValues(*routes))
+        row = lambda qs: codes.FRow((f_value,) * len(qs), codes.EnumeratorIdentityValues(*routes))
+        m.setattr(codes, "f_sweep", lambda code, lams, qs: [row(qs) for _ in lams])
         _, judged = cli.cmd_code(cli.build_parser().parse_args(["code", "--rm", "1", "3", "--q", "2"]))
     (rep,) = [r for r in judged if r.inequality == inequality]
     return rep
@@ -592,6 +613,34 @@ def test_violation_reporting_logic(monkeypatch):
         else:
             assert max(abs(rep.lhs), abs(rep.rhs)) <= 1.0 or not math.isfinite(rep.lhs), case
 
+
+# one argv per kind of judged row: (argv, the inequality of its rows)
+JUDGED_ROWS = [
+    ("verify --target main --n 2 --fuzz 1", "main"),
+    ("verify --target entropy --n 2 --fuzz 1", "entropy"),
+    ("verify --target hypercontractive --n 2 --fuzz 1", "hypercontractive"),
+    ("verify --target logsobolev --n 2 --fuzz 1", "logsobolev"),
+    ("verify --target derivative --n 2 --fuzz 1", "derivative"),
+    ("verify --target twopoint --q 2", "twopoint"),
+    ("code --rm 1 3", "fvalues"),
+    ("code --rm 1 3", "identities"),
+    ("matroid --graph K4", "deficiency"),
+    ("matroid --graph K4", "tutte"),
+    ("matroid --graph K4", "tail"),
+    ("matroid --graph K4", "graph"),
+]
+
+
+@pytest.mark.parametrize("argv, inequality", JUDGED_ROWS, ids=[i for _, i in JUDGED_ROWS])
+def test_violation_line_has_the_header_cells(capsys, monkeypatch, k4_file, argv, inequality):
+    # every row of the kind fails: its violation line is a csv row of the
+    # gaps header, with no comma inside a note
+    monkeypatch.setattr(GapReport, "holds", lambda rep, tolerance: rep.inequality != inequality)
+    code, _, err = run(capsys, *[k4_file if a == "K4" else a for a in argv.split()])
+    assert code == 1
+    (line,) = err.splitlines()
+    cells = line.removeprefix("violation: ").split(",")
+    assert cells[0] == inequality and len(cells) == len(inequalities.CSV_COLUMNS)
 
 RUN_ARGS = {
     "verify": "verify --target logsobolev --n 2 --fuzz 2",

@@ -12,7 +12,6 @@ from cubenoise.cube import conditional_expectation, wht_forward
 from cubenoise.codes import (
     LinearCode,
     WeightDistribution,
-    _cube_f_value,
     alpha_reversal_holds,
     bec_bound_dual_side,
     bec_bound_primal_side,
@@ -20,8 +19,7 @@ from cubenoise.codes import (
     deficiency_expectation,
     deficiency_table,
     dual_weight_bound,
-    enumerator_identities,
-    f_value,
+    f_sweep,
     gf2_nullspace,
     gf2_rank,
     gf2_rref,
@@ -321,50 +319,53 @@ def test_rank_deficiency_nonnegative_and_mc_consistent():
 # F values and the four-way identity
 # ---------------------------------------------------------------------------
 
+def identities(code, lam):
+    return f_sweep(code, [lam], ())[0].identities
+
+
 def test_f_value_degenerate_rates():
     code = random_code(6, 190)
-    for q in (1.0, 1.5, 2.0, math.inf):
-        assert _cube_f_value(code, 0.0, q) == pytest.approx(0.0, abs=1e-12)
-    for q in (1.5, 2.0, 3.0):
-        assert _cube_f_value(code, 1.0, q) == pytest.approx(
-            code.n - code.k, abs=1e-9
-        )
+    zero, one = f_sweep(code, [0.0, 1.0], (1.0, 1.5, 2.0, 3.0, math.inf))
+    for value in (*zero.values, zero.identities.moment, zero.identities.sup):
+        assert value == pytest.approx(0.0, abs=1e-12)
+    for value in (*one.values[1:4], one.identities.moment):
+        assert value == pytest.approx(code.n - code.k, abs=1e-9)
 
 
 def test_f_value_repetition_closed_form():
     for lam in (0.2, 0.5, 0.8):
         theta = lam ** (2 * LN2)
         expect = math.log2(1 + theta**2)
-        assert f_value(REP2, lam, 2.0) == pytest.approx(expect, abs=1e-12)
-        assert _cube_f_value(REP2, lam, 2.0) == pytest.approx(expect, abs=1e-9)
+        (row,) = f_sweep(REP2, [lam], [2.0])
+        assert row.values[0] == pytest.approx(expect, abs=1e-12)
+        assert row.identities.moment == pytest.approx(expect, abs=1e-9)
 
 
 def test_f_value_two_routes_agree():
+    # the syndrome route's moment and sup against the enumerator's q = 2 and inf
     for seed in range(4):
         code = random_code(7, 200 + seed)
-        for lam in (0.25, 0.6):
-            for q in (2.0, math.inf):
-                a = _cube_f_value(code, lam, q)
-                b = f_value(code, lam, q)
-                assert a == pytest.approx(b, abs=1e-9)
+        for row in f_sweep(code, (0.25, 0.6), (2.0, math.inf)):
+            assert row.identities.moment == pytest.approx(row.values[0], abs=1e-9)
+            assert row.identities.sup == pytest.approx(row.values[1], abs=1e-9)
 
 
 def test_enumerator_identities_examples():
     full = LinearCode(3, (1, 2, 4))
-    vals = enumerator_identities(full, 0.7)
+    vals = identities(full, 0.7)
     assert vals.spread() <= 1e-12
     assert vals.moment == pytest.approx(0.0, abs=1e-12)
 
     zero = LinearCode(3, ())
     for lam in (0.3, 0.8):
         theta = lam ** (2 * LN2)
-        vals = enumerator_identities(zero, lam)
+        vals = identities(zero, lam)
         assert vals.dual_sum == pytest.approx(3 * math.log2(1 + theta), abs=1e-12)
         assert vals.spread() <= 1e-9
 
     for lam in (0.2, 0.5, 0.9):
         theta = lam ** (2 * LN2)
-        vals = enumerator_identities(REP2, lam)
+        vals = identities(REP2, lam)
         assert vals.moment == pytest.approx(math.log2(1 + theta**2), abs=1e-9)
         assert vals.spread() <= 1e-9
 
@@ -374,8 +375,9 @@ def test_rank_deficiency_dominates_f_values():
         code = random_code(7, 210 + seed)
         for lam in (0.2, 0.5, 0.8):
             deficiency = deficiency_expectation(code, lam)[0]
-            for q in (1.5, 2.0, 3.0, math.inf):
-                assert deficiency >= f_value(code, lam, q) - 1e-9
+            (row,) = f_sweep(code, [lam], (1.5, 2.0, 3.0, math.inf))
+            for value in row.values:
+                assert deficiency >= value - 1e-9
 
 
 # ---------------------------------------------------------------------------

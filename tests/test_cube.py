@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import dirichlet_form as edge_dirichlet_form
 from references import noise_operator
 
 from cubenoise import cube
@@ -18,7 +19,7 @@ from cubenoise.cube import (
     compact_conditional_expectations,
     conditional_expectation,
     dimension_cap,
-    dirichlet_form,
+    dirichlet_forms,
     entropy,
     full_mask,
     log_lq_norms,
@@ -26,7 +27,6 @@ from cubenoise.cube import (
     popcounts,
     subset_lattice,
     wht_forward,
-    wht_inverse,
 )
 
 
@@ -100,9 +100,9 @@ def test_wht_matches_oracle_and_roundtrips(n):
     s = wht_forward(f)
     if n <= 8:
         assert np.allclose(s, oracle_wht(f.values.tolist()), atol=1e-12)
-    back = wht_inverse(s)
+    back = cube._butterfly(s)  # the inverse transform: butterflies without the 2^-n
     scale = np.abs(f.values).max()
-    assert np.abs(back.values - f.values).max() <= 1e-12 * scale
+    assert np.abs(back - f.values).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [2, 6, 12])
@@ -112,13 +112,6 @@ def test_parseval(n):
     lhs = float(np.mean(f.values**2))
     rhs = float(np.sum(s**2))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_wht_inverse_examples():
-    assert np.allclose(wht_inverse([3.0, 0, 0, 0]).values, 3.0)
-    assert wht_inverse([1.0, 1.0]).values.tolist() == [2.0, 0.0]
-    with pytest.raises(ValueError, match="expected 2\\^1 values, got 3"):
-        wht_inverse([1.0, 0.0, 2.0])
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 13])
@@ -674,6 +667,21 @@ def test_entropy_examples():
     assert entropy(f) >= 0.0
     with pytest.raises(ValueError):
         entropy(CubeFunction(1, [0.0, 0.0]))
+
+
+def dirichlet_form(f, g):
+    return dirichlet_forms([f], g)[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 14, 16])
+def test_dirichlet_forms_have_the_bits_of_one_pair_at_a_time(n):
+    # past 2^13 values a product table sums in more than one block, so a
+    # change of its shape or order would show
+    rng = np.random.default_rng(n)
+    g = CubeFunction(n, rng.random(1 << n))
+    fs = [CubeFunction(n, rng.random(1 << n) ** q) for q in (0.5, 1.0, 3.0)]
+    assert dirichlet_forms(fs, g) == [edge_dirichlet_form(f, g) for f in fs]
+    assert dirichlet_forms([], g) == []
 
 
 def test_dirichlet_form_examples():

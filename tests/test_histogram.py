@@ -1,6 +1,7 @@
 """Property tests: every quantity computed from the (size, deficiency)
 histogram matches brute force over all subsets, and the syndrome-space noisy
-indicator matches the noise operator on the whole cube."""
+indicator and its cube-order sums match the noise operator and numpy's sum on
+the whole cube, bit for bit."""
 
 import math
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import PETERSEN, random_multigraph_with_loops
 from references import (
     connected_components,
+    cube_f_value,
     deficiency_inequality_gap,
+    f_value,
     graph_inequality_gap,
     matroid_rank,
     mean_deficiency,
@@ -23,11 +26,13 @@ from references import (
 
 from cubenoise.codes import (
     LinearCode,
-    _cube_f_value,
+    _cube_sums,
+    _noisy_rows,
     deficiency_expectation,
     deficiency_table,
+    f_sweep,
     gf2_rank,
-    noisy_indicator,
+    gf2_rref,
     rank_of_columns,
     scaled_indicator,
 )
@@ -341,31 +346,79 @@ def noise_for(q, lam):
     return noise_rate(q, lam)
 
 
+def cube_labels(code):
+    """The label of every cube point, in index order."""
+    out = np.zeros(1 << code.n, dtype=np.intp)
+    for i, label in enumerate(code.syndrome_layout.labels):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ label
+    return out
+
+
 @SETTINGS
 @given(codes(), RATES, st.sampled_from([1.0, 1.5, 2.0, math.inf]))
 def test_syndrome_route_matches_cube(code, lam, q):
     eps = noise_for(q, lam)
     direct = noise_operator(scaled_indicator(code), eps)
-    syndromes = noisy_indicator(code, eps).values
+    (noisy,) = _noisy_rows(code, [eps])
+    labels = cube_labels(code)
+    # the label of x names its syndrome, and T_eps f there is the cube's at x
     dual = code.dual.generator
     for x in range(1 << code.n):
         s = sum(((h & x).bit_count() & 1) << j for j, h in enumerate(dual))
-        assert syndromes[s] == direct.values[x]
-    # laid out on the cube again, in index order, for cube-order averages
-    assert np.array_equal(syndromes[code.syndromes], direct.values)
+        assert code.syndrome_layout.syndromes[labels[x]] == s
+    assert np.array_equal(noisy[labels], direct.values)
     if q == 1.0:
         want = entropy(direct)
     elif q == math.inf:
         want = math.log2(float(direct.values.max()))
     else:
         want = math.log2(float(np.mean(np.maximum(direct.values, 0.0) ** q))) / (q - 1.0)
-    assert _cube_f_value(code, lam, q) == want
+    (row,) = f_sweep(code, [lam], [q])
+    got = {2.0: row.identities.moment, math.inf: row.identities.sup}.get(q, row.values[0])
+    assert got == want
 
 
 def test_syndrome_route_extreme_dimensions():
     full = LinearCode(4, (1, 2, 4, 8))  # k = n: one syndrome, T_eps f = 1
-    assert noisy_indicator(full, 0.3).values.tolist() == [1.0]
+    assert _noisy_rows(full, [0.3]).tolist() == [[1.0]]
     zero = LinearCode(4, ())  # k = 0: the syndrome is x itself
-    for eps in (0.0, 0.2, 0.5):
+    for eps, noisy in zip((0.0, 0.2, 0.5), _noisy_rows(zero, (0.0, 0.2, 0.5))):
         direct = noise_operator(scaled_indicator(zero), eps).values
-        assert np.array_equal(noisy_indicator(zero, eps).values, direct)
+        assert np.array_equal(noisy[cube_labels(zero)], direct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(max_n=14), st.integers(0, 2**32 - 1))
+def test_cube_sums_are_numpys_sums(code, seed):
+    # rows of mixed signs and magnitudes: any other order of the adds would
+    # round differently somewhere
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, 1 << (code.n - code.k))) * np.exp2(rng.integers(-30, 30, (3, 1)))
+    want = [np.add.reduce(row[cube_labels(code)]) for row in rows]
+    assert _cube_sums(rows, code.syndrome_layout.labels).tolist() == want
+
+
+def random_code(n, k, rng):
+    while True:
+        basis = gf2_rref((int(r) for r in rng.integers(0, 1 << n, k)), n)[1]
+        if len(basis) == k:
+            return LinearCode(n, tuple(basis))
+
+
+SWEEP_Q = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_f_sweep_matches_the_cube_route_bit_for_bit(n):
+    # k = 0, k = n and a random k at every n from 1 to 20 (below 3 and 7
+    # coordinates numpy's sum takes its short forms), lam at 0 and 1 and
+    # inside, q = 1 on the cube layout, q = inf at the max, and every other q
+    # against the mean of the 2^n-point gather
+    rng = np.random.default_rng(n)
+    for k in sorted({0, n, int(rng.integers(0, n + 1))}):
+        code = random_code(n, k, rng)
+        lams = (0.0, 1.0, float(rng.uniform(0.05, 0.95))) if n - k <= 16 else (0.0, 0.35)
+        for lam, row in zip(lams, f_sweep(code, lams, SWEEP_Q)):
+            assert row.values == tuple(f_value(code, lam, q) for q in SWEEP_Q), (n, k, lam)
+            assert row.identities.moment == cube_f_value(code, lam, 2.0), (n, k, lam)
+            assert row.identities.sup == cube_f_value(code, lam, math.inf), (n, k, lam)

@@ -1,9 +1,10 @@
-"""Each derived table (dual code, syndrome index, deficiency histogram,
+"""Each derived table (dual code, syndrome layout, deficiency histogram,
 row-space code, graphic matroid, Tutte polynomial) lives on the object it
 comes from: it is built once per report, and freed with its object; a
 matroid report weighs its whole mean curve with one weights matrix."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -14,7 +15,7 @@ from references import dump_bit_matrix, dump_graph
 
 from cubenoise import codes, inequalities, matroids
 from cubenoise.cli import main
-from cubenoise.codes import LinearCode, f_value
+from cubenoise.codes import LinearCode, f_sweep, gf2_rref
 from cubenoise.matroids import BinaryMatroid, Graph, tutte_polynomial
 
 
@@ -40,12 +41,29 @@ def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypat
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
     path = str(tmp_path / "c.code")
     dump_bit_matrix(rows, n, path)
-    # the syndrome index is the one 2^n-entry span a code report builds
-    indexes = count_calls(monkeypatch, codes, "_span", lambda words: words.shape == (1 << n,))
+    # off q = 1 no span reaches the 2^n cube points: the one syndrome index
+    # is the layout's, over the 2^(n-k) syndromes
+    spans = count_calls(monkeypatch, codes, "_span")
     tables = count_calls(monkeypatch, codes, "deficiency_table")
     argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1.5,2,3,inf"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert (len(indexes), len(tables)) == (1, 1)
+    assert [words.size for words in spans if words.size >= 1 << n] == []
+    assert sum(words.dtype == np.intp and words.size == 1 << (n - k) for words in spans) == 1
+    assert len(tables) == 1
+
+
+def test_f_sweep_of_a_22_11_code_peaks_below_4_mib():
+    # the syndrome index and the cube gather of the 2^22 points took 32 MiB each
+    rng = np.random.default_rng(22)
+    code = LinearCode(22, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 22, 11)), 22)[1]))
+    assert code.k == 11
+    tracemalloc.start()
+    try:
+        f_sweep(code, (0.1, 0.3, 0.5, 0.7, 0.9), (1.5, 2.0, 3.0, math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_code_report_enumerates_each_side_once(tmp_path, monkeypatch, capsys):
@@ -109,10 +127,10 @@ def test_tables_are_freed_with_their_object():
     code = LinearCode(6, (0b000111, 0b011001, 0b101010))
     matroid = BinaryMatroid(6, (0b110011, 0b011110, 0b101101))
     code.histogram
-    f_value(code, 0.3, 1.5)
+    f_sweep(code, [0.3], [1.5])
     tutte_polynomial(matroid)
     refs = [weakref.ref(obj) for obj in (
-        code, code.dual, code.syndromes, code.histogram,
+        code, code.dual, code.syndrome_layout.syndromes, code.histogram,
         matroid, matroid.row_space_code, matroid.row_space_code.histogram, matroid.tutte,
     )]
     del code, matroid
