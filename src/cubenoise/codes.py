@@ -12,13 +12,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import _NORMS_BLOCK, CubeFunction, SubsetMask, _butterfly, _zeta, dimension_cap, popcounts
+from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _zeta
+from .cube import dimension_cap, popcounts
 from .cube import entropy as cube_entropy
 from .inequalities import LN2, _require_mode, enum_cap, layer_expectation, noise_rate
 from .inequalities import subset_expectation_mc
@@ -191,13 +192,24 @@ class LinearCode:
     @cached_property
     def histogram(self) -> np.ndarray:
         """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1)
-        array, from one :func:`deficiency_table` (which is not kept)."""
-        width = self.n - self.k + 1
+        int64 array, from one :func:`deficiency_table` (which is not kept).
+
+        N does not change when the coordinates are relabelled, so the table's
+        own order serves.  It is reduced in blocks of 2^15 masks: a block's
+        masks share their high bits, so |T| is the popcount of those plus
+        that of the low bits, and one bincount of (n-k+1) |low| + d per block
+        adds into the rows from the high popcount up.  No 2^n key is built."""
+        n, width = self.n, self.n - self.k + 1
         table = deficiency_table(self)  # checks the cap before any 2^n array
-        cells = popcounts(self.n)
-        cells *= width
-        cells += table
-        hist = np.bincount(cells, minlength=(self.n + 1) * width).reshape(self.n + 1, width)
+        bits = min(n, _REDUCE_BITS)
+        low = popcounts(bits) * width
+        keys = np.empty_like(low)
+        hist = np.zeros((n + 1, width), dtype=np.int64)
+        for high, first in enumerate(range(0, 1 << n, 1 << bits)):
+            np.add(low, table[first : first + (1 << bits)], out=keys)
+            size = high.bit_count()
+            block = np.bincount(keys, minlength=(bits + 1) * width)
+            hist[size : size + bits + 1] += block.reshape(bits + 1, width)
         hist.setflags(write=False)
         return hist
 
@@ -325,30 +337,72 @@ def scaled_indicator(code: LinearCode) -> CubeFunction:
 # ---------------------------------------------------------------------------
 
 _COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+# LinearCode.histogram reduces the deficiency table in blocks of 2^_REDUCE_BITS
+# masks, so each block's keys and counts stay in cache
+_REDUCE_BITS = 15
+
+
+def _table_order(code: LinearCode) -> tuple[int, ...]:
+    """The coordinate at each bit of :func:`deficiency_table`'s masks: the
+    first min(7, k) pivot columns of the generator's reduced row echelon
+    form on bits 0 up, then every other coordinate in ascending order.
+    Pivot columns are independent, so no nonzero dual codeword lies within
+    the low bits."""
+    low = gf2_rref(code.generator, code.n)[0][:_ZETA_LOW_BITS]
+    return (*low, *(i for i in range(code.n) if i not in low))
+
+
+@cache
+def _containment(bits: int, dtype: type) -> np.ndarray:
+    """U[r, t] = [r is contained in t] for masks r, t < 2^bits, and one more
+    row r = 2^bits of zeros, as `dtype` (read-only, built on first use: 16 KiB
+    as uint8 at 7 bits)."""
+    masks = np.arange(1 << bits)
+    table = np.zeros(((1 << bits) + 1, 1 << bits), dtype=dtype)
+    table[:-1] = (masks[:, None] & ~masks) == 0
+    table.setflags(write=False)
+    return table
 
 
 def deficiency_table(code: LinearCode) -> np.ndarray:
-    """|T| - rank(T) for every mask T, as uint8, via a subset-zeta transform.
+    """|T| - rank(T) for every mask T of the relabelled coordinates, as
+    uint8: bit j of a mask is coordinate :func:`_table_order` (code)[j].
+    Relabelling leaves the histogram of (|T|, d) unchanged.
 
-    The deficiency equals the log2-count of dual codewords contained in T, so
-    one zeta transform of the dual indicator yields the whole table in
-    O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
-    least n - k bits (uint8 up to n - k = 8, uint16 up to 16).  Reports
-    reduce it at once to the code's :attr:`LinearCode.histogram` and do not
-    keep it.  The enumeration cap is checked here, before any 2^n table is
-    built.
+    The deficiency equals the log2-count of dual codewords contained in T,
+    so a subset-zeta transform of the dual indicator yields the whole table
+    in O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
+    least n - k bits (uint8 up to n - k = 8, uint16 up to 16).  The low
+    b = min(7, k) bits hold independent coordinates, so each high part h of
+    a mask holds at most one dual codeword w, and the zeta over the low bits
+    (the levels :func:`_zeta` would run on transposed blocks) is one gather
+    of rows: row h of the table, as 2^b columns, is row w & (2^b - 1) of
+    :func:`_containment`, or zeros where there is no w.  :func:`_zeta` runs
+    the levels from b up in place.  Reports reduce the table at once to the
+    code's :attr:`LinearCode.histogram` and do not keep it.  The enumeration
+    cap is checked here, before any 2^n table is built.
     """
     n, cap = code.n, max(enum_cap(), 0)
     if n > cap:
         raise ValueError(f"deficiency table capped at n={cap}, got {n}")
+    order = _table_order(code)
+    b = min(code.k, _ZETA_LOW_BITS)
+    relabel = lambda h: sum((h >> c & 1) << j for j, c in enumerate(order))
+    words = codeword_masks(LinearCode(n, tuple(map(relabel, code.dual.generator))))
     # the count at T is 2^d(T) with d(T) <= n - k; counting modulo 2^bits in
     # the narrowest unsigned dtype with n - k <= bits keeps 2^d - 1 exact
     # (2^bits wraps to 0, and 0 - 1 is 2^bits - 1), and 2^d - 1 has exactly
     # d one bits
     dtype = next(t for t in _COUNT_DTYPES if n - code.k <= np.iinfo(t).bits)
-    counts = np.zeros(1 << n, dtype=dtype)
-    counts[codeword_masks(code.dual)] = 1
-    _zeta(counts)
+    # lows[h]: the low part of the dual codeword whose high part is h, or
+    # 2^b (the zero row) where there is none
+    high = np.right_shift(words, b, out=np.empty(words.shape, np.intp), casting="unsafe")
+    words &= (1 << b) - 1
+    lows = np.full(1 << (n - b), 1 << b, dtype=np.uint8)
+    lows[high] = words
+    del words, high
+    counts = _containment(b, dtype).take(lows, axis=0).reshape(-1)
+    _zeta(counts, b)
     counts -= 1
     return np.bitwise_count(counts)
 

@@ -110,37 +110,40 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     return values
 
 
-# _zeta runs its first _ZETA_LOW_BITS levels on blocks of _ZETA_BLOCK values
+# _zeta runs the levels below _ZETA_LOW_BITS on blocks of _ZETA_BLOCK values
 _ZETA_LOW_BITS = 7
 _ZETA_BLOCK = 1 << 16
 
 
-def _zeta(values: np.ndarray) -> np.ndarray:
-    """Subset sums in place, O(n 2^n): values[T] becomes the sum of the old
-    values[R] over every mask R contained in T.
+def _zeta(values: np.ndarray, start: int = 0) -> np.ndarray:
+    """Subset sums over the bits from `start` up, in place, O(n 2^n):
+    values[T] becomes the sum of the old values[R] over every mask R
+    contained in T that agrees with T below bit `start`.  At start 0 that is
+    every R contained in T; a caller that has summed the low bits itself
+    (:func:`cubenoise.codes.deficiency_table`) passes how many it has.
 
     Levels run in ascending bit order, one add per element and level, so
     float sums are the same bit for bit however the levels are laid out, and
-    integer sums wrap exactly as the dtype does.  The first min(n, 7) levels
-    work on blocks of 2^16 values, each copied transposed into one scratch
-    buffer (low 7 bits as rows), so that each level is one add over long
-    contiguous rows rather than over runs of 1, 2, 4, ... values; the rest
-    run in place.
+    integer sums wrap exactly as the dtype does.  Levels `start` to 6 work on
+    blocks of 2^16 values, each copied transposed into one scratch buffer
+    (low 7 bits as rows), so that each level is one add over long contiguous
+    rows rather than over runs of 1, 2, 4, ... values; the rest run in place.
     """
     size = values.shape[0]
     low = min(size, 1 << _ZETA_LOW_BITS)
-    block = min(size, _ZETA_BLOCK)
-    scratch = np.empty((low, block // low), dtype=values.dtype)
-    for start in range(0, size, block):
-        chunk = values[start : start + block].reshape(block // low, low)
-        np.copyto(scratch, chunk.T)
-        h = block // low
-        while h < block:
-            rows = scratch.reshape(-1, 2, h)
-            rows[:, 1, :] += rows[:, 0, :]
-            h <<= 1
-        np.copyto(chunk, scratch.T)
-    h = low
+    if 1 << start < low:
+        block = min(size, _ZETA_BLOCK)
+        scratch = np.empty((low, block // low), dtype=values.dtype)
+        for first in range(0, size, block):
+            chunk = values[first : first + block].reshape(block // low, low)
+            np.copyto(scratch, chunk.T)
+            h = (block // low) << start
+            while h < block:
+                rows = scratch.reshape(-1, 2, h)
+                rows[:, 1, :] += rows[:, 0, :]
+                h <<= 1
+            np.copyto(chunk, scratch.T)
+    h = max(low, 1 << start)
     while h < size:
         v = values.reshape(-1, 2, h)
         v[:, 1, :] += v[:, 0, :]

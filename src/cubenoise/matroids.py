@@ -75,25 +75,33 @@ class TuttePolynomial:
         return int(self.evaluate(1, 1))
 
 
+def _expansion(m: int) -> np.ndarray:
+    """P[i, a] = C(i, a) (-1)^(i - a) for i, a <= m, as Python ints: row i
+    holds the coefficients of (x - 1)^i."""
+    return np.array(
+        [[comb(i, a) * (-1) ** (i - a) for a in range(m + 1)] for i in range(m + 1)], dtype=object
+    )
+
+
 def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets, expanded to exact monomial
     coefficients; consistency of the expansion is asserted against the
     subset counts at (1,1) and (2,2).  The subsets come from the row-space
     code's deficiency histogram, so the enumeration cap bounds n: size s and
-    nullity j give corank k - (s - j)."""
-    k = m.k
-    hist = m.row_space_code.histogram
+    nullity j give corank k - (s - j).
 
-    coeffs: dict[tuple[int, int], int] = {}
-    for (size, j), c in np.ndenumerate(hist):
-        i, c = k - size + j, int(c)
-        if c:
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    term = c * comb(i, a) * comb(j, b) * (-1) ** ((i - a) + (j - b))
-                    if term:
-                        coeffs[(a, b)] = coeffs.get((a, b), 0) + term
-    coeffs = {ij: c for ij, c in coeffs.items() if c}
+    With C[i, j] the number of subsets of corank i and nullity j, the sum
+    of C[i, j] (x - 1)^i (y - 1)^j has the coefficients P_k^T C P_(n-k)
+    (:func:`_expansion`), multiplied out in Python ints.  The monomials are
+    listed by the power of y, then of x, the order in which tutte_sweep
+    sums them."""
+    k, n = m.k, m.n
+    hist = m.row_space_code.histogram
+    corank, nullity = np.ogrid[: k + 1, : n - k + 1]
+    size = k - corank + nullity
+    cells = np.where(size <= n, hist[np.minimum(size, n), nullity], 0).astype(object)
+    expanded = _expansion(k).T @ cells @ _expansion(n - k)
+    coeffs = {(a, b): int(c) for (b, a), c in np.ndenumerate(expanded.T) if c}
     poly = TuttePolynomial(coeffs)
 
     if any(c < 0 for c in coeffs.values()):

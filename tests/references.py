@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from cubenoise.codes import _enumerator_value, deficiency_expectation, gf2_rank
+from cubenoise.codes import _enumerator_value, _table_order, codeword_masks, deficiency_expectation
+from cubenoise.codes import gf2_rank
 from cubenoise.cube import (
     CubeFunction,
     _butterfly,
@@ -167,6 +168,36 @@ def cube_f_value(code, lam, q):
         return entropy(CubeFunction(code.n, noisy[syndromes(code)]))
     moment = float(np.mean((np.maximum(noisy, 0.0) ** q)[syndromes(code)]))
     return math.log2(moment) / (q - 1.0)
+
+
+def table_masks(code, masks):
+    """Masks of the code's own coordinates as masks of the relabelled
+    coordinates that codes.deficiency_table indexes by (a mask or an array)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return sum((masks >> c & 1) << j for j, c in enumerate(_table_order(code)))
+
+
+def plain_zeta_table(code):
+    """|T| - rank T for every mask T of the code's own coordinates: the dual
+    indicator in int64, one subset-zeta level per coordinate over the whole
+    table, and d = log2 of the count of dual codewords inside T."""
+    counts = np.zeros(1 << code.n, dtype=np.int64)
+    counts[codeword_masks(code.dual)] = 1
+    h = 1
+    while h < counts.size:
+        v = counts.reshape(-1, 2, h)
+        v[:, 1, :] += v[:, 0, :]
+        h <<= 1
+    return np.bitwise_count(counts - 1)
+
+
+def plain_zeta_histogram(code):
+    """N[s, d] from the whole table at once: one int64 key
+    (n - k + 1) s + d per mask and one bincount."""
+    width = code.n - code.k + 1
+    sizes = np.bitwise_count(np.arange(1 << code.n)).astype(np.int64)
+    cells = sizes * width + plain_zeta_table(code)
+    return np.bincount(cells, minlength=(code.n + 1) * width).reshape(code.n + 1, width)
 
 
 def matroid_rank(m, s_mask):

@@ -124,10 +124,10 @@ def test_popcounts_fresh_per_call(n):
     assert popcounts(n).tolist() == [t.bit_count() for t in range(1 << n)]
 
 
-def level_loop_zeta(values):
-    """Subset sums in place, one level per bit in ascending order, each level
-    one strided add over the whole table."""
-    size, h = values.shape[0], 1
+def level_loop_zeta(values, start=0):
+    """Subset sums in place over the bits from `start` up, one level per bit
+    in ascending order, each level one strided add over the whole table."""
+    size, h = values.shape[0], 1 << start
     while h < size:
         v = values.reshape(-1, 2, h)
         v[:, 1, :] += v[:, 0, :]
@@ -143,6 +143,17 @@ def test_zeta_float_bit_identical_to_level_loop(n):
     values = rng.standard_normal(1 << n) * np.exp2(rng.integers(-40, 40, 1 << n))
     got = cube._zeta(values.copy())
     assert got.view(np.uint64).tolist() == level_loop_zeta(values.copy()).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 5, 7, 9, 17])
+def test_zeta_from_a_start_level_runs_only_the_levels_from_it(n):
+    # start 0 to 6 run some levels in the transposed blocks, 7 and up none
+    rng = np.random.default_rng(320 + n)
+    values = rng.standard_normal(1 << n) * np.exp2(rng.integers(-40, 40, 1 << n))
+    for start in range(n + 1):
+        got = cube._zeta(values.copy(), start)
+        want = level_loop_zeta(values.copy(), start)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])

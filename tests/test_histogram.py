@@ -20,6 +20,9 @@ from references import (
     matroid_rank,
     mean_deficiency,
     noise_operator,
+    plain_zeta_histogram,
+    plain_zeta_table,
+    table_masks,
     tail_bound_check,
     tutte_identity_check,
 )
@@ -28,6 +31,7 @@ from cubenoise.codes import (
     LinearCode,
     _cube_sums,
     _noisy_rows,
+    _table_order,
     deficiency_expectation,
     deficiency_table,
     f_sweep,
@@ -138,10 +142,68 @@ def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
     full = (1 << n) - 1
     masks = np.random.default_rng(n).integers(0, 1 << n, 2000)
     for t in (0, full, *map(int, masks)):
-        assert table[t] == t.bit_count() - rank_of_columns(code, t)
+        assert table[table_masks(code, t)] == t.bit_count() - rank_of_columns(code, t)
     assert table[full] == n - k
     defs = [s.bit_count() - rank_of_columns(code, s) for s in range(1 << n)]
     assert np.array_equal(code.histogram, brute_histogram(n, n - k + 1, defs))
+
+
+def check_table_and_histogram(code):
+    """The relabelled table and the histogram against brute-force ranks up
+    to n = 12, against the plain-zeta oracle past that."""
+    n = code.n
+    if n <= 12:
+        defs = np.array([t.bit_count() - rank_of_columns(code, t) for t in range(1 << n)])
+        want = brute_histogram(n, n - code.k + 1, defs)
+    else:
+        defs, want = plain_zeta_table(code), plain_zeta_histogram(code)
+    table = deficiency_table(code)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table[table_masks(code, np.arange(1 << n))], defs)
+    assert np.array_equal(code.histogram, want)
+    # the low min(7, k) bits of the table's masks are independent coordinates
+    low = _table_order(code)[: min(code.k, 7)]
+    assert rank_of_columns(code, sum(1 << c for c in low)) == len(low)
+
+
+# min(7, k) zeta levels come from the containment table (none at k = 0, all
+# seven from k = 7), and n - k = 8, 9, 16, 17 are the uint8/uint16/uint32
+# count edges
+@pytest.mark.parametrize("n,k", [
+    (8, 0), (9, 0), (16, 0), (17, 0), (11, 3), (12, 3), (19, 3), (20, 3),
+    (14, 6), (15, 6), (15, 7), (16, 7), (16, 8), (17, 8), (17, 9), (18, 9),
+])
+def test_relabelled_table_and_histogram_match_the_oracles(n, k):
+    check_table_and_histogram(code_of_dimension(n, k, 50 * n + k))
+
+
+@pytest.mark.parametrize("n,k", [(12, 5), (16, 9)])
+def test_code_whose_first_seven_columns_are_dependent(n, k):
+    # columns 0-6 are zero or copies of column 7, so the independent low bits
+    # come from past them
+    rng = np.random.default_rng(n)
+    rows = []
+    while len(rows) < k:
+        row = int(rng.integers(0, 1 << (n - 7))) << 7
+        row |= 0b1011010 if row >> 7 & 1 else 0
+        if gf2_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    code = LinearCode(n, tuple(rows))
+    assert rank_of_columns(code, 0b1111111) <= 1
+    assert sum(c < 7 for c in _table_order(code)[: min(k, 7)]) <= 1
+    check_table_and_histogram(code)
+
+
+@pytest.mark.parametrize("n,rank", [(12, 8), (14, 3)])
+def test_matroid_with_dependent_rows_and_zero_columns(n, rank):
+    rng = np.random.default_rng(n + rank)
+    zero = 0b1001 << (n // 2)  # two loops
+    rows = [int(r) & ~zero for r in rng.integers(0, 1 << n, rank)]
+    m = BinaryMatroid(n, tuple(rows + [rows[0] ^ rows[1], rows[2], 0]))
+    assert m.k == gf2_rank(rows) and len(m.rows) > m.k
+    check_table_and_histogram(m.row_space_code)
+    defs = deficiencies(m)
+    assert np.array_equal(m.row_space_code.histogram, brute_histogram(n, n - m.k + 1, defs))
 
 
 @SETTINGS

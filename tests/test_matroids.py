@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from references import bounded_diff_tail, connected_components, dump_graph, matroid_rank
+from references import table_masks
 
 from cubenoise.codes import deficiency_table
 from cubenoise.matroids import (
@@ -99,7 +100,7 @@ def test_deficiency_table_matches_direct():
         m = random_matroid(7, seed)
         table = deficiency_table(m.row_space_code)
         for s in range(1 << m.n):
-            assert table[s] == s.bit_count() - matroid_rank(m, s)
+            assert table[table_masks(m.row_space_code, s)] == s.bit_count() - matroid_rank(m, s)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,59 @@ def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypat
     assert len(tables) == 1
 
 
+def test_code_report_past_seven_dimensions_builds_one_table_from_one_listing(
+    tmp_path, monkeypatch, capsys
+):
+    # k >= 7: the table's low seven levels all come from one listing of the
+    # dual codewords, and no span reaches the 2^n masks
+    n, k = 16, 8
+    rng = np.random.default_rng(16)
+    rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
+    path = str(tmp_path / "c.code")
+    dump_bit_matrix(rows, n, path)
+    spans = count_calls(monkeypatch, codes, "_span")
+    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    listed = count_calls(monkeypatch, codes, "codeword_masks")
+    argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1.5,2,3,inf"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(tables) == 1
+    assert [words.size for words in spans if words.size >= 1 << n] == []
+    # one listing for the table, one for the weight of each dual codeword
+    assert [masks.shape for masks in listed] == [(1 << (n - k),)] * 2
+
+
+def test_graph_report_of_rank_seven_builds_one_table_from_one_listing(
+    tmp_path, monkeypatch, capsys
+):
+    cycle = tuple((v, (v + 1) % 8) for v in range(8))
+    graph = Graph(8, cycle + ((0, 4), (1, 5), (2, 6), (3, 7), (0, 2)))
+    assert graph.matroid.k == 7
+    path = str(tmp_path / "g.graph")
+    dump_graph(graph, path)
+    spans = count_calls(monkeypatch, codes, "_span")
+    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    listed = count_calls(monkeypatch, codes, "codeword_masks")
+    assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
+    assert len(tables) == 1
+    assert [words.size for words in spans if words.size >= 1 << graph.matroid.n] == []
+    assert [masks.shape for masks in listed] == [(1 << (graph.matroid.n - 7),)]
+
+
+def test_histogram_of_a_22_11_code_peaks_below_16_mib():
+    # the uint16 counts (8 MiB) and the uint8 table (4 MiB); a 2^22 int64
+    # key took 32 MiB more
+    rng = np.random.default_rng(22)
+    code = LinearCode(22, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 22, 11)), 22)[1]))
+    assert code.k == 11
+    tracemalloc.start()
+    try:
+        code.histogram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_f_sweep_of_a_22_11_code_peaks_below_4_mib():
     # the syndrome index and the cube gather of the 2^22 points took 32 MiB each
     rng = np.random.default_rng(22)
@@ -139,8 +192,8 @@ def test_tables_are_freed_with_their_object():
 
 
 def test_histogram_peak_memory_below_ten_bytes_a_mask():
-    # one uint8 table and one int64 key per mask, where int32 counts and an
-    # int64 table and key took 16 bytes a mask
+    # uint16 counts and a uint8 table, 3 bytes a mask; an int64 key per mask
+    # made it 9, and int32 counts with an int64 table and key 16
     n, k = 18, 9
     rng = np.random.default_rng(18)
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
