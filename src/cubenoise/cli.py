@@ -186,10 +186,7 @@ def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
     weight_rows = _weight_section(code)
     deficiency_rows, fvalue_rows, identity_rows = [], [], []
     fvalues, identities = [], []
-    deficiencies = [
-        codes.deficiency_expectation(code, lam, mode=args.mode, samples=args.samples, seed=args.seed)
-        for lam in args.lam_grid
-    ]
+    deficiencies = codes.deficiency_expectation(code, args.lam_grid, None, args.mode, args.samples, args.seed)
     sweep = codes.f_sweep(code, args.lam_grid, args.q_list)
     for lam, (deficiency, stderr), (values, vals) in zip(args.lam_grid, deficiencies, sweep):
         deficiency_rows.append({"lambda": lam, "rank_deficiency": deficiency})
@@ -197,13 +194,13 @@ def cmd_code(args: argparse.Namespace) -> tuple[list[Section], list[GapReport]]:
                   "seed": args.seed, "stderr": stderr}
         for q, value in zip(args.q_list, values):
             # F(lam, q) <= rank deficiency, whose gap is the slack
-            rep = GapReport("fvalues", value, deficiency, deficiency - value, {**params, "q": q})
+            rep = GapReport("fvalues", value, deficiency, {**params, "q": q})
             fvalues.append(rep)
             fvalue_rows.append({"lambda": lam, "q": q, "f_value": value, "slack": rep.gap,
                                 **_margin(rep, args.tolerance)})
         # the routes agree when the largest is at most the smallest: gap = -spread
         routes = [v for v in vals if v is not None]
-        rep = GapReport("identities", max(routes), min(routes), min(routes) - max(routes),
+        rep = GapReport("identities", max(routes), min(routes),
                         {"n": code.n, "eps_or_lambda": lam, "mode": "exact"})
         identities.append(rep)
         identity_rows.append({"lambda": lam, **vals._asdict(), "spread": vals.spread(),

@@ -21,8 +21,7 @@ import numpy as np
 from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _zeta
 from .cube import dimension_cap, popcounts
 from .cube import entropy as cube_entropy
-from .inequalities import LN2, _require_mode, enum_cap, layer_expectation, noise_rate
-from .inequalities import subset_expectation_mc
+from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, enum_cap, layer_expectations, noise_rate
 
 _DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
 
@@ -409,31 +408,39 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
 
 def deficiency_expectation(
     code: LinearCode,
-    lam: float,
+    rates: Sequence[float],
     values=None,
     mode: str = "exact",
     samples: int = 20000,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> list[tuple[float, float]]:
     """E over T ~ lam of values[|T|, d(T)] with d(T) = |T| - rank T, and its
-    standard error (0 in exact mode).  By default the values are d(T)
-    itself, and the mean is the rank deficiency lam n - E rank(T), always
-    nonnegative.
+    standard error (0 in exact mode), at every rate lam of the grid.  By
+    default the values are d(T) itself, and the mean is the rank deficiency
+    lam n - E rank(T), always nonnegative.
 
     The one exact/Monte Carlo dispatch for code, matroid and graph subset
-    averages: exact mode sums over the code's :attr:`LinearCode.histogram`,
-    which `values` broadcasts against; mc mode reads the cell of each mask
-    drawn."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
+    averages.  Exact mode reduces the code's :attr:`LinearCode.histogram`,
+    which `values` broadcasts against, to layer sums once per call for
+    :func:`cubenoise.inequalities.layer_expectations`; mc mode makes one draw
+    of the grid and ranks each distinct mask once."""
+    for lam in rates:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
     _require_mode(mode)
+    if not len(rates):
+        return []
     width = code.n - code.k + 1
     values = np.arange(width) if values is None else values
     if mode == "exact":
-        return layer_expectation(lam, (code.histogram * values).sum(axis=1)), 0.0
+        means = layer_expectations(rates, (code.histogram * values).sum(axis=1))
+        return [(mean, 0.0) for mean in means]
     cells = np.broadcast_to(values, (code.n + 1, width))
-    h = lambda t: cells[t.bit_count(), t.bit_count() - rank_of_columns(code, t)]
-    return subset_expectation_mc(code.n, lam, h, samples, seed)
+    pool, draws = _pooled_draws(code.n, rates, samples, seed)
+    masks = pool.tolist()
+    sizes = np.array([t.bit_count() for t in masks], dtype=np.intp)
+    pooled = cells[sizes, sizes - [rank_of_columns(code, t) for t in masks]].astype(np.float64)
+    return [_mean_stderr(pooled[i]) for i in draws]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +685,7 @@ def dual_weight_bound(
         raise ValueError(f"weight index out of range: {i}")
     if lam == 0.0:
         return 1.0 if i == 0 else math.inf
-    deficiency = deficiency_expectation(code, lam, mode=mode)[0]
+    ((deficiency, _),) = deficiency_expectation(code, [lam], mode=mode)
     return lam ** (-(2.0 * LN2) * i) * 2.0**deficiency
 
 

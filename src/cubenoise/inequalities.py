@@ -1,7 +1,7 @@
 """Gap verifiers for the noise-operator norm inequalities on the cube.
 
 Every verifier returns a :class:`GapReport` for a claim of the form
-"lhs <= rhs", with gap = rhs - lhs exactly as computed, so a nonnegative
+"lhs <= rhs", whose gap is rhs - lhs by construction, so a nonnegative
 gap (up to the caller's tolerance) certifies the instance.  All log-norm
 comparisons here use natural logs; base does not affect truth because both
 sides of each inequality share it.
@@ -121,7 +121,8 @@ def _fmt(value) -> str:
 
 @dataclass
 class GapReport:
-    """Outcome of one inequality check: claim is lhs <= rhs, gap = rhs - lhs.
+    """Outcome of one inequality check: the claim is lhs <= rhs, and the gap
+    is rhs - lhs, derived from the two sides and never passed.
 
     The one verdict of every report row is :meth:`holds`.  `budgets` maps
     residuals in params to their budgets (None: the tolerance), and a
@@ -131,10 +132,13 @@ class GapReport:
     inequality: str
     lhs: float
     rhs: float
-    gap: float
     params: dict = field(default_factory=dict)
     budgets: dict = field(default_factory=dict)
     strict: bool = False
+
+    @property
+    def gap(self) -> float:
+        return self.rhs - self.lhs
 
     def allowed(self, tolerance: float) -> float:
         """How far below zero the gap may fall: tolerance * max(1, |lhs|, |rhs|)
@@ -204,32 +208,21 @@ def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
     return np.bincount(popcounts(n), weights=table, minlength=n + 1)
 
 
-def _weighted_sum(w: np.ndarray, layers: np.ndarray) -> float:
-    """w @ L over the layers of nonzero weight, so that an infinite table
-    entry in a layer of probability zero cannot make the sum NaN."""
-    used = w > 0.0
-    return float(w[used] @ layers[used])
-
-
-def layer_expectation(lam: float, layers: np.ndarray) -> float:
-    """E over T ~ lam of a table given by its layer sums L_k, k = 0..n: with
-    :func:`layer_expectations`, the one place that computes
-    size_weights(n, lam) @ L."""
-    return _weighted_sum(size_weights(layers.shape[0] - 1, lam), layers)
-
-
 def layer_expectations(rates: Sequence[float], layers: np.ndarray) -> list[float]:
-    """:func:`layer_expectation` at every rate of the grid, from one
-    size_weights matrix and one dot product per rate, each with the bits of
-    its one-rate call (a single matrix product would move some)."""
+    """E over T ~ lam of a table given by its layer sums L_k, k = 0..n, at
+    every rate lam of the grid: the one layer average.  One size_weights
+    matrix, then one dot product per rate over the layers of nonzero weight,
+    so that an infinite table entry in a layer of probability zero cannot
+    make the sum NaN; each value has the bits of a one-rate call (a single
+    matrix product would move some)."""
     column = np.asarray(rates, dtype=np.float64)[:, None]
-    return [_weighted_sum(w, layers) for w in size_weights(layers.shape[0] - 1, column)]
+    return [float(w[w > 0.0] @ layers[w > 0.0]) for w in size_weights(layers.shape[0] - 1, column)]
 
 
 def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
-    """The masks that :func:`subset_expectation_mc` draws for these arguments,
-    in sample order.  One draw would give a standard error of 0, and so
-    decide a verdict alone: at least two are needed.
+    """The masks drawn at rate lam for these arguments, in sample order.  One
+    draw would give a standard error of 0, and so decide a verdict alone: at
+    least two are needed.
 
     Coordinate i + 1 of a draw is bit i of its mask.  The masks are uint64 up
     to n = 64, so bit 63 is not a sign bit, and Python ints (an object array)
@@ -249,15 +242,28 @@ def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
     return masks
 
 
+def _pooled_draws(
+    n: int, rates: Sequence[float], samples: int, seed: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The one Monte Carlo draw of a rate grid: (pool, draws).  Each distinct
+    rate draws its masks once, from the same seed; `pool` holds the distinct
+    masks of all of them, ascending, and draws[i] indexes the pool by the
+    masks of rates[i] in sample order.  Callers take h once per pooled mask,
+    and each rate's :func:`_mean_stderr` over its own draws."""
+    drawn = {lam: _sample_masks(n, lam, samples, seed) for lam in dict.fromkeys(rates)}
+    pool = _distinct(np.concatenate(list(drawn.values())))
+    index = {lam: np.searchsorted(pool, masks) for lam, masks in drawn.items()}
+    return pool, [index[lam] for lam in rates]
+
+
 def subset_expectation_mc(
     n: int, lam: float, h: Callable[[SubsetMask], float], samples: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the subset expectation: (mean, standard error)."""
-    # h once per distinct mask, indexed back into sample order
-    drawn = _sample_masks(n, lam, samples, seed)
-    distinct = _distinct(drawn)
-    values = np.array([h(t) for t in distinct.tolist()], dtype=np.float64)
-    return _mean_stderr(values[np.searchsorted(distinct, drawn)])
+    """Monte Carlo estimate of the subset expectation, (mean, standard error):
+    the one-rate case of :func:`_pooled_draws`."""
+    pool, (draws,) = _pooled_draws(n, (lam,), samples, seed)
+    values = np.array([h(t) for t in pool.tolist()], dtype=np.float64)
+    return _mean_stderr(values[draws])
 
 
 def _distinct(masks: np.ndarray) -> np.ndarray:
@@ -444,36 +450,30 @@ def _subset_sweep(
     `masks`, or for every mask in mask order when `masks` is None.
 
     Both modes make one rows call.  Exact mode asks for every mask and
-    reduces each point's row to layer sums, so each (point, eps) costs one
-    (n+1)-term dot product.  Monte Carlo mode draws the masks of each subset
-    rate once, by the draw of subset_expectation_mc, and asks for the
-    distinct masks of all of them; each estimate's mean and standard error
-    then come from its masks' values in sample order, as
-    subset_expectation_mc takes them.
+    reduces each point's row to layer sums, so each point costs one
+    :func:`layer_expectations` call over its eps rates.  Monte Carlo mode
+    asks for the masks of one draw of every rate (:func:`_pooled_draws`);
+    each estimate's mean and standard error then come from its own masks'
+    values in sample order, as subset_expectation_mc takes them.
     """
-    rates = {
-        (j, e): (1.0 - 2.0 * eps) ** r
-        for j, (_, r) in enumerate(points)
-        for e, eps in enumerate(eps_grid)
-    }
+    width = len(eps_grid)
+    rates = [(1.0 - 2.0 * eps) ** r for _, r in points for eps in eps_grid]
+    estimates = []  # (mean, standard error) per (point, eps), point-major
     if rates and mode == "exact":
-        layers = [_layer_sums(f.n, row) for row in rows(None)]
+        for j, row in enumerate(rows(None)):
+            means = layer_expectations(rates[j * width : (j + 1) * width], _layer_sums(f.n, row))
+            estimates += [(mean, 0.0) for mean in means]
     elif rates:
-        draws = {lam: _sample_masks(f.n, lam, samples, seed) for lam in set(rates.values())}
-        pooled = _distinct(np.concatenate(list(draws.values())))
-        values = rows(pooled)
+        pool, draws = _pooled_draws(f.n, rates, samples, seed)
+        values = rows(pool)
+        estimates = [_mean_stderr(values[c // width][i]) for c, i in enumerate(draws)]
     out = []
-    for j, (q, _) in enumerate(points):
-        for e, eps in enumerate(eps_grid):
-            params = {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
-            lam = rates[j, e]
-            if mode == "exact":
-                rhs = layer_expectation(lam, layers[j])
-            else:
-                rhs, stderr = _mean_stderr(values[j][np.searchsorted(pooled, draws[lam])])
-                params.update(samples=samples, seed=seed, stderr=stderr)
-            value = float(lhs[j, e])
-            out.append(GapReport(inequality, value, rhs, rhs - value, params))
+    for c, (rhs, stderr) in enumerate(estimates):
+        j, e = divmod(c, width)
+        params = {"n": f.n, "q": points[j][0], "eps_or_lambda": eps_grid[e], "mode": mode}
+        if mode == "mc":
+            params.update(samples=samples, seed=seed, stderr=stderr)
+        out.append(GapReport(inequality, float(lhs[j, e]), rhs, params))
     return out
 
 
@@ -513,7 +513,7 @@ def _main_reports(
     if at_2.any():
         z, shift = _squared_l2_norms(f)
         squares = _layer_sums(f.n, z)
-        noisy_squares = [layer_expectation((1.0 - 2.0 * eps) ** 2, squares) for eps in eps_grid]
+        noisy_squares = layer_expectations([(1.0 - 2.0 * eps) ** 2 for eps in eps_grid], squares)
         lhs[at_2] = _log_l2(np.array(noisy_squares), shift)
         table = _log_l2(z, shift, out=z)
 
@@ -528,7 +528,7 @@ def _main_reports(
                                  [eps_grid[e] for e in averaged], mode, samples, seed))
     value = math.log(f.mean())
     equality = lambda q, eps: GapReport(
-        "main", value, value, 0.0, {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
+        "main", value, value, {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": mode}
     )
     return [next(reports) if eps != 0.5 else equality(q, eps) for q in q_grid for eps in eps_grid]
 
@@ -603,7 +603,7 @@ def hypercontractive_sweep(
     lhs = np.exp(norms).ravel().tolist()
     rhs = np.exp(log_lq_norms(f.values, exponents)).tolist()
     return [
-        GapReport("hypercontractive", left, right, right - left,
+        GapReport("hypercontractive", left, right,
                   {"n": f.n, "q": q, "eps_or_lambda": eps, "mode": "exact",
                    "note": f"subset_bound={math.exp(bound.rhs)!r}"})
         for (q, eps), left, right, bound in zip(points, lhs, rhs, bounds)
@@ -679,7 +679,7 @@ def log_sobolev_sweep(
             "scale": scale,
             "equality_expected": log_sobolev_equality_expected(f, q),
         }
-        out.append(GapReport("logsobolev", bound, energy, energy - bound, params).note_equality(tolerance))
+        out.append(GapReport("logsobolev", bound, energy, params).note_equality(tolerance))
     return out
 
 
@@ -703,7 +703,7 @@ def two_point_gap(t: float, q: float, tolerance: float = 1e-9) -> GapReport:
         # passes the largest double between q = 1014.01 and 1014.02
         raise ValueError(f"two-point values at q={q} are not finite doubles; use q <= 1014")
     params = {"n": 1, "q": q, "eps_or_lambda": t, "mode": "exact", "t": t, "x": x}
-    return GapReport("twopoint", bound, energy, energy - bound, params).note_equality(tolerance)
+    return GapReport("twopoint", bound, energy, params).note_equality(tolerance)
 
 
 # The step h of derivative_sweep's one-sided differences, in noise rate.
@@ -751,7 +751,7 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
         layers = _layer_sums(f.n, row)
         base = float(layers[f.n])
         fd_lhs = _one_sided_difference(base, *map(float, noisy_norms))
-        averaged = [layer_expectation(subset_rate(q, step), layers) for step in steps]
+        averaged = layer_expectations([subset_rate(q, step) for step in steps], layers)
         fd_rhs = _one_sided_difference(base, *averaged)
 
         rel_lhs = abs(fd_lhs - formula_lhs) / max(1e-300, abs(formula_lhs))
@@ -766,9 +766,8 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
             "fd_rhs": fd_rhs,
             "rel_err_lhs": rel_lhs,
             "rel_err_rhs": rel_rhs,
-            "note": f"rel_err={max(rel_lhs, rel_rhs):.2e}",
+            "note": f"rel_err_lhs={rel_lhs!r};rel_err_rhs={rel_rhs!r}",
         }
         budgets = {"rel_err_lhs": 1e-4, "rel_err_rhs": 1e-4}
-        out.append(GapReport("derivative", formula_lhs, formula_rhs, formula_rhs - formula_lhs,
-                             params, budgets, strict=True))
+        out.append(GapReport("derivative", formula_lhs, formula_rhs, params, budgets, strict=True))
     return out

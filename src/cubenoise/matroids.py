@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import deficiency_expectation, gf2_rref
 from .codes import parse_bit_matrix, LinearCode
-from .inequalities import GapReport, LN2, _require_mode, layer_expectations
+from .inequalities import GapReport, LN2, _require_mode
 
 
 @dataclass(frozen=True)
@@ -129,20 +129,21 @@ def deficiency_sweep(
     with t = p^(1/(2 ln 2)).
 
     Both sides are averages over the row-space code's (size, deficiency)
-    cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode;
-    mc mode draws the rhs with seed + 1."""
+    cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode,
+    one call per side for the whole grid; mc mode draws the rhs with
+    seed + 1."""
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     _require_mode(mode)
     code = m.row_space_code
     mgf_values = np.exp2(np.arange(code.n - code.k + 1))
+    mgfs = deficiency_expectation(code, p_grid, mgf_values, mode, samples, seed)
+    means = deficiency_expectation(code, rates, None, mode, samples, seed + 1)
     out = []
-    for p, t in zip(p_grid, rates):
-        mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
-        rhs, stderr = deficiency_expectation(code, t, None, mode, samples, seed + 1)
+    for p, t, (mgf, _), (rhs, stderr) in zip(p_grid, rates, mgfs, means):
         lhs = math.log2(mgf)
         params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
                   "samples": samples, "seed": seed, "stderr": stderr}
-        out.append(GapReport("deficiency", lhs, rhs, rhs - lhs, params))
+        out.append(GapReport("deficiency", lhs, rhs, params))
     return out
 
 
@@ -160,25 +161,26 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
     (i <= k, j <= n - k), so no power of 1/p overflows however small p is.
     The report's gap is the inequality restated through the Tutte forms; the
     params carry the relative residuals of each identity against the
-    histogram averages, each held to the tolerance.
+    histogram averages (one call per side for the grid), each held to the
+    tolerance.
     """
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     k, n = m.k, m.n
     code = m.row_space_code
-    mgf_values = np.exp2(np.arange(n - k + 1))
+    inner = [(p, t) for p, t in zip(p_grid, rates) if 0.0 < p < 1.0]
+    mgfs = deficiency_expectation(code, [p for p, _ in inner], np.exp2(np.arange(n - k + 1)))
+    means = deficiency_expectation(code, [t for _, t in inner])
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
     out = []
-    for p, t in zip(p_grid, rates):
-        if not 0.0 < p < 1.0:
-            continue
+    for (p, t), (mgf, _), (mean, _) in zip(inner, mgfs, means):
         terms = m.tutte.coeffs.items()
         mgf_tutte = sum(c * p ** (k - i) * (1 - p) ** (n - k - j) * (1 + p) ** j for (i, j), c in terms)
         drv_tutte = sum(c * j * t ** (k + 1 - i) * (1 - t) ** (n - k - j) for (i, j), c in terms)
-        mgf_residual = rel(deficiency_expectation(code, p, mgf_values)[0], mgf_tutte)
-        deficiency_residual = rel(deficiency_expectation(code, t)[0], drv_tutte)
+        mgf_residual = rel(mgf, mgf_tutte)
+        deficiency_residual = rel(mean, drv_tutte)
         params = {
             "n": n,
             "q": None,
@@ -191,7 +193,7 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
         }
         lhs = math.log2(mgf_tutte)
         budgets = {"mgf_residual": None, "deficiency_residual": None}
-        out.append(GapReport("tutte", lhs, drv_tutte, drv_tutte - lhs, params, budgets))
+        out.append(GapReport("tutte", lhs, drv_tutte, params, budgets))
     return out
 
 
@@ -204,40 +206,37 @@ def tail_sweep(m: BinaryMatroid, p_grid: Sequence[float], delta_grid: Sequence[f
     Each row notes the comparator from the bounded-differences inequality
     plus convexity of mu, exp(-2 y^2 / n) with y = (t - p) mu(p) / p + delta
     (:func:`mu_curve`), which is reported, never asserted; written with y it
-    has no p^2 to underflow and no square of a huge delta to overflow.  Per
-    p, E over t of d and mu(p) are each read once."""
+    has no p^2 to underflow and no square of a huge delta to overflow.  The
+    means E over t of d and mu(p) take one deficiency_expectation call each
+    for the whole grid, and each (p, delta) one call on its own threshold."""
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     for delta in delta_grid:
         if not delta >= 0:
             raise ValueError(f"threshold offset must be >= 0, got {delta}")
     code = m.row_space_code
     deficiency = np.arange(code.n - code.k + 1)
+    positive = [(p, t) for p, t in zip(p_grid, rates) if p != 0.0]
+    means = deficiency_expectation(code, [t for _, t in positive])
+    mus = deficiency_expectation(code, [p for p, _ in positive])
     out = []
-    for p, t in zip(p_grid, rates):
-        if p == 0.0:
-            continue
-        mean_t = deficiency_expectation(code, t)[0]
-        mu_p = deficiency_expectation(code, p)[0]
+    for (p, t), (mean_t, _), (mu_p, _) in zip(positive, means, mus):
         for delta in delta_grid:
-            prob = deficiency_expectation(code, p, deficiency >= mean_t + delta)[0]
+            ((prob, _),) = deficiency_expectation(code, [p], deficiency >= mean_t + delta)
             bound = 2.0**-delta
             y = (t - p) * (mu_p / p) + delta
             comparator = math.exp(-2.0 * y * y / m.n)
             params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta,
                       "threshold": mean_t + delta, "note": f"bounded_diff={comparator!r}"}
-            out.append(GapReport("tail", prob, bound, bound - prob, params))
+            out.append(GapReport("tail", prob, bound, params))
     return out
 
 
 def mu_curve(m: BinaryMatroid, p_grid: Sequence[float]) -> list[tuple[float, float]]:
     """The mean-deficiency curve mu(p) = E over S ~ p of (|S| - rank S);
-    increasing and convex in p, with mu(0) = 0.  The layer sums of the
-    deficiency are taken once, as deficiency_expectation takes them, and
-    every p is a layer average of them, all weighted by one size_weights
-    matrix."""
-    hist = m.row_space_code.histogram
-    layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
-    return [(float(p), mu) for p, mu in zip(p_grid, layer_expectations(p_grid, layers))]
+    increasing and convex in p, with mu(0) = 0: one deficiency_expectation
+    call for the whole grid."""
+    means = deficiency_expectation(m.row_space_code, p_grid)
+    return [(float(p), mu) for p, (mu, _) in zip(p_grid, means)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +288,20 @@ def graph_sweep(
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     _require_mode(mode)
     n = len(g.edges)
+    sides = [(float(g.vertex_count), float(g.vertex_count), 0.0)] * len(rates)  # (lhs, rhs, stderr)
     if n:
         code = g.matroid.row_space_code
         sizes, deficiency = np.indices((n + 1, n - code.k + 1))
         comp = g.vertex_count - sizes + deficiency
-        mgf_values = np.exp2(sizes + comp)
+        mgfs = deficiency_expectation(code, p_grid, np.exp2(sizes + comp), mode, samples, seed)
+        means = deficiency_expectation(code, rates, comp, mode, samples, seed + 1)
+        sides = [(math.log2(mgf), t * n + mean_c, stderr)
+                 for t, (mgf, _), (mean_c, stderr) in zip(rates, mgfs, means)]
     out = []
-    for p, t in zip(p_grid, rates):
-        lhs = rhs = float(g.vertex_count)
-        stderr = 0.0
-        if n:
-            mgf, _ = deficiency_expectation(code, p, mgf_values, mode, samples, seed)
-            mean_c, stderr = deficiency_expectation(code, t, comp, mode, samples, seed + 1)
-            lhs, rhs = math.log2(mgf), t * n + mean_c
+    for p, t, (lhs, rhs, stderr) in zip(p_grid, rates, sides):
         params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
                   "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
-        out.append(GapReport("graph", lhs, rhs, rhs - lhs, params))
+        out.append(GapReport("graph", lhs, rhs, params))
     return out
 
 

@@ -147,8 +147,8 @@ def test_criterion_06_deficiency_dominates_f(code_corpus):
     lam_grid = [round(0.1 * i, 1) for i in range(1, 10)]
     checked = 0
     for name, code in code_corpus:
-        for lam, row in zip(lam_grid, f_sweep(code, lam_grid, (1.5, 2.0, 3.0, math.inf))):
-            deficiency = deficiency_expectation(code, lam)[0]
+        rows = f_sweep(code, lam_grid, (1.5, 2.0, 3.0, math.inf))
+        for lam, row, (deficiency, _) in zip(lam_grid, rows, deficiency_expectation(code, lam_grid)):
             for q, value in zip((1.5, 2.0, 3.0, math.inf), row.values):
                 assert deficiency >= value - GAP_TOL, (name, lam, q)
                 checked += 1

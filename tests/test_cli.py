@@ -401,13 +401,13 @@ def test_matroid_zero_rate_all_zero_gaps(capsys, rep2_file):
 
 
 def test_matroid_tail_check_uses_tolerance(capsys, monkeypatch, k4_file):
-    # a tail gap of -1e-10 lies inside the default tolerance 1e-9 but outside
-    # the fixed -1e-12 the check once used
+    # a tail gap of -1e-10 (lhs 1e-10, rhs 0) lies inside the default
+    # tolerance 1e-9 but outside the fixed -1e-12 the check once used
     from cubenoise import matroids
 
     def tail_sweep(m, p_grid, delta_grid):
         params = {"n": m.n, "q": None, "eps_or_lambda": p_grid[0], "mode": "exact", "delta": delta_grid[0]}
-        return [GapReport("tail", 0.5, 0.5 - 1e-10, -1e-10, params)]
+        return [GapReport("tail", 1e-10, 0.0, params)]
 
     monkeypatch.setattr(matroids, "tail_sweep", tail_sweep)
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
@@ -423,7 +423,7 @@ def test_matroid_tail_nan_gap_is_a_violation(capsys, monkeypatch, k4_file):
 
     def tail_sweep(m, p_grid, delta_grid):
         params = {"n": m.n, "q": None, "eps_or_lambda": p_grid[0], "mode": "exact", "delta": delta_grid[0]}
-        return [GapReport("tail", math.nan, 0.5, math.nan, params)]
+        return [GapReport("tail", math.nan, 0.5, params)]
 
     monkeypatch.setattr(matroids, "tail_sweep", tail_sweep)
     code, _, err = run(capsys, "matroid", "--graph", k4_file, "--p", "0.5")
@@ -559,7 +559,7 @@ def _code_row(monkeypatch, inequality, f_value=0.0, routes=(0.0,) * 4):
     # the row cmd_code judges, on forced values of order <= 1 and a rank
     # deficiency of 0
     with monkeypatch.context() as m:
-        m.setattr(codes, "deficiency_expectation", lambda *args, **kwargs: (0.0, 0.0))
+        m.setattr(codes, "deficiency_expectation", lambda code, lams, *args: [(0.0, 0.0)] * len(lams))
         row = lambda qs: codes.FRow((f_value,) * len(qs), codes.EnumeratorIdentityValues(*routes))
         m.setattr(codes, "f_sweep", lambda code, lams, qs: [row(qs) for _ in lams])
         _, judged = cli.cmd_code(cli.build_parser().parse_args(["code", "--rm", "1", "3", "--q", "2"]))
@@ -567,10 +567,11 @@ def _code_row(monkeypatch, inequality, f_value=0.0, routes=(0.0,) * 4):
     return rep
 
 
-def _swept_row(sweep, gap=None, **params):
-    # a true row of a sweep, with its gap or residuals forced
+def _swept_row(sweep, equal_sides=False, **params):
+    # a true row of a sweep, with its residuals forced, or its lhs set to its
+    # rhs for a gap of 0
     rep = sweep()[0]
-    return dataclasses.replace(rep, gap=rep.gap if gap is None else gap, params={**rep.params, **params})
+    return dataclasses.replace(rep, lhs=rep.rhs if equal_sides else rep.lhs, params={**rep.params, **params})
 
 
 _DERIVATIVE = lambda: derivative_sweep(corpus.random_positive(3, np.random.default_rng(1)), (2.0,))
@@ -578,19 +579,20 @@ _TUTTE = lambda: matroids.tutte_sweep(matroids.Graph(3, ((0, 1), (1, 2), (0, 2))
 _MC_MARGIN = 1e-9 + 4.0 * 1e-3  # tolerance + 4 stderr at stderr 1e-3
 
 # (case, row, verdict at tolerance 1e-9): each of the five rules the verdict
-# replaced, at its boundary, on rows of order <= 1, then one large row
+# replaced, at its boundary, on rows of order <= 1, then one large row.  A
+# gap of -x comes from lhs x and rhs 0, exactly.
 VERDICTS = [
-    ("gap at -tol", lambda mp: GapReport("main", 0.5, 0.5, -1e-9, {"mode": "exact"}), True),
-    ("gap below -tol", lambda mp: GapReport("main", 0.5, 0.5, -1.1e-9, {"mode": "exact"}), False),
-    ("nan gap", lambda mp: GapReport("tail", math.nan, 0.5, math.nan, {"mode": "exact"}), False),
-    ("infinite lhs", lambda mp: GapReport("main", math.inf, 0.5, -math.inf, {"mode": "exact"}), False),
+    ("gap at -tol", lambda mp: GapReport("main", 1e-9, 0.0, {"mode": "exact"}), True),
+    ("gap below -tol", lambda mp: GapReport("main", 1.1e-9, 0.0, {"mode": "exact"}), False),
+    ("nan gap", lambda mp: GapReport("tail", math.nan, 0.5, {"mode": "exact"}), False),
+    ("infinite lhs", lambda mp: GapReport("main", math.inf, 0.5, {"mode": "exact"}), False),
     ("mc gap at -(tol + 4 stderr)",
-     lambda mp: GapReport("main", 0.5, 0.5, -_MC_MARGIN, {"mode": "mc", "stderr": 1e-3}), True),
+     lambda mp: GapReport("main", _MC_MARGIN, 0.0, {"mode": "mc", "stderr": 1e-3}), True),
     ("mc gap below -(tol + 4 stderr)",
-     lambda mp: GapReport("main", 0.5, 0.5, math.nextafter(-_MC_MARGIN, -math.inf),
+     lambda mp: GapReport("main", math.nextafter(_MC_MARGIN, math.inf), 0.0,
                           {"mode": "mc", "stderr": 1e-3}), False),
     ("derivative row", lambda mp: _swept_row(_DERIVATIVE), True),
-    ("derivative gap 0", lambda mp: _swept_row(_DERIVATIVE, gap=0.0), False),
+    ("derivative gap 0", lambda mp: _swept_row(_DERIVATIVE, equal_sides=True), False),
     ("derivative rel_err 1.01e-4", lambda mp: _swept_row(_DERIVATIVE, rel_err_rhs=1.01e-4), False),
     ("tutte residual at tol", lambda mp: _swept_row(_TUTTE, mgf_residual=1e-9), True),
     ("tutte residual 1.1e-9", lambda mp: _swept_row(_TUTTE, deficiency_residual=1.1e-9), False),

@@ -299,20 +299,21 @@ def test_deficiency_table_matches_direct_ranks():
 
 
 def test_rank_deficiency_examples():
-    assert deficiency_expectation(random_code(6, 170), 0.0)[0] == 0.0
+    assert deficiency_expectation(random_code(6, 170), [0.0]) == [(0.0, 0.0)]
     full = LinearCode(5, (1, 2, 4, 8, 16))
-    for lam in (0.0, 0.3, 1.0):
-        assert deficiency_expectation(full, lam)[0] == 0.0
-    assert deficiency_expectation(REP2, 0.5)[0] == pytest.approx(0.25, abs=1e-15)
+    assert deficiency_expectation(full, (0.0, 0.3, 1.0)) == [(0.0, 0.0)] * 3
+    ((mean, _),) = deficiency_expectation(REP2, [0.5])
+    assert mean == pytest.approx(0.25, abs=1e-15)
 
 
 def test_rank_deficiency_nonnegative_and_mc_consistent():
     code = random_code(9, 180)
-    for lam in (0.1, 0.5, 0.9):
-        exact = deficiency_expectation(code, lam)[0]
-        assert exact >= 0.0
-        mc = deficiency_expectation(code, lam, mode="mc", samples=30_000, seed=7)[0]
-        assert mc == pytest.approx(exact, abs=0.05)
+    lams = (0.1, 0.5, 0.9)
+    exact = deficiency_expectation(code, lams)
+    mc = deficiency_expectation(code, lams, mode="mc", samples=30_000, seed=7)
+    for (mean, _), (estimate, _) in zip(exact, mc, strict=True):
+        assert mean >= 0.0
+        assert estimate == pytest.approx(mean, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,8 @@ def test_enumerator_identities_examples():
 def test_rank_deficiency_dominates_f_values():
     for seed in range(4):
         code = random_code(7, 210 + seed)
-        for lam in (0.2, 0.5, 0.8):
-            deficiency = deficiency_expectation(code, lam)[0]
+        lams = (0.2, 0.5, 0.8)
+        for lam, (deficiency, _) in zip(lams, deficiency_expectation(code, lams)):
             (row,) = f_sweep(code, [lam], (1.5, 2.0, 3.0, math.inf))
             for value in row.values:
                 assert deficiency >= value - 1e-9
@@ -474,7 +475,7 @@ def test_reed_muller_duality():
 def test_mc_deficiency_past_63_coordinates():
     # E d(T) = lam n - E rank T, and rank T = 7 for all but a negligible share
     # of T at lam = 0.9
-    mean, stderr = deficiency_expectation(reed_muller(1, 6), 0.9, mode="mc", seed=1)
+    ((mean, stderr),) = deficiency_expectation(reed_muller(1, 6), [0.9], mode="mc", seed=1)
     assert abs(mean - (0.9 * 64 - 7)) <= 4 * stderr
 
 

@@ -15,6 +15,7 @@ from references import (
     connected_components,
     cube_f_value,
     deficiency_inequality_gap,
+    deficiency_mean,
     f_value,
     graph_inequality_gap,
     matroid_rank,
@@ -29,6 +30,7 @@ from references import (
 
 from cubenoise.codes import (
     LinearCode,
+    reed_muller,
     _cube_sums,
     _noisy_rows,
     _table_order,
@@ -214,7 +216,8 @@ def test_mgf_and_mean_deficiency(m, p):
     (rep,) = deficiency_sweep(m, [p])
     assert close(rep.lhs, math.log2(expect(m.n, p, [2.0**d for d in defs])))
     assert close(rep.rhs, expect(m.n, t, defs))
-    assert close(deficiency_expectation(m.row_space_code, p)[0], expect(m.n, p, defs))
+    ((mean, _),) = deficiency_expectation(m.row_space_code, [p])
+    assert close(mean, expect(m.n, p, defs))
     ((_, mu),) = mu_curve(m, [p])
     assert close(mu, expect(m.n, p, defs))
 
@@ -290,7 +293,33 @@ def test_mc_deficiency_expectation_is_per_mask_oracle(code, lam, seed, kind):
         return float(table[size, size - rank_of_columns(code, t)])
 
     want = subset_expectation_mc(code.n, lam, h, MC_SAMPLES, seed)
-    assert deficiency_expectation(code, lam, values, "mc", MC_SAMPLES, seed) == want
+    assert deficiency_expectation(code, [lam], values, "mc", MC_SAMPLES, seed) == [want]
+
+
+@SETTINGS
+@given(codes(), st.lists(RATES, max_size=6), SEEDS, st.sampled_from(["default", "row", "table"]))
+def test_deficiency_expectation_grid_is_per_rate_oracle(code, rates, seed, kind):
+    # both modes, each rate bit for bit its one-rate reference: the exact
+    # histogram reduction at that rate alone, and subset_expectation_mc of
+    # each drawn mask's cell
+    rates = [0.0, 1.0, *rates, *rates[:2]]
+    width = code.n - code.k + 1
+    values = {
+        "default": None,
+        "row": np.exp2(np.arange(width)),
+        "table": np.random.default_rng(seed).random((code.n + 1, width)),
+    }[kind]
+    for mode in ("exact", "mc"):
+        got = deficiency_expectation(code, rates, values, mode, MC_SAMPLES, seed)
+        assert got == [deficiency_mean(code, lam, values, mode, MC_SAMPLES, seed) for lam in rates]
+
+
+@pytest.mark.parametrize("code", [reed_muller(1, 7), LinearCode(70, ((1 << 70) - 1, 0b1011 << 60, 0b111))])
+def test_mc_deficiency_expectation_grid_past_64_coordinates(code):
+    rates = (0.0, 0.5, 0.9, 1.0, 0.5)
+    got = deficiency_expectation(code, rates, None, "mc", 60, 8)
+    assert got == [deficiency_mean(code, lam, None, "mc", 60, 8) for lam in rates]
+    assert got[3] == (code.n - code.k, 0.0)
 
 
 @SETTINGS
@@ -389,7 +418,7 @@ def test_matroid_sweeps_match_their_one_p_oracles(matroid_corpus, data, p_grid, 
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), 0.5, mode=mode),
+        lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), [0.5], mode=mode),
         lambda mode: deficiency_sweep(BinaryMatroid(3, (0b011, 0b011)), [0.5], mode=mode),
         lambda mode: graph_sweep(Graph(3, ((0, 1), (1, 1))), [0.5], mode=mode),
         lambda mode: graph_sweep(Graph(4, ()), [0.4], mode=mode),

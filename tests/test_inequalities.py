@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from references import coordinate_log_norm_deficit, subset_expectation_exact
+from references import coordinate_log_norm_deficit, layer_expectation, subset_expectation_exact
 
 from cubenoise import corpus, inequalities
 from cubenoise.cube import CubeFunction, character, conditional_expectation, log_lq_norms
 from cubenoise.inequalities import (
     GapReport,
     CSV_COLUMNS,
+    _pooled_draws,
     _sample_masks,
     cond_exp_log_norms,
     derivative_sweep,
     hypercontractive_sweep,
+    layer_expectations,
     log_sobolev_equality_expected,
     log_sobolev_sweep,
     main_inequality_sweep,
@@ -125,6 +127,57 @@ def test_subset_expectation_mc_deterministic():
     a = subset_expectation_mc(6, 0.5, h, 1000, seed=9)
     b = subset_expectation_mc(6, 0.5, h, 1000, seed=9)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# grid averages against their one-rate oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+GRID_RATES = (0.0, 1e-300, 1e-5, 0.1, 0.3, 0.5, 0.3, 0.9, 1.0 - 1e-16, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 13, 22, 64, 200])
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_expectations_match_one_rate_oracle(n, seed):
+    rng = np.random.default_rng([n, seed])
+    layers = rng.normal(size=n + 1) * np.exp2(rng.integers(-40, 40, size=n + 1))
+    got = layer_expectations(GRID_RATES, layers)
+    assert got == [layer_expectation(lam, layers) for lam in GRID_RATES]
+    assert layer_expectations([], layers) == []
+
+
+def test_layer_expectations_skip_infinite_layers_of_weight_zero():
+    # at rate 0 only the empty set has weight and at rate 1 only the full
+    # set; at 1e-300 the weights underflow to 0 from two coordinates on
+    layers = np.array([2.0, 1.0, math.inf, math.inf, 3.0])
+    rates = (0.0, 1e-300, 1.0, 0.5)
+    got = layer_expectations(rates, layers)
+    assert got == [2.0, 2.0, 3.0, math.inf] == [layer_expectation(lam, layers) for lam in rates]
+
+
+@pytest.mark.parametrize("n", [0, 5, 63, 64, 65, 130])
+def test_pooled_draws_hold_each_rates_own_draw(monkeypatch, n):
+    # each distinct rate is drawn once, and indexes its own masks, in sample
+    # order, in one ascending pool of distinct masks (Python ints past 64)
+    rates = (0.3, 0.0, 1.0, 0.3, 0.7)
+    real, drawn = inequalities._sample_masks, []
+    monkeypatch.setattr(inequalities, "_sample_masks", lambda *args: drawn.append(args[1]) or real(*args))
+    pool, draws = _pooled_draws(n, rates, 40, 11)
+    assert drawn == [0.3, 0.0, 1.0, 0.7]
+    assert pool.tolist() == sorted(set(pool.tolist()))
+    for lam, index in zip(rates, draws, strict=True):
+        assert pool[index].tolist() == real(n, lam, 40, 11).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 64, 70])
+def test_pooled_draws_give_each_rate_its_one_rate_estimate(n):
+    # a grid's estimates, each from the pooled values of its own draws, are
+    # subset_expectation_mc's at each rate
+    h = lambda t: float(t % 11) - 0.25 * t.bit_count()
+    pool, draws = _pooled_draws(n, GRID_RATES, 50, 4)
+    values = np.array([h(t) for t in pool.tolist()])
+    got = [inequalities._mean_stderr(values[index]) for index in draws]
+    assert got == [subset_expectation_mc(n, lam, h, 50, 4) for lam in GRID_RATES]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +458,17 @@ def test_derivative_strict_order_random():
             assert rep.params["rel_err_rhs"] <= 1e-4
 
 
+def test_derivative_note_prints_both_errors_in_full():
+    # a reader checks each difference against its 1e-4 budget from the note
+    # alone: at three digits an error of 1.004e-4 printed as 1.00e-04
+    f = corpus.random_positive(4, np.random.default_rng(3))
+    for rep in derivative_sweep(f, Q_GRID):
+        cells = dict(cell.split("=") for cell in rep.params["note"].split(";"))
+        assert {k: float(v) for k, v in cells.items()} == {
+            k: rep.params[k] for k in ("rel_err_lhs", "rel_err_rhs")
+        }
+
+
 def test_derivative_rhs_is_coordinate_deficit(monkeypatch):
     # derivative_sweep reads the deficit of its whole q grid off one lattice
     # walk, with the bits of a top-two-layer route at each q alone
@@ -451,12 +515,12 @@ def test_derivative_rejects_constant():
 # ---------------------------------------------------------------------------
 
 def test_gap_report_serialization():
-    rep = GapReport("main", 1.0, 1.5, 0.5, {"n": 3, "q": 2.0, "eps_or_lambda": 0.1, "mode": "exact"})
+    rep = GapReport("main", 1.0, 1.5, {"n": 3, "q": 2.0, "eps_or_lambda": 0.1, "mode": "exact"})
     row = rep.csv_row()
     assert row.split(",")[0] == "main"
     assert len(row.split(",")) == len(CSV_COLUMNS)
     assert rep.row()["gap"] == 0.5
-    assert rep.holds() and not GapReport("x", 0.0, -1.0, -1.0, {}).holds()
+    assert rep.holds() and not GapReport("x", 0.0, -1.0, {}).holds()
 
 
 def test_cond_exp_log_norm_table_matches_direct():

@@ -79,7 +79,9 @@ def failing_rows(report: str, tolerance: float) -> list[tuple[str, dict]]:
             allowed, stderr = float(row["allowed"]), float(row["stderr"] or 0.0)
             if inequality == "derivative":
                 assert allowed == 0.0
-                fails = not (gap > 0.0 and float(row["note"].removeprefix("rel_err=")) <= 1e-4)
+                errors = dict(cell.split("=") for cell in row["note"].split(";"))
+                assert sorted(errors) == ["rel_err_lhs", "rel_err_rhs"]
+                fails = not (gap > 0.0 and all(float(e) <= 1e-4 for e in errors.values()))
             else:
                 scale = max([1.0] + [abs(v) for v in (lhs, rhs) if math.isfinite(v)])
                 assert allowed == tolerance * scale + 4.0 * stderr, (name, row)

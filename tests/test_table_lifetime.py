@@ -1,7 +1,7 @@
 """Each derived table (dual code, syndrome layout, deficiency histogram,
 row-space code, graphic matroid, Tutte polynomial) lives on the object it
-comes from: it is built once per report, and freed with its object; a
-matroid report weighs its whole mean curve with one weights matrix."""
+comes from: it is built once per report, and freed with its object; every
+subset average of a report is one call per rate grid."""
 
 import gc
 import math
@@ -158,11 +158,34 @@ def test_graph_report_expands_one_tutte_polynomial(tmp_path, monkeypatch, capsys
     assert (len(polynomials), len(checks)) == (1, 1)
 
 
-@pytest.mark.parametrize("source, most", [("--file", 30), ("--graph", 36)])
+def count_averages(monkeypatch):
+    """Wrap codes.deficiency_expectation in every module that calls it; each
+    exact call reduces the histogram against its values once.  Returns the
+    rate grid of each call."""
+    original, grids = codes.deficiency_expectation, []
+
+    def wrapper(code, rates, *args, **kwargs):
+        grids.append(list(rates))
+        return original(code, rates, *args, **kwargs)
+
+    for module in (codes, matroids):
+        monkeypatch.setattr(module, "deficiency_expectation", wrapper)
+    return grids
+
+
+# The report grids of the benchmark's erasure workload.
+ERASURE_GRIDS = {
+    "--p": "0.2,0.5,0.8", "--delta": "0.5,1,2", "--lambda": "0.1,0.3,0.5,0.7,0.9", "--q": "1.5,2,3,inf",
+}
+
+
+@pytest.mark.parametrize("source, most", [("--file", 16), ("--graph", 18)])
 def test_matroid_report_builds_few_weight_vectors(tmp_path, monkeypatch, capsys, source, most):
-    # per p: two averages for the gap, two for the Tutte residuals, E_t d,
-    # E_p d and one tail probability per delta (and two for the graph gap);
-    # the 101-point mean curve takes one matrix
+    # one average per side for the gap, two for the Tutte residuals, E_t d
+    # and E_p d for the tails, each over the whole p grid; one tail
+    # probability per (p, delta), whose thresholds differ; one for the
+    # 101-point mean curve (and two for the graph gap).  Each average reduces
+    # the histogram once and takes one weights matrix.
     graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
     path = str(tmp_path / "g")
     if source == "--graph":
@@ -170,10 +193,51 @@ def test_matroid_report_builds_few_weight_vectors(tmp_path, monkeypatch, capsys,
     else:
         dump_bit_matrix(graph.matroid.rows, graph.matroid.n, path)
     weights = count_calls(monkeypatch, inequalities, "size_weights")
-    argv = ["matroid", source, path, "--p", "0.2,0.5,0.8", "--delta", "0.5,1,2"]
+    averages = count_averages(monkeypatch)
+    argv = ["matroid", source, path, "--p", ERASURE_GRIDS["--p"], "--delta", ERASURE_GRIDS["--delta"]]
     assert main(argv) == 0, capsys.readouterr().err
-    assert len(weights) <= most
+    assert len(averages) <= most and len(weights) <= most
     assert sum(w.shape == (101, graph.matroid.n + 1) for w in weights) == 1
+    assert sum(len(grid) == 1 for grid in averages) == 9  # the tail probabilities
+
+
+def test_code_report_reduces_its_histogram_once(tmp_path, monkeypatch, capsys):
+    # the rank deficiency of the whole lambda grid is one average
+    n, k = 10, 5
+    rng = np.random.default_rng(10)
+    rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
+    path = str(tmp_path / "c.code")
+    dump_bit_matrix(rows, n, path)
+    weights = count_calls(monkeypatch, inequalities, "size_weights")
+    averages = count_averages(monkeypatch)
+    argv = ["code", "--file", path, "--lambda", ERASURE_GRIDS["--lambda"], "--q", ERASURE_GRIDS["--q"]]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert averages == [[0.1, 0.3, 0.5, 0.7, 0.9]]
+    assert [w.shape for w in weights] == [(5, n + 1)]
+
+
+def test_main_report_weighs_each_q_once(monkeypatch, capsys):
+    # one weights matrix per q of the grid for the rhs over its eps rates,
+    # and one for the q = 2 lhs: 8, where one per (q, eps) took 81
+    weights = count_calls(monkeypatch, inequalities, "size_weights")
+    assert main(["verify", "--target", "main", "--n", "10", "--fuzz", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(weights) <= 8
+
+
+def test_mc_graph_report_draws_each_rate_once_per_average(tmp_path, monkeypatch, capsys):
+    # the gap and the graph gap each average two grids, p and t, of three
+    # distinct rates: 4 pooled draws of 3 rates, whatever the number of
+    # masks they share
+    path = str(tmp_path / "g")
+    dump_graph(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))), path)
+    draws = count_calls(monkeypatch, inequalities, "_sample_masks")
+    pools = count_calls(monkeypatch, inequalities, "_pooled_draws")
+    monkeypatch.setattr(codes, "_pooled_draws", inequalities._pooled_draws)  # the counting wrapper
+    argv = ["matroid", "--graph", path, "--p", "0.2,0.5,0.8,0.5", "--mode", "mc", "--samples", "200"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert [len(index) for _, index in pools] == [4] * 4
+    assert len(draws) == 12
 
 
 def test_tables_are_freed_with_their_object():
