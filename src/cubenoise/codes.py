@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _zeta
+from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _pairwise_order, _zeta
 from .cube import dimension_cap, popcounts
 from .cube import entropy as cube_entropy
 from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, enum_cap, layer_expectations, noise_rate
@@ -451,23 +451,6 @@ def _enumerator_value(code: LinearCode, theta: float) -> float:
     """log2 sum_i b_i theta^i from the dual weight counts."""
     b = code.dual_weights.counts
     return math.log2(sum(c * theta**i for i, c in enumerate(b) if c))
-
-
-def _pairwise_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """numpy's float64 sum of 2^n values in index order, by cube coordinate:
-    (lane coordinates, pair coordinates).
-
-    numpy sums pairwise: fewer than 8 values one after another, from 0.0; up
-    to 128 in 8 lanes, lane j adding the values at j, j + 8, j + 16, ... one
-    after another, and the lane totals as ((0+1)+(2+3))+((4+5)+(6+7)); more
-    as the sum of the two halves.  On 2^n points a lane runs over
-    coordinates 3 to 6 in counting order, and every later add pairs the two
-    blocks that differ in one coordinate: 0, 1, 2, then 7 up to n - 1.  Below
-    3 coordinates the one lane runs over all of them.
-    """
-    if n < 3:
-        return tuple(range(n)), ()
-    return tuple(range(3, min(n, 7))), (0, 1, 2, *range(7, n))
 
 
 def _prefix(labels: Iterable[int]) -> int:

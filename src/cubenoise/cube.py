@@ -288,19 +288,13 @@ def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> 
 
 def expand_to_cube(n: int, t_mask: SubsetMask, compact: np.ndarray) -> CubeFunction:
     """The cube function of the coordinates in T whose compact table (as in
-    :func:`compact_conditional_expectations`) is `compact`."""
+    :func:`compact_conditional_expectations`) is `compact`.
+
+    The table is one broadcast copy, over one axis per run of coordinates in
+    or out of T, highest coordinates first: a run of m coordinates is an axis
+    of 2^m on the cube, and of 2^m or 1 in the compact table as the run is in
+    T or not."""
     _check_mask(n, t_mask)
-    out = np.empty(1 << n)
-    _expand_into(n, t_mask, compact, out)
-    return CubeFunction(n, out)
-
-
-def _expand_into(n: int, t_mask: SubsetMask, compact: np.ndarray, out: np.ndarray) -> None:
-    """Write the 2^n-point table of `compact` (the compact table of T) into
-    the contiguous 2^n values of `out`: one broadcast copy, over one axis per
-    run of coordinates in or out of T, highest coordinates first.  A run of
-    m coordinates is an axis of 2^m on the cube, and of 2^m or 1 in the
-    compact table as the run is in T or not."""
     compact_axes, cube_axes = [], []
     i, outside = 0, full_mask(n) & ~t_mask
     while i < n:
@@ -310,7 +304,86 @@ def _expand_into(n: int, t_mask: SubsetMask, compact: np.ndarray, out: np.ndarra
         compact_axes.append(1 << (run * kept))
         cube_axes.append(1 << run)
         i += run
-    out.reshape(cube_axes[::-1])[...] = compact.reshape(compact_axes[::-1])
+    out = np.empty(cube_axes[::-1])
+    out[...] = compact.reshape(compact_axes[::-1])
+    return CubeFunction(n, out)
+
+
+def _pairwise_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """numpy's float64 sum of 2^n values in index order, by cube coordinate:
+    (lane coordinates, pair coordinates).
+
+    numpy sums pairwise: fewer than 8 values one after another, from 0.0; up
+    to 128 in 8 lanes, lane j adding the values at j, j + 8, j + 16, ... one
+    after another, and the lane totals as ((0+1)+(2+3))+((4+5)+(6+7)); more
+    as the sum of the two halves.  On 2^n points a lane runs over
+    coordinates 3 to 6 in counting order, and every later add pairs the two
+    blocks that differ in one coordinate: 0, 1, 2, then 7 up to n - 1.  Below
+    3 coordinates the one lane runs over all of them.
+    """
+    if n < 3:
+        return tuple(range(n)), ()
+    return tuple(range(3, min(n, 7))), (0, 1, 2, *range(7, n))
+
+
+# _LANE_STEPS[i, m]: the compact offset of lane step i in a table whose lane
+# coordinates in T are the bits of m (step i reads the cube point whose b-th
+# lane coordinate is bit b of i, so its offset packs the bits of i & m), and
+# _LANE_MOVES[j, m]: how far step i is from step i - 1, j the lowest bit of i.
+_LANE_STEPS = np.array(
+    [[sum(1 << (m & ((1 << b) - 1)).bit_count() for b in range(4) if (i & m) >> b & 1)
+      for m in range(16)] for i in range(16)]
+)
+_LANE_MOVES = _LANE_STEPS[[1, 2, 4, 8]] - _LANE_STEPS[[0, 1, 3, 7]]
+
+
+def _layout_sums(n: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.add.reduce of each compact table laid out on the cube (as by
+    :func:`expand_to_cube`), bit for bit, without the layout: out[i] for the
+    table of masks[i], where the first axis of `values` holds the compact
+    tables of `masks` one after another (any further axes are summed
+    alike).  Exact while no partial sum of a table overflows.
+
+    A lane of numpy's tree (:func:`_pairwise_order`) reads, step by step,
+    the compact entries its cube points take: one gather per step for every
+    lane of every table at once.  A lane's sum depends only on the pair
+    coordinates in T, so each table keeps 2^d lane sums, d the number of
+    those.  A pair level over one of them adds the two halves of each run of
+    sums, lowest coordinate first.  A pair level over a coordinate outside T
+    adds a sum to itself: an exact doubling, which commutes with every add,
+    so the doublings of a table are one ldexp at the end.  The tables run
+    deepest first, so the runs still being paired are a prefix.
+    """
+    lanes, pairs = _pairwise_order(n)
+    first = lanes[0] if lanes else 3  # T's coordinates below it pair, at compact bits 0 to low - 1
+    ts = np.asarray(masks, dtype=np.int64)
+    sizes = np.bitwise_count(ts).astype(np.int64)
+    low = np.bitwise_count(ts & ((1 << first) - 1)).astype(np.int64)
+    lane_masks = ts >> first & ((1 << len(lanes)) - 1)  # T's lane coordinates, the next bits
+    mid = np.bitwise_count(lane_masks).astype(np.int64)
+    depth = sizes - mid
+    order = (-depth).argsort(kind="stable")
+    counts = 1 << depth.take(order)
+    table = order.repeat(counts)  # the table of each lane sum
+    e = np.arange(table.shape[0]) - (np.add.accumulate(counts) - counts).repeat(counts)
+    # the compact index of lane step 0 of each lane sum: e with the bits of
+    # T's lane coordinates put in at bit low
+    index = (np.add.accumulate(1 << sizes) - (1 << sizes)).take(table) + e
+    index += (e >> low.take(table)) * (((1 << mid) - 1) << low).take(table)
+    moves = np.left_shift(_LANE_MOVES.take(lane_masks, axis=1), low).take(table, axis=1)
+    sums = values.take(index, axis=0)
+    for i in range(1, 1 << len(lanes)):
+        index += moves[(i & -i).bit_length() - 1]
+        sums += values.take(index, axis=0)
+    live = np.bincount(depth, minlength=1)  # tables of each depth
+    for level in range(live.shape[0] - 1):
+        paired = sum(int(c) << (d - level) for d, c in enumerate(live.tolist()) if d > level)
+        sums = np.concatenate((sums[0:paired:2] + sums[1:paired:2], sums[paired:]))
+    out = np.empty_like(sums)
+    exponents = (len(pairs) - depth.take(order)).reshape((-1,) + (1,) * (sums.ndim - 1))
+    out[order] = np.ldexp(sums, exponents)
+    out += 0.0  # numpy adds the sum to its initial 0.0
+    return out
 
 
 def subset_lattice(f: CubeFunction) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -453,10 +526,14 @@ def entropies(tables: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~whole).tolist():
         pos = v[i][v[i] > 0.0]
         plogp[i] = np.sum(pos * np.log2(pos))
-    # math.log2 for E g, as for a single table: np.log2 can differ in the last bit
-    return np.array(
-        [p / size - e * math.log2(e) for p, e in zip(plogp.tolist(), ef.tolist())]
-    )
+    return _entropy_from_sums(plogp, ef, size)
+
+
+def _entropy_from_sums(plogp: np.ndarray, means: np.ndarray, size: int) -> np.ndarray:
+    """Ent of tables of `size` entries from the sum of g log2 g and the mean
+    E g of each: math.log2 for E g, as for a single table, since np.log2 can
+    differ in the last bit."""
+    return plogp / size - means * np.fromiter(map(math.log2, means), np.float64, means.shape[0])
 
 
 def dirichlet_forms(fs: Sequence[CubeFunction], g: CubeFunction) -> list[float]:

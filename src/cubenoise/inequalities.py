@@ -14,7 +14,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,11 +22,15 @@ from .cube import (
     CubeFunction,
     SubsetMask,
     _butterfly,
-    _expand_into,
+    _clean_values,
+    _entropy_from_sums,
+    _layout_sums,
     _zeta,
     compact_conditional_expectations,
     dirichlet_forms,
     entropies,
+    entropy,
+    expand_to_cube,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -39,9 +43,9 @@ LN2 = math.log(2.0)
 
 # Exact subset enumeration caps: evaluating h on all 2^n subsets is fine up to
 # n = 22 for cheap h, but verifiers that tabulate E(f|T) on every subset (3^n
-# values on the lattice, and 4^n work for the entropy, which expands each
-# table to the cube a buffer at a time) stop at 13.  The q = 2 norms take
-# O(n 2^n) by Parseval and stop only at the cube cap.
+# values on the lattice, and for the entropy about 16 gathers per lane sum of
+# each compact table, replaying the sums of its 2^n-point layout) stop at 13.
+# The q = 2 norms take O(n 2^n) by Parseval and stop only at the cube cap.
 _DEFAULT_ENUM_CAP = 22
 _DEFAULT_EXPENSIVE_CAP = 13
 
@@ -318,46 +322,93 @@ def cond_exp_log_norms(f: CubeFunction, q: float) -> np.ndarray:
     return _conditional_rows(f, _log_norms_kernel((q,)), 1)[0]
 
 
-# A kernel takes the compact E(f|T) tables of one size, one per row, with
-# their masks, and returns one value per point for each table.
-_Kernel = Callable[[np.ndarray, Sequence[int]], np.ndarray]
+# A kernel takes a batch of compact E(f|T) tables as runs (masks, tables),
+# a table of 2^|T| values per row, and returns one value per point for each
+# table, in batch order.
+_Kernel = Callable[[Sequence[tuple[Sequence[int], np.ndarray]]], np.ndarray]
 
 
 def _log_norms_kernel(q_grid: Sequence[float]) -> _Kernel:
     """out[j, i] = ln ||tables[i]||_q for q = q_grid[j]."""
-    return lambda tables, masks: log_lq_norms(tables, q_grid)
+    return lambda batch: np.concatenate([log_lq_norms(tables, q_grid) for _, tables in batch], axis=1)
 
 
-def _entropy_kernel(n: int) -> _Kernel:
-    """out[0, i] = Ent(E(f|T)) for T = masks[i], taken on the 2^n-point
-    table of E(f|T): the recorded reference values pin that rounding
-    (README).  The tables are expanded into one reused buffer of at most
-    _NORM_BATCH values (one row at n > 12), a row each, and every full
-    buffer is one cube.entropies call, whose values are cube.entropy's on
-    each expanded table, bit for bit."""
+def _entropy_kernel(f: CubeFunction) -> _Kernel:
+    """out[0, i] = Ent(E(f|T)) for the i-th mask T of a batch, with the
+    rounding of its 2^n-point table, which the recorded reference values pin
+    (README): cube.entropy's value on the expanded table, bit for bit.
 
-    def kernel(tables: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-        out = np.empty((1, len(masks)))
-        buffer = np.empty((min(len(masks), max(1, _NORM_BATCH >> n)), 1 << n))
-        for start in range(0, len(masks), buffer.shape[0]):
-            rows = buffer[: len(masks) - start]
-            for row, t, g in zip(rows, masks[start:], tables[start:]):
-                _expand_into(n, int(t), g, row)
-            out[0, start : start + rows.shape[0]] = entropies(rows)
+    log2 is taken once over the compact values, and E g and the sum of
+    g log2 g are numpy's sums of the expanded table, replayed on the compact
+    one for every table of a call at once (cube._layout_sums); a batch of
+    more than _NORM_BATCH values, one long layer, goes in calls of rows.  A
+    table with a zero entry sums g log2 g over its positive entries alone, a
+    sum with no compact replay, so it is expanded (one expand_to_cube each),
+    and so is every table of an f whose values are large enough for a sum to
+    overflow."""
+    n = f.n
+    replayed = float(f.values.max()) < 2.0 ** (1000 - n)
+
+    def kernel(batch: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
+        if sum(run.size for _, run in batch) <= _NORM_BATCH:
+            return entropies_of(batch)
+        ((masks, tables),) = batch  # one long run, taken in blocks of rows
+        out, step = np.empty((1, len(masks))), max(1, _NORM_BATCH // tables.shape[1])
+        for i in range(0, len(masks), step):
+            out[:, i : i + step] = entropies_of([(masks[i : i + step], tables[i : i + step])])
         return out
+
+    def entropies_of(batch: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
+        masks = np.concatenate([np.asarray(run, dtype=np.int64) for run, _ in batch])
+        tables = [_clean_values(run) for _, run in batch]
+        values = np.empty((sum(run.size for run in tables), 2))  # g and g log2 g
+        np.concatenate([run.reshape(-1) for run in tables], out=values[:, 0])
+        np.log2(np.maximum(values[:, 0], 5e-324), out=values[:, 1])  # 0 log2 0 = 0
+        values[:, 1] *= values[:, 0]
+        sums = _layout_sums(n, masks, values)
+        means = sums[:, 0] / (1 << n)
+        if not (means > 0.0).all():
+            raise ValueError("entropy requires E f > 0")
+        out = _entropy_from_sums(sums[:, 1], means, 1 << n)
+        if not replayed or values[:, 0].min() <= 0.0:
+            expanded = np.concatenate([run.min(axis=-1) <= 0.0 for run in tables]) | (not replayed)
+            rows = [row for run in tables for row in run]
+            for i in np.flatnonzero(expanded).tolist():
+                out[i] = entropy(expand_to_cube(n, int(masks[i]), rows[i]))
+        return out[None]
 
     return kernel
 
 
-# Values per buffered kernel call on the Monte Carlo tables (32 KiB of
-# float64).  It keeps the peak traced memory of an n = 14 report at that of
-# one kernel call per table (0.85 MiB); 2^14 cut the report's kernel calls
-# from 259 to 78 but raised that peak to 1.56 MiB, since every table size
-# holds a buffer.  It also caps the entropy kernel's buffer of cube tables:
-# 2^16 there takes an exact n = 11 entropy table from 33 to 21 ms, but raises
-# the sweep's peak traced memory from 0.81 to 1.35 MiB, past that of expanding
-# one table at a time.
+# Values per kernel batch (32 KiB of float64).  It keeps the peak traced
+# memory of an n = 14 Monte Carlo report at that of one kernel call per table
+# (0.85 MiB); 2^14 cut the report's kernel calls from 259 to 78 but raised
+# that peak to 1.56 MiB, since every table size holds a buffer.  It also
+# caps each call of the entropy kernel, whose index and sum arrays take
+# about 60 bytes a table value: 2^16 there takes an exact n = 11 entropy
+# table from 20 to 9 ms, but raises its peak traced memory from 0.79 MiB,
+# that of the lattice walk, to 2.6 MiB.
 _NORM_BATCH = 1 << 12
+
+
+def _batches(
+    runs: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """The (masks, tables) runs as kernel batches: consecutive runs go
+    together while they hold at most _NORM_BATCH values in all, and a longer
+    run is a batch of its own, yielded as soon as it comes."""
+    batch, held = [], 0
+    for run in runs:
+        if batch and held + run[1].size > _NORM_BATCH:
+            yield batch
+            batch, held = [], 0
+        batch.append(run)
+        held += run[1].size
+        if held >= _NORM_BATCH:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
 
 
 def _conditional_rows(
@@ -366,18 +417,18 @@ def _conditional_rows(
     """out[j, c] = the kernel's value j on E(f|T), T the c-th of `masks`, or
     of every mask in mask order when `masks` is None.
 
-    Every mask comes from one walk of the subset lattice, a layer per kernel
-    call.  Given masks come from one walk of compact_conditional_expectations:
-    a table of _NORM_BATCH values or more goes to the kernel alone, smaller
-    ones through a buffer per table size that holds at most _NORM_BATCH
-    values, whenever it is full or its size has no masks left.  Either way
-    the kernel gets compact tables: the entropy kernel expands them to the
-    cube itself, a buffer of rows at a time, so no route builds a cube
-    function per mask."""
+    Every mask comes from one walk of the subset lattice, in kernel batches
+    of whole layers (:func:`_batches`).  Given masks
+    come from one walk of compact_conditional_expectations: a table of
+    _NORM_BATCH values or more goes to the kernel alone, smaller ones
+    through a buffer per table size that holds at most _NORM_BATCH values,
+    whenever it is full or its size has no masks left.  Either way the
+    kernel gets compact tables, so no route builds a cube function per
+    mask."""
     if masks is None:
         out = np.empty((points, 1 << f.n))
-        for _, layer, tables in subset_lattice(f):
-            out[:, layer] = kernel(tables, layer)
+        for batch in _batches((layer, tables) for _, layer, tables in subset_lattice(f)):
+            out[:, np.concatenate([layer for layer, _ in batch])] = kernel(batch)
         return out
     columns = {t: c for c, t in enumerate(masks.tolist())}
     out = np.empty((points, len(columns)))
@@ -386,7 +437,7 @@ def _conditional_rows(
     for t, table in compact_conditional_expectations(f, columns):
         k = t.bit_count()
         if table.shape[0] >= _NORM_BATCH:  # a batch of its own, needing no copy
-            out[:, columns[t]] = kernel(table[None], (t,))[:, 0]
+            out[:, columns[t]] = kernel([((t,), table[None])])[:, 0]
             continue
         if k not in buffers:
             buffers[k] = (np.empty((min(left[k], _NORM_BATCH >> k), 1 << k)), [])
@@ -395,7 +446,7 @@ def _conditional_rows(
         held.append(t)
         left[k] -= 1
         if len(held) == len(rows) or not left[k]:
-            out[:, [columns[s] for s in held]] = kernel(rows[: len(held)], held)
+            out[:, [columns[s] for s in held]] = kernel([(held, rows[: len(held)])])
             held.clear()
             if not left[k]:
                 del buffers[k]
@@ -573,7 +624,7 @@ def noisy_entropy_sweep(
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
     lhs = _noisy_rows(entropies, 1, f, eps_grid)
-    rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
+    rows = lambda masks: _conditional_rows(f, _entropy_kernel(f), 1, masks)
     return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
 
 

@@ -21,6 +21,7 @@ from cubenoise.cube import (
     dimension_cap,
     dirichlet_forms,
     entropy,
+    expand_to_cube,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -487,6 +488,44 @@ def test_mask_validated():
     f = rand_fn(2, 0)
     with pytest.raises(ValueError):
         conditional_expectation(f, 4)
+
+
+def split_masks(n, rng):
+    """Every split of T over the pair coordinates {0, 1, 2}, the lane
+    coordinates {3..6} and the pair coordinates from 7 up (none of them,
+    all, or a random part), the empty and full masks among them."""
+    high = full_mask(n) & ~0x7F
+    masks = {
+        (low | lane << 3 | top) & full_mask(n)
+        for low in range(8)
+        for lane in range(16)
+        for top in (0, high, int(rng.integers(0, 1 << n)) & high)
+    }
+    return np.array(sorted(masks))
+
+
+LAYOUT_TABLES = {
+    "signed": lambda rng, size: rng.standard_normal(size) * np.exp2(rng.integers(-30, 30, size)),
+    "g log2 g": lambda rng, size: (lambda g: g * np.log2(g))(rng.random(size) + 1e-3),
+    "subnormal": lambda rng, size: rng.random(size) * 1e-310,
+    "near 1e300": lambda rng, size: (rng.random(size) + 0.5) * 1e300,
+}
+
+
+# 0-2 coordinates sum one after another, 3-7 in eight lanes alone, and past
+# 7 pair the lane sums over coordinates 7 and up (cube._pairwise_order).
+@pytest.mark.parametrize("kind", LAYOUT_TABLES)
+@pytest.mark.parametrize("n", range(15))
+def test_layout_sums_are_numpys_sums_of_the_cube_tables(n, kind):
+    rng = np.random.default_rng(n)
+    masks = split_masks(n, rng)
+    tables = [LAYOUT_TABLES[kind](rng, 1 << t.bit_count()) for t in masks.tolist()]
+    got = cube._layout_sums(n, masks, np.stack([np.concatenate(tables)] * 2, axis=1) * [1.0, -1.0])
+    want = np.array([np.add.reduce(expand_to_cube(n, t, g).values) for t, g in zip(masks.tolist(), tables)])
+    assert np.array_equal(got.view(np.uint64), np.stack((want, -want), axis=1).view(np.uint64)), (
+        "numpy's pairwise summation changed: cube._layout_sums no longer replays "
+        "np.add.reduce of a 2^n table (cube._pairwise_order describes the tree it expects)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -515,11 +515,12 @@ def oracle_entropy(values):
     return float(np.sum(v[pos] * np.log2(v[pos]))) / v.shape[0] - ef * math.log2(ef)
 
 
-def oracle_entropy_kernel(n):
+def oracle_entropy_kernel(f):
     """The kernel as a loop: each compact table expanded to the cube on its
     own, then its entropy; the rounding the recorded reference values pin."""
-    return lambda tables, masks: np.array(
-        [[oracle_entropy(expand_to_cube(n, int(t), g).values) for t, g in zip(masks, tables)]]
+    return lambda batch: np.array(
+        [[oracle_entropy(expand_to_cube(f.n, int(t), g).values)
+          for masks, tables in batch for t, g in zip(masks, tables)]]
     )
 
 
@@ -536,22 +537,53 @@ def zero_heavy_functions(draw, max_n=8):
     return CubeFunction(n, values)
 
 
+def assert_entropy_kernel_keeps_the_cube_bits(f, masks, batch, lattice_tables=None):
+    """The exact and given-masks routes of the entropy kernel against the
+    loop on each expanded table, bit for bit."""
+    if lattice_tables is None:
+        lattice_tables = [loop_compact(f, t) for t in range(1 << f.n)]
+    want = oracle_entropy_kernel(f)([(range(1 << f.n), lattice_tables)])
+    exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
+    assert np.array_equal(exact.view(np.uint64), want.view(np.uint64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inequalities, "_NORM_BATCH", batch)
+        mc = inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1, masks)
+    assert np.array_equal(mc.view(np.uint64), want[:, masks].view(np.uint64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(zero_heavy_functions(), st.data())
 def test_entropy_kernel_bit_identical_to_cube_tables(f, data):
-    want = oracle_entropy_kernel(f.n)(
-        [loop_compact(f, t) for t in range(1 << f.n)], range(1 << f.n)
-    )
-    exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
-    assert np.array_equal(exact.view(np.uint64), want.view(np.uint64))
     masks = np.array(
         sorted(data.draw(st.sets(st.integers(0, (1 << f.n) - 1), min_size=1, max_size=80)))
     )
     batch = data.draw(st.sampled_from([1, 8, 1 << 12]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inequalities, "_NORM_BATCH", batch)
-        mc = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1, masks)
-    assert np.array_equal(mc.view(np.uint64), want[:, masks].view(np.uint64))
+    assert_entropy_kernel_keeps_the_cube_bits(f, masks, batch)
+
+
+# Past n = 8 the sum tree pairs coordinates 7 and up (cube._pairwise_order),
+# which the drawn functions above never reach.
+@pytest.mark.parametrize("n", [9, 11, 13])
+@pytest.mark.parametrize("family", [corpus.random_nonneg, corpus.random_set_indicator,
+                                    corpus.shifted_character])
+def test_entropy_kernel_bit_identical_to_cube_tables_past_eight_coordinates(n, family):
+    rng = np.random.default_rng(n)
+    f = family(n, rng)
+    tables = [None] * (1 << n)
+    for _, layer, rows in subset_lattice(f):
+        for t, g in zip(layer.tolist(), rows):
+            tables[t] = g
+    masks = np.unique(np.concatenate([rng.integers(0, 1 << n, 300), [0, (1 << n) - 1]]))
+    assert_entropy_kernel_keeps_the_cube_bits(f, masks, 1 << 12, tables)
+
+
+def test_entropy_kernel_expands_every_table_of_a_function_near_the_largest_double(monkeypatch):
+    # values past 2^(1000 - n): some sum could overflow, so no table is replayed
+    f = corpus.random_positive(9, np.random.default_rng(9)).scaled(2.0**995)
+    expanded = []
+    monkeypatch.setattr(inequalities, "expand_to_cube", lambda *args: expanded.append(1) or expand_to_cube(*args))
+    assert_entropy_kernel_keeps_the_cube_bits(f, np.arange(0, 1 << 9, 7), 1 << 12)
+    assert len(expanded) == (1 << 9) + len(range(0, 1 << 9, 7))
 
 
 def test_entropy_kernel_rejects_an_underflowing_mean():
@@ -559,7 +591,7 @@ def test_entropy_kernel_rejects_an_underflowing_mean():
     f = CubeFunction(2, [5e-324, 5e-324, 5e-324, 0.0])
     assert f.mean() > 0.0
     with pytest.raises(ValueError, match="E f > 0"):
-        inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
+        inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
     with pytest.raises(ValueError, match="E f > 0"):
         cube.entropies(np.array([[1.0, 2.0], [5e-324, 0.0]]))
 

@@ -1,7 +1,8 @@
 """Each derived table (dual code, syndrome layout, deficiency histogram,
 row-space code, graphic matroid, Tutte polynomial) lives on the object it
 comes from: it is built once per report, and freed with its object; every
-subset average of a report is one call per rate grid."""
+subset average of a report is one call per rate grid; and the exact entropy
+table peaks within the memory of its subset-lattice walk."""
 
 import gc
 import math
@@ -16,6 +17,7 @@ from references import dump_bit_matrix, dump_graph
 from cubenoise import codes, inequalities, matroids
 from cubenoise.cli import main
 from cubenoise.codes import LinearCode, f_sweep, gf2_rref
+from cubenoise.corpus import random_nonneg
 from cubenoise.matroids import BinaryMatroid, Graph, tutte_polynomial
 
 
@@ -269,6 +271,25 @@ def test_histogram_peak_memory_below_ten_bytes_a_mask():
     finally:
         tracemalloc.stop()
     assert peak < 10 << n
+
+
+# (n, bound in MiB): at n = 13 the lattice walk's two largest layers with the
+# table (5.5 MiB), the entropy kernel's batches fitting within them.  Batches
+# of every table of the walk at once peaked at 2.6 MiB at n = 9 and 203 MiB
+# at n = 13, one batch per layer at about 0.4 MiB at n = 9.
+ENTROPY_TABLE_BOUNDS = ((9, 0.3), (13, 5.6))
+
+
+@pytest.mark.parametrize("n,bound_mib", ENTROPY_TABLE_BOUNDS)
+def test_exact_entropy_table_peak_memory_within_the_lattice_walk(n, bound_mib):
+    f = random_nonneg(n, np.random.default_rng(n))
+    tracemalloc.start()
+    try:
+        inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
