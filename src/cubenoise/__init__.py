@@ -7,7 +7,6 @@ from .cube import (
     character,
     conditional_expectation,
     dirichlet_forms,
-    entropy,
     wht_forward,
 )
 from .inequalities import (
@@ -30,7 +29,6 @@ __all__ = [
     "conditional_expectation",
     "derivative_sweep",
     "dirichlet_forms",
-    "entropy",
     "hypercontractive_sweep",
     "log_sobolev_sweep",
     "main_inequality_sweep",

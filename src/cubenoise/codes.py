@@ -18,9 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _pairwise_order, _zeta
-from .cube import dimension_cap, popcounts
-from .cube import entropy as cube_entropy
+from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
+from .cube import _entropy_from_sums, _pairwise_order, _plogp, dimension_cap, popcounts
 from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, enum_cap, layer_expectations, noise_rate
 
 _DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
@@ -525,8 +524,6 @@ def _syndrome_values(
             f"capped at n-k={cap}, got {m}; q = 2 and inf run on the weight enumerator"
         )
     points = list(dict.fromkeys(points))
-    if code.n > cap and any(q == 1.0 for _, q in points):
-        raise ValueError(f"F(lambda, 1) lays T_eps f out on all 2^n points, capped at n={cap}, got {code.n}")
     step = max(1, _NORMS_BLOCK >> m)
     out = {}
     for start in range(0, len(points), step):
@@ -538,29 +535,34 @@ def _block_values(
     code: LinearCode, points: list[tuple[float, float]]
 ) -> dict[tuple[float, float], float]:
     """F at each (eps, q) of `points` from one set of transforms
-    (:func:`_noisy_rows`) for their rates: q = inf from the max, q = 1 from
-    the entropy of T_eps f laid out on the cube (n up to the cube dimension
-    cap), and any other q from the mean of max(T_eps f, 0)^q over the cube
-    in index order, all such q in one :func:`_cube_sums` call, which equals
-    the mean of the direct cube evaluation bit for bit."""
+    (:func:`_noisy_rows`) for their rates: q = inf from the max, and every
+    other q from sums over the cube in index order, all in one
+    :func:`_cube_sums` call, which equals numpy's sum of the direct cube
+    evaluation bit for bit.  q = 1 is the entropy of T_eps f from its sums
+    of g and of g log2 g (cube._plogp), g the row cleaned of transform
+    roundoff once; any other q is the mean of max(T_eps f, 0)^q."""
     rates = list(dict.fromkeys(eps for eps, _ in points))
     noisy = dict(zip(rates, _noisy_rows(code, rates)))
-    labels = code.syndrome_layout.labels
-    finite = [(eps, q) for eps, q in points if q not in (1.0, math.inf)]
-    powers = np.empty((len(finite), 1 << (code.n - code.k)))
-    for power, (eps, q) in zip(powers, finite):
-        np.maximum(noisy[eps], 0.0, out=power)
-        power **= q  # the ** operator, as on a whole array: it squares at q = 2
-    sums = iter(_cube_sums(powers, labels).tolist())
+    summed = [(eps, q) for eps, q in points if q != math.inf]
+    table = np.empty((len(summed) + sum(q == 1.0 for _, q in summed), 1 << (code.n - code.k)))
+    rows = iter(table)
+    for eps, q in summed:
+        row = next(rows)
+        if q == 1.0:
+            row[...] = _clean_values(noisy[eps])
+            _plogp(row, out=next(rows))
+        else:
+            np.maximum(noisy[eps], 0.0, out=row)
+            row **= q  # the ** operator, as on a whole array: it squares at q = 2
+    sums = iter(_cube_sums(table, code.syndrome_layout.labels)[:, None])
     out = {}
     for eps, q in points:
         if q == math.inf:
             out[eps, q] = math.log2(float(noisy[eps].max()))
         elif q == 1.0:
-            cube = noisy[eps][_span(labels, np.intp)]
-            out[eps, q] = cube_entropy(CubeFunction(code.n, cube))
+            out[eps, q] = float(_entropy_from_sums(next(sums), next(sums), 1 << code.n)[0])
         else:
-            out[eps, q] = math.log2(next(sums) / (1 << code.n)) / (q - 1.0)
+            out[eps, q] = math.log2(float(next(sums)[0]) / (1 << code.n)) / (q - 1.0)
     return out
 
 

@@ -342,7 +342,11 @@ def _layout_sums(n: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
     :func:`expand_to_cube`), bit for bit, without the layout: out[i] for the
     table of masks[i], where the first axis of `values` holds the compact
     tables of `masks` one after another (any further axes are summed
-    alike).  Exact while no partial sum of a table overflows.
+    alike).  Exact, an overflow to inf included, for tables with no entry
+    below -1, as the g and g log2 g tables of g >= 0 are, or with none
+    above 1; past 2^(1000 - n) a table with entries of both signs can
+    differ, as numpy may double a sum to inf where one ldexp of the
+    undoubled sum need not.
 
     A lane of numpy's tree (:func:`_pairwise_order`) reads, step by step,
     the compact entries its cube points take: one gather per step for every
@@ -497,42 +501,37 @@ def _moments(scaled: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     return np.mean(powers, axis=-1)
 
 
-def entropy(f: CubeFunction) -> float:
-    """Ent(f) = E f log2 f - E f log2 E f, with the 0 log 0 = 0 convention."""
-    return float(entropies(f.values[None])[0])
-
-
 def entropies(tables: np.ndarray) -> np.ndarray:
     """Ent of every row of the 2-D `tables`, in bits, under the uniform
     measure on its entries.
 
-    Each row's E g and sum of g log2 g are row-wise reductions along the
-    contiguous last axis, which sum each row pairwise as a 1-D call does.  A
-    row with a zero entry is summed over its positive entries alone, since
-    keeping the zeros would change the pairing; so every value is the same
-    bit for bit whatever the other rows are.
+    Each row's sum of g and of g log2 g (:func:`_plogp`) are row-wise
+    reductions along the contiguous last axis, which sum each row pairwise
+    as a 1-D call does, so every value is the same bit for bit whatever the
+    other rows are.
     """
     v = _clean_values(tables)
-    size = v.shape[1]
-    ef = v.mean(axis=-1)
-    if not (ef > 0.0).all():
+    return _entropy_from_sums(v.sum(axis=-1), _plogp(v).sum(axis=-1), v.shape[1])
+
+
+def _plogp(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """g log2 g for each entry of g >= 0, with 0 log2 0 = 0: the log is of
+    max(g, 5e-324), the least double, so a zero entry is a zero term of its
+    table's whole sum and leaves numpy's pairing of the other terms as it
+    is.  Every entropy of the package sums these terms."""
+    out = np.maximum(g, 5e-324, out=out)
+    np.log2(out, out=out)
+    out *= g
+    return out
+
+
+def _entropy_from_sums(totals: np.ndarray, plogp: np.ndarray, size: int) -> np.ndarray:
+    """Ent of tables of `size` entries from the sums of g and of g log2 g of
+    each: math.log2 for E g, as for a single table, since np.log2 can differ
+    in the last bit."""
+    means = totals / size
+    if not (means > 0.0).all():
         raise ValueError("entropy requires E f > 0")
-    whole = v.min(axis=-1) > 0.0
-    plogp = np.empty(ef.shape)
-    body = v if whole.all() else v[whole]
-    terms = np.log2(body)
-    terms *= body
-    plogp[whole] = np.sum(terms, axis=-1)
-    for i in np.flatnonzero(~whole).tolist():
-        pos = v[i][v[i] > 0.0]
-        plogp[i] = np.sum(pos * np.log2(pos))
-    return _entropy_from_sums(plogp, ef, size)
-
-
-def _entropy_from_sums(plogp: np.ndarray, means: np.ndarray, size: int) -> np.ndarray:
-    """Ent of tables of `size` entries from the sum of g log2 g and the mean
-    E g of each: math.log2 for E g, as for a single table, since np.log2 can
-    differ in the last bit."""
     return plogp / size - means * np.fromiter(map(math.log2, means), np.float64, means.shape[0])
 
 

@@ -25,12 +25,11 @@ from .cube import (
     _clean_values,
     _entropy_from_sums,
     _layout_sums,
+    _plogp,
     _zeta,
     compact_conditional_expectations,
     dirichlet_forms,
     entropies,
-    entropy,
-    expand_to_cube,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -333,21 +332,17 @@ def _log_norms_kernel(q_grid: Sequence[float]) -> _Kernel:
     return lambda batch: np.concatenate([log_lq_norms(tables, q_grid) for _, tables in batch], axis=1)
 
 
-def _entropy_kernel(f: CubeFunction) -> _Kernel:
-    """out[0, i] = Ent(E(f|T)) for the i-th mask T of a batch, with the
-    rounding of its 2^n-point table, which the recorded reference values pin
-    (README): cube.entropy's value on the expanded table, bit for bit.
+def _entropy_kernel(n: int) -> _Kernel:
+    """out[0, i] = Ent(E(f|T)) for the i-th mask T of a batch, f on n
+    coordinates, with the rounding of its 2^n-point table, which the
+    recorded reference values pin (README): cube.entropies' value on the
+    table laid out on the cube, bit for bit, without the layout.
 
     log2 is taken once over the compact values, and E g and the sum of
-    g log2 g are numpy's sums of the expanded table, replayed on the compact
-    one for every table of a call at once (cube._layout_sums); a batch of
-    more than _NORM_BATCH values, one long layer, goes in calls of rows.  A
-    table with a zero entry sums g log2 g over its positive entries alone, a
-    sum with no compact replay, so it is expanded (one expand_to_cube each),
-    and so is every table of an f whose values are large enough for a sum to
-    overflow."""
-    n = f.n
-    replayed = float(f.values.max()) < 2.0 ** (1000 - n)
+    g log2 g (cube._plogp) are numpy's sums of the laid-out table, replayed
+    on the compact one for every table of a call at once
+    (cube._layout_sums); a batch of more than _NORM_BATCH values, one long
+    layer, goes in calls of rows."""
 
     def kernel(batch: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
         if sum(run.size for _, run in batch) <= _NORM_BATCH:
@@ -360,22 +355,11 @@ def _entropy_kernel(f: CubeFunction) -> _Kernel:
 
     def entropies_of(batch: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
         masks = np.concatenate([np.asarray(run, dtype=np.int64) for run, _ in batch])
-        tables = [_clean_values(run) for _, run in batch]
-        values = np.empty((sum(run.size for run in tables), 2))  # g and g log2 g
-        np.concatenate([run.reshape(-1) for run in tables], out=values[:, 0])
-        np.log2(np.maximum(values[:, 0], 5e-324), out=values[:, 1])  # 0 log2 0 = 0
-        values[:, 1] *= values[:, 0]
+        values = np.empty((sum(run.size for _, run in batch), 2))  # g and g log2 g
+        np.concatenate([_clean_values(run).reshape(-1) for _, run in batch], out=values[:, 0])
+        _plogp(values[:, 0], out=values[:, 1])
         sums = _layout_sums(n, masks, values)
-        means = sums[:, 0] / (1 << n)
-        if not (means > 0.0).all():
-            raise ValueError("entropy requires E f > 0")
-        out = _entropy_from_sums(sums[:, 1], means, 1 << n)
-        if not replayed or values[:, 0].min() <= 0.0:
-            expanded = np.concatenate([run.min(axis=-1) <= 0.0 for run in tables]) | (not replayed)
-            rows = [row for run in tables for row in run]
-            for i in np.flatnonzero(expanded).tolist():
-                out[i] = entropy(expand_to_cube(n, int(masks[i]), rows[i]))
-        return out[None]
+        return _entropy_from_sums(sums[:, 0], sums[:, 1], 1 << n)[None]
 
     return kernel
 
@@ -624,7 +608,7 @@ def noisy_entropy_sweep(
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
     lhs = _noisy_rows(entropies, 1, f, eps_grid)
-    rows = lambda masks: _conditional_rows(f, _entropy_kernel(f), 1, masks)
+    rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
     return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
 
 

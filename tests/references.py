@@ -11,7 +11,7 @@ from cubenoise.codes import _enumerator_value, _table_order, codeword_masks, gf2
 from cubenoise.cube import (
     CubeFunction,
     _butterfly,
-    entropy,
+    entropies,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -69,6 +69,11 @@ def subset_expectation_exact(n, lam, h):
         raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
     return layer_expectation(lam, _layer_sums(n, table))
+
+
+def entropy(f):
+    """Ent of one cube function: the one-row case of entropies."""
+    return float(entropies(f.values[None])[0])
 
 
 def noise_operator(f, eps):

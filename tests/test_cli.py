@@ -363,6 +363,16 @@ def test_code_reed_muller_2_5_in_mc_mode_runs_on_its_syndromes(capsys):
     assert float(row["spread"]) <= 1e-9
 
 
+def test_code_reed_muller_2_5_entropy_limit_runs_on_its_syndromes(capsys):
+    # q = 1 sums g and g log2 g on the 2^16 syndromes too, so n = 32 is no cap
+    argv = ("code", "--rm", "2", "5", "--q", "1", "--mode", "mc", "--samples", "200")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    rows = parse_csv(out)["fvalues"]
+    assert [r["q"] for r in rows] == ["1.0"]
+    assert all(0.0 < float(r["f_value"]) < math.inf for r in rows)
+
+
 def test_code_syndrome_cap_names_n_minus_k_and_the_enumerator_route(capsys, monkeypatch):
     monkeypatch.setenv("CUBENOISE_MAX_N", "12")
     argv = ("code", "--rm", "2", "5", "--mode", "mc", "--samples", "50")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import dirichlet_form as edge_dirichlet_form
-from references import noise_operator
+from references import entropy, noise_operator
 
 from cubenoise import cube
 from cubenoise.cube import (
@@ -20,7 +20,6 @@ from cubenoise.cube import (
     conditional_expectation,
     dimension_cap,
     dirichlet_forms,
-    entropy,
     expand_to_cube,
     full_mask,
     log_lq_norms,
@@ -509,6 +508,15 @@ LAYOUT_TABLES = {
     "g log2 g": lambda rng, size: (lambda g: g * np.log2(g))(rng.random(size) + 1e-3),
     "subnormal": lambda rng, size: rng.random(size) * 1e-310,
     "near 1e300": lambda rng, size: (rng.random(size) + 0.5) * 1e300,
+    # g log2 g with 0 log2 0 = 0, as the entropy kernel sums it
+    "zeros": lambda rng, size: (lambda g: g * np.log2(np.where(g > 0.0, g, 1.0)))(
+        rng.random(size) * (rng.random(size) < 0.5)
+    ),
+    # past 2^(1000 - n), where most sums overflow to inf (-inf negated)
+    "past 2^990": lambda rng, size: (rng.random(size) + 0.5) * np.exp2(rng.integers(990, 1024, size)),
+    "g log2 g past 2^990": lambda rng, size: (lambda g: g * np.log2(g))(
+        (rng.random(size) + 0.5) * np.exp2(rng.integers(990, 1013, size))
+    ),
 }
 
 
@@ -520,9 +528,13 @@ def test_layout_sums_are_numpys_sums_of_the_cube_tables(n, kind):
     rng = np.random.default_rng(n)
     masks = split_masks(n, rng)
     tables = [LAYOUT_TABLES[kind](rng, 1 << t.bit_count()) for t in masks.tolist()]
-    got = cube._layout_sums(n, masks, np.stack([np.concatenate(tables)] * 2, axis=1) * [1.0, -1.0])
-    want = np.array([np.add.reduce(expand_to_cube(n, t, g).values) for t, g in zip(masks.tolist(), tables)])
-    assert np.array_equal(got.view(np.uint64), np.stack((want, -want), axis=1).view(np.uint64)), (
+    with np.errstate(over="ignore"):
+        got = cube._layout_sums(n, masks, np.stack([np.concatenate(tables)] * 2, axis=1) * [1.0, -1.0])
+        want = np.array(
+            [[np.add.reduce(expand_to_cube(n, t, sign * g).values) for sign in (1.0, -1.0)]
+             for t, g in zip(masks.tolist(), tables)]
+        )
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
         "numpy's pairwise summation changed: cube._layout_sums no longer replays "
         "np.add.reduce of a 2^n table (cube._pairwise_order describes the tree it expects)"
     )

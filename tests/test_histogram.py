@@ -16,6 +16,7 @@ from references import (
     cube_f_value,
     deficiency_inequality_gap,
     deficiency_mean,
+    entropy,
     f_value,
     graph_inequality_gap,
     matroid_rank,
@@ -42,7 +43,6 @@ from cubenoise.codes import (
     rank_of_columns,
     scaled_indicator,
 )
-from cubenoise.cube import entropy
 from cubenoise.inequalities import noise_rate, subset_expectation_mc
 from cubenoise.matroids import (
     BinaryMatroid,

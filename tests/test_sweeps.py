@@ -5,6 +5,7 @@ once, a Monte Carlo sweep takes every E(f|T) it draws from one walk, q = 2
 reads every norm off one Parseval table, and the row-wise entropy kernel keeps
 the bits of a table-by-table loop."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from references import (
     derivative_check,
+    entropy,
     log_sobolev_gap,
     noise_operator,
     point_indicator,
@@ -27,7 +29,6 @@ from cubenoise.cube import (
     CubeFunction,
     compact_conditional_expectations,
     conditional_expectation,
-    entropy,
     expand_to_cube,
     log_lq_norms,
     subset_lattice,
@@ -506,20 +507,20 @@ def test_mc_q2_estimate_within_four_stderr_of_exact(monkeypatch, n):
 
 def oracle_entropy(values):
     """Ent of one table as a single 1-D evaluation takes it: E v and the sum
-    of v log2 v over the positive entries, each one pairwise sum."""
+    of v log2 v over the whole table, 0 log2 0 = 0, each one pairwise sum."""
     v = np.asarray(values, dtype=np.float64)
     ef = float(v.mean())
     if ef <= 0.0:
         raise ValueError("entropy requires E f > 0")
-    pos = v > 0
-    return float(np.sum(v[pos] * np.log2(v[pos]))) / v.shape[0] - ef * math.log2(ef)
+    terms = v * np.log2(np.where(v > 0.0, v, 1.0))
+    return float(np.sum(terms)) / v.shape[0] - ef * math.log2(ef)
 
 
-def oracle_entropy_kernel(f):
+def oracle_entropy_kernel(n):
     """The kernel as a loop: each compact table expanded to the cube on its
     own, then its entropy; the rounding the recorded reference values pin."""
     return lambda batch: np.array(
-        [[oracle_entropy(expand_to_cube(f.n, int(t), g).values)
+        [[oracle_entropy(expand_to_cube(n, int(t), g).values)
           for masks, tables in batch for t, g in zip(masks, tables)]]
     )
 
@@ -539,16 +540,17 @@ def zero_heavy_functions(draw, max_n=8):
 
 def assert_entropy_kernel_keeps_the_cube_bits(f, masks, batch, lattice_tables=None):
     """The exact and given-masks routes of the entropy kernel against the
-    loop on each expanded table, bit for bit."""
+    loop on each expanded table, bit for bit; returns the loop's row."""
     if lattice_tables is None:
         lattice_tables = [loop_compact(f, t) for t in range(1 << f.n)]
-    want = oracle_entropy_kernel(f)([(range(1 << f.n), lattice_tables)])
-    exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
+    want = oracle_entropy_kernel(f.n)([(range(1 << f.n), lattice_tables)])
+    exact = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
     assert np.array_equal(exact.view(np.uint64), want.view(np.uint64))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inequalities, "_NORM_BATCH", batch)
-        mc = inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1, masks)
+        mc = inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1, masks)
     assert np.array_equal(mc.view(np.uint64), want[:, masks].view(np.uint64))
+    return want
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,13 +579,20 @@ def test_entropy_kernel_bit_identical_to_cube_tables_past_eight_coordinates(n, f
     assert_entropy_kernel_keeps_the_cube_bits(f, masks, 1 << 12, tables)
 
 
-def test_entropy_kernel_expands_every_table_of_a_function_near_the_largest_double(monkeypatch):
-    # values past 2^(1000 - n): some sum could overflow, so no table is replayed
-    f = corpus.random_positive(9, np.random.default_rng(9)).scaled(2.0**995)
-    expanded = []
-    monkeypatch.setattr(inequalities, "expand_to_cube", lambda *args: expanded.append(1) or expand_to_cube(*args))
-    assert_entropy_kernel_keeps_the_cube_bits(f, np.arange(0, 1 << 9, 7), 1 << 12)
-    assert len(expanded) == (1 << 9) + len(range(0, 1 << 9, 7))
+def test_entropy_kernel_expands_no_table_of_a_function_near_the_largest_double(monkeypatch):
+    # values past 2^(1000 - n), so that some sums overflow: the replay still
+    # takes every table, and gives the oracle's inf and nan as it comes to them
+    def refused(*args):
+        raise AssertionError("a table was laid out on the cube")
+
+    monkeypatch.setattr(cube, "expand_to_cube", refused)
+    seen = set()
+    for exponent in (995, 1010, 1016):
+        f = corpus.random_positive(9, np.random.default_rng(9)).scaled(2.0**exponent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = assert_entropy_kernel_keeps_the_cube_bits(f, np.arange(0, 1 << 9, 7), 1 << 12)
+        seen |= {"nan" if math.isnan(x) else "inf" if math.isinf(x) else "finite" for x in want[0].tolist()}
+    assert seen == {"finite", "inf", "nan"}
 
 
 def test_entropy_kernel_rejects_an_underflowing_mean():
@@ -591,7 +600,7 @@ def test_entropy_kernel_rejects_an_underflowing_mean():
     f = CubeFunction(2, [5e-324, 5e-324, 5e-324, 0.0])
     assert f.mean() > 0.0
     with pytest.raises(ValueError, match="E f > 0"):
-        inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
+        inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
     with pytest.raises(ValueError, match="E f > 0"):
         cube.entropies(np.array([[1.0, 2.0], [5e-324, 0.0]]))
 
@@ -616,13 +625,22 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_exact_entropy_sweep_peak_memory_at_most_the_loop_kernel(monkeypatch):
-    f = corpus.random_nonneg(11, np.random.default_rng(11))
-    sweep = lambda: noisy_entropy_sweep(f, EPS_GRID)
-    sweep()  # warm caches that would count towards the first peak
-    got = traced_peak(sweep)
-    monkeypatch.setattr(inequalities, "_entropy_kernel", oracle_entropy_kernel)
-    assert got <= traced_peak(sweep)
+# One entropy kernel call's traced peak per compact value of its batch
+# (bytes).  Over every batch of the lattice walks below the most measured is
+# 85.0 (numpy 2.4, x86-64), on batches of a few thousand values; a long
+# layer's batch goes in calls of rows and takes less a value.  Laying a
+# table out on the cube would take 8 bytes for each of its 2^n points.
+ENTROPY_KERNEL_BYTES_PER_VALUE = 96
+
+
+def test_entropy_kernel_peak_memory_per_value():
+    for n, family in itertools.product((9, 11, 13), (corpus.random_nonneg, corpus.random_set_indicator)):
+        f = family(n, np.random.default_rng(n))
+        kernel = inequalities._entropy_kernel(n)
+        for batch in inequalities._batches((layer, tables) for _, layer, tables in subset_lattice(f)):
+            kernel(batch)  # warm caches that would count towards the first peak
+            values = sum(tables.size for _, tables in batch)
+            assert traced_peak(lambda: kernel(batch)) <= ENTROPY_KERNEL_BYTES_PER_VALUE * values, (n, values)
 
 
 # One cli.main call's traced peak when each T_eps f took a transform pair of

@@ -43,11 +43,11 @@ def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypat
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
     path = str(tmp_path / "c.code")
     dump_bit_matrix(rows, n, path)
-    # off q = 1 no span reaches the 2^n cube points: the one syndrome index
-    # is the layout's, over the 2^(n-k) syndromes
+    # no span reaches the 2^n cube points, at q = 1 either: the one syndrome
+    # index is the layout's, over the 2^(n-k) syndromes
     spans = count_calls(monkeypatch, codes, "_span")
     tables = count_calls(monkeypatch, codes, "deficiency_table")
-    argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1.5,2,3,inf"]
+    argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1,1.5,2,3,inf"]
     assert main(argv) == 0, capsys.readouterr().err
     assert [words.size for words in spans if words.size >= 1 << n] == []
     assert sum(words.dtype == np.intp and words.size == 1 << (n - k) for words in spans) == 1
@@ -285,7 +285,7 @@ def test_exact_entropy_table_peak_memory_within_the_lattice_walk(n, bound_mib):
     f = random_nonneg(n, np.random.default_rng(n))
     tracemalloc.start()
     try:
-        inequalities._conditional_rows(f, inequalities._entropy_kernel(f), 1)
+        inequalities._conditional_rows(f, inequalities._entropy_kernel(f.n), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
