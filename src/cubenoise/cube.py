@@ -450,14 +450,19 @@ def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
 
     Each norm is ln max g + ln E (g / max g)^q / q, so nothing overflows; a
     zero table gives -inf, and q = inf gives ln max g.  A block of rows takes
-    its max, log and scaled tables once, the power of each finite q with the
-    ** operator (which squares at q = 2), and one mean, log and division over
-    the whole (q, rows) block.  A block's scaled tables, its powers and the
-    power being taken, rows x (finite q + 2) tables, hold at most half of
-    _NORMS_BLOCK values, so a grid too long for one row at all q is split as
-    well (a row too long for two q takes one at a time, as a single q
-    would).  Each row's reductions are the same whatever its block, so the
-    values do not depend on the blocking.
+    its max, log and scaled tables once, the power of each finite q by
+    :func:`_power`, and one mean, log and division over the whole (q, rows)
+    block.  A block's scaled tables, its powers and the power being taken,
+    rows x (finite q + 2) tables, hold at most half of _NORMS_BLOCK values,
+    so a grid too long for one row at all q is split as well (a row too long
+    for two q takes one at a time, as a single q would).  Each row's
+    reductions are the same whatever its block, so the values do not depend
+    on the blocking.
+
+    At q = 1.5, 2.5, 3, 4 and 8 the power is a chain of multiplies, which
+    errs by up to 7 roundings where ** errs by about one, so those norms are
+    held to a 50-digit budget (tests/test_accuracy.py), not to the bits of
+    **; their error stays that of the final log, about 1e-16.
     """
     for q in q_grid:
         if not q >= 1:
@@ -469,36 +474,83 @@ def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
     budget = _NORMS_BLOCK // 2 // rows.shape[1]  # tables per block
     step = max(1, budget // (len(finite) + 2))
     q_step = max(1, budget // step - 2)
+    groups = []  # (rows of out, their q, the q as a column) for each block of q
+    for lo in range(0, len(finite), q_step):
+        js = finite[lo : lo + q_step]
+        qs = [q_grid[j] for j in js]
+        groups.append((js, qs, np.array(qs, dtype=np.float64)[:, None]))
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
         mx = block.max(axis=-1)
-        positive = mx > 0.0
-        safe = np.where(positive, mx, 1.0)
-        log_mx = np.where(positive, np.log(safe), -math.inf)
+        if mx.min() > 0.0:  # every row has a positive entry, the usual case
+            positive, safe, log_mx = None, mx, np.log(mx)
+        else:
+            positive = mx > 0.0
+            safe = np.where(positive, mx, 1.0)
+            log_mx = np.where(positive, np.log(safe), -math.inf)
         part = out[:, start : start + step]
-        part[infinite] = log_mx
+        if infinite:
+            part[infinite] = log_mx
         if not finite:
             continue
         scaled = _clean_values(block) / safe[:, None]
-        for lo in range(0, len(finite), q_step):
-            js = finite[lo : lo + q_step]
-            qs = [q_grid[j] for j in js]
+        for js, qs, exponents in groups:
             moment = _moments(scaled, qs)
-            logs = np.log(np.where(positive, moment, 1.0)) / np.array(qs, dtype=np.float64)[:, None]
-            part[js] = np.where(positive, log_mx + logs, -math.inf)
+            if positive is not None:  # a zero row's moment is 0; its norm is log_mx = -inf
+                moment = np.where(positive, moment, 1.0)
+            logs = np.log(moment, out=moment)
+            logs /= exponents
+            logs += log_mx
+            part[js] = logs
     return out.reshape((len(q_grid),) + tables.shape[:-1])
 
 
 def _moments(scaled: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """out[j, i] = the mean of scaled[i] ** qs[j]: each power taken with the
-    ** operator (which squares at q = 2, where np.power can differ in the
-    last bit), into one buffer unless there is one q, then one mean."""
-    if len(qs) == 1:
-        return np.mean(scaled ** qs[0], axis=-1)[None]
+    """out[j, i] = the mean of scaled[i] ** qs[j]: each power by
+    :func:`_power` into its row of one buffer, a chain starting from the row
+    of an earlier link where the grid has one, then one sum and division
+    (np.mean's own two steps)."""
     powers = np.empty((len(qs),) + scaled.shape)
+    done: dict[float, np.ndarray] = {}
     for power, q in zip(powers, qs):
-        power[...] = scaled ** q
-    return np.mean(powers, axis=-1)
+        done[q] = _power(scaled, q, power, done)
+    return np.add.reduce(powers, axis=-1) / scaled.shape[-1]
+
+
+# The chains of _power past their first link: q -> the power p it multiplies,
+# by x where q = p + 1 and by itself where q = 2p.
+_LINKS = {2.5: 1.5, 3.0: 2.0, 4.0: 2.0, 8.0: 4.0}
+
+
+def _power(
+    x: np.ndarray, q: float, out: np.ndarray, done: dict[float, np.ndarray] | None = None
+) -> np.ndarray:
+    """x ** q into `out`, for x in [0, 1].  At q = 1.5, 2, 2.5, 3, 4 and 8 a
+    chain of correctly rounded multiplies and one square root, in place:
+
+        x^1.5 = sqrt(x) x,  x^2.5 = (sqrt(x) x) x,  x^2 = x x,
+        x^3 = (x x) x,      x^4 = (x x)^2,         x^8 = ((x x)^2)^2;
+
+    at any other q the ** operator.  A chain starts from the power of its
+    link in `done` (q -> x ** q as this function wrote it) if there is one,
+    with the same bits.  x^2 has the bits of x ** 2, which squares; the
+    other chains take a sixth to a half of pow's time and err by up to 7 roundings
+    of 2^-53 relative (x^8), or by the least double where the power lies
+    below the normal range."""
+    if q == 1.5:
+        np.sqrt(x, out=out)
+        out *= x
+    elif q == 2.0:
+        np.multiply(x, x, out=out)
+    elif q in _LINKS:
+        p = _LINKS[q]
+        link = done.get(p) if done else None
+        if link is None:
+            link = _power(x, p, out, done)
+        np.multiply(link, x if q == p + 1.0 else link, out=out)
+    else:
+        out[...] = x ** q
+    return out
 
 
 def entropies(tables: np.ndarray) -> np.ndarray:

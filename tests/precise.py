@@ -1,8 +1,9 @@
 """Exact references for the accuracy budgets: the erasure-side averages as
 Fractions of the integer (size, deficiency) histogram and of the Tutte
 coefficients, at the float rates the package computes with, so each value is
-the exact one for the inputs the package saw; and a 50-digit log2 for the
-columns that print one."""
+the exact one for the inputs the package saw; a 50-digit log2 for the
+columns that print one; and 50-digit powers and log q-norms of float
+tables for the cube side."""
 
 from fractions import Fraction
 
@@ -62,7 +63,24 @@ def relative_error(value, exact):
     return float(abs(Fraction(value) - exact) / abs(exact))
 
 
+def mp_relative_error(value, exact):
+    """|value - exact| / |exact| as a float, for a 50-digit exact value."""
+    return float(abs((mpmath.mpf(value) - exact) / exact))
+
+
 def log2_error(value, exact):
     """|value - log2(exact)| as a float: the absolute error of a printed log2,
     about the relative error of its argument over ln 2."""
     return float(abs(mpmath.mpf(value) - log2(exact)))
+
+
+def power(x, q):
+    """x^q of a float x >= 0 and a float q, to 50 digits."""
+    return mpmath.mpf(x) ** mpmath.mpf(q)
+
+
+def log_lq_norm(values, q):
+    """ln ||g||_q = ln (mean g^q) / q of a table of floats g >= 0, to 50
+    digits, with no underflow on tiny entries; -inf for a zero table."""
+    moment = mpmath.fsum(power(v, q) for v in values) / len(values)
+    return mpmath.log(moment) / mpmath.mpf(q) if moment > 0 else mpmath.mpf("-inf")

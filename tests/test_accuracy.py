@@ -1,20 +1,27 @@
 """Accuracy budgets: the erasure-side averages held against their exact
-values (tests/precise.py) on the corpus matroids and graphs, n <= 12.
+values (tests/precise.py) on the corpus matroids and graphs, n <= 12, and
+the cube-side log q-norms and the powers under them against 50-digit ones.
 
 BUDGETS is the one table of the largest error each column may have, as
 measured on this corpus when the table was added; a change that makes a
 column more accurate tightens its row, so the table only ever ratchets down."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import precise
 from conftest import C5, random_multigraph_with_loops
 
+from cubenoise import cube
 from cubenoise.codes import deficiency_expectation
+from cubenoise.cube import log_lq_norms
 from cubenoise.matroids import subset_rate_for, tutte_sweep
 
 P_GRID = (0.0, 1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0)
+
+# the exponents the power chains of cube._power serve, and one pow exponent
+NORM_Q = (1.1, 1.5, 2.5, 3.0, 4.0, 8.0)
 
 # column -> its budget: a relative error, but for the lhs, which prints a
 # log2, the absolute error of the log2
@@ -23,7 +30,18 @@ BUDGETS = {
     "deficiency_expectation E_t d": 8.5e-16,
     "tutte_sweep lhs": 1.4e-15,
     "tutte_sweep rhs": 4.7e-16,
+    "log_lq_norms q=1.1": 1.6e-16,
+    "log_lq_norms q=1.5": 3.3e-16,
+    "log_lq_norms q=2.5": 1.2e-16,
+    "log_lq_norms q=3": 1.2e-16,
+    "log_lq_norms q=4": 1.2e-16,
+    "log_lq_norms q=8": 1.2e-16,
 }
+ERASURE_COLUMNS = [column for column in BUDGETS if not column.startswith("log_lq_norms")]
+
+# the most a power of cube._power may err, relative to the exact power: 7
+# roundings of 2^-53, the three squarings of x^8
+POWER_BUDGET = 8e-16
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +54,7 @@ def corpus(matroid_corpus):
 
 def worst_errors(corpus):
     """column -> the largest error over the corpus and the p grid."""
-    errors = {column: [0.0] for column in BUDGETS}
+    errors = {column: [0.0] for column in ERASURE_COLUMNS}
     for _, m in corpus:
         code, hist = m.row_space_code, m.row_space_code.histogram
         rates = [subset_rate_for(p) for p in P_GRID]
@@ -68,5 +86,49 @@ def test_exact_tutte_forms_equal_the_histogram_averages(corpus):
 
 def test_erasure_averages_within_their_budgets(corpus):
     worst = worst_errors(corpus)
-    over = {column: (worst[column], budget) for column, budget in BUDGETS.items() if worst[column] > budget}
+    over = {column: (worst[column], BUDGETS[column]) for column in ERASURE_COLUMNS if worst[column] > BUDGETS[column]}
     assert over == {}
+
+
+def norm_rows():
+    """Rows of widths 1 to 256 from default_rng(15): cubes of uniform draws,
+    one with every third entry 0, and the sixth power of the widest, whose
+    tiny entries underflow in its powers at the larger q."""
+    rng = np.random.default_rng(15)
+    rows = [rng.random(width) ** 3 for width in (1, 2, 3, 5, 16, 64, 100, 256)]
+    rows[4][::3] = 0.0
+    return rows + [rows[-1] ** 6]
+
+
+def test_log_lq_norms_within_their_budgets():
+    # the relative error of ln ||g||_q against 50 digits, the worst over the rows
+    rows = norm_rows()
+    worst = {}
+    for q in NORM_Q:
+        errors = [precise.mp_relative_error(log_lq_norms(row, (q,))[0], precise.log_lq_norm(row, q)) for row in rows]
+        worst[f"log_lq_norms q={q:g}"] = max(errors)
+    assert {column: (worst[column], BUDGETS[column]) for column in worst if worst[column] > BUDGETS[column]} == {}
+
+
+def power_inputs():
+    """0, 1, the subnormal and normal ends, for each q an x whose power lies
+    below the normal range, and uniform draws in [0, 1)."""
+    edges = [0.0, 1.0, 1.0 - 2.0**-53, 0.5, 5e-324, 1e-310, 2.0**-1022]
+    tiny = [1e-310 ** (1.0 / q) for q in NORM_Q] + [(2.0**-1022) ** (1.0 / q) for q in NORM_Q]
+    return np.array(edges + tiny + np.random.default_rng(8).random(2000).tolist())
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 4.0, 8.0])
+def test_chained_powers_within_seven_roundings(q):
+    # within POWER_BUDGET of the exact power, or within the least double
+    # where the exact power lies below the normal range
+    x = power_inputs()
+    got = cube._power(x, q, np.empty_like(x))
+    exact = [precise.power(v, q) for v in x]
+    over = [(v, p) for v, p, e in zip(x, got, exact) if not abs(mpmath.mpf(p) - e) <= POWER_BUDGET * e + 2.0**-1074]
+    assert over == []
+
+
+def test_square_keeps_the_bits_of_the_power_operator():
+    x = power_inputs()
+    assert np.array_equal(cube._power(x, 2.0, np.empty_like(x)).view(np.uint64), (x**2).view(np.uint64))

@@ -80,6 +80,14 @@ def test_verify_other_targets_pass(capsys, target):
     assert parse_csv(out)["gaps"]
 
 
+def test_verify_entropy_of_an_overflowing_f_is_a_usage_error(capsys, monkeypatch):
+    huge = corpus.random_positive(6, np.random.default_rng(6)).scaled(2.0**1016)
+    monkeypatch.setattr(corpus, "standard_corpus", lambda n, fuzz, rng: [huge])
+    code, out, err = run(capsys, "verify", "--target", "entropy", "--n", "6")
+    assert code == 2 and out == ""
+    assert "below 2^1023" in err
+
+
 def test_verify_bad_target_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "--target", "bogus")
     assert code == 2

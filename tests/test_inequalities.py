@@ -304,6 +304,23 @@ def test_entropy_gap_random_nonnegative():
             assert noisy_entropy_sweep(f, (eps,))[0].gap >= -1e-9
 
 
+def huge_positive():
+    """A random_positive draw scaled so that f log2 f overflows at its largest
+    entries, though every value of f is a finite double."""
+    return corpus.random_positive(6, np.random.default_rng(6)).scaled(2.0**1016)
+
+
+def test_entropy_sweep_rejects_an_f_whose_sums_overflow():
+    with pytest.raises(ValueError, match=r"sum of f log2 f over the 2\^6 points below 2\^1023, got inf"):
+        noisy_entropy_sweep(huge_positive(), (0.0, 0.1, 0.5))
+
+
+def test_main_sweep_on_a_huge_f_stays_finite_and_holds():
+    # the norms scale each table by its max, so nothing overflows
+    reps = main_inequality_sweep(huge_positive(), (1.1, 2.0, 8.0, math.inf), (0.0, 0.1, 0.5))
+    assert all(math.isfinite(rep.lhs) and math.isfinite(rep.rhs) and rep.holds() for rep in reps)
+
+
 def test_entropy_gap_is_small_q_limit_of_main():
     # after normalizing E f = 1, both sides of the entropy inequality are the
     # q -> 1 limits of the norm inequality sides divided by (q-1), up to the
@@ -485,14 +502,17 @@ def test_derivative_rhs_is_coordinate_deficit(monkeypatch):
 
 
 # (n, q, derivative rhs, log-Sobolev lhs) of random_positive draws from
-# default_rng(23), as the two-layer deficit route gave them
+# default_rng(23), as the two-layer deficit route gives them with the power
+# chains of cube._power (each n = 8, q = 3 value is nearer its 50-digit
+# reference than the value ** gave: 7.2e-16 and 4.3e-16 relative, against
+# 7.9e-16 and 9.7e-16)
 DEFICIT_VALUES = [
     (1, 1.5, "-0x1.02bc1a461235ap-10", "0x1.ec3f2503a151fp-10"),
     (1, 3.0, "-0x1.4abc31c4b04cep-9", "0x1.2c10973827b5ep-8"),
     (4, 1.5, "-0x1.27dd188c6ef25p-2", "0x1.f1533e03026abp-3"),
     (4, 3.0, "-0x1.20825dbe6ded3p-1", "0x1.1dbda49332bd6p-2"),
     (8, 1.5, "-0x1.8e24b3c2f3b6ap-1", "0x1.71630954969fdp-1"),
-    (8, 3.0, "-0x1.53e08c624817fp+0", "0x1.96aec8596ddfcp-1"),
+    (8, 3.0, "-0x1.53e08c6248176p+0", "0x1.96aec8596ddf2p-1"),
 ]
 
 
