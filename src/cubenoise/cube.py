@@ -479,75 +479,64 @@ def log_lq_norms(tables: np.ndarray, q_grid: Sequence[float]) -> np.ndarray:
         js = finite[lo : lo + q_step]
         qs = [q_grid[j] for j in js]
         groups.append((js, qs, np.array(qs, dtype=np.float64)[:, None]))
-    for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
-        mx = block.max(axis=-1)
-        if mx.min() > 0.0:  # every row has a positive entry, the usual case
-            positive, safe, log_mx = None, mx, np.log(mx)
-        else:
-            positive = mx > 0.0
-            safe = np.where(positive, mx, 1.0)
-            log_mx = np.where(positive, np.log(safe), -math.inf)
-        part = out[:, start : start + step]
-        if infinite:
-            part[infinite] = log_mx
-        if not finite:
-            continue
-        scaled = _clean_values(block) / safe[:, None]
-        for js, qs, exponents in groups:
-            moment = _moments(scaled, qs)
-            if positive is not None:  # a zero row's moment is 0; its norm is log_mx = -inf
-                moment = np.where(positive, moment, 1.0)
-            logs = np.log(moment, out=moment)
-            logs /= exponents
-            logs += log_mx
-            part[js] = logs
+    # a row whose max is not positive is all zeros once cleaned; divided by
+    # the least double, which no positive max is below, it stays 0, so its
+    # moment is 0 and its norm ln 0 / q + ln 0 = -inf
+    with np.errstate(divide="ignore"):
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
+            mx = np.maximum(block.max(axis=-1), 0.0)
+            log_mx = np.log(mx)
+            part = out[:, start : start + step]
+            if infinite:
+                part[infinite] = log_mx
+            if not finite:
+                continue
+            scaled = _clean_values(block) / np.maximum(mx, 5e-324)[:, None]
+            for js, qs, exponents in groups:
+                logs = _moments(scaled, qs)
+                np.log(logs, out=logs)
+                logs /= exponents
+                logs += log_mx
+                part[js] = logs
     return out.reshape((len(q_grid),) + tables.shape[:-1])
 
 
 def _moments(scaled: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     """out[j, i] = the mean of scaled[i] ** qs[j]: each power by
-    :func:`_power` into its row of one buffer, a chain starting from the row
-    of an earlier link where the grid has one, then one sum and division
+    :func:`_power` into its row of one buffer, then one sum and division
     (np.mean's own two steps)."""
     powers = np.empty((len(qs),) + scaled.shape)
-    done: dict[float, np.ndarray] = {}
     for power, q in zip(powers, qs):
-        done[q] = _power(scaled, q, power, done)
+        _power(scaled, q, power)
     return np.add.reduce(powers, axis=-1) / scaled.shape[-1]
 
 
-# The chains of _power past their first link: q -> the power p it multiplies,
-# by x where q = p + 1 and by itself where q = 2p.
-_LINKS = {2.5: 1.5, 3.0: 2.0, 4.0: 2.0, 8.0: 4.0}
-
-
-def _power(
-    x: np.ndarray, q: float, out: np.ndarray, done: dict[float, np.ndarray] | None = None
-) -> np.ndarray:
+def _power(x: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
     """x ** q into `out`, for x in [0, 1].  At q = 1.5, 2, 2.5, 3, 4 and 8 a
     chain of correctly rounded multiplies and one square root, in place:
 
         x^1.5 = sqrt(x) x,  x^2.5 = (sqrt(x) x) x,  x^2 = x x,
         x^3 = (x x) x,      x^4 = (x x)^2,         x^8 = ((x x)^2)^2;
 
-    at any other q the ** operator.  A chain starts from the power of its
-    link in `done` (q -> x ** q as this function wrote it) if there is one,
-    with the same bits.  x^2 has the bits of x ** 2, which squares; the
-    other chains take a sixth to a half of pow's time and err by up to 7 roundings
-    of 2^-53 relative (x^8), or by the least double where the power lies
-    below the normal range."""
-    if q == 1.5:
+    at any other q the ** operator.  x^2 has the bits of x ** 2, which
+    squares; the other chains take a sixth to a half of pow's time and err
+    by up to 7 roundings of 2^-53 relative (x^8), or by the least double
+    where the power lies below the normal range."""
+    if q in (1.5, 2.5):
         np.sqrt(x, out=out)
         out *= x
-    elif q == 2.0:
+        if q == 2.5:
+            out *= x
+    elif q in (2.0, 3.0):
         np.multiply(x, x, out=out)
-    elif q in _LINKS:
-        p = _LINKS[q]
-        link = done.get(p) if done else None
-        if link is None:
-            link = _power(x, p, out, done)
-        np.multiply(link, x if q == p + 1.0 else link, out=out)
+        if q == 3.0:
+            out *= x
+    elif q in (4.0, 8.0):
+        np.multiply(x, x, out=out)
+        out *= out
+        if q == 8.0:
+            out *= out
     else:
         out[...] = x ** q
     return out

@@ -605,26 +605,20 @@ def noisy_entropy_sweep(
     noise grid, reusing one conditional-entropy table; each lhs is
     cube.entropies of the rows of T_eps f, from one Walsh transform of f."""
     _require_sweep_domain("entropy", f, eps_grid, mode)
-    _require_entropy_range(f)
     if mode == "exact" and len(eps_grid):
         _check_expensive_cap(f.n, "use --mode mc")
-    lhs = _noisy_rows(entropies, 1, f, eps_grid)
     rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
-    return _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
-
-
-def _require_entropy_range(f: CubeFunction) -> None:
-    """Reject an f whose entropy sums overflow.  g log2 g is convex, so no
-    table the entropy sweep sums (a row of T_eps f, or E(f|T) on the cube)
-    has a larger sum of g log2 g than f, nor a different sum of g; below
-    2^1023 for f, rounding cannot carry any of them to inf."""
-    with np.errstate(over="ignore"):
-        total = float(_plogp(f.values).sum())
-    if not total < 2.0**1023:
+    # an overflowing sum of g log2 g leaves an inf or nan entropy, which
+    # every value it enters keeps, so a finite report had none
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _noisy_rows(entropies, 1, f, eps_grid)
+        reports = _subset_sweep("entropy", f, [(None, 2.0)], lhs, rows, eps_grid, mode, samples, seed)
+    if not all(math.isfinite(rep.lhs) and math.isfinite(rep.rhs) for rep in reports):
         raise ValueError(
-            f"entropy inequality needs the sum of f log2 f over the 2^{f.n} points "
-            f"below 2^1023, got {total!r}; scale f down"
+            "entropy inequality needs every sum of g log2 g over a table of the sweep "
+            "below 2^1024, the double range; some overflow for this f, scale it down"
         )
+    return reports
 
 
 def hypercontractive_sweep(

@@ -85,7 +85,7 @@ def test_verify_entropy_of_an_overflowing_f_is_a_usage_error(capsys, monkeypatch
     monkeypatch.setattr(corpus, "standard_corpus", lambda n, fuzz, rng: [huge])
     code, out, err = run(capsys, "verify", "--target", "entropy", "--n", "6")
     assert code == 2 and out == ""
-    assert "below 2^1023" in err
+    assert "below 2^1024" in err
 
 
 def test_verify_bad_target_usage_error(capsys):

@@ -310,9 +310,10 @@ def huge_positive():
     return corpus.random_positive(6, np.random.default_rng(6)).scaled(2.0**1016)
 
 
-def test_entropy_sweep_rejects_an_f_whose_sums_overflow():
-    with pytest.raises(ValueError, match=r"sum of f log2 f over the 2\^6 points below 2\^1023, got inf"):
-        noisy_entropy_sweep(huge_positive(), (0.0, 0.1, 0.5))
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_entropy_sweep_rejects_an_f_whose_sums_overflow(mode):
+    with pytest.raises(ValueError, match=r"sum of g log2 g over a table of the sweep below 2\^1024"):
+        noisy_entropy_sweep(huge_positive(), (0.0, 0.1, 0.5), mode=mode, samples=50)
 
 
 def test_main_sweep_on_a_huge_f_stays_finite_and_holds():
