@@ -416,13 +416,17 @@ def deficiency_expectation(
     """E over T ~ lam of values[|T|, d(T)] with d(T) = |T| - rank T, and its
     standard error (0 in exact mode), at every rate lam of the grid.  By
     default the values are d(T) itself, and the mean is the rank deficiency
-    lam n - E rank(T), always nonnegative.
+    lam n - E rank(T), always nonnegative.  `values` broadcasts against the
+    (size, deficiency) histogram, or, given a leading axis of len(rates)
+    (three dimensions), holds one such table per rate.
 
     The one exact/Monte Carlo dispatch for code, matroid and graph subset
-    averages.  Exact mode reduces the code's :attr:`LinearCode.histogram`,
-    which `values` broadcasts against, to layer sums once per call for
-    :func:`cubenoise.inequalities.layer_expectations`; mc mode makes one draw
-    of the grid and ranks each distinct mask once."""
+    averages.  Exact mode reduces the code's :attr:`LinearCode.histogram`
+    against the values to layer sums, one row per rate where the values
+    differ by rate, for one
+    :func:`cubenoise.inequalities.layer_expectations` call, so each mean is
+    that of a one-rate call; mc mode makes one draw of the grid and ranks
+    each distinct mask once."""
     for lam in rates:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"erasure rate must be in [0, 1], got {lam}")
@@ -432,14 +436,14 @@ def deficiency_expectation(
     width = code.n - code.k + 1
     values = np.arange(width) if values is None else values
     if mode == "exact":
-        means = layer_expectations(rates, (code.histogram * values).sum(axis=1))
+        means = layer_expectations(rates, (code.histogram * values).sum(axis=-1))
         return [(mean, 0.0) for mean in means]
-    cells = np.broadcast_to(values, (code.n + 1, width))
+    cells = np.broadcast_to(values, (len(rates), code.n + 1, width))
     pool, draws = _pooled_draws(code.n, rates, samples, seed)
     masks = pool.tolist()
     sizes = np.array([t.bit_count() for t in masks], dtype=np.intp)
-    pooled = cells[sizes, sizes - [rank_of_columns(code, t) for t in masks]].astype(np.float64)
-    return [_mean_stderr(pooled[i]) for i in draws]
+    deficits = sizes - [rank_of_columns(code, t) for t in masks]
+    return [_mean_stderr(cells[i, sizes[d], deficits[d]].astype(np.float64)) for i, d in enumerate(draws)]
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,33 @@ def _layer_sums(n: int, table: np.ndarray) -> np.ndarray:
 
 def layer_expectations(rates: Sequence[float], layers: np.ndarray) -> list[float]:
     """E over T ~ lam of a table given by its layer sums L_k, k = 0..n, at
-    every rate lam of the grid: the one layer average.  One size_weights
-    matrix, then one dot product per rate over the layers of nonzero weight,
-    so that an infinite table entry in a layer of probability zero cannot
-    make the sum NaN; each value has the bits of a one-rate call (a single
-    matrix product would move some)."""
+    every rate lam of the grid: the one layer average.  `layers` is one row
+    L for every rate, or one row per rate, shape (len(rates), n + 1).
+
+    One size_weights matrix and one pass over the grid: the terms w_k L_k,
+    0 where w_k = 0, so that an infinite table entry in a layer of
+    probability zero cannot make the sum NaN, each row summed correctly
+    rounded (:func:`_exact_row_sums`).  So each value is that of a one-rate
+    call, whatever the rest of the grid."""
     column = np.asarray(rates, dtype=np.float64)[:, None]
-    return [float(w[w > 0.0] @ layers[w > 0.0]) for w in size_weights(layers.shape[0] - 1, column)]
+    w = size_weights(layers.shape[-1] - 1, column)
+    terms = np.multiply(w, layers, out=np.zeros(np.broadcast_shapes(w.shape, layers.shape)), where=w > 0.0)
+    return _exact_row_sums(terms)
+
+
+def _exact_row_sums(terms: np.ndarray) -> list[float]:
+    """The sum of each row of a 2-D array, correctly rounded (math.fsum), so
+    it does not depend on the order of the terms.  A row with both inf and
+    -inf, or whose partial sums pass the double range, where math.fsum
+    raises, gets np.sum of its terms instead: nan or +-inf."""
+    out = []
+    for row in terms.tolist():
+        try:
+            out.append(math.fsum(row))
+        except (ValueError, OverflowError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out.append(float(np.sum(row)))
+    return out
 
 
 def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
@@ -485,8 +505,8 @@ def _subset_sweep(
     `masks`, or for every mask in mask order when `masks` is None.
 
     Both modes make one rows call.  Exact mode asks for every mask and
-    reduces each point's row to layer sums, so each point costs one
-    :func:`layer_expectations` call over its eps rates.  Monte Carlo mode
+    reduces each point's row to layer sums, one row per (point, eps), for
+    one :func:`layer_expectations` call over every rate.  Monte Carlo mode
     asks for the masks of one draw of every rate (:func:`_pooled_draws`);
     each estimate's mean and standard error then come from its own masks'
     values in sample order, as subset_expectation_mc takes them.
@@ -495,9 +515,8 @@ def _subset_sweep(
     rates = [(1.0 - 2.0 * eps) ** r for _, r in points for eps in eps_grid]
     estimates = []  # (mean, standard error) per (point, eps), point-major
     if rates and mode == "exact":
-        for j, row in enumerate(rows(None)):
-            means = layer_expectations(rates[j * width : (j + 1) * width], _layer_sums(f.n, row))
-            estimates += [(mean, 0.0) for mean in means]
+        layers = np.repeat([_layer_sums(f.n, row) for row in rows(None)], width, axis=0)
+        estimates = [(mean, 0.0) for mean in layer_expectations(rates, layers)]
     elif rates:
         pool, draws = _pooled_draws(f.n, rates, samples, seed)
         values = rows(pool)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Mapping, Sequence
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import deficiency_expectation, gf2_rref
 from .codes import parse_bit_matrix, LinearCode
-from .inequalities import GapReport, LN2, _require_mode
+from .inequalities import GapReport, LN2, _exact_row_sums, _require_mode
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ class TuttePolynomial:
         return int(self.evaluate(1, 1))
 
 
+@cache
 def _expansion(m: int) -> np.ndarray:
     """P[i, a] = C(i, a) (-1)^(i - a) for i, a <= m, as Python ints: row i
-    holds the coefficients of (x - 1)^i."""
-    return np.array(
-        [[comb(i, a) * (-1) ** (i - a) for a in range(m + 1)] for i in range(m + 1)], dtype=object
-    )
+    holds the coefficients of (x - 1)^i.  Built once per m, read-only."""
+    out = np.array([[comb(i, a) * (-1) ** (i - a) for a in range(m + 1)] for i in range(m + 1)], dtype=object)
+    out.flags.writeable = False
+    return out
 
 
 def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
@@ -93,8 +94,7 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
     With C[i, j] the number of subsets of corank i and nullity j, the sum
     of C[i, j] (x - 1)^i (y - 1)^j has the coefficients P_k^T C P_(n-k)
     (:func:`_expansion`), multiplied out in Python ints.  The monomials are
-    listed by the power of y, then of x, the order in which tutte_sweep
-    sums them."""
+    listed by the power of y, then of x."""
     k, n = m.k, m.n
     hist = m.row_space_code.histogram
     corank, nullity = np.ogrid[: k + 1, : n - k + 1]
@@ -159,6 +159,9 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
     sum of c_ij p^(k-i) (1-p)^(n-k-j) (1+p)^j and
     sum of c_ij j t^(k+1-i) (1-t)^(n-k-j), whose exponents are nonnegative
     (i <= k, j <= n - k), so no power of 1/p overflows however small p is.
+    Each form takes one array of terms, a row per p, and each row is summed
+    correctly rounded, as the layer averages are
+    (:func:`cubenoise.inequalities.layer_expectations`).
     The report's gap is the inequality restated through the Tutte forms; the
     params carry the relative residuals of each identity against the
     histogram averages (one call per side for the grid), each held to the
@@ -170,15 +173,22 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
     inner = [(p, t) for p, t in zip(p_grid, rates) if 0.0 < p < 1.0]
     mgfs = deficiency_expectation(code, [p for p, _ in inner], np.exp2(np.arange(n - k + 1)))
     means = deficiency_expectation(code, [t for _, t in inner])
+    coeffs = m.tutte.coeffs
+    i, j = np.array(list(coeffs), dtype=np.intp).reshape(-1, 2).T
+    c = np.array([float(v) for v in coeffs.values()])
+    cj = np.array([float(v * b) for (_, b), v in coeffs.items()])
+    ps = np.array([p for p, _ in inner])[:, None]
+    ts = np.array([t for _, t in inner])[:, None]
+    mgf_terms = c * ps ** (k - i) * (1 - ps) ** (n - k - j) * (1 + ps) ** j
+    drv_terms = cj * ts ** (k + 1 - i) * (1 - ts) ** (n - k - j)
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
     out = []
-    for (p, t), (mgf, _), (mean, _) in zip(inner, mgfs, means):
-        terms = m.tutte.coeffs.items()
-        mgf_tutte = sum(c * p ** (k - i) * (1 - p) ** (n - k - j) * (1 + p) ** j for (i, j), c in terms)
-        drv_tutte = sum(c * j * t ** (k + 1 - i) * (1 - t) ** (n - k - j) for (i, j), c in terms)
+    for (p, t), (mgf, _), (mean, _), mgf_tutte, drv_tutte in zip(
+        inner, mgfs, means, _exact_row_sums(mgf_terms), _exact_row_sums(drv_terms)
+    ):
         mgf_residual = rel(mgf, mgf_tutte)
         deficiency_residual = rel(mean, drv_tutte)
         params = {
@@ -208,26 +218,29 @@ def tail_sweep(m: BinaryMatroid, p_grid: Sequence[float], delta_grid: Sequence[f
     (:func:`mu_curve`), which is reported, never asserted; written with y it
     has no p^2 to underflow and no square of a huge delta to overflow.  The
     means E over t of d and mu(p) take one deficiency_expectation call each
-    for the whole grid, and each (p, delta) one call on its own threshold."""
+    for the whole grid, and the probabilities one more, its indicator
+    values one table per (p, delta) threshold."""
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     for delta in delta_grid:
         if not delta >= 0:
             raise ValueError(f"threshold offset must be >= 0, got {delta}")
     code = m.row_space_code
-    deficiency = np.arange(code.n - code.k + 1)
     positive = [(p, t) for p, t in zip(p_grid, rates) if p != 0.0]
     means = deficiency_expectation(code, [t for _, t in positive])
     mus = deficiency_expectation(code, [p for p, _ in positive])
+    cases = [(p, t, mean_t + delta, mu_p, delta)
+             for (p, t), (mean_t, _), (mu_p, _) in zip(positive, means, mus) for delta in delta_grid]
+    thresholds = np.array([threshold for _, _, threshold, _, _ in cases])
+    indicators = np.arange(code.n - code.k + 1) >= thresholds[:, None, None]  # a row over d per case
+    probs = deficiency_expectation(code, [p for p, *_ in cases], indicators)
     out = []
-    for (p, t), (mean_t, _), (mu_p, _) in zip(positive, means, mus):
-        for delta in delta_grid:
-            ((prob, _),) = deficiency_expectation(code, [p], deficiency >= mean_t + delta)
-            bound = 2.0**-delta
-            y = (t - p) * (mu_p / p) + delta
-            comparator = math.exp(-2.0 * y * y / m.n)
-            params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta,
-                      "threshold": mean_t + delta, "note": f"bounded_diff={comparator!r}"}
-            out.append(GapReport("tail", prob, bound, params))
+    for (p, t, threshold, mu_p, delta), (prob, _) in zip(cases, probs):
+        bound = 2.0**-delta
+        y = (t - p) * (mu_p / p) + delta
+        comparator = math.exp(-2.0 * y * y / m.n)
+        params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": "exact", "delta": delta,
+                  "threshold": threshold, "note": f"bounded_diff={comparator!r}"}
+        out.append(GapReport("tail", prob, bound, params))
     return out
 
 

@@ -35,6 +35,11 @@ def mean_deficiency(hist, t):
     return histogram_average(hist, t, lambda s, d: d)
 
 
+def tail_probability(hist, p, threshold):
+    """P over S ~ p of d(S) >= threshold."""
+    return histogram_average(hist, p, lambda s, d: int(d >= threshold))
+
+
 def tutte_mgf(coeffs, k, n, p):
     """The matroid mgf by the Tutte form p^k (1-p)^(n-k) T(1/p, (1+p)/(1-p)),
     summed as sum of c_ij p^(k-i) (1-p)^(n-k-j) (1+p)^j, for 0 < p < 1."""

@@ -36,13 +36,23 @@ from cubenoise.inequalities import (
 from cubenoise.matroids import subset_rate_for
 
 
+def masked_fsum(w, layers):
+    """math.fsum of the terms w_k L_k over the layers of nonzero weight, or
+    np.sum of those terms where math.fsum raises (inf + -inf, or a sum past
+    the double range)."""
+    terms = [float(a * b) for a, b in zip(w, layers) if a > 0.0]
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(terms))
+
+
 def layer_expectation(lam, layers):
     """E over T ~ lam of a table given by its layer sums L_k, k = 0..n: its
-    own size_weights(n, lam), dotted with L over the layers of nonzero
-    weight.  The one-rate case of inequalities.layer_expectations."""
-    w = size_weights(layers.shape[0] - 1, lam)
-    used = w > 0.0
-    return float(w[used] @ layers[used])
+    own size_weights(n, lam), then masked_fsum with L.  The one-rate case of
+    inequalities.layer_expectations."""
+    return masked_fsum(size_weights(layers.shape[0] - 1, lam), layers)
 
 
 def deficiency_mean(code, lam, values=None, mode="exact", samples=20000, seed=0):
@@ -363,12 +373,11 @@ def graph_inequality_gap(g, p, mode="exact", samples=20000, seed=0):
 
 def mean_deficiency(m, p):
     """mu(p) of matroids.mu_curve at one p, by its own size weights
-    p^k (1-p)^(n-k) and one masked dot product with the layer sums."""
+    p^k (1-p)^(n-k) and masked_fsum with the layer sums."""
     hist = m.row_space_code.histogram
     layers = (hist * np.arange(hist.shape[1])).sum(axis=1)
     k = np.arange(m.n + 1)
-    w = np.power(p, k) * np.power(1.0 - p, m.n - k)
-    return float(w[w > 0.0] @ layers[w > 0.0])
+    return masked_fsum(np.power(p, k) * np.power(1.0 - p, m.n - k), layers)
 
 
 def point_indicator(n, point=0, scale=None):

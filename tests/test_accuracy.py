@@ -16,9 +16,13 @@ from conftest import C5, random_multigraph_with_loops
 from cubenoise import cube
 from cubenoise.codes import deficiency_expectation
 from cubenoise.cube import log_lq_norms
-from cubenoise.matroids import subset_rate_for, tutte_sweep
+from cubenoise.matroids import mu_curve, subset_rate_for, tail_sweep, tutte_sweep
 
 P_GRID = (0.0, 1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0)
+
+# the mean curve's grid in a matroid report, and the benchmark's deltas
+MU_GRID = np.linspace(0.0, 1.0, 101)
+DELTA_GRID = (0.5, 1.0, 2.0)
 
 # the exponents the power chains of cube._power serve, and one pow exponent
 NORM_Q = (1.1, 1.5, 2.5, 3.0, 4.0, 8.0)
@@ -26,10 +30,12 @@ NORM_Q = (1.1, 1.5, 2.5, 3.0, 4.0, 8.0)
 # column -> its budget: a relative error, but for the lhs, which prints a
 # log2, the absolute error of the log2
 BUDGETS = {
-    "deficiency_expectation E_p 2^d": 8.4e-16,
-    "deficiency_expectation E_t d": 8.5e-16,
-    "tutte_sweep lhs": 1.4e-15,
-    "tutte_sweep rhs": 4.7e-16,
+    "deficiency_expectation E_p 2^d": 7.0e-16,
+    "deficiency_expectation E_t d": 6.6e-16,
+    "tutte_sweep lhs": 1.35e-15,
+    "tutte_sweep rhs": 3.5e-16,
+    "mu_curve": 7.9e-16,
+    "tail_sweep probability": 5.5e-16,
     "log_lq_norms q=1.1": 1.6e-16,
     "log_lq_norms q=1.5": 3.3e-16,
     "log_lq_norms q=2.5": 1.2e-16,
@@ -64,6 +70,13 @@ def worst_errors(corpus):
             exact_mgf, exact_mean = precise.matroid_mgf(hist, p), precise.mean_deficiency(hist, t)
             errors["deficiency_expectation E_p 2^d"].append(precise.relative_error(mgf, exact_mgf))
             errors["deficiency_expectation E_t d"].append(precise.relative_error(mean, exact_mean))
+        for p, mu in mu_curve(m, MU_GRID):
+            errors["mu_curve"].append(precise.relative_error(mu, precise.mean_deficiency(hist, p)))
+        for rep in tail_sweep(m, P_GRID, DELTA_GRID):
+            p, threshold = rep.params["eps_or_lambda"], rep.params["threshold"]
+            errors["tail_sweep probability"].append(
+                precise.relative_error(rep.lhs, precise.tail_probability(hist, p, threshold))
+            )
         for rep in tutte_sweep(m, P_GRID):
             p, t = rep.params["eps_or_lambda"], rep.params["t"]
             mgf = precise.tutte_mgf(m.tutte.coeffs, m.k, m.n, p)

@@ -314,6 +314,22 @@ def test_deficiency_expectation_grid_is_per_rate_oracle(code, rates, seed, kind)
         assert got == [deficiency_mean(code, lam, values, mode, MC_SAMPLES, seed) for lam in rates]
 
 
+@SETTINGS
+@given(codes(), st.lists(RATES, max_size=6), SEEDS, st.sampled_from(["row", "table"]))
+def test_deficiency_expectation_per_rate_values_are_one_rate_calls(code, rates, seed, kind):
+    # values with a leading rate axis, a row or a whole table per rate (the
+    # tail indicators are rows): each rate's mean, in both modes, is bit for
+    # bit its one-rate reference with its own values
+    rates = [0.0, 1.0, *rates, *rates[:2]]
+    width = code.n - code.k + 1
+    rows = code.n + 1 if kind == "table" else 1
+    values = np.random.default_rng(seed).random((len(rates), rows, width))
+    for mode in ("exact", "mc"):
+        got = deficiency_expectation(code, rates, values, mode, MC_SAMPLES, seed)
+        want = [deficiency_mean(code, lam, table, mode, MC_SAMPLES, seed) for lam, table in zip(rates, values)]
+        assert got == want
+
+
 @pytest.mark.parametrize("code", [reed_muller(1, 7), LinearCode(70, ((1 << 70) - 1, 0b1011 << 60, 0b111))])
 def test_mc_deficiency_expectation_grid_past_64_coordinates(code):
     rates = (0.0, 0.5, 0.9, 1.0, 0.5)

@@ -22,6 +22,7 @@ from cubenoise.inequalities import (
     noise_rate,
     noisy_entropy_sweep,
     r_exponent,
+    size_weights,
     subset_expectation_mc,
     subset_rate,
     two_point_gap,
@@ -153,6 +154,68 @@ def test_layer_expectations_skip_infinite_layers_of_weight_zero():
     rates = (0.0, 1e-300, 1.0, 0.5)
     got = layer_expectations(rates, layers)
     assert got == [2.0, 2.0, 3.0, math.inf] == [layer_expectation(lam, layers) for lam in rates]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.array(a).view(np.uint64), np.array(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 22, 200])
+def test_layer_expectations_are_their_one_rate_calls(n):
+    # every value of a grid call is that of the call at its rate alone, bit
+    # for bit: with one row of layers for every rate, and with a row per rate
+    rng = np.random.default_rng(n)
+    layers = rng.normal(size=n + 1) * np.exp2(rng.integers(-40, 40, size=n + 1))
+    rows = rng.normal(size=(len(GRID_RATES), n + 1)) * np.exp2(rng.integers(-40, 40, size=(len(GRID_RATES), n + 1)))
+    got = layer_expectations(GRID_RATES, layers)
+    assert same_bits(got, [layer_expectations([lam], layers)[0] for lam in GRID_RATES])
+    got = layer_expectations(GRID_RATES, rows)
+    assert same_bits(got, [layer_expectations([lam], row)[0] for lam, row in zip(GRID_RATES, rows)])
+    assert same_bits(got, [layer_expectation(lam, row) for lam, row in zip(GRID_RATES, rows)])
+    assert layer_expectations([], rows[:0]) == []
+
+
+# layer rows with infinite or nan layers of nonzero weight; math.fsum raises
+# ValueError on the first
+NONFINITE_LAYERS = {
+    "inf-inf": [1.0, math.inf, -math.inf, 2.0],
+    "inf": [1.0, math.inf, 3.0, math.inf],
+    "-inf": [-math.inf, 0.0, 1e308, 1e308],
+    "nan": [1.0, math.nan, math.inf, 2.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_LAYERS))
+def test_layer_expectations_nonfinite_rows_take_np_sum(case):
+    # such a row gives np.sum of its terms, nan or +-inf, and raises nothing;
+    # with one row of layers for every rate, and among finite per-rate rows
+    layers = np.array(NONFINITE_LAYERS[case])
+    w = size_weights(3, 0.5)
+    with np.errstate(invalid="ignore"):
+        want = float(np.sum(w * layers))
+    assert not math.isfinite(want)
+    assert same_bits(layer_expectations([0.5, 0.5], layers), [want, want])
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], layers, [0.5, 0.0, 0.0, 0.25]])
+    got = layer_expectations([0.5, 0.5, 0.5], rows)
+    assert same_bits(got, [1.25, want, 0.09375])
+    assert same_bits(got, [layer_expectation(0.5, row) for row in rows])
+
+
+def test_exact_row_sums_past_the_double_range_take_np_sum():
+    # math.fsum raises OverflowError once a partial sum of finite terms passes
+    # the double range, even where the exact sum comes back into it; such a
+    # row gets np.sum of its terms.  (A layer average cannot get here: its
+    # weights sum to at most 1.)
+    terms = np.array([
+        [1.5e308, 1.5e308, 1.0],
+        [1.5e308, 1.5e308, -1.5e308],
+        [-1.5e308, -1.5e308, 1.0],
+        [1.0, 2.0**-60, -1.0],
+    ])
+    with np.errstate(over="ignore"):
+        want = [float(np.sum(row)) for row in terms[:3]]
+    assert want == [math.inf, math.inf, -math.inf]
+    assert same_bits(inequalities._exact_row_sums(terms), want + [2.0**-60])
 
 
 @pytest.mark.parametrize("n", [0, 5, 63, 64, 65, 130])

@@ -6,6 +6,7 @@ import pytest
 from references import bounded_diff_tail, connected_components, dump_graph, matroid_rank
 from references import table_masks
 
+from cubenoise import matroids
 from cubenoise.codes import deficiency_table
 from cubenoise.matroids import (
     BinaryMatroid,
@@ -116,6 +117,16 @@ def test_tutte_triangle():
     poly = tutte_polynomial(K3.matroid)
     assert dict(poly.coeffs) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
     assert poly.basis_count() == 3
+
+
+def test_expansion_is_built_once_and_read_only():
+    # row i holds the coefficients of (x - 1)^i; every Tutte expansion of a
+    # given size shares the one array, which no caller can write
+    p = matroids._expansion(4)
+    assert p is matroids._expansion(4)
+    assert p.tolist()[3] == [-1, 3, -3, 1, 0]
+    with pytest.raises(ValueError):
+        p[0, 0] = 2
 
 
 def test_tutte_counts_subsets_and_bases():
