@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
-from .cube import _entropy_from_sums, _pairwise_order, _plogp, dimension_cap, popcounts
+from .cube import _entropy_from_sums, _pairwise_order, _plogp, dimension_cap
 from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, enum_cap, layer_expectations, noise_rate
 
 _DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
@@ -193,21 +193,41 @@ class LinearCode:
         int64 array, from one :func:`deficiency_table` (which is not kept).
 
         N does not change when the coordinates are relabelled, so the table's
-        own order serves.  It is reduced in blocks of 2^15 masks: a block's
-        masks share their high bits, so |T| is the popcount of those plus
-        that of the low bits, and one bincount of (n-k+1) |low| + d per block
-        adds into the rows from the high popcount up.  No 2^n key is built."""
+        own order serves.  It is read in blocks of 2^15 masks through a view
+        of twice its item width, one element per pair T, T + 1 with T even:
+        d(T) in the low half, d(T + 1) in the high half.  A block's masks
+        share their high bits, so |T| is the popcount of those plus that of
+        the pair's index in the block, and |T + 1| = |T| + 1.  Each pair
+        gets one key, popcount(index) W^2 + d(T) W + d(T + 1) with
+        W = n - k + 1, and each block one bincount, added up over the blocks
+        of each high popcount; two sums over the (bits, W, W) shape of those
+        counts give the rows of the even and of the odd masks.  No 2^n key
+        is built."""
         n, width = self.n, self.n - self.k + 1
         table = deficiency_table(self)  # checks the cap before any 2^n array
         bits = min(n, _REDUCE_BITS)
-        low = popcounts(bits) * width
+        half = 8 * table.itemsize
+        pairs = table.view(f"<u{2 * table.itemsize}")
+        block = 1 << (bits - 1)
+        cells = bits * width * width
+        low = np.arange(block, dtype=pairs.dtype)
+        np.bitwise_count(low, out=low)
+        low *= width * width
         keys = np.empty_like(low)
+        sums = np.zeros((n - bits + 1, cells), dtype=np.int64)
+        for high, first in enumerate(range(0, pairs.size, block)):
+            # (d0 + d1 2^half)(W 2^half + 1) = d0 + (d0 W + d1) 2^half modulo
+            # 2^(2 half), and d0 W + d1 < 2^half as d <= n - k <= half
+            np.multiply(pairs[first : first + block], (width << half) + 1, out=keys)
+            keys >>= half
+            keys += low
+            sums[high.bit_count()] += np.bincount(keys, minlength=cells)
+        sums = sums.reshape(-1, bits, width, width)
+        even, odd = sums.sum(axis=3), sums.sum(axis=2)
         hist = np.zeros((n + 1, width), dtype=np.int64)
-        for high, first in enumerate(range(0, 1 << n, 1 << bits)):
-            np.add(low, table[first : first + (1 << bits)], out=keys)
-            size = high.bit_count()
-            block = np.bincount(keys, minlength=(bits + 1) * width)
-            hist[size : size + bits + 1] += block.reshape(bits + 1, width)
+        for size in range(len(sums)):
+            hist[size : size + bits] += even[size]
+            hist[size + 1 : size + bits + 1] += odd[size]
         hist.setflags(write=False)
         return hist
 
@@ -334,9 +354,11 @@ def scaled_indicator(code: LinearCode) -> CubeFunction:
 # subset rank-deficiency machinery
 # ---------------------------------------------------------------------------
 
-_COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+# little-endian, so that LinearCode.histogram's view of twice the width holds
+# d(T) in its low half on any host
+_COUNT_DTYPES = tuple(np.dtype(f"<u{size}") for size in (1, 2, 4))
 # LinearCode.histogram reduces the deficiency table in blocks of 2^_REDUCE_BITS
-# masks, so each block's keys and counts stay in cache
+# masks (2^14 pairs), so each block's keys and bincount stay in cache
 _REDUCE_BITS = 15
 
 
@@ -351,7 +373,7 @@ def _table_order(code: LinearCode) -> tuple[int, ...]:
 
 
 @cache
-def _containment(bits: int, dtype: type) -> np.ndarray:
+def _containment(bits: int, dtype: np.dtype) -> np.ndarray:
     """U[r, t] = [r is contained in t] for masks r, t < 2^bits, and one more
     row r = 2^bits of zeros, as `dtype` (read-only, built on first use: 16 KiB
     as uint8 at 7 bits)."""
@@ -363,24 +385,31 @@ def _containment(bits: int, dtype: type) -> np.ndarray:
 
 
 def deficiency_table(code: LinearCode) -> np.ndarray:
-    """|T| - rank(T) for every mask T of the relabelled coordinates, as
-    uint8: bit j of a mask is coordinate :func:`_table_order` (code)[j].
-    Relabelling leaves the histogram of (|T|, d) unchanged.
+    """|T| - rank(T) for every mask T of the relabelled coordinates, in the
+    little-endian unsigned dtype its counts took (below): bit j of a mask is
+    coordinate :func:`_table_order` (code)[j].  Relabelling leaves the
+    histogram of (|T|, d) unchanged.
 
     The deficiency equals the log2-count of dual codewords contained in T,
     so a subset-zeta transform of the dual indicator yields the whole table
     in O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
-    least n - k bits (uint8 up to n - k = 8, uint16 up to 16).  The low
-    b = min(7, k) bits hold independent coordinates, so each high part h of
-    a mask holds at most one dual codeword w, and the zeta over the low bits
-    (the levels :func:`_zeta` would run on transposed blocks) is one gather
-    of rows: row h of the table, as 2^b columns, is row w & (2^b - 1) of
-    :func:`_containment`, or zeros where there is no w.  :func:`_zeta` runs
-    the levels from b up in place.  Reports reduce the table at once to the
-    code's :attr:`LinearCode.histogram` and do not keep it.  The enumeration
-    cap is checked here, before any 2^n table is built.
+    least n - k bits (uint8 up to n - k = 8, uint16 up to 16, uint32 up to
+    32; the cap on n stops at 32).  The low b = min(7, k) bits hold
+    independent coordinates, so each high part h of a mask holds at most one
+    dual codeword w, and the zeta over the low bits (the levels :func:`_zeta`
+    would run on transposed blocks) is one gather of rows: row h of the
+    table, as 2^b columns, is row w & (2^b - 1) of :func:`_containment`, or
+    zeros where there is no w.  :func:`_zeta` runs the levels from b up in
+    place.  2^d - 1 has exactly d one bits, and they are counted in place a
+    byte at a time: numpy's np.bitwise_count has no fast 16-bit loop (numpy
+    2.4: 0.56 ms on 2^19 values as uint16, 0.19 ms as uint32, 0.03 ms as
+    uint8), and one multiply by 0x01...01 and one shift add a word's byte
+    counts into its top byte and bring them down, so no second 2^n array is
+    made.  Reports reduce the table at once to the code's
+    :attr:`LinearCode.histogram` and do not keep it.  The enumeration cap is
+    checked here, before any 2^n table is built.
     """
-    n, cap = code.n, max(enum_cap(), 0)
+    n, cap = code.n, min(max(enum_cap(), 0), 32)
     if n > cap:
         raise ValueError(f"deficiency table capped at n={cap}, got {n}")
     order = _table_order(code)
@@ -389,9 +418,8 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     words = codeword_masks(LinearCode(n, tuple(map(relabel, code.dual.generator))))
     # the count at T is 2^d(T) with d(T) <= n - k; counting modulo 2^bits in
     # the narrowest unsigned dtype with n - k <= bits keeps 2^d - 1 exact
-    # (2^bits wraps to 0, and 0 - 1 is 2^bits - 1), and 2^d - 1 has exactly
-    # d one bits
-    dtype = next(t for t in _COUNT_DTYPES if n - code.k <= np.iinfo(t).bits)
+    # (2^bits wraps to 0, and 0 - 1 is 2^bits - 1)
+    dtype = next(t for t in _COUNT_DTYPES if n - code.k <= 8 * t.itemsize)
     # lows[h]: the low part of the dual codeword whose high part is h, or
     # 2^b (the zero row) where there is none
     high = np.right_shift(words, b, out=np.empty(words.shape, np.intp), casting="unsafe")
@@ -402,7 +430,12 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     counts = _containment(b, dtype).take(lows, axis=0).reshape(-1)
     _zeta(counts, b)
     counts -= 1
-    return np.bitwise_count(counts)
+    octets = counts.view(np.uint8)
+    np.bitwise_count(octets, out=octets)
+    if counts.itemsize > 1:  # the byte counts are at most 32, so no carry
+        counts *= np.iinfo(dtype).max // 255
+        counts >>= 8 * counts.itemsize - 8
+    return counts
 
 
 def deficiency_expectation(

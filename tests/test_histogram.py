@@ -4,6 +4,7 @@ indicator and its cube-order sums match the noise operator and numpy's sum on
 the whole cube, bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,12 @@ def code_of_dimension(n, k, seed):
     return LinearCode(n, tuple(rows))
 
 
+def count_dtype(code):
+    """The narrowest little-endian unsigned dtype of at least n - k bits, in
+    which the deficiency table counts 2^d and then holds d."""
+    return np.dtype(f"<u{next(size for size in (1, 2, 4) if code.n - code.k <= 8 * size)}")
+
+
 # deficiency tables count 2^d in the narrowest unsigned dtype of at least
 # n - k bits: codes on both sides of the uint8/uint16 and uint16/uint32
 # switches, with k = 0 (d(T) = |T|, the largest counts) among them
@@ -140,7 +147,7 @@ def code_of_dimension(n, k, seed):
 def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
     code = code_of_dimension(n, k, 40 * n + k)
     table = deficiency_table(code)
-    assert table.dtype == np.uint8
+    assert table.dtype == count_dtype(code)
     full = (1 << n) - 1
     masks = np.random.default_rng(n).integers(0, 1 << n, 2000)
     for t in (0, full, *map(int, masks)):
@@ -160,7 +167,7 @@ def check_table_and_histogram(code):
     else:
         defs, want = plain_zeta_table(code), plain_zeta_histogram(code)
     table = deficiency_table(code)
-    assert table.dtype == np.uint8
+    assert table.dtype == count_dtype(code)
     assert np.array_equal(table[table_masks(code, np.arange(1 << n))], defs)
     assert np.array_equal(code.histogram, want)
     # the low min(7, k) bits of the table's masks are independent coordinates
@@ -170,13 +177,33 @@ def check_table_and_histogram(code):
 
 # min(7, k) zeta levels come from the containment table (none at k = 0, all
 # seven from k = 7), and n - k = 8, 9, 16, 17 are the uint8/uint16/uint32
-# count edges
+# count edges.  The histogram reads the table in pairs of masks, 2^14 pairs
+# a block: (1, 1) is one pair with one deficiency, (2, 0) and (3, 1) a block
+# of two and four pairs, (13, 5) an odd n in one block, (15, 7) one full
+# block, (16, 7) two blocks, and (19, 2) uint32 counts over sixteen blocks
 @pytest.mark.parametrize("n,k", [
     (8, 0), (9, 0), (16, 0), (17, 0), (11, 3), (12, 3), (19, 3), (20, 3),
     (14, 6), (15, 6), (15, 7), (16, 7), (16, 8), (17, 8), (17, 9), (18, 9),
+    (1, 1), (2, 0), (3, 1), (13, 5), (19, 2),
 ])
 def test_relabelled_table_and_histogram_match_the_oracles(n, k):
     check_table_and_histogram(code_of_dimension(n, k, 50 * n + k))
+
+
+def test_histogram_of_a_20_10_code_peaks_below_2_5_mib():
+    # the uint16 counts (2 MiB) end up holding d themselves, and the pair
+    # reduction's block buffers are 2^14 elements: 2.38 MiB measured; a
+    # uint8 popcount of the counts took 1 MiB more
+    rng = np.random.default_rng(20)
+    code = LinearCode(20, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 20, 10)), 20)[1]))
+    assert code.k == 10
+    tracemalloc.start()
+    try:
+        code.histogram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("n,k", [(12, 5), (16, 9)])

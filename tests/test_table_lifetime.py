@@ -93,8 +93,9 @@ def test_graph_report_of_rank_seven_builds_one_table_from_one_listing(
 
 
 def test_histogram_of_a_22_11_code_peaks_below_16_mib():
-    # the uint16 counts (8 MiB) and the uint8 table (4 MiB); a 2^22 int64
-    # key took 32 MiB more
+    # the uint16 counts (8 MiB), which end up holding d themselves: 8.4 MiB
+    # measured; a uint8 popcount of the counts took 4 MiB more, and a 2^22
+    # int64 key 32 MiB more
     rng = np.random.default_rng(22)
     code = LinearCode(22, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 22, 11)), 22)[1]))
     assert code.k == 11
@@ -258,8 +259,9 @@ def test_tables_are_freed_with_their_object():
 
 
 def test_histogram_peak_memory_below_ten_bytes_a_mask():
-    # uint16 counts and a uint8 table, 3 bytes a mask; an int64 key per mask
-    # made it 9, and int32 counts with an int64 table and key 16
+    # uint16 counts that end up holding d, 2 bytes a mask (3 with a uint8
+    # popcount of the counts); an int64 key per mask made it 9, and int32
+    # counts with an int64 table and key 16
     n, k = 18, 9
     rng = np.random.default_rng(18)
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
