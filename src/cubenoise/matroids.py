@@ -117,6 +117,14 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
 # inequality, identity and tail sweeps
 # ---------------------------------------------------------------------------
 
+def _log2_of_one_plus(x: float) -> float:
+    """log2(1 + x) for x >= 0, the printed lhs of an mgf 1 + x: log1p(x) / ln 2
+    below 1, where 1 + x would round away the digits of a small x, and log2
+    of 1 + x from 1 up, where it rounds closer than log1p over ln 2 does
+    (and 2^m - 1 gives m exactly)."""
+    return math.log1p(x) / LN2 if x < 1.0 else math.log2(1.0 + x)
+
+
 def deficiency_sweep(
     m: BinaryMatroid,
     p_grid: Sequence[float],
@@ -131,16 +139,19 @@ def deficiency_sweep(
     Both sides are averages over the row-space code's (size, deficiency)
     cells (:func:`cubenoise.codes.deficiency_expectation`), in either mode,
     one call per side for the whole grid; mc mode draws the rhs with
-    seed + 1."""
+    seed + 1.  The mgf is within O(p) of 1 at small p, so the lhs is
+    log2(1 + E 2^d - 1) (:func:`_log2_of_one_plus`) of the average of
+    2^d - 1 (exact for every d), not log2 of an average that has already
+    rounded away most of its excess over 1."""
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     _require_mode(mode)
     code = m.row_space_code
-    mgf_values = np.exp2(np.arange(code.n - code.k + 1))
-    mgfs = deficiency_expectation(code, p_grid, mgf_values, mode, samples, seed)
+    excess_values = np.exp2(np.arange(code.n - code.k + 1)) - 1.0
+    excesses = deficiency_expectation(code, p_grid, excess_values, mode, samples, seed)
     means = deficiency_expectation(code, rates, None, mode, samples, seed + 1)
     out = []
-    for p, t, (mgf, _), (rhs, stderr) in zip(p_grid, rates, mgfs, means):
-        lhs = math.log2(mgf)
+    for p, t, (excess, _), (rhs, stderr) in zip(p_grid, rates, excesses, means):
+        lhs = _log2_of_one_plus(excess)
         params = {"n": m.n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
                   "samples": samples, "seed": seed, "stderr": stderr}
         out.append(GapReport("deficiency", lhs, rhs, params))
@@ -155,23 +166,29 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
         E over S ~ p of 2^(|S| - r(S)) = p^k (1-p)^(n-k) T(1/p, (1+p)/(1-p))
         E over T ~ t of (|T| - r(T))  = t^(k+1) (1-t)^(n-k-1) dT/dy(1/t, 1/(1-t))
 
-    The prefactors are folded into the terms, as
-    sum of c_ij p^(k-i) (1-p)^(n-k-j) (1+p)^j and
+    The prefactors are folded into the terms, and the mgf is taken less
+    its 1 (the same sum with (1+p)^j replaced by 1), as
+    sum of c_ij p^(k-i) (1-p)^(n-k-j) ((1+p)^j - 1) and
     sum of c_ij j t^(k+1-i) (1-t)^(n-k-j), whose exponents are nonnegative
     (i <= k, j <= n - k), so no power of 1/p overflows however small p is.
+    Every term is >= 0, with (1+p)^j - 1 taken as expm1(j log1p p) for
+    p < 1/2, so the excess over 1 keeps its relative accuracy at small p,
+    and as the power less 1 from p = 1/2 up, where (1+p)^j >= 1.5^j and the
+    power rounds closer; the lhs is log2 of 1 plus the excess as in
+    :func:`deficiency_sweep`.
     Each form takes one array of terms, a row per p, and each row is summed
     correctly rounded, as the layer averages are
     (:func:`cubenoise.inequalities.layer_expectations`).
     The report's gap is the inequality restated through the Tutte forms; the
     params carry the relative residuals of each identity against the
-    histogram averages (one call per side for the grid), each held to the
-    tolerance.
+    histogram averages (one call per side for the grid; the mgf's as the
+    two excesses over 1), each held to the tolerance.
     """
     rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
     k, n = m.k, m.n
     code = m.row_space_code
     inner = [(p, t) for p, t in zip(p_grid, rates) if 0.0 < p < 1.0]
-    mgfs = deficiency_expectation(code, [p for p, _ in inner], np.exp2(np.arange(n - k + 1)))
+    excesses = deficiency_expectation(code, [p for p, _ in inner], np.exp2(np.arange(n - k + 1)) - 1.0)
     means = deficiency_expectation(code, [t for _, t in inner])
     coeffs = m.tutte.coeffs
     i, j = np.array(list(coeffs), dtype=np.intp).reshape(-1, 2).T
@@ -179,17 +196,18 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
     cj = np.array([float(v * b) for (_, b), v in coeffs.items()])
     ps = np.array([p for p, _ in inner])[:, None]
     ts = np.array([t for _, t in inner])[:, None]
-    mgf_terms = c * ps ** (k - i) * (1 - ps) ** (n - k - j) * (1 + ps) ** j
+    growth = np.where(ps < 0.5, np.expm1(j * np.log1p(ps)), (1 + ps) ** j - 1)
+    excess_terms = c * ps ** (k - i) * (1 - ps) ** (n - k - j) * growth
     drv_terms = cj * ts ** (k + 1 - i) * (1 - ts) ** (n - k - j)
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
     out = []
-    for (p, t), (mgf, _), (mean, _), mgf_tutte, drv_tutte in zip(
-        inner, mgfs, means, _exact_row_sums(mgf_terms), _exact_row_sums(drv_terms)
+    for (p, t), (excess, _), (mean, _), excess_tutte, drv_tutte in zip(
+        inner, excesses, means, _exact_row_sums(excess_terms), _exact_row_sums(drv_terms)
     ):
-        mgf_residual = rel(mgf, mgf_tutte)
+        mgf_residual = rel(excess, excess_tutte)
         deficiency_residual = rel(mean, drv_tutte)
         params = {
             "n": n,
@@ -201,7 +219,7 @@ def tutte_sweep(m: BinaryMatroid, p_grid: Sequence[float]) -> list[GapReport]:
             "deficiency_residual": deficiency_residual,
             "note": f"mgf_residual={mgf_residual:.2e};deficiency_residual={deficiency_residual:.2e}",
         }
-        lhs = math.log2(mgf_tutte)
+        lhs = _log2_of_one_plus(excess_tutte)
         budgets = {"mgf_residual": None, "deficiency_residual": None}
         out.append(GapReport("tutte", lhs, drv_tutte, params, budgets))
     return out

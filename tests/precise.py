@@ -56,7 +56,12 @@ def tutte_mean_deficiency(coeffs, k, n, t):
 
 
 def log2(x):
-    """log2 of a positive Fraction, to 50 digits."""
+    """log2 of a positive Fraction, to 50 digits.  Within 1/2 of 1 it is
+    taken as log1p(x - 1) / ln 2, since x rounded to 50 digits would keep
+    too few digits of an excess like 1e-40."""
+    if abs(x - 1) < Fraction(1, 2):
+        excess = x - 1
+        return mpmath.log1p(mpmath.mpf(excess.numerator) / excess.denominator) / mpmath.log(2)
     return mpmath.log(mpmath.mpf(x.numerator) / x.denominator, 2)
 
 
@@ -77,6 +82,14 @@ def log2_error(value, exact):
     """|value - log2(exact)| as a float: the absolute error of a printed log2,
     about the relative error of its argument over ln 2."""
     return float(abs(mpmath.mpf(value) - log2(exact)))
+
+
+def log2_relative_error(value, exact):
+    """|value - log2(exact)| / |log2(exact)| as a float, for a printed log2
+    near 0; 0 when exact is 1 and value is 0, inf when only exact is 1."""
+    if exact == 1:
+        return 0.0 if value == 0 else float("inf")
+    return mp_relative_error(value, log2(exact))
 
 
 def power(x, q):

@@ -16,9 +16,13 @@ from conftest import C5, random_multigraph_with_loops
 from cubenoise import cube
 from cubenoise.codes import deficiency_expectation
 from cubenoise.cube import log_lq_norms
-from cubenoise.matroids import mu_curve, subset_rate_for, tail_sweep, tutte_sweep
+from cubenoise.matroids import deficiency_sweep, mu_curve, subset_rate_for, tail_sweep, tutte_sweep
 
 P_GRID = (0.0, 1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0)
+
+# small p, where the mgf is within O(p) of 1 and the printed lhs, its log2,
+# is near 0: the lhs rows are relative errors there
+SMALL_P = (1e-3, 1e-5)
 
 # the mean curve's grid in a matroid report, and the benchmark's deltas
 MU_GRID = np.linspace(0.0, 1.0, 101)
@@ -28,12 +32,15 @@ DELTA_GRID = (0.5, 1.0, 2.0)
 NORM_Q = (1.1, 1.5, 2.5, 3.0, 4.0, 8.0)
 
 # column -> its budget: a relative error, but for the lhs, which prints a
-# log2, the absolute error of the log2
+# log2, the absolute error of the log2 over P_GRID, and its relative error
+# over SMALL_P, where it is near 0
 BUDGETS = {
     "deficiency_expectation E_p 2^d": 7.0e-16,
     "deficiency_expectation E_t d": 6.6e-16,
     "tutte_sweep lhs": 1.35e-15,
     "tutte_sweep rhs": 3.5e-16,
+    "deficiency_sweep lhs, small p, relative": 7.5e-16,
+    "tutte_sweep lhs, small p, relative": 4.1e-16,
     "mu_curve": 7.9e-16,
     "tail_sweep probability": 5.5e-16,
     "log_lq_norms q=1.1": 1.6e-16,
@@ -83,6 +90,12 @@ def worst_errors(corpus):
             mean = precise.tutte_mean_deficiency(m.tutte.coeffs, m.k, m.n, t)
             errors["tutte_sweep lhs"].append(precise.log2_error(rep.lhs, mgf))
             errors["tutte_sweep rhs"].append(precise.relative_error(rep.rhs, mean))
+        for rep in deficiency_sweep(m, SMALL_P):
+            mgf = precise.matroid_mgf(hist, rep.params["eps_or_lambda"])
+            errors["deficiency_sweep lhs, small p, relative"].append(precise.log2_relative_error(rep.lhs, mgf))
+        for rep in tutte_sweep(m, SMALL_P):
+            mgf = precise.tutte_mgf(m.tutte.coeffs, m.k, m.n, rep.params["eps_or_lambda"])
+            errors["tutte_sweep lhs, small p, relative"].append(precise.log2_relative_error(rep.lhs, mgf))
     return {column: max(values) for column, values in errors.items()}
 
 
