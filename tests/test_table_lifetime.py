@@ -16,7 +16,7 @@ from references import dump_bit_matrix, dump_graph
 
 from cubenoise import codes, inequalities, matroids
 from cubenoise.cli import main
-from cubenoise.codes import LinearCode, f_sweep, gf2_rref
+from cubenoise.codes import LinearCode, deficiency_table, f_sweep, gf2_rref
 from cubenoise.corpus import random_nonneg
 from cubenoise.matroids import BinaryMatroid, Graph, tutte_polynomial
 
@@ -306,3 +306,12 @@ def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # any 2^23-entry table takes 8 MiB or more
+
+
+def test_deficiency_table_stops_at_32_coordinates_whatever_the_cap(monkeypatch):
+    # d(T) <= n - k takes at most 32 bits, the widest count the histogram's
+    # pair view doubles; a 2^33-mask table would take 32 GiB anyway
+    monkeypatch.setenv("CUBENOISE_MAX_ENUM_N", "40")
+    code = LinearCode(33, (1, 2))
+    with pytest.raises(ValueError, match="capped at n=32, got 33"):
+        deficiency_table(code)
