@@ -191,6 +191,22 @@ def test_relabelled_table_and_histogram_match_the_oracles(n, k):
     check_table_and_histogram(code_of_dimension(n, k, 50 * n + k))
 
 
+# numpy 2.0 casts bincount's input to intp only where that is safe, so
+# uint64 keys (the pairs of uint32 tables) would raise there
+@pytest.mark.parametrize("n,k", [(10, 5), (12, 3), (17, 0)])
+def test_histogram_bincount_keys_cast_safely_to_intp(n, k, monkeypatch):
+    code = code_of_dimension(n, k, 60 * n + k)
+    want = plain_zeta_histogram(code)
+    bincount = np.bincount
+
+    def strict(keys, *args, **kwargs):
+        assert np.can_cast(keys.dtype, np.intp, "safe"), keys.dtype
+        return bincount(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", strict)
+    assert np.array_equal(code.histogram, want)
+
+
 def test_histogram_of_a_20_10_code_peaks_below_2_5_mib():
     # the uint16 counts (2 MiB) end up holding d themselves, and the pair
     # reduction's block buffers are 2^14 elements: 2.38 MiB measured; a
