@@ -97,16 +97,34 @@ def require_nonnegative(f: CubeFunction) -> None:
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized Hadamard butterflies in place along the last axis, O(n 2^n)
-    per row: every row of a block gets the adds and subtracts a row alone
-    would, in the same order."""
+    per row, returning `values`: every row of a block gets the adds and
+    subtracts a row alone would, in the same order.
+
+    The levels run in Stockham's self-sorting order.  Each level reads the
+    pairs (2j, 2j+1) of every row and writes a + b to position j and a - b
+    to j + size/2 of the other buffer, so the bit it pairs on moves from the
+    bottom of the index to the top and the next level pairs on the next bit.
+    The levels thus pair bits 0, 1, 2, ... in turn, as the textbook loop that
+    pairs i with i + 2^level in place does, and after log2(size) levels every
+    bit is back in place: each value is the same a + b or a - b of the same
+    operands as that loop's, bit for bit.  Each level is two ufunc calls over
+    stride-2 views, where the loop's low levels run over runs of 1 to 64
+    values.  Besides `values` it holds one scratch buffer of the same size;
+    after an odd number of levels the result is in the scratch buffer and is
+    copied back into `values`.
+    """
     size = values.shape[-1]
+    half = size // 2
+    src, dst = values, np.empty_like(values)
     h = 1
     while h < size:
-        v = values.reshape(values.shape[:-1] + (-1, 2, h))
-        a = v[..., 0, :].copy()
-        v[..., 0, :] = a + v[..., 1, :]
-        v[..., 1, :] = a - v[..., 1, :]
+        pairs = src.reshape(src.shape[:-1] + (half, 2))
+        np.add(pairs[..., 0], pairs[..., 1], out=dst[..., :half])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=dst[..., half:])
+        src, dst = dst, src
         h <<= 1
+    if src is not values:
+        np.copyto(values, src)
     return values
 
 

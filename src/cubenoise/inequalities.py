@@ -242,17 +242,27 @@ def _exact_row_sums(terms: np.ndarray) -> list[float]:
     return out
 
 
-def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
-    """The masks drawn at rate lam for these arguments, in sample order.  One
-    draw would give a standard error of 0, and so decide a verdict alone: at
-    least two are needed.
-
-    Coordinate i + 1 of a draw is bit i of its mask.  The masks are uint64 up
-    to n = 64, so bit 63 is not a sign bit, and Python ints (an object array)
-    past it, joined from one uint64 word per 64 coordinates."""
+def _uniform_draw(n: int, samples: int, seed: int) -> np.ndarray:
+    """The uniforms of one Monte Carlo grid from the seed, samples x n.  Every
+    rate of the grid thresholds this one draw (:func:`_sample_masks`) and gets
+    the masks a draw of its own from the seed would give.  One sample would
+    give a standard error of 0, and so decide a verdict alone: at least two
+    are needed."""
     if samples < 2:
         raise ValueError("need at least two samples: a standard error needs two draws")
-    bits = np.random.default_rng(seed).random((samples, n)) < lam
+    return np.random.default_rng(seed).random((samples, n))
+
+
+def _sample_masks(uniforms: np.ndarray, lam: float) -> np.ndarray:
+    """The masks drawn at rate lam from a :func:`_uniform_draw`, in sample
+    order: coordinate i + 1 of a draw is in its mask when its uniform is
+    below lam.
+
+    Coordinate i + 1 is bit i of the mask.  The masks are uint64 up to
+    n = 64, so bit 63 is not a sign bit, and Python ints (an object array)
+    past it, joined from one uint64 word per 64 coordinates."""
+    samples, n = uniforms.shape
+    bits = uniforms < lam
     words = [
         bits[:, i : i + 64].dot(np.uint64(1) << np.arange(min(n - i, 64), dtype=np.uint64))
         for i in range(0, n, 64)
@@ -268,12 +278,15 @@ def _sample_masks(n: int, lam: float, samples: int, seed: int) -> np.ndarray:
 def _pooled_draws(
     n: int, rates: Sequence[float], samples: int, seed: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The one Monte Carlo draw of a rate grid: (pool, draws).  Each distinct
-    rate draws its masks once, from the same seed; `pool` holds the distinct
-    masks of all of them, ascending, and draws[i] indexes the pool by the
-    masks of rates[i] in sample order.  Callers take h once per pooled mask,
-    and each rate's :func:`_mean_stderr` over its own draws."""
-    drawn = {lam: _sample_masks(n, lam, samples, seed) for lam in dict.fromkeys(rates)}
+    """The one Monte Carlo draw of a rate grid: (pool, draws).  One uniform
+    draw from the seed serves the grid, and each distinct rate thresholds it
+    once; `pool` holds the distinct masks of all of them, ascending, and
+    draws[i] indexes the pool by the masks of rates[i] in sample order.
+    Callers take h once per pooled mask, and each rate's :func:`_mean_stderr`
+    over its own draws."""
+    uniforms = _uniform_draw(n, samples, seed)
+    drawn = {lam: _sample_masks(uniforms, lam) for lam in dict.fromkeys(rates)}
+    del uniforms
     pool = _distinct(np.concatenate(list(drawn.values())))
     index = {lam: np.searchsorted(pool, masks) for lam, masks in drawn.items()}
     return pool, [index[lam] for lam in rates]

@@ -10,7 +10,6 @@ import numpy as np
 from cubenoise.codes import _enumerator_value, _table_order, codeword_masks, gf2_rank, rank_of_columns
 from cubenoise.cube import (
     CubeFunction,
-    _butterfly,
     entropies,
     full_mask,
     log_lq_norms,
@@ -89,6 +88,19 @@ def entropy(f):
 def noise_operator(f, eps):
     """T_eps f at one eps: the one-row case of noise_blocks."""
     return CubeFunction(f.n, next(noise_blocks(f, (eps,)))[0])
+
+
+def loop_butterfly(values):
+    """Hadamard butterflies of one 1-D table in place, a level at a time, in
+    the textbook order: level h pairs i with i + h, for h = 1, 2, 4, ..."""
+    h = 1
+    while h < values.shape[0]:
+        v = values.reshape(-1, 2, h)
+        a = v[:, 0, :].copy()
+        v[:, 0, :] = a + v[:, 1, :]
+        v[:, 1, :] = a - v[:, 1, :]
+        h <<= 1
+    return values
 
 
 def dirichlet_form(f, g):
@@ -201,7 +213,7 @@ def cube_f_value(code, lam, q):
         eps = (1.0 - lam ** (2.0 * LN2)) / 2.0
     else:
         eps = noise_rate(q, lam)
-    noisy = _butterfly((1.0 - 2.0 * eps) ** code.dual.codeword_weights)
+    noisy = loop_butterfly((1.0 - 2.0 * eps) ** code.dual.codeword_weights)
     if q == math.inf:
         return math.log2(float(noisy.max()))
     if q == 1.0:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import dirichlet_form as edge_dirichlet_form
-from references import entropy, noise_operator
+from references import entropy, loop_butterfly, noise_operator
 
 from cubenoise import cube
 from cubenoise.cube import (
@@ -236,16 +236,34 @@ def test_noise_preserves_mean_and_sign():
     assert out.values.min() >= -1e-13
 
 
-def loop_butterfly(values):
-    """Hadamard butterflies of one 1-D table, a level at a time."""
-    h = 1
-    while h < values.shape[0]:
-        v = values.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = a + v[:, 1, :]
-        v[:, 1, :] = a - v[:, 1, :]
-        h <<= 1
-    return values
+def assert_butterfly_in_place(values, want):
+    # the kernel transforms its argument and returns it, whatever the
+    # parity of its level count, with the loop's bits in every row
+    got = cube._butterfly(values)
+    assert got is values
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_butterfly_is_the_level_loop_bit_for_bit(n):
+    # magnitudes over 16 decades, so that another order of adds rounds apart
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 9, 1 << n)
+    assert_butterfly_in_place(x.copy(), loop_butterfly(x.copy()))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 11, 20])
+@pytest.mark.parametrize("n", [0, 1, 7, 10])
+def test_butterfly_block_rows_are_rows_alone(rows, n):
+    x = np.random.default_rng(rows * 17 + n).standard_normal((rows, 1 << n))
+    assert_butterfly_in_place(x.copy(), np.array([loop_butterfly(row.copy()) for row in x]))
+
+
+def test_butterfly_row_past_the_norms_block():
+    # 2^17 values: one row longer than _NORMS_BLOCK, an odd level count
+    assert cube._NORMS_BLOCK < 1 << 17
+    x = np.random.default_rng(17).random(1 << 17) ** 3
+    assert_butterfly_in_place(x.copy(), loop_butterfly(x.copy()))
 
 
 def loop_noise_operator(f, eps):

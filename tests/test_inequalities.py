@@ -12,6 +12,7 @@ from cubenoise.inequalities import (
     CSV_COLUMNS,
     _pooled_draws,
     _sample_masks,
+    _uniform_draw,
     cond_exp_log_norms,
     derivative_sweep,
     hypercontractive_sweep,
@@ -120,7 +121,7 @@ def test_sample_masks_keep_every_coordinate(n):
     # a per-bit reference from the same generator: coordinate i + 1 is bit i
     bits = np.random.default_rng(7).random((300, n)) < 0.9
     want = [sum(1 << i for i in range(n) if row[i]) for row in bits]
-    assert _sample_masks(n, 0.9, 300, 7).tolist() == want
+    assert _sample_masks(_uniform_draw(n, 300, 7), 0.9).tolist() == want
 
 
 def test_subset_expectation_mc_deterministic():
@@ -229,7 +230,23 @@ def test_pooled_draws_hold_each_rates_own_draw(monkeypatch, n):
     assert drawn == [0.3, 0.0, 1.0, 0.7]
     assert pool.tolist() == sorted(set(pool.tolist()))
     for lam, index in zip(rates, draws, strict=True):
-        assert pool[index].tolist() == real(n, lam, 40, 11).tolist()
+        assert pool[index].tolist() == real(_uniform_draw(n, 40, 11), lam).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 14, 64, 65, 130])
+def test_pooled_draws_are_one_draw_per_rate(monkeypatch, n):
+    # the grid's one uniform draw gives the pool and indices that a draw of
+    # each rate's own from the same seed gives: one _sample_masks call per
+    # rate, each on a fresh _uniform_draw
+    fresh = [_sample_masks(_uniform_draw(n, 500, 3), lam) for lam in GRID_RATES]
+    real, uniforms = inequalities._uniform_draw, []
+    monkeypatch.setattr(inequalities, "_uniform_draw", lambda *args: uniforms.append(args) or real(*args))
+    pool, draws = _pooled_draws(n, GRID_RATES, 500, 3)
+    assert uniforms == [(n, 500, 3)]
+    want = inequalities._distinct(np.concatenate(fresh))
+    assert pool.dtype == want.dtype and pool.tolist() == want.tolist()
+    for masks, index in zip(fresh, draws, strict=True):
+        assert index.tolist() == np.searchsorted(want, masks).tolist()
 
 
 @pytest.mark.parametrize("n", [3, 64, 70])

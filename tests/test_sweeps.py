@@ -312,9 +312,9 @@ def test_mc_sweeps_through_small_buffers_match_oracle(batch, f, samples, seed):
 def test_mc_sweep_draws_each_rate_once(monkeypatch, sweep):
     real, drawn = inequalities._sample_masks, []
 
-    def counted(n, lam, samples, seed):
+    def counted(uniforms, lam):
         drawn.append(lam)
-        return real(n, lam, samples, seed)
+        return real(uniforms, lam)
 
     monkeypatch.setattr(inequalities, "_sample_masks", counted)
     f = CubeFunction(6, np.arange(1.0, 65.0))

@@ -230,16 +230,18 @@ def test_main_report_weighs_each_q_once(monkeypatch, capsys):
 
 def test_mc_graph_report_draws_each_rate_once_per_average(tmp_path, monkeypatch, capsys):
     # the gap and the graph gap each average two grids, p and t, of three
-    # distinct rates: 4 pooled draws of 3 rates, whatever the number of
-    # masks they share
+    # distinct rates: 4 pooled draws of 3 rates, one uniform draw each,
+    # whatever the number of masks they share
     path = str(tmp_path / "g")
     dump_graph(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))), path)
+    uniforms = count_calls(monkeypatch, inequalities, "_uniform_draw")
     draws = count_calls(monkeypatch, inequalities, "_sample_masks")
     pools = count_calls(monkeypatch, inequalities, "_pooled_draws")
     monkeypatch.setattr(codes, "_pooled_draws", inequalities._pooled_draws)  # the counting wrapper
     argv = ["matroid", "--graph", path, "--p", "0.2,0.5,0.8,0.5", "--mode", "mc", "--samples", "200"]
     assert main(argv) == 0, capsys.readouterr().err
     assert [len(index) for _, index in pools] == [4] * 4
+    assert len(uniforms) == 4
     assert len(draws) == 12
 
 
