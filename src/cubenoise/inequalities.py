@@ -286,7 +286,7 @@ def _pooled_draws(
     over its own draws."""
     uniforms = _uniform_draw(n, samples, seed)
     drawn = {lam: _sample_masks(uniforms, lam) for lam in dict.fromkeys(rates)}
-    del uniforms
+    del uniforms  # n values a sample, where each rate's masks hold one
     pool = _distinct(np.concatenate(list(drawn.values())))
     index = {lam: np.searchsorted(pool, masks) for lam, masks in drawn.items()}
     return pool, [index[lam] for lam in rates]
