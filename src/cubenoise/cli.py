@@ -234,7 +234,7 @@ def cmd_matroid(args: argparse.Namespace) -> tuple[list[Section], list[GapReport
     tuttes = matroids.tutte_sweep(matroid, args.p_grid)
     tails = matroids.tail_sweep(matroid, args.p_grid, args.delta_list)
     mu = matroids.mu_curve(matroid, np.linspace(0.0, 1.0, 101))
-    graph_gaps = [] if graph is None else matroids.graph_sweep(graph, args.p_grid, **sampling)
+    graph_gaps = [] if graph is None else matroids.graph_sweep(graph, gaps)
 
     rows = lambda reps: [rep.row(args.tolerance) for rep in reps]
     tutte_rows = [

@@ -164,9 +164,7 @@ class LinearCode:
         """Weight counts a_0..a_n, by enumerating all 2^k codewords."""
         if self.k > codeword_cap():
             raise ValueError(f"weight enumeration capped at k={codeword_cap()}")
-        if self.n <= 64:
-            return WeightDistribution(tuple(_weights_by_blocks(self)))
-        return WeightDistribution(tuple(_weights_by_gray_walk(self)))
+        return WeightDistribution(tuple(_weights_by_blocks(self)))
 
     @cached_property
     def dual_weights(self) -> WeightDistribution:
@@ -287,30 +285,25 @@ class WeightDistribution:
 
 
 def _weights_by_blocks(code: LinearCode, block_bits: int = 20) -> list[int]:
-    # span of the first <= block_bits rows held as one vector, remaining rows
-    # folded in by a Gray-code walk of whole-block XORs
+    # span of the first <= block_bits rows held as one uint64 block per 64
+    # coordinates, remaining rows folded in by a Gray-code walk of whole-block
+    # XORs; a codeword's weight is the sum of its blocks' popcounts
+    shifts = range(0, code.n, 64)
+    word = (1 << 64) - 1
     base_bits = min(code.k, block_bits)
-    block = _span(code.generator[:base_bits])
-    rest = code.generator[base_bits:]
+    blocks = [_span(row >> s & word for row in code.generator[:base_bits]) for s in shifts]
+    rest = [[np.uint64(row >> s & word) for s in shifts] for row in code.generator[base_bits:]]
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    counts += np.bincount(np.bitwise_count(block).astype(np.int64), minlength=code.n + 1)
-    gray_steps = (1 << len(rest)) - 1
-    for step in range(1, gray_steps + 1):
-        flip = (step & -step).bit_length() - 1
-        block ^= np.uint64(rest[flip])
-        counts += np.bincount(np.bitwise_count(block).astype(np.int64), minlength=code.n + 1)
+    for step in range(1 << len(rest)):
+        if step:
+            for block, flip in zip(blocks, rest[(step & -step).bit_length() - 1]):
+                block ^= flip
+        weights = np.bitwise_count(blocks[0]).astype(np.int64)
+        for block in blocks[1:]:
+            weights += np.bitwise_count(block)
+        counts += np.bincount(weights, minlength=code.n + 1)
+        del weights  # freed before the next step's, so the allocator reuses its pages
     return counts.tolist()
-
-
-def _weights_by_gray_walk(code: LinearCode) -> list[int]:
-    counts = [0] * (code.n + 1)
-    word = 0
-    counts[0] = 1
-    for step in range(1, 1 << code.k):
-        flip = (step & -step).bit_length() - 1
-        word ^= code.generator[flip]
-        counts[word.bit_count()] += 1
-    return counts
 
 
 def krawtchouk(n: int, i: int, k: int) -> int:

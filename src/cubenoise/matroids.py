@@ -302,38 +302,16 @@ class Graph:
         return BinaryMatroid(len(self.edges), tuple(rows))
 
 
-def graph_sweep(
-    g: Graph,
-    p_grid: Sequence[float],
-    mode: str = "exact",
-    samples: int = 20000,
-    seed: int = 0,
-) -> list[GapReport]:
-    """For every p of the grid, in grid order, check
-    log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T).
-
-    Both modes read the components off the graphic matroid's (size,
-    deficiency) cells: a subset of size k and deficiency d has
-    c = |V| - k + d components.  With no edges the only subset is empty, and
-    both sides are |V|."""
-    rates = [subset_rate_for(p) for p in p_grid]  # the whole grid first
-    _require_mode(mode)
-    n = len(g.edges)
-    sides = [(float(g.vertex_count), float(g.vertex_count), 0.0)] * len(rates)  # (lhs, rhs, stderr)
-    if n:
-        code = g.matroid.row_space_code
-        sizes, deficiency = np.indices((n + 1, n - code.k + 1))
-        comp = g.vertex_count - sizes + deficiency
-        mgfs = deficiency_expectation(code, p_grid, np.exp2(sizes + comp), mode, samples, seed)
-        means = deficiency_expectation(code, rates, comp, mode, samples, seed + 1)
-        sides = [(math.log2(mgf), t * n + mean_c, stderr)
-                 for t, (mgf, _), (mean_c, stderr) in zip(rates, mgfs, means)]
-    out = []
-    for p, t, (lhs, rhs, stderr) in zip(p_grid, rates, sides):
-        params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
-                  "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
-        out.append(GapReport("graph", lhs, rhs, params))
-    return out
+def graph_sweep(g: Graph, gaps: Sequence[GapReport]) -> list[GapReport]:
+    """The graph inequality
+    log2 E over S ~ p of 2^(|S| + c(S)) <= t |E| + E over T ~ t of c(T)
+    for every row of `gaps`, the :func:`deficiency_sweep` of g.matroid, in
+    their order.  A subset S has c(S) = |V| - rank S components, so
+    |S| + c(S) = |V| + d(S) and t |E| + E c(T) = |V| + E d(T): each graph
+    row is its deficiency row with |V| added to both sides, in either mode,
+    and its params name the vertex count too."""
+    v = g.vertex_count
+    return [GapReport("graph", rep.lhs + v, rep.rhs + v, {**rep.params, "vertices": v}) for rep in gaps]
 
 
 # ---------------------------------------------------------------------------

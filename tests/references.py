@@ -252,6 +252,18 @@ def plain_zeta_histogram(code):
     return np.bincount(cells, minlength=(code.n + 1) * width).reshape(code.n + 1, width)
 
 
+def gray_walk_weights(code):
+    """Weight counts a_0..a_n by a Gray-code walk over the 2^k codewords as
+    Python ints, one generator row XORed in per step: any length n."""
+    counts = [0] * (code.n + 1)
+    word = 0
+    counts[0] = 1
+    for step in range(1, 1 << code.k):
+        word ^= code.generator[(step & -step).bit_length() - 1]
+        counts[word.bit_count()] += 1
+    return counts
+
+
 def matroid_rank(m, s_mask):
     """GF(2) rank of the matroid's columns in S, by elimination."""
     if not 0 <= s_mask < (1 << m.n):
@@ -375,21 +387,11 @@ def tail_bound_check(m, p, delta):
 
 
 def graph_inequality_gap(g, p, mode="exact", samples=20000, seed=0):
-    """The row of matroids.graph_sweep at one p."""
-    n = len(g.edges)
-    t = subset_rate_for(p)
-    lhs = rhs = float(g.vertex_count)
-    stderr = 0.0
-    if n:
-        code = g.matroid.row_space_code
-        sizes, deficiency = np.indices((n + 1, n - code.k + 1))
-        comp = g.vertex_count - sizes + deficiency
-        mgf, _ = deficiency_mean(code, p, np.exp2(sizes + comp), mode, samples, seed)
-        mean_c, stderr = deficiency_mean(code, t, comp, mode, samples, seed + 1)
-        lhs, rhs = math.log2(mgf), t * n + mean_c
-    params = {"n": n, "q": None, "eps_or_lambda": p, "mode": mode, "t": t,
-              "vertices": g.vertex_count, "samples": samples, "seed": seed, "stderr": stderr}
-    return GapReport("graph", lhs, rhs, params)
+    """The row of matroids.graph_sweep at one p: |S| + c(S) = |V| + d(S), so
+    both sides are the deficiency row's plus the vertex count."""
+    rep = deficiency_inequality_gap(g.matroid, p, mode, samples, seed)
+    v = g.vertex_count
+    return GapReport("graph", rep.lhs + v, rep.rhs + v, {**rep.params, "vertices": v})
 
 
 def mean_deficiency(m, p):

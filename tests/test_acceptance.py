@@ -211,7 +211,7 @@ def test_criterion_09_graph_suite():
         ("multi2", random_multigraph_with_loops(12, 6, 12)),
     ]
     for name, g in graphs:
-        for p, rep in zip((0.2, 0.5, 0.8), graph_sweep(g, (0.2, 0.5, 0.8))):
+        for p, rep in zip((0.2, 0.5, 0.8), graph_sweep(g, deficiency_sweep(g.matroid, (0.2, 0.5, 0.8)))):
             assert rep.params["mode"] == "exact"
             assert rep.gap >= -GAP_TOL, (name, p)
     # exhaustive rank identity for every graph with at most 14 edges

@@ -411,6 +411,15 @@ def test_matroid_graph_tail(capsys, k4_file):
     assert all(float(r["gap"]) >= -1e-9 for r in sections["graph_gap"])
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_matroid_graph_without_edges_exits_2(capsys, tmp_path, mode):
+    # an edgeless graph has no graphic matroid, so no report in either mode
+    path = tmp_path / "empty.graph"
+    path.write_text("4 0\n")
+    code, out, err = run(capsys, "matroid", "--graph", str(path), "--mode", mode)
+    assert (code, out, err) == (2, "", "error: graphic matroid needs at least one edge\n")
+
+
 def test_matroid_zero_rate_all_zero_gaps(capsys, rep2_file):
     code, out, _ = run(capsys, "matroid", "--file", rep2_file, "--p", "0")
     assert code == 0

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from references import dump_bit_matrix, table_masks
+from references import dump_bit_matrix, gray_walk_weights, table_masks
 
 from cubenoise import codes
 from cubenoise.cube import conditional_expectation, wht_forward
@@ -32,6 +33,7 @@ from cubenoise.codes import (
     sberlo_comparison_rows,
     sberlo_exponent,
     scaled_indicator,
+    _weights_by_blocks,
 )
 from cubenoise.inequalities import cond_exp_log_norms
 
@@ -132,10 +134,23 @@ def test_weight_distribution_matches_brute_enumeration():
 
 
 def test_weight_distribution_block_path_crosses_blocks():
-    from cubenoise.codes import _weights_by_blocks
-
     code = reed_muller(2, 4)  # k = 11
     assert _weights_by_blocks(code, block_bits=3) == list(code.weights.counts)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 130])
+@pytest.mark.parametrize("block_bits, k", [(3, 8), (20, 21)])
+def test_weight_blocks_match_the_gray_walk_across_words(n, block_bits, k):
+    # k > block_bits, so the walk XORs whole blocks, one uint64 block per 64
+    # coordinates, and adds their popcounts
+    rng = random.Random(n * block_bits)
+    rows: list[int] = []
+    while len(rows) < k:
+        rows = gf2_rref(rows + [rng.getrandbits(n) | 1 << (n - 1)], n)[1]
+    code = LinearCode(n, tuple(rows))
+    want = gray_walk_weights(code)
+    assert _weights_by_blocks(code, block_bits) == want
+    assert list(code.weights.counts) == want
 
 
 def test_dual_code_examples():

@@ -74,7 +74,7 @@ def matroids(draw, max_n=10):
 def graphs(draw):
     vertices = draw(st.integers(1, 6))
     vertex = st.integers(0, vertices - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=10))
     return Graph(vertices, tuple(edges))
 
 
@@ -309,7 +309,7 @@ def test_graph_gap_matches_union_find(g, p):
     n = len(g.edges)
     comps = [connected_components(g, s) for s in range(1 << n)]
     t = subset_rate_for(p)
-    (rep,) = graph_sweep(g, [p])
+    (rep,) = graph_sweep(g, deficiency_sweep(g.matroid, [p]))
     lhs = math.log2(expect(n, p, [2.0 ** (s.bit_count() + c) for s, c in enumerate(comps)]))
     assert close(rep.lhs, lhs)
     assert close(rep.rhs, t * n + expect(n, t, comps))
@@ -397,13 +397,14 @@ def test_mc_matroid_gap_is_per_mask_oracle(m, p, seed):
 @SETTINGS
 @given(graphs(), RATES, SEEDS)
 def test_mc_graph_gap_is_union_find_oracle(g, p, seed):
-    n, t = len(g.edges), subset_rate_for(p)
-    h_lhs = lambda s: 2.0 ** (s.bit_count() + connected_components(g, s))
-    h_rhs = lambda s: float(connected_components(g, s))
-    mgf, _ = subset_expectation_mc(n, p, h_lhs, MC_SAMPLES, seed)
-    mean_c, stderr = subset_expectation_mc(n, t, h_rhs, MC_SAMPLES, seed + 1)
-    (rep,) = graph_sweep(g, [p], mode="mc", samples=MC_SAMPLES, seed=seed)
-    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (math.log2(mgf), t * n + mean_c, stderr)
+    # the graph row is its deficiency row plus |V|, with d = |S| + c(S) - |V|
+    # counted by union-find on every drawn mask
+    n, t, v = len(g.edges), subset_rate_for(p), g.vertex_count
+    d = lambda s: s.bit_count() + connected_components(g, s) - v
+    excess, _ = subset_expectation_mc(n, p, lambda s: 2.0 ** d(s) - 1.0, MC_SAMPLES, seed)
+    mean_d, stderr = subset_expectation_mc(n, t, lambda s: float(d(s)), MC_SAMPLES, seed + 1)
+    (rep,) = graph_sweep(g, deficiency_sweep(g.matroid, [p], mode="mc", samples=MC_SAMPLES, seed=seed))
+    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (v + log2_of_one_plus(excess), v + mean_d, stderr)
 
 
 # Each sweep against its one-p oracle.  The Tutte sweep folds the prefactors
@@ -447,7 +448,7 @@ def test_matroid_sweeps_match_their_one_p_oracles(matroid_corpus, data, p_grid, 
     gaps = deficiency_sweep(m, p_grid, **sampling)
     assert fields(gaps) == fields(deficiency_inequality_gap(m, p, **sampling) for p in p_grid)
     if g is not None:
-        assert fields(graph_sweep(g, p_grid, **sampling)) == fields(
+        assert fields(graph_sweep(g, gaps)) == fields(
             graph_inequality_gap(g, p, **sampling) for p in p_grid
         )
 
@@ -475,13 +476,15 @@ def test_matroid_sweeps_match_their_one_p_oracles(matroid_corpus, data, p_grid, 
     assert mu_curve(m, grid) == [(float(p), mean_deficiency(m, float(p))) for p in grid]
 
 
+LOOPY = Graph(3, ((0, 1), (1, 1)))
+
+
 @pytest.mark.parametrize(
     "entry",
     [
         lambda mode: deficiency_expectation(LinearCode(3, (0b011,)), [0.5], mode=mode),
         lambda mode: deficiency_sweep(BinaryMatroid(3, (0b011, 0b011)), [0.5], mode=mode),
-        lambda mode: graph_sweep(Graph(3, ((0, 1), (1, 1))), [0.5], mode=mode),
-        lambda mode: graph_sweep(Graph(4, ()), [0.4], mode=mode),
+        lambda mode: graph_sweep(LOOPY, deficiency_sweep(LOOPY.matroid, [0.5], mode=mode)),
     ],
 )
 def test_unknown_mode_raises_at_every_entry(entry):

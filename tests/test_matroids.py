@@ -361,53 +361,42 @@ def test_graphic_rank_identity_exhaustive(graph):
         assert matroid_rank(m, s) == graph.vertex_count - connected_components(graph, s)
 
 
-def test_graph_gap_edgeless():
-    # no edges: both sides collapse to the vertex count
-    (rep,) = graph_sweep(Graph(4, ()), [0.4])
-    assert rep.lhs == 4.0 and rep.rhs == 4.0
-
-
-def test_graph_gap_edgeless_mc():
-    # nothing to sample: both sides are the vertex count, with no spread
-    (rep,) = graph_sweep(Graph(4, ()), [0.4], mode="mc", samples=50, seed=3)
-    assert (rep.lhs, rep.rhs, rep.params["stderr"]) == (4.0, 4.0, 0.0)
-    assert (rep.row()["samples"], rep.row()["seed"]) == (50, 3)
-    exact = graph_sweep(Graph(4, ()), [0.4])[0].row()
-    assert (exact["samples"], exact["seed"]) == (None, None)
+def graph_rows(g, p_grid, **sampling):
+    return graph_sweep(g, deficiency_sweep(g.matroid, p_grid, **sampling))
 
 
 def test_graph_gap_single_edge():
-    (rep,) = graph_sweep(Graph(2, ((0, 1),)), [0.3])
+    (rep,) = graph_rows(Graph(2, ((0, 1),)), [0.3])
     # closed form: both sides equal 2 for a single edge on two vertices
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
 
 
 def test_graph_gap_k4_exhaustive():
-    (rep,) = graph_sweep(K4, [0.5])
+    (rep,) = graph_rows(K4, [0.5])
     assert rep.gap >= -1e-9
 
 
 def test_graph_gap_consistent_with_matroid_form():
-    # |S| + c(S) = |V| + (|S| - rank S), so the two verifiers agree after
-    # shifting by the vertex count
+    # |S| + c(S) = |V| + (|S| - rank S), so each graph row is its deficiency
+    # row shifted by the vertex count
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 1)))
     p = 0.35
-    (gg,) = graph_sweep(g, [p])
     (mg,) = deficiency_sweep(g.matroid, [p])
-    assert gg.lhs == pytest.approx(mg.lhs + g.vertex_count, abs=1e-9)
-    assert gg.rhs == pytest.approx(mg.rhs + g.vertex_count, abs=1e-9)
+    (gg,) = graph_sweep(g, [mg])
+    assert (gg.lhs, gg.rhs) == (mg.lhs + g.vertex_count, mg.rhs + g.vertex_count)
+    assert gg.params == {**mg.params, "vertices": g.vertex_count}
 
 
-def test_graph_gap_large_path_uses_rank_route():
+def test_graph_gap_on_a_17_edge_path():
     edges = tuple((i, i + 1) for i in range(17))
-    (rep,) = graph_sweep(Graph(18, edges), [0.4])
+    (rep,) = graph_rows(Graph(18, edges), [0.4])
     assert rep.gap >= -1e-9
 
 
 def test_graph_gap_mc_mode():
-    (rep,) = graph_sweep(K4, [0.5], mode="mc", samples=20_000, seed=11)
-    (exact,) = graph_sweep(K4, [0.5])
+    (rep,) = graph_rows(K4, [0.5], mode="mc", samples=20_000, seed=11)
+    (exact,) = graph_rows(K4, [0.5])
     assert rep.rhs == pytest.approx(exact.rhs, abs=0.05)
 
 

@@ -182,13 +182,13 @@ ERASURE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("source, most", [("--file", 8), ("--graph", 10)])
+@pytest.mark.parametrize("source, most", [("--file", 8), ("--graph", 8)])
 def test_matroid_report_builds_few_weight_vectors(tmp_path, monkeypatch, capsys, source, most):
     # one average per side for the gap, two for the Tutte residuals, E_t d
     # and E_p d for the tails, each over the whole p grid; one for the tail
     # probabilities of every (p, delta), whose thresholds differ; one for the
-    # 101-point mean curve (and two for the graph gap).  Each average reduces
-    # the histogram once and takes one weights matrix.
+    # 101-point mean curve; the graph gap reads the deficiency gap's rows.
+    # Each average reduces the histogram once and takes one weights matrix.
     graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
     path = str(tmp_path / "g")
     if source == "--graph":
@@ -229,9 +229,9 @@ def test_main_report_weighs_each_q_once(monkeypatch, capsys):
 
 
 def test_mc_graph_report_draws_each_rate_once_per_average(tmp_path, monkeypatch, capsys):
-    # the gap and the graph gap each average two grids, p and t, of three
-    # distinct rates: 4 pooled draws of 3 rates, one uniform draw each,
-    # whatever the number of masks they share
+    # the gap averages two grids, p and t, of three distinct rates, and the
+    # graph gap reads its rows: 2 pooled draws of 3 rates, one uniform draw
+    # each, whatever the number of masks they share
     path = str(tmp_path / "g")
     dump_graph(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))), path)
     uniforms = count_calls(monkeypatch, inequalities, "_uniform_draw")
@@ -240,9 +240,9 @@ def test_mc_graph_report_draws_each_rate_once_per_average(tmp_path, monkeypatch,
     monkeypatch.setattr(codes, "_pooled_draws", inequalities._pooled_draws)  # the counting wrapper
     argv = ["matroid", "--graph", path, "--p", "0.2,0.5,0.8,0.5", "--mode", "mc", "--samples", "200"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert [len(index) for _, index in pools] == [4] * 4
-    assert len(uniforms) == 4
-    assert len(draws) == 12
+    assert [len(index) for _, index in pools] == [4] * 2
+    assert len(uniforms) == 2
+    assert len(draws) == 6
 
 
 def test_tables_are_freed_with_their_object():
