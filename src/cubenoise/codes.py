@@ -9,7 +9,6 @@ same convention the cube module uses for coordinates.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -19,15 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
-from .cube import _entropy_from_sums, _pairwise_order, _plogp, dimension_cap
-from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, enum_cap, layer_expectations, noise_rate
-
-_DEFAULT_CODEWORD_CAP = 28  # enumeration walks 2^k codewords
-
-
-def codeword_cap() -> int:
-    return int(os.environ.get("CUBENOISE_MAX_K", _DEFAULT_CODEWORD_CAP))
-
+from .cube import _entropy_from_sums, _pairwise_order, _plogp, _require_dimension, check_size, size_cap
+from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, layer_expectations, noise_rate
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on int bitsets
@@ -162,20 +154,16 @@ class LinearCode:
     @cached_property
     def weights(self) -> WeightDistribution:
         """Weight counts a_0..a_n, by enumerating all 2^k codewords."""
-        if self.k > codeword_cap():
-            raise ValueError(f"weight enumeration capped at k={codeword_cap()}")
+        check_size("CUBENOISE_MAX_K", "weight enumeration", "k", self.k, "raise CUBENOISE_MAX_K")
         return WeightDistribution(tuple(_weights_by_blocks(self)))
 
     @cached_property
     def dual_weights(self) -> WeightDistribution:
-        """Weight counts b_0..b_n of the dual, by enumeration from whichever
-        side fits."""
-        cap = codeword_cap()
-        if self.n - self.k <= cap:
+        """Weight counts b_0..b_n of the dual, by enumeration of the dual
+        within the codeword cap, else by MacWilliams from :attr:`weights`."""
+        if self.n - self.k <= size_cap("CUBENOISE_MAX_K"):
             return self.dual.weights
-        if self.k <= cap:
-            return macwilliams_transform(self.weights, self.n, self.k)
-        raise ValueError(f"need k or n-k <= {cap} to reach the dual weights")
+        return macwilliams_transform(self.weights, self.n, self.k)
 
     @cached_property
     def codeword_weights(self) -> np.ndarray:
@@ -261,8 +249,7 @@ def codeword_masks(code: LinearCode) -> np.ndarray:
     """All 2^k codewords as uint64 masks (requires n <= 64), by span doubling."""
     if code.n > 64:
         raise ValueError("vectorized enumeration needs n <= 64")
-    if code.k > codeword_cap():
-        raise ValueError(f"codeword enumeration capped at k={codeword_cap()}")
+    check_size("CUBENOISE_MAX_K", "codeword enumeration", "k", code.k, "raise CUBENOISE_MAX_K")
     return _span(code.generator)
 
 
@@ -333,14 +320,9 @@ def macwilliams_transform(a: WeightDistribution, n: int, k: int) -> WeightDistri
     return WeightDistribution(tuple(out))
 
 
-def _require_cube(code: LinearCode) -> None:
-    if code.n > dimension_cap():
-        raise ValueError(f"cube embedding capped at n={dimension_cap()}")
-
-
 def scaled_indicator(code: LinearCode) -> CubeFunction:
     """f = (2^n / |C|) 1_C, the mean-one weighting of the code's indicator."""
-    _require_cube(code)
+    _require_dimension(code.n)  # before the 2^n values are made
     vals = np.zeros(1 << code.n)
     vals[codeword_masks(code)] = (1 << code.n) / code.size
     return CubeFunction(code.n, vals)
@@ -390,7 +372,7 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     so a subset-zeta transform of the dual indicator yields the whole table
     in O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
     least n - k bits (uint8 up to n - k = 8, uint16 up to 16, uint32 up to
-    32; the cap on n stops at 32).  The low b = min(7, k) bits hold
+    32, so n stops at 32 whatever the cap).  The low b = min(7, k) bits hold
     independent coordinates, so each high part h of a mask holds at most one
     dual codeword w, and the zeta over the low bits (the levels :func:`_zeta`
     would run on transposed blocks) is one gather of rows: row h of the
@@ -402,12 +384,14 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     uint32, 0.03 ms as uint8), and one multiply by 0x01...01 and one shift
     add a word's byte counts into its top byte and bring them down, so no
     second 2^n array is made.  Reports reduce the table at once to the code's
-    :attr:`LinearCode.histogram` and do not keep it.  The enumeration cap is
-    checked here, before any 2^n table is built.
+    :attr:`LinearCode.histogram` and do not keep it.  The cap on n is
+    CUBENOISE_MAX_N, checked here before any 2^n table is built.
     """
-    n, cap = code.n, min(max(enum_cap(), 0), 32)
-    if n > cap:
-        raise ValueError(f"deficiency table capped at n={cap}, got {n}")
+    n = code.n
+    route = "use --mode mc for a code report, or raise CUBENOISE_MAX_N for a matroid report"
+    check_size("CUBENOISE_MAX_N", "deficiency table", "n", n, route)
+    if n > 32:
+        raise ValueError(f"deficiency table capped at n=32, got {n}")
     order = _table_order(code)
     b = min(code.k, _ZETA_LOW_BITS)
     relabel = lambda h: sum((h >> c & 1) << j for j, c in enumerate(order))
@@ -553,12 +537,9 @@ def _syndrome_values(
     of at most _NORMS_BLOCK values (one point each past that size), each
     block one :func:`_block_values` call, whose tables are freed before the
     next block is built."""
-    m, cap = code.n - code.k, dimension_cap()
-    if m > cap:
-        raise ValueError(
-            f"F(lambda, q) for q other than 2 and inf runs on the 2^(n-k) syndromes, "
-            f"capped at n-k={cap}, got {m}; q = 2 and inf run on the weight enumerator"
-        )
+    m = code.n - code.k
+    what = "F(lambda, q) for q other than 2 and inf, on the 2^(n-k) syndromes,"
+    check_size("CUBENOISE_MAX_N", what, "n-k", m, "use --q 2,inf (q = 2 and inf run on the weight enumerator)")
     points = list(dict.fromkeys(points))
     step = max(1, _NORMS_BLOCK >> m)
     out = {}
@@ -634,12 +615,12 @@ def f_sweep(code: LinearCode, lam_grid: Sequence[float], q_grid: Sequence[float]
     log2 of the sup norm at noise (1 - lam^(2 ln 2))/2.  q = 2 and q = inf
     come from the dual weight enumerator (any length with k or n-k
     enumerable); every other q from T_eps f on the syndromes
-    (:func:`_syndrome_values`, n - k up to the cube dimension cap).
+    (:func:`_syndrome_values`, n - k up to CUBENOISE_MAX_N).
 
     The identities set, with theta = lam^(2 ln 2), the syndrome route's
     F(lam, 2) and F(lam, inf) against log2 sum_i b_i theta^i from the dual
     weights and log2((1/|C|) sum_k a_k (1-theta)^k (1+theta)^(n-k)) from the
-    primal weights; all four agree for every linear code.  Past the cube cap
+    primal weights; all four agree for every linear code.  Past the cap
     on n - k the moment and sup routes are not run (their enumerator route is
     the dual sum itself), and they are None.
     """
@@ -659,7 +640,7 @@ def f_sweep(code: LinearCode, lam_grid: Sequence[float], q_grid: Sequence[float]
         return noise_rate(q, lam), q
 
     points = [point(lam, q) for lam in lam_grid for q in q_grid if q not in (2.0, math.inf)]
-    checked = code.n - code.k <= dimension_cap()
+    checked = code.n - code.k <= size_cap("CUBENOISE_MAX_N")
     if checked:
         points += [point(lam, q) for lam in lam_grid for q in (2.0, math.inf)]
     values = _syndrome_values(code, points) if points else {}

@@ -25,21 +25,44 @@ import numpy as np
 # A coordinate subset, as a bitmask over coordinates 1..n (bit i-1 <-> coordinate i).
 SubsetMask = int
 
-_DEFAULT_DIMENSION_CAP = 24  # 2^24 doubles = 128 MB value buffer
+# Every size cap, each an environment variable and its default.
+CAPS = {
+    # every table of 2^m entries: a cube function (2^24 doubles = 128 MiB),
+    # the 2^(n-k) syndrome rows of F(lambda, q), and the 2^n deficiency table
+    # of the code and matroid reports (1 to 4 bytes an entry)
+    "CUBENOISE_MAX_N": 24,
+    # exact verifiers that tabulate E(f|T) on all 2^n subsets (about 3^n lattice
+    # values; the entropy replays about 16 gathers per lane sum of each compact
+    # table); the q = 2 norms run by Parseval and stop only at CUBENOISE_MAX_N
+    "CUBENOISE_MAX_VERIFY_N": 13,
+    # weight enumeration walks all 2^k codewords
+    "CUBENOISE_MAX_K": 28,
+}
 
 
-def dimension_cap() -> int:
-    """Largest cube dimension the package will materialize (env-overridable)."""
-    return int(os.environ.get("CUBENOISE_MAX_N", _DEFAULT_DIMENSION_CAP))
+def size_cap(name: str) -> int:
+    """The cap `name` of CAPS, or the integer its environment variable holds."""
+    value = os.environ.get(name)
+    try:
+        return CAPS[name] if value is None else int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_size(name: str, what: str, label: str, size: int, route: str) -> None:
+    """The one refusal of a size over its cap: `what` is capped, `label`
+    names the size, and `route` names the flag change, or the variable to
+    raise, that gets past it."""
+    cap = size_cap(name)
+    if size > cap:
+        raise ValueError(f"{what} capped at {label}={cap}, got {size}; {route}")
 
 
 def _require_dimension(n: int) -> None:
     """The one check of a cube dimension: an integer from 0 to the cap."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("cube dimension must be a nonnegative integer")
-    cap = dimension_cap()
-    if n > cap:
-        raise ValueError(f"cube dimension {n} exceeds cap {cap}")
+    check_size("CUBENOISE_MAX_N", "cube dimension", "n", n, "raise CUBENOISE_MAX_N")
 
 
 def full_mask(n: int) -> SubsetMask:

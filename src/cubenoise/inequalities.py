@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -27,6 +26,7 @@ from .cube import (
     _layout_sums,
     _plogp,
     _zeta,
+    check_size,
     compact_conditional_expectations,
     dirichlet_forms,
     entropies,
@@ -39,30 +39,6 @@ from .cube import (
 )
 
 LN2 = math.log(2.0)
-
-# Exact subset enumeration caps: evaluating h on all 2^n subsets is fine up to
-# n = 22 for cheap h, but verifiers that tabulate E(f|T) on every subset (3^n
-# values on the lattice, and for the entropy about 16 gathers per lane sum of
-# each compact table, replaying the sums of its 2^n-point layout) stop at 13.
-# The q = 2 norms take O(n 2^n) by Parseval and stop only at the cube cap.
-_DEFAULT_ENUM_CAP = 22
-_DEFAULT_EXPENSIVE_CAP = 13
-
-
-def enum_cap() -> int:
-    return int(os.environ.get("CUBENOISE_MAX_ENUM_N", _DEFAULT_ENUM_CAP))
-
-
-def expensive_enum_cap() -> int:
-    return int(os.environ.get("CUBENOISE_MAX_VERIFY_N", _DEFAULT_EXPENSIVE_CAP))
-
-
-def _check_expensive_cap(n: int, route: str) -> None:
-    """One cap check and message for the verifiers that tabulate E(f|T) on
-    each of the 2^n subsets; `route` names what works past the cap."""
-    cap = expensive_enum_cap()
-    if n > cap:
-        raise ValueError(f"exact subset averaging capped at n={cap}, got n={n}; {route}")
 
 
 def r_exponent(q: float) -> float:
@@ -554,7 +530,7 @@ def _require_main_domain(
             raise ValueError(f"norm inequality needs q > 1, got {q}")
     _require_sweep_domain("main", f, eps_grid, mode)
     if mode == "exact" and any(q != 2.0 for q in q_grid) and any(eps != 0.5 for eps in eps_grid):
-        _check_expensive_cap(f.n, "use --mode mc, or --q 2 alone")
+        check_size("CUBENOISE_MAX_VERIFY_N", "exact subset averaging", "n", f.n, "use --mode mc, or --q 2 alone")
 
 
 def _main_reports(
@@ -638,7 +614,7 @@ def noisy_entropy_sweep(
     cube.entropies of the rows of T_eps f, from one Walsh transform of f."""
     _require_sweep_domain("entropy", f, eps_grid, mode)
     if mode == "exact" and len(eps_grid):
-        _check_expensive_cap(f.n, "use --mode mc")
+        check_size("CUBENOISE_MAX_VERIFY_N", "exact subset averaging", "n", f.n, "use --mode mc")
     rows = lambda masks: _conditional_rows(f, _entropy_kernel(f.n), 1, masks)
     # an overflowing sum of g log2 g leaves an inf or nan entropy, which
     # every value it enters keeps, so a finite report had none
@@ -812,7 +788,7 @@ def derivative_sweep(f: CubeFunction, q_grid: Sequence[float]) -> list[GapReport
     _require_finite_q_grid(q_grid)
     if f.is_constant():
         raise ValueError("derivative comparison requires a nonconstant function")
-    _check_expensive_cap(f.n, "raise CUBENOISE_MAX_VERIFY_N")
+    check_size("CUBENOISE_MAX_VERIFY_N", "exact subset averaging", "n", f.n, "raise CUBENOISE_MAX_VERIFY_N")
 
     steps = (_DERIVATIVE_STEP, 2.0 * _DERIVATIVE_STEP)
     norms = _conditional_rows(f, _log_norms_kernel(q_grid), len(q_grid))

@@ -88,7 +88,7 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets, expanded to exact monomial
     coefficients; consistency of the expansion is asserted against the
     subset counts at (1,1) and (2,2).  The subsets come from the row-space
-    code's deficiency histogram, so the enumeration cap bounds n: size s and
+    code's deficiency histogram, so CUBENOISE_MAX_N bounds n: size s and
     nullity j give corank k - (s - j).
 
     With C[i, j] the number of subsets of corank i and nullity j, the sum

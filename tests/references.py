@@ -10,6 +10,7 @@ import numpy as np
 from cubenoise.codes import _enumerator_value, _table_order, codeword_masks, gf2_rank, rank_of_columns
 from cubenoise.cube import (
     CubeFunction,
+    check_size,
     entropies,
     full_mask,
     log_lq_norms,
@@ -24,7 +25,6 @@ from cubenoise.inequalities import (
     _layer_sums,
     _log_norms_kernel,
     LN2,
-    enum_cap,
     log_sobolev_equality_expected,
     noise_rate,
     r_exponent,
@@ -72,10 +72,8 @@ def deficiency_mean(code, lam, values=None, mode="exact", samples=20000, seed=0)
 
 def subset_expectation_exact(n, lam, h):
     """Sum over all T of lam^|T| (1-lam)^(n-|T|) h(T), one h call per mask,
-    for n up to enum_cap()."""
-    cap = enum_cap()
-    if n > cap:
-        raise ValueError(f"exact subset enumeration capped at n={cap}, got {n}")
+    for n up to CUBENOISE_MAX_N."""
+    check_size("CUBENOISE_MAX_N", "exact subset enumeration", "n", n, "raise CUBENOISE_MAX_N")
     table = np.array([h(t) for t in range(1 << n)], dtype=np.float64)
     return layer_expectation(lam, _layer_sums(n, table))
 

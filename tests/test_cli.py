@@ -139,21 +139,73 @@ def test_verify_mc_mode(capsys):
     assert all(r["mode"] == "mc" and r["samples"] == "2000" for r in rows)
 
 
+def verify_argv(target, n=5):
+    return ["verify", "--target", target, "--n", str(n), "--fuzz", "1"]
+
+
+CODE_RM_1_3 = ["code", "--rm", "1", "3", "--samples", "200"]
+# every size refusal, each with its cap lowered so that the runs stay small:
+# the caps set, the over-cap argv, and the route its message names, a flag
+# change or "raise" and the variable
+REFUSALS = [
+    pytest.param({"CUBENOISE_MAX_VERIFY_N": "4"}, verify_argv(t), "--mode mc", id=f"{t}---mode mc")
+    for t in ("main", "entropy", "hypercontractive")
+] + [
+    pytest.param(
+        {"CUBENOISE_MAX_VERIFY_N": "4"}, verify_argv("derivative"), "raise CUBENOISE_MAX_VERIFY_N",
+        id="derivative-CUBENOISE_MAX_VERIFY_N",
+    ),
+    pytest.param({"CUBENOISE_MAX_N": "4"}, verify_argv("main"), "raise CUBENOISE_MAX_N", id="dimension"),
+    pytest.param({"CUBENOISE_MAX_N": "6"}, CODE_RM_1_3, "--mode mc", id="code-table"),
+    pytest.param({"CUBENOISE_MAX_N": "3"}, [*CODE_RM_1_3, "--mode", "mc"], "--q 2,inf", id="code-syndromes"),
+    pytest.param({"CUBENOISE_MAX_K": "3"}, CODE_RM_1_3, "raise CUBENOISE_MAX_K", id="code-weights"),
+    pytest.param({}, ["code", "--rm", "1", "5", "--lambda", "0.5", "--samples", "200"], "--mode mc", id="code-rm-1-5"),
+    pytest.param({"CUBENOISE_MAX_N": "5"}, ["matroid", "--graph", "K4"], "raise CUBENOISE_MAX_N", id="matroid-table"),
+    pytest.param(
+        {"CUBENOISE_MAX_N": "5"}, ["matroid", "--graph", "K4", "--mode", "mc", "--samples", "200"],
+        "raise CUBENOISE_MAX_N", id="matroid-mc-table",
+    ),
+]
+
+
+@pytest.mark.parametrize("caps, argv, route", REFUSALS)
+def test_verify_cap_names_the_route(capsys, monkeypatch, k4_file, caps, argv, route):
+    # each refusal names its route, and the route gets past that cap: the
+    # run exits 0 or is refused by another cap
+    for name in cube.CAPS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in caps.items():
+        monkeypatch.setenv(name, value)
+    argv = [k4_file if a == "K4" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and " capped at " in err
+    assert route in err
+    if route.startswith("raise "):
+        monkeypatch.delenv(route.removeprefix("raise "))
+    else:
+        argv += route.split()
+    code, out, then = run(capsys, *argv)
+    assert code == 0 or (code == 2 and then.split(" capped at ")[0] != err.split(" capped at ")[0]), then
+
+
 @pytest.mark.parametrize(
-    "target, route",
+    "name, value, argv",
     [
-        ("main", "--mode mc"),
-        ("entropy", "--mode mc"),
-        ("hypercontractive", "--mode mc"),
-        ("derivative", "CUBENOISE_MAX_VERIFY_N"),
+        ("CUBENOISE_MAX_N", "abc", verify_argv("main", 3)),
+        ("CUBENOISE_MAX_VERIFY_N", "", verify_argv("main", 3)),
+        ("CUBENOISE_MAX_K", "2.5", ["code", "--rm", "1", "3"]),
     ],
 )
-def test_verify_cap_names_the_route(capsys, monkeypatch, target, route):
-    monkeypatch.delenv("CUBENOISE_MAX_VERIFY_N", raising=False)
-    code, out, err = run(capsys, "verify", "--target", target, "--n", "14", "--fuzz", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: exact subset averaging capped at n=13") and route in err
+def test_malformed_cap_variable_names_itself(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv(name, value)
+    assert run(capsys, *argv) == (2, "", f"error: {name} must be an integer, got {value!r}\n")
+
+
+def test_retired_enumeration_cap_is_not_read(capsys, monkeypatch):
+    # CUBENOISE_MAX_N bounds the deficiency table; the old variable is ignored
+    monkeypatch.setenv("CUBENOISE_MAX_ENUM_N", "2")
+    code, out, err = run(capsys, "code", "--rm", "1", "3")
+    assert code == 0 and err == "" and "# section: deficiency" in out
 
 
 @pytest.mark.parametrize("target", [t for t in cli.TARGETS if t != "twopoint"])

@@ -18,13 +18,13 @@ from cubenoise.cube import (
     character,
     compact_conditional_expectations,
     conditional_expectation,
-    dimension_cap,
     dirichlet_forms,
     expand_to_cube,
     full_mask,
     log_lq_norms,
     noise_blocks,
     popcounts,
+    size_cap,
     subset_lattice,
     wht_forward,
 )
@@ -171,16 +171,16 @@ def test_zeta_integers_equal_level_loop_and_wrap(dtype, n):
 
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
-        CubeFunction(dimension_cap() + 1, [0.0])
+        CubeFunction(size_cap("CUBENOISE_MAX_N") + 1, [0.0])
 
 
 def test_dimension_cap_env_override(monkeypatch):
     monkeypatch.setenv("CUBENOISE_MAX_N", "2")
-    assert dimension_cap() == 2
+    assert size_cap("CUBENOISE_MAX_N") == 2
     with pytest.raises(ValueError, match="cap"):
         CubeFunction(3, np.zeros(8))
     monkeypatch.delenv("CUBENOISE_MAX_N")
-    assert dimension_cap() == 24
+    assert size_cap("CUBENOISE_MAX_N") == 24
 
 
 def test_value_length_checked():

@@ -94,7 +94,7 @@ def test_subset_expectation_small_case():
 
 def test_subset_expectation_cap():
     with pytest.raises(ValueError, match="capped"):
-        subset_expectation_exact(23, 0.5, lambda t: 0.0)
+        subset_expectation_exact(25, 0.5, lambda t: 0.0)
 
 
 def test_subset_expectation_mc_zero_rate_zero_variance():

@@ -297,23 +297,23 @@ def test_exact_entropy_table_peak_memory_within_the_lattice_walk(n, bound_mib):
 
 
 def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
-    monkeypatch.delenv("CUBENOISE_MAX_ENUM_N", raising=False)
-    rows = np.random.default_rng(23).integers(0, 1 << 23, size=11)
-    matroid = BinaryMatroid(23, tuple(int(r) for r in rows))
+    monkeypatch.delenv("CUBENOISE_MAX_N", raising=False)
+    rows = np.random.default_rng(25).integers(0, 1 << 25, size=11)
+    matroid = BinaryMatroid(25, tuple(int(r) for r in rows))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="capped at n=22, got 23"):
+        with pytest.raises(ValueError, match="capped at n=24, got 25"):
             tutte_polynomial(matroid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # any 2^23-entry table takes 8 MiB or more
+    assert peak < 1 << 20  # any 2^25-entry table takes 32 MiB or more
 
 
 def test_deficiency_table_stops_at_32_coordinates_whatever_the_cap(monkeypatch):
     # d(T) <= n - k takes at most 32 bits, the widest count the histogram's
     # pair view doubles; a 2^33-mask table would take 32 GiB anyway
-    monkeypatch.setenv("CUBENOISE_MAX_ENUM_N", "40")
+    monkeypatch.setenv("CUBENOISE_MAX_N", "40")
     code = LinearCode(33, (1, 2))
     with pytest.raises(ValueError, match="capped at n=32, got 33"):
         deficiency_table(code)
