@@ -144,18 +144,14 @@ def _weight_section(code: codes.LinearCode) -> list[dict]:
     n = code.n
     rate = code.rate
     a = code.weights.counts
-    b: tuple[int, ...] | None
-    try:
-        b = code.dual_weights.counts
-    except ValueError:
-        b = None
+    b = code.dual_weights.counts
     rows = []
     for w in range(n + 1):
         k_star = min(w, n - w)
         row = {
             "k": w,
             "a_k": a[w],
-            "b_k": None if b is None else b[w],
+            "b_k": b[w],
             "bound_primal": None,
             "bound_dual": None,
             "bound_sberlo": None,

@@ -442,28 +442,26 @@ def subset_lattice(f: CubeFunction) -> Iterator[tuple[int, np.ndarray, np.ndarra
     others, so every value is the same.  All coordinates above h are in the
     parent, so h sits at the same compact position k - n + h in every parent
     of size k that loses it: one halving per (layer, h) builds all of those
-    children at once.  A layer's rows are ordered by the highest coordinate
-    each misses, ascending (the full set misses none), so the parents that can
-    lose h, the rows holding every coordinate from h up, are a prefix.
-    Only the current layer and the next are held.
+    children at once.  A layer lists its masks in descending order, so the
+    parents that lose h, the masks holding every coordinate from h up, are
+    its first C(h, k - n + h) rows; the children of h = n - k, n - k + 1, ...
+    follow one another in descending order too.  Only the current layer and
+    the next are held.
     """
     n = f.n
     masks = np.array([full_mask(n)], dtype=np.int64)
     tables = f.values.reshape(1, -1)
-    # prefix[h]: how many leading rows hold every coordinate from h up
-    prefix = np.ones(n, dtype=np.int64)
     for k in range(n, 0, -1):
         yield k, masks, tables
-        child_masks = np.empty(int(prefix.sum()), dtype=np.int64)
+        child_masks = np.empty(math.comb(n, k - 1), dtype=np.int64)
         child = np.empty((child_masks.shape[0], 1 << (k - 1)))
         start = 0
         for h in range(n - k, n):
-            end = start + int(prefix[h])
-            _halve(tables[: end - start], k - n + h, child[start:end])
-            child_masks[start:end] = masks[: end - start] ^ (1 << h)
-            start = end
+            rows = math.comb(h, k - n + h)
+            _halve(tables[:rows], k - n + h, child[start : start + rows])
+            np.bitwise_xor(masks[:rows], 1 << h, out=child_masks[start : start + rows])
+            start += rows
         masks, tables = child_masks, child
-        prefix = np.concatenate(([0], np.cumsum(prefix[:-1])))
     yield 0, masks, tables
 
 
@@ -475,12 +473,12 @@ def _check_mask(n: int, mask: SubsetMask) -> None:
 def _clean_values(v: np.ndarray) -> np.ndarray:
     """The tables along the last axis of v, with transform roundoff like -1e-17
     set to the exact zero it stands for; a table whose negative values are not
-    roundoff is rejected."""
-    mn = v.min(axis=-1)
-    if not (mn < 0.0).any():
+    roundoff is rejected.  One sign test of the whole of v comes first, and
+    only when it finds a negative entry are each table's min and scale taken."""
+    if not (v < 0.0).any():
         return v
     scale = np.maximum(1.0, np.abs(v).max(axis=-1))
-    if (mn < -1e-12 * scale).any():
+    if (v.min(axis=-1) < -1e-12 * scale).any():
         raise ValueError("function has significantly negative values")
     return np.maximum(v, 0.0)
 

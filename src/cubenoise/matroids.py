@@ -77,9 +77,9 @@ class TuttePolynomial:
 
 @cache
 def _expansion(m: int) -> np.ndarray:
-    """P[i, a] = C(i, a) (-1)^(i - a) for i, a <= m, as Python ints: row i
-    holds the coefficients of (x - 1)^i.  Built once per m, read-only."""
-    out = np.array([[comb(i, a) * (-1) ** (i - a) for a in range(m + 1)] for i in range(m + 1)], dtype=object)
+    """P[i, a] = C(i, a) (-1)^(i - a) for i, a <= m, in int64: row i holds
+    the coefficients of (x - 1)^i.  Built once per m, read-only."""
+    out = np.array([[comb(i, a) * (-1) ** (i - a) for a in range(m + 1)] for i in range(m + 1)], dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -93,15 +93,17 @@ def tutte_polynomial(m: BinaryMatroid) -> TuttePolynomial:
 
     With C[i, j] the number of subsets of corank i and nullity j, the sum
     of C[i, j] (x - 1)^i (y - 1)^j has the coefficients P_k^T C P_(n-k)
-    (:func:`_expansion`), multiplied out in Python ints.  The monomials are
+    (:func:`_expansion`), multiplied out in int64.  That is exact: int64
+    arithmetic is exact modulo 2^64, and every coefficient lies in [0, 2^n]
+    with n <= 32, where the deficiency table stops.  The monomials are
     listed by the power of y, then of x."""
     k, n = m.k, m.n
     hist = m.row_space_code.histogram
     corank, nullity = np.ogrid[: k + 1, : n - k + 1]
     size = k - corank + nullity
-    cells = np.where(size <= n, hist[np.minimum(size, n), nullity], 0).astype(object)
+    cells = np.where(size <= n, hist[np.minimum(size, n), nullity], 0)
     expanded = _expansion(k).T @ cells @ _expansion(n - k)
-    coeffs = {(a, b): int(c) for (b, a), c in np.ndenumerate(expanded.T) if c}
+    coeffs = {(a, b): c for b, row in enumerate(expanded.T.tolist()) for a, c in enumerate(row) if c}
     poly = TuttePolynomial(coeffs)
 
     if any(c < 0 for c in coeffs.values()):

@@ -457,6 +457,23 @@ def test_subset_lattice_rows_are_conditional_expectations(case):
     assert sorted(seen) == list(range(1 << n))
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_subset_lattice_parents_of_h_are_a_closed_form_prefix(n):
+    # the walk takes the parents that lose h as the first C(h, k - n + h)
+    # rows of layer k without looking at the masks: every size-k mask is
+    # listed in descending order, and exactly those rows hold every
+    # coordinate from h up
+    f = CubeFunction(n, np.zeros(1 << n))
+    for k, masks, _ in subset_lattice(f):
+        want = sorted((m for m in range(1 << n) if m.bit_count() == k), reverse=True)
+        assert masks.tolist() == want
+        for h in range(n - k, n + 1):
+            high = full_mask(n) & ~((1 << h) - 1)
+            holds = (masks & high) == high
+            rows = math.comb(h, k - n + h)
+            assert holds[:rows].all() and not holds[rows:].any(), (k, h)
+
+
 def loop_compact_cond_exp(values, n, t_mask):
     """Reference: E(f|T)'s compact table from its own chain of ascending
     halvings, one per coordinate outside T, as each mask was built before the
@@ -747,6 +764,30 @@ def test_entropy_examples():
     assert entropy(f) >= 0.0
     with pytest.raises(ValueError):
         entropy(CubeFunction(1, [0.0, 0.0]))
+
+
+def test_log_lq_norms_rejects_significantly_negative_values():
+    tables = np.array([[1.0, 0.5, 0.25, 0.0], [1.0, -1e-6, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="significantly negative values"):
+        log_lq_norms(tables, (2.0,))
+
+
+def test_entropies_rejects_significantly_negative_values():
+    tables = np.array([[1.0, 0.5, 0.25, 0.0], [1.0, -1e-6, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="significantly negative values"):
+        cube.entropies(tables)
+
+
+def test_clean_values_zeroes_roundoff_in_one_row_and_keeps_the_others():
+    rng = np.random.default_rng(7)
+    tables = rng.random((50, 16))
+    tables[::7, 3] = 0.0
+    tables[23, 5] = -1e-17
+    got = cube._clean_values(tables)
+    want = tables.copy()
+    want[23, 5] = 0.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[23, 5] == 0.0 and not np.signbit(got[23, 5])
 
 
 def dirichlet_form(f, g):
