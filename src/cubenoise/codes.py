@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
-from .cube import _entropy_from_sums, _pairwise_order, _plogp, _require_dimension, check_size, size_cap
+from .cube import _entropy_from_sums, _pairwise_order, _plogp, _require_dimension, check_size, popcounts, size_cap
 from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, layer_expectations, noise_rate
 
 # ---------------------------------------------------------------------------
@@ -175,48 +175,27 @@ class LinearCode:
 
     @cached_property
     def histogram(self) -> np.ndarray:
-        """N[k, d] = #{T : |T| = k, |T| - rank T = d}, an (n+1) x (n-k+1)
-        int64 array, from one :func:`deficiency_table` (which is not kept).
+        """N[s, d] = #{T : |T| = s, |T| - rank T = d}, an (n+1) x (n-k+1)
+        int64 array, from :func:`_projected_histogram` of the side of larger
+        dimension, with no 2^n array.
 
-        N does not change when the coordinates are relabelled, so the table's
-        own order serves.  It is read in blocks of 2^15 masks through a view
-        of twice its item width, one element per pair T, T + 1 with T even:
-        d(T) in the low half, d(T + 1) in the high half.  A block's masks
-        share their high bits, so |T| is the popcount of those plus that of
-        the pair's index in the block, and |T + 1| = |T| + 1.  Each pair
-        gets one key, popcount(index) W^2 + d(T) W + d(T + 1) with
-        W = n - k + 1, and each block one bincount, added up over the blocks
-        of each high popcount; two sums over the (bits, W, W) shape of those
-        counts give the rows of the even and of the odd masks.  No 2^n key
-        is built."""
-        n, width = self.n, self.n - self.k + 1
-        table = deficiency_table(self)  # checks the cap before any 2^n array
-        bits = min(n, _REDUCE_BITS)
-        half = 8 * table.itemsize
-        pairs = table.view(f"<u{2 * table.itemsize}")
-        block = 1 << (bits - 1)
-        cells = bits * width * width
-        low = np.arange(block, dtype=pairs.dtype)
-        np.bitwise_count(low, out=low)
-        low *= width * width
-        keys = np.empty_like(low)
-        # bincount reads a signed view: numpy 2.0 refuses uint64 there (no
-        # safe cast to intp), and every key is below bits W^2
-        signed_keys = keys.view(keys.dtype.str.replace("u", "i"))
-        sums = np.zeros((n - bits + 1, cells), dtype=np.int64)
-        for high, first in enumerate(range(0, pairs.size, block)):
-            # (d0 + d1 2^half)(W 2^half + 1) = d0 + (d0 W + d1) 2^half modulo
-            # 2^(2 half), and d0 W + d1 < 2^half as d <= n - k <= half
-            np.multiply(pairs[first : first + block], (width << half) + 1, out=keys)
-            keys >>= half
-            keys += low
-            sums[high.bit_count()] += np.bincount(signed_keys, minlength=cells)
-        sums = sums.reshape(-1, bits, width, width)
-        even, odd = sums.sum(axis=3), sums.sum(axis=2)
-        hist = np.zeros((n + 1, width), dtype=np.int64)
-        for size in range(len(sums)):
-            hist[size : size + bits] += even[size]
-            hist[size + 1 : size + bits + 1] += odd[size]
+        That side D is the code itself when k >= n - k and its dual
+        otherwise, so only the 2^min(k, n-k) codewords of the other side are
+        listed.  The dual's histogram gives the code's by matroid duality:
+        with T' the complement of T, rank T = k - |T'| + rank_dual T', so
+        d(T) = |T| - k + d_dual(T') and N[s, d] = N_dual[n - s, d + k - s]."""
+        n, k = self.n, self.k
+        _check_table_size(n)
+        if 2 * k >= n:
+            hist = _projected_histogram(self, self.dual)
+        else:
+            # row s of the dual's (n+1) x (k+1) histogram, reversed, is laid
+            # out from flat position s (n + 2), so that position s (n + 1) + t
+            # holds N_dual[n - s, t - s]: N[s, d] at t = d + k, and zero
+            # where t - s is not in 0..k
+            flat = np.zeros((n + 1) * (n + 2), dtype=np.int64)
+            flat.reshape(n + 1, n + 2)[:, : k + 1] = _projected_histogram(self.dual, self)[::-1]
+            hist = flat[: (n + 1) ** 2].reshape(n + 1, n + 1)[:, k:]
         hist.setflags(write=False)
         return hist
 
@@ -239,9 +218,10 @@ def rank_of_columns(code: LinearCode, t_mask: SubsetMask) -> int:
 def _span(rows: Iterable[int], dtype=np.uint64) -> np.ndarray:
     """XOR of every subset a of the rows, at index a (bit j <-> row j), as
     `dtype` (uint64 by default)."""
-    words = np.zeros(1, dtype=dtype)
-    for row in rows:
-        words = np.concatenate([words, words ^ words.dtype.type(row)])
+    rows = list(rows)
+    words = np.zeros(1 << len(rows), dtype=dtype)
+    for i, row in enumerate(rows):
+        np.bitwise_xor(words[: 1 << i], words.dtype.type(row), out=words[1 << i : 2 << i])
     return words
 
 
@@ -332,21 +312,73 @@ def scaled_indicator(code: LinearCode) -> CubeFunction:
 # subset rank-deficiency machinery
 # ---------------------------------------------------------------------------
 
-# little-endian, so that LinearCode.histogram's view of twice the width holds
-# d(T) in its low half on any host
+# the counts of 2^d: little-endian, so that their bytes are counted in place
 _COUNT_DTYPES = tuple(np.dtype(f"<u{size}") for size in (1, 2, 4))
-# LinearCode.histogram reduces the deficiency table in blocks of 2^_REDUCE_BITS
-# masks (2^14 pairs), so each block's keys and bincount stay in cache
-_REDUCE_BITS = 15
+# LinearCode.histogram projects onto this many low coordinates: 2^(2^4)
+# bit sets of F_2^4, one lookup entry each (see _subspace_classes)
+_PROJECTED_BITS = 4
+
+
+def _check_table_size(n: int) -> None:
+    """Refuse a subset count over 2^n masks past CUBENOISE_MAX_N, or past
+    n = 32 (d <= n - k takes at most 32 bits, the widest count)."""
+    route = "use --mode mc for a code report, or raise CUBENOISE_MAX_N for a matroid report"
+    check_size("CUBENOISE_MAX_N", "deficiency table", "n", n, route)
+    if n > 32:
+        raise ValueError(f"deficiency table capped at n=32, got {n}")
+
+
+def _count_dtype(bits: int) -> np.dtype:
+    """The narrowest count dtype of at least `bits` bits: counts of 2^d with
+    d <= bits, taken modulo 2^width, keep 2^d - 1 exact (2^width wraps to 0,
+    and 0 - 1 is 2^width - 1)."""
+    return next(t for t in _COUNT_DTYPES if bits <= 8 * t.itemsize)
+
+
+def _log2_counts(counts: np.ndarray) -> np.ndarray:
+    """d from counts of 2^d (modulo 2^width, see :func:`_count_dtype`), in
+    place: 2^d - 1 has exactly d one bits, and they are counted a byte at a
+    time.  numpy's np.bitwise_count has no fast 16-bit loop (numpy 2.4 on a
+    2-core Xeon: 0.49 ms on 2^19 values as uint16, 0.16 ms as uint32, 0.03
+    ms as uint8), and one multiply by 0x01...01 and one shift add a word's
+    byte counts into its top byte and bring them down, so no second array is
+    made."""
+    counts -= 1
+    octets = counts.view(np.uint8)
+    np.bitwise_count(octets, out=octets)
+    # the byte counts are at most 32, so no carry; uint8 counts already hold
+    # d, and the identity multiply and shift on them (times 1, >> 0) took 6%
+    # of an n = 16 histogram
+    if counts.itemsize > 1:
+        counts *= np.iinfo(counts.dtype).max // 255
+        counts >>= 8 * counts.itemsize - 8
+    return counts
+
+
+def _pivot_columns(code: LinearCode, count: int) -> list[int]:
+    """The first `count` pivot columns of the generator's reduced row
+    echelon form: in ascending order, the columns independent of the columns
+    before them.  Pivot columns are independent, so no nonzero dual codeword
+    lies within them."""
+    pivots: dict[int, int] = {}  # top bit -> reduced column
+    found: list[int] = []
+    for col in range(code.n):
+        if len(found) == count:
+            break
+        column = sum((row >> col & 1) << i for i, row in enumerate(code.generator))
+        while column and column.bit_length() - 1 in pivots:
+            column ^= pivots[column.bit_length() - 1]
+        if column:
+            pivots[column.bit_length() - 1] = column
+            found.append(col)
+    return found
 
 
 def _table_order(code: LinearCode) -> tuple[int, ...]:
     """The coordinate at each bit of :func:`deficiency_table`'s masks: the
-    first min(7, k) pivot columns of the generator's reduced row echelon
-    form on bits 0 up, then every other coordinate in ascending order.
-    Pivot columns are independent, so no nonzero dual codeword lies within
-    the low bits."""
-    low = gf2_rref(code.generator, code.n)[0][:_ZETA_LOW_BITS]
+    first min(7, k) pivot columns (:func:`_pivot_columns`) on bits 0 up,
+    then every other coordinate in ascending order."""
+    low = _pivot_columns(code, _ZETA_LOW_BITS)
     return (*low, *(i for i in range(code.n) if i not in low))
 
 
@@ -366,7 +398,9 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     """|T| - rank(T) for every mask T of the relabelled coordinates, in the
     little-endian unsigned dtype its counts took (below): bit j of a mask is
     coordinate :func:`_table_order` (code)[j].  Relabelling leaves the
-    histogram of (|T|, d) unchanged.
+    histogram of (|T|, d) unchanged.  This is the per-mask oracle of the
+    tests: no report builds it, as :attr:`LinearCode.histogram` counts the
+    same (size, deficiency) pairs with no 2^n array.
 
     The deficiency equals the log2-count of dual codewords contained in T,
     so a subset-zeta transform of the dual indicator yields the whole table
@@ -378,47 +412,150 @@ def deficiency_table(code: LinearCode) -> np.ndarray:
     would run on transposed blocks) is one gather of rows: row h of the
     table, as 2^b columns, is row w & (2^b - 1) of :func:`_containment`, or
     zeros where there is no w.  :func:`_zeta` runs the levels from b up in
-    place.  2^d - 1 has exactly d one bits, and they are counted in place a
-    byte at a time: numpy's np.bitwise_count has no fast 16-bit loop (numpy
-    2.4 on a 2-core Xeon: 0.49 ms on 2^19 values as uint16, 0.16 ms as
-    uint32, 0.03 ms as uint8), and one multiply by 0x01...01 and one shift
-    add a word's byte counts into its top byte and bring them down, so no
-    second 2^n array is made.  Reports reduce the table at once to the code's
-    :attr:`LinearCode.histogram` and do not keep it.  The cap on n is
-    CUBENOISE_MAX_N, checked here before any 2^n table is built.
+    place, and :func:`_log2_counts` turns each count into d in place.  The
+    cap on n is CUBENOISE_MAX_N, checked here before any 2^n table is built.
     """
     n = code.n
-    route = "use --mode mc for a code report, or raise CUBENOISE_MAX_N for a matroid report"
-    check_size("CUBENOISE_MAX_N", "deficiency table", "n", n, route)
-    if n > 32:
-        raise ValueError(f"deficiency table capped at n=32, got {n}")
-    order = _table_order(code)
+    _check_table_size(n)
     b = min(code.k, _ZETA_LOW_BITS)
-    relabel = lambda h: sum((h >> c & 1) << j for j, c in enumerate(order))
-    words = codeword_masks(LinearCode(n, tuple(map(relabel, code.dual.generator))))
-    # the count at T is 2^d(T) with d(T) <= n - k; counting modulo 2^bits in
-    # the narrowest unsigned dtype with n - k <= bits keeps 2^d - 1 exact
-    # (2^bits wraps to 0, and 0 - 1 is 2^bits - 1)
-    dtype = next(t for t in _COUNT_DTYPES if n - code.k <= 8 * t.itemsize)
+    dtype = _count_dtype(n - code.k)
+    high, low = _listed_parts(code.dual, _table_order(code)[:b])
     # lows[h]: the low part of the dual codeword whose high part is h, or
     # 2^b (the zero row) where there is none
-    high = np.right_shift(words, b, out=np.empty(words.shape, np.intp), casting="unsafe")
-    words &= (1 << b) - 1
     lows = np.full(1 << (n - b), 1 << b, dtype=np.uint8)
-    lows[high] = words
-    del words, high
+    lows[high] = low
+    del high, low
     counts = _containment(b, dtype).take(lows, axis=0).reshape(-1)
     _zeta(counts, b)
-    counts -= 1
-    octets = counts.view(np.uint8)
-    np.bitwise_count(octets, out=octets)
-    # the byte counts are at most 32, so no carry; uint8 counts already hold
-    # d, and the identity multiply and shift on them (times 1, >> 0) took 6%
-    # of an n = 16 histogram
-    if counts.itemsize > 1:
-        counts *= np.iinfo(dtype).max // 255
-        counts >>= 8 * counts.itemsize - 8
-    return counts
+    return _log2_counts(counts)
+
+
+def _listed_parts(listed: LinearCode, low: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every codeword w of `listed` with coordinate low[j] at bit j, for j
+    below b = len(low), and the other coordinates above in ascending order
+    (the order of :func:`_table_order` when `low` begins it), split into its
+    high part w >> b, as np.intp, and its low part w & (2^b - 1), as uint8."""
+    b = len(low)
+
+    def relabel(h: int) -> int:
+        word = sum((h >> c & 1) << j for j, c in enumerate(low))
+        for c in sorted(low, reverse=True):
+            h = h & ((1 << c) - 1) | h >> (c + 1) << c
+        return word | h << b
+
+    words = codeword_masks(LinearCode(listed.n, tuple(map(relabel, listed.generator))))
+    high = np.right_shift(words, b, out=np.empty(words.shape, np.intp), casting="unsafe")
+    return high, (words & ((1 << b) - 1)).astype(np.uint8)
+
+
+@cache
+def _subspace_classes(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subspaces P of F_2^bits, each held as the bit set of its vectors
+    (bit v set for each vector v of P), grouped by their table G[l, j], the
+    number of coordinate sets L of size l with dim(P ∩ F_2^L) = j, where
+    F_2^L holds the vectors within L.  Returns (classes, tables): classes,
+    uint8 over all 2^(2^bits) bit sets, gives the class of each subspace and
+    len(tables) at every other bit set; tables[c], int64 (bits+1) x
+    (bits+1), is the G of class c.  Read-only, built on first use (64 KiB at
+    4 bits: 67 subspaces in 16 classes)."""
+    vectors = range(1 << bits)
+    spaces, grown = {1}, [1]  # {0} is the bit set 1
+    while grown:
+        space = grown.pop()
+        members = [v for v in vectors if space >> v & 1]
+        for v in vectors:
+            wider = space | sum(1 << (u ^ v) for u in members)
+            if wider not in spaces:
+                spaces.add(wider)
+                grown.append(wider)
+    within = [sum(1 << v for v in vectors if v & ~sets == 0) for sets in vectors]
+    found: dict[bytes, int] = {}
+    tables = []
+    classes = np.zeros(1 << (1 << bits), dtype=np.uint8)
+    for space in sorted(spaces):
+        table = np.zeros((bits + 1, bits + 1), dtype=np.int64)
+        for sets in vectors:
+            table[sets.bit_count(), (space & within[sets]).bit_count().bit_length() - 1] += 1
+        classes[space] = found.setdefault(table.tobytes(), len(tables))
+        if classes[space] == len(tables):
+            tables.append(table)
+    others = np.ones(classes.shape, dtype=bool)
+    others[sorted(spaces)] = False
+    classes[others] = len(tables)
+    tables = np.array(tables)
+    classes.setflags(write=False)
+    tables.setflags(write=False)
+    return classes, tables
+
+
+@cache
+def _class_shifts(bits: int, m: int) -> np.ndarray:
+    """Y[(c, e), (l, d)] = G_c[l, d - e] (0 where d - e is not in 0..bits)
+    for the class tables G_c of :func:`_subspace_classes` (bits), e and d
+    below m + 1, as a read-only float64 matrix: a cell (c, |H|, e) of
+    :func:`_projected_histogram` adds its row to N[|H| + l, d]."""
+    tables = _subspace_classes(bits)[1]
+    shifts = np.zeros((len(tables), m + 1, bits + 1, m + bits + 1))
+    for e in range(m + 1):
+        shifts[:, e, :, e : e + bits + 1] = tables
+    shifts = shifts[..., : m + 1].reshape((m + 1) * len(tables), -1)
+    shifts.setflags(write=False)
+    return shifts
+
+
+def _projected_histogram(side: LinearCode, listed: LinearCode) -> np.ndarray:
+    """The (size, deficiency) histogram of `side`, (n+1) x (n-k+1) int64,
+    from the codewords of its dual `listed`, with no 2^n array.
+
+    d(T) is the log2-count of the listed codewords within T.  Put b =
+    min(4, k) pivot columns of `side` (:func:`_pivot_columns`) at the low
+    bits and split each mask into a high part H and a low part L.  The
+    listed codewords with high part within H form a subspace W_H; its low
+    parts form a subspace P_H of F_2^b and its words with low part 0 number
+    2^e_H, so the words of W_H within L number 2^e_H |P_H ∩ F_2^L|, and
+    d(H ∪ L) = e_H + dim(P_H ∩ F_2^L).  Pivot columns are independent, so
+    no nonzero listed codeword lies within the low bits, and each high part
+    h holds at most one: P_H, as a bit set of F_2^b, is the union over h
+    within H of the bit of h's codeword's low part, one np.bitwise_or zeta
+    over the high bits (:func:`_zeta`), and 2^e_H is the number of h within
+    H whose codeword has low part 0, one add zeta in the narrowest count
+    dtype.  N depends on P_H only through its class
+    (:func:`_subspace_classes`), so one bincount over (class of P_H, |H|,
+    e_H) and one product with the class tables G[l, j] give
+    N[|H| + l, e_H + j].  The product runs in float64, exact as every
+    entry and sum is an integer below 2^53 (the counts sum to 2^(n-b), and
+    G is at most 6)."""
+    n, m = side.n, listed.k
+    b = min(side.k, _PROJECTED_BITS)
+    high, low = _listed_parts(listed, _pivot_columns(side, b))
+    sets = np.zeros(1 << (n - b), dtype=np.uint16)
+    sets[high] = np.left_shift(1, low, dtype=np.uint16)
+    counts = np.zeros(sets.shape, dtype=_count_dtype(m))
+    counts[high[low == 0]] = 1
+    del high, low
+    _zeta(sets, op=np.bitwise_or)
+    _log2_counts(_zeta(counts))
+    classes, tables = _subspace_classes(b)
+    sets = classes.take(sets)
+    # key (class (n - b + 1) + |H|) (m + 1) + e_H, |H| the popcount of the
+    # row plus that of the column of H in a (2^(n-b-c), 2^c) layout
+    stride = (n - b + 1) * (m + 1)
+    keys = np.multiply(sets, stride, dtype=np.intp)
+    del sets
+    keys += counts
+    del counts
+    c = (n - b) // 2
+    grid = keys.reshape(-1, 1 << c)
+    grid += popcounts(n - b - c)[:, None] * (m + 1)
+    grid += popcounts(c) * (m + 1)
+    # a bit set of no subspace is class len(tables), past the counted cells
+    cells = np.bincount(keys, minlength=len(tables) * stride).reshape(len(tables), n - b + 1, m + 1)
+    rows = cells.transpose(1, 0, 2).reshape(n - b + 1, -1) @ _class_shifts(b, m)
+    parts = rows.astype(np.int64).reshape(n - b + 1, b + 1, m + 1)
+    hist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    for l in range(b + 1):
+        hist[l : l + n - b + 1] += parts[:, l]
+    return hist
 
 
 def deficiency_expectation(

@@ -156,18 +156,20 @@ _ZETA_LOW_BITS = 7
 _ZETA_BLOCK = 1 << 16
 
 
-def _zeta(values: np.ndarray, start: int = 0) -> np.ndarray:
+def _zeta(values: np.ndarray, start: int = 0, op: np.ufunc = np.add) -> np.ndarray:
     """Subset sums over the bits from `start` up, in place, O(n 2^n):
     values[T] becomes the sum of the old values[R] over every mask R
     contained in T that agrees with T below bit `start`.  At start 0 that is
     every R contained in T; a caller that has summed the low bits itself
-    (:func:`cubenoise.codes.deficiency_table`) passes how many it has.
+    (:func:`cubenoise.codes.deficiency_table`) passes how many it has.  `op`
+    is the sum: np.add, or np.bitwise_or for the union of bit sets
+    (:attr:`cubenoise.codes.LinearCode.histogram` runs both).
 
-    Levels run in ascending bit order, one add per element and level, so
+    Levels run in ascending bit order, one `op` per element and level, so
     float sums are the same bit for bit however the levels are laid out, and
     integer sums wrap exactly as the dtype does.  Levels `start` to 6 work on
     blocks of 2^16 values, each copied transposed into one scratch buffer
-    (low 7 bits as rows), so that each level is one add over long contiguous
+    (low 7 bits as rows), so that each level is one `op` over long contiguous
     rows rather than over runs of 1, 2, 4, ... values; the rest run in place.
     """
     size = values.shape[0]
@@ -181,13 +183,13 @@ def _zeta(values: np.ndarray, start: int = 0) -> np.ndarray:
             h = (block // low) << start
             while h < block:
                 rows = scratch.reshape(-1, 2, h)
-                rows[:, 1, :] += rows[:, 0, :]
+                op(rows[:, 1, :], rows[:, 0, :], out=rows[:, 1, :])
                 h <<= 1
             np.copyto(chunk, scratch.T)
     h = max(low, 1 << start)
     while h < size:
         v = values.reshape(-1, 2, h)
-        v[:, 1, :] += v[:, 0, :]
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
         h <<= 1
     return values
 

@@ -126,6 +126,17 @@ def test_verify_derivative_of_a_constant_is_usage_error(capsys):
     assert err == "error: derivative comparison requires a nonconstant function\n"
 
 
+@pytest.mark.parametrize("target", ["main", "entropy", "logsobolev", "hypercontractive"])
+def test_verify_at_dimension_zero_leaves_out_the_kinds_that_need_a_coordinate(capsys, target):
+    # --fuzz 8 draws every corpus kind; at n = 0 the shifted character and
+    # the code indicator (kinds 6 and 7) are left out, and the other six
+    # functions are those of --fuzz 6
+    code, out, err = run(capsys, "verify", "--target", target, "--n", "0", "--fuzz", "8")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "verify", "--target", target, "--n", "0", "--fuzz", "6")
+    assert run(capsys, "verify", "--target", target, "--n", "1", "--fuzz", "8")[0] == 0
+
+
 def test_verify_mc_mode(capsys):
     # a mid-grid noise rate keeps the estimator well inside the CLT regime
     code, out, _ = run(

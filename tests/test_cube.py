@@ -124,13 +124,13 @@ def test_popcounts_fresh_per_call(n):
     assert popcounts(n).tolist() == [t.bit_count() for t in range(1 << n)]
 
 
-def level_loop_zeta(values, start=0):
+def level_loop_zeta(values, start=0, op=np.add):
     """Subset sums in place over the bits from `start` up, one level per bit
-    in ascending order, each level one strided add over the whole table."""
+    in ascending order, each level one strided `op` over the whole table."""
     size, h = values.shape[0], 1 << start
     while h < size:
         v = values.reshape(-1, 2, h)
-        v[:, 1, :] += v[:, 0, :]
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
         h <<= 1
     return values
 
@@ -154,6 +154,21 @@ def test_zeta_from_a_start_level_runs_only_the_levels_from_it(n):
         got = cube._zeta(values.copy(), start)
         want = level_loop_zeta(values.copy(), start)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 3, 7, 8, 16, 17])
+def test_zeta_with_bitwise_or_is_the_union_over_subsets(n):
+    # the bit sets of the deficiency histogram: one bit per value, as uint16
+    rng = np.random.default_rng(340 + n)
+    values = np.left_shift(1, rng.integers(0, 16, 1 << n, dtype=np.uint8), dtype=np.uint16)
+    values[rng.random(1 << n) < 0.7] = 0
+    got = cube._zeta(values.copy(), op=np.bitwise_or)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, level_loop_zeta(values.copy(), op=np.bitwise_or))
+    if n <= 8:
+        masks = np.arange(1 << n)
+        unions = [np.bitwise_or.reduce(values[masks & ~t == 0]) for t in range(1 << n)]
+        assert got.tolist() == unions
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])

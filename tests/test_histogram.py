@@ -36,6 +36,7 @@ from cubenoise.codes import (
     reed_muller,
     _cube_sums,
     _noisy_rows,
+    _subspace_classes,
     _table_order,
     deficiency_expectation,
     deficiency_table,
@@ -110,6 +111,15 @@ def brute_histogram(n, width, defs):
     return brute
 
 
+def table_histogram(code):
+    """N[k, d] from the per-mask deficiency_table oracle: one bincount of
+    (n - k + 1) |T| + d(T) over the relabelled masks (relabelling keeps |T|)."""
+    n, width = code.n, code.n - code.k + 1
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    cells = sizes * width + deficiency_table(code)
+    return np.bincount(cells, minlength=(n + 1) * width).reshape(n + 1, width)
+
+
 def close(a, b):
     return a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
@@ -156,6 +166,7 @@ def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
     assert table[full] == n - k
     defs = [s.bit_count() - rank_of_columns(code, s) for s in range(1 << n)]
     assert np.array_equal(code.histogram, brute_histogram(n, n - k + 1, defs))
+    assert np.array_equal(code.histogram, table_histogram(code))
 
 
 def check_table_and_histogram(code):
@@ -171,17 +182,18 @@ def check_table_and_histogram(code):
     assert table.dtype == count_dtype(code)
     assert np.array_equal(table[table_masks(code, np.arange(1 << n))], defs)
     assert np.array_equal(code.histogram, want)
+    assert np.array_equal(code.histogram, table_histogram(code))
     # the low min(7, k) bits of the table's masks are independent coordinates
     low = _table_order(code)[: min(code.k, 7)]
     assert rank_of_columns(code, sum(1 << c for c in low)) == len(low)
 
 
-# min(7, k) zeta levels come from the containment table (none at k = 0, all
-# seven from k = 7), and n - k = 8, 9, 16, 17 are the uint8/uint16/uint32
-# count edges.  The histogram reads the table in pairs of masks, 2^14 pairs
-# a block: (1, 1) is one pair with one deficiency, (2, 0) and (3, 1) a block
-# of two and four pairs, (13, 5) an odd n in one block, (15, 7) one full
-# block, (16, 7) two blocks, and (19, 2) uint32 counts over sixteen blocks
+# min(7, k) table zeta levels come from the containment table (none at
+# k = 0, all seven from k = 7), and n - k = 8, 9, 16, 17 are the
+# uint8/uint16/uint32 count edges of the table.  The histogram projects the
+# side of larger dimension onto min(4, its dimension) low coordinates:
+# (1, 1) and (2, 0) project every coordinate, (3, 1) and (19, 2) reflect the
+# dual's histogram, and (16, 8) is the first k = n - k past the small sizes
 @pytest.mark.parametrize("n,k", [
     (8, 0), (9, 0), (16, 0), (17, 0), (11, 3), (12, 3), (19, 3), (20, 3),
     (14, 6), (15, 6), (15, 7), (16, 7), (16, 8), (17, 8), (17, 9), (18, 9),
@@ -192,7 +204,7 @@ def test_relabelled_table_and_histogram_match_the_oracles(n, k):
 
 
 # numpy 2.0 casts bincount's input to intp only where that is safe, so
-# uint64 keys (the pairs of uint32 tables) would raise there
+# uint64 keys would raise there
 @pytest.mark.parametrize("n,k", [(10, 5), (12, 3), (17, 0)])
 def test_histogram_bincount_keys_cast_safely_to_intp(n, k, monkeypatch):
     code = code_of_dimension(n, k, 60 * n + k)
@@ -208,9 +220,8 @@ def test_histogram_bincount_keys_cast_safely_to_intp(n, k, monkeypatch):
 
 
 def test_histogram_of_a_20_10_code_peaks_below_2_5_mib():
-    # the uint16 counts (2 MiB) end up holding d themselves, and the pair
-    # reduction's block buffers are 2^14 elements: 2.38 MiB measured; a
-    # uint8 popcount of the counts took 1 MiB more
+    # 13 bytes for each of the 2^16 high masks: 0.82 MiB measured; the 2^20
+    # deficiency table it replaced peaked at 2.38 MiB
     rng = np.random.default_rng(20)
     code = LinearCode(20, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 20, 10)), 20)[1]))
     assert code.k == 10
@@ -250,6 +261,71 @@ def test_matroid_with_dependent_rows_and_zero_columns(n, rank):
     check_table_and_histogram(m.row_space_code)
     defs = deficiencies(m)
     assert np.array_equal(m.row_space_code.histogram, brute_histogram(n, n - m.k + 1, defs))
+
+
+# every dimension at every length up to 12: the code itself is projected
+# while k >= n - k (k = n - k among them at even n), its dual below
+@pytest.mark.parametrize("n", range(1, 13))
+def test_histogram_at_every_dimension_matches_the_oracles(n):
+    rng = np.random.default_rng(70 + n)
+    for k in range(n + 1):
+        code = random_code(n, k, rng)
+        defs = [t.bit_count() - rank_of_columns(code, t) for t in range(1 << n)]
+        assert np.array_equal(code.histogram, brute_histogram(n, n - k + 1, defs)), (n, k)
+        assert np.array_equal(code.histogram, table_histogram(code)), (n, k)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graph_histogram_with_loops_and_parallel_edges_matches_union_find(seed):
+    # d(S) = |S| + c(S) - |V| by union-find, on 4 to 14 edges
+    g = random_multigraph_with_loops(seed, vertices=3 + seed % 4, edges=4 + seed)
+    n = len(g.edges)
+    defs = [s.bit_count() + connected_components(g, s) - g.vertex_count for s in range(1 << n)]
+    code = g.matroid.row_space_code
+    assert np.array_equal(code.histogram, brute_histogram(n, n - code.k + 1, defs))
+    assert np.array_equal(code.histogram, table_histogram(code))
+
+
+def subspace_bit_sets(bits):
+    """Every subspace of F_2^bits as the bit set of its vectors, by closing
+    each subset of the vectors under addition."""
+    spaces = set()
+    for chosen in range(1 << (1 << bits)):
+        members = {v for v in range(1 << bits) if chosen >> v & 1}
+        if 0 in members and all(u ^ v in members for u in members for v in members):
+            spaces.add(chosen)
+    return spaces
+
+
+@pytest.mark.parametrize("bits,count", [(0, 1), (1, 2), (2, 5), (3, 16), (4, 67)])
+def test_subspace_classes_find_every_subspace_and_count_its_table(bits, count):
+    # 1, 2, 5, 16 and 67 subspaces of F_2^0 to F_2^4; each class table counts,
+    # over the 2^bits coordinate sets L, |L| against dim(P ∩ F_2^L)
+    classes, tables = _subspace_classes(bits)
+    spaces = subspace_bit_sets(bits) if bits < 4 else {s for s in range(1 << 16) if classes[s] < len(tables)}
+    assert len(spaces) == count
+    assert sorted(np.flatnonzero(classes < len(tables)).tolist()) == sorted(spaces)
+    for space in spaces:
+        direct = np.zeros((bits + 1, bits + 1), dtype=np.int64)
+        for sets in range(1 << bits):
+            inside = [v for v in range(1 << bits) if space >> v & 1 and v & ~sets == 0]
+            direct[sets.bit_count(), len(inside).bit_length() - 1] += 1
+        assert np.array_equal(tables[classes[space]], direct), bin(space)
+    assert len({t.tobytes() for t in tables}) == len(tables)
+
+
+def test_subspace_classes_at_four_bits_are_exactly_the_closed_bit_sets():
+    # a bit set holds a subspace when it holds 0 and the sum of any two of
+    # its vectors: checked on all 2^16 bit sets at once
+    sets = np.arange(1 << 16)
+    closed = (sets & 1) == 1
+    for u in range(16):
+        for v in range(u + 1, 16):
+            both = (sets >> u & 1) & (sets >> v & 1) == 1
+            closed &= ~both | (sets >> (u ^ v) & 1 == 1)
+    classes, tables = _subspace_classes(4)
+    assert np.array_equal(classes < len(tables), closed)
+    assert (len(tables), int(closed.sum())) == (16, 67)
 
 
 @SETTINGS

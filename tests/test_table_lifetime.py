@@ -44,35 +44,37 @@ def test_code_report_builds_one_syndrome_index_and_one_table(tmp_path, monkeypat
     path = str(tmp_path / "c.code")
     dump_bit_matrix(rows, n, path)
     # no span reaches the 2^n cube points, at q = 1 either: the one syndrome
-    # index is the layout's, over the 2^(n-k) syndromes
+    # index is the layout's, over the 2^(n-k) syndromes; the histogram is
+    # one projected count, and no report builds the 2^n deficiency table
     spans = count_calls(monkeypatch, codes, "_span")
-    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    tables = count_calls(monkeypatch, codes, "_projected_histogram")
+    oracles = count_calls(monkeypatch, codes, "deficiency_table")
     argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1,1.5,2,3,inf"]
     assert main(argv) == 0, capsys.readouterr().err
     assert [words.size for words in spans if words.size >= 1 << n] == []
     assert sum(words.dtype == np.intp and words.size == 1 << (n - k) for words in spans) == 1
-    assert len(tables) == 1
+    assert (len(tables), len(oracles)) == (1, 0)
 
 
 def test_code_report_past_seven_dimensions_builds_one_table_from_one_listing(
     tmp_path, monkeypatch, capsys
 ):
-    # k >= 7: the table's low seven levels all come from one listing of the
-    # dual codewords, and no span reaches the 2^n masks
+    # the histogram's projection comes from one listing of the 2^min(k, n-k)
+    # codewords of the smaller side, and no span reaches the 2^n masks
     n, k = 16, 8
     rng = np.random.default_rng(16)
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
     path = str(tmp_path / "c.code")
     dump_bit_matrix(rows, n, path)
     spans = count_calls(monkeypatch, codes, "_span")
-    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    tables = count_calls(monkeypatch, codes, "_projected_histogram")
     listed = count_calls(monkeypatch, codes, "codeword_masks")
     argv = ["code", "--file", path, "--lambda", "0.1,0.5", "--q", "1.5,2,3,inf"]
     assert main(argv) == 0, capsys.readouterr().err
     assert len(tables) == 1
     assert [words.size for words in spans if words.size >= 1 << n] == []
-    # one listing for the table, one for the weight of each dual codeword
-    assert [masks.shape for masks in listed] == [(1 << (n - k),)] * 2
+    # one listing for the histogram, one for the weight of each dual codeword
+    assert [masks.shape for masks in listed] == [(1 << min(k, n - k),), (1 << (n - k),)]
 
 
 def test_graph_report_of_rank_seven_builds_one_table_from_one_listing(
@@ -84,28 +86,43 @@ def test_graph_report_of_rank_seven_builds_one_table_from_one_listing(
     path = str(tmp_path / "g.graph")
     dump_graph(graph, path)
     spans = count_calls(monkeypatch, codes, "_span")
-    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    tables = count_calls(monkeypatch, codes, "_projected_histogram")
     listed = count_calls(monkeypatch, codes, "codeword_masks")
     assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
     assert len(tables) == 1
     assert [words.size for words in spans if words.size >= 1 << graph.matroid.n] == []
+    # 13 edges of rank 7: the dual, of dimension 6, is the side listed
     assert [masks.shape for masks in listed] == [(1 << (graph.matroid.n - 7),)]
 
 
-def test_histogram_of_a_22_11_code_peaks_below_16_mib():
-    # the uint16 counts (8 MiB), which end up holding d themselves: 8.4 MiB
-    # measured; a uint8 popcount of the counts took 4 MiB more, and a 2^22
-    # int64 key 32 MiB more
-    rng = np.random.default_rng(22)
-    code = LinearCode(22, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 22, 11)), 22)[1]))
-    assert code.k == 11
+def histogram_peak(code):
     tracemalloc.start()
     try:
         code.histogram
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+
+
+def test_histogram_of_a_22_11_code_peaks_below_4_mib():
+    # 2^18 high masks at 13 bytes each: their uint16 bit sets, uint8 counts,
+    # the np.intp indices of the class gather and its uint8 classes, 3.25 MiB
+    # measured; the 2^22-mask deficiency table it replaced peaked at 8.4 MiB
+    rng = np.random.default_rng(22)
+    code = LinearCode(22, tuple(gf2_rref((int(r) for r in rng.integers(0, 1 << 22, 11)), 22)[1]))
+    assert code.k == 11
+    assert histogram_peak(code) < 4 << 20
+
+
+def test_histogram_of_a_24_1_code_peaks_below_14_mib(monkeypatch):
+    # k < n - k: the histogram is the dual's, reflected, so the listing is
+    # the code's two codewords and the 2^20 high masks take 12.0 MiB
+    # measured; the deficiency table peaked at 136 MiB (a listing of 2^23
+    # dual codewords), and the projection of the dual side without the
+    # reflection at 288 MiB
+    monkeypatch.delenv("CUBENOISE_MAX_N", raising=False)
+    code = LinearCode(24, (int(np.random.default_rng(24).integers(1, 1 << 24)),))
+    assert histogram_peak(code) < 14 << 20
 
 
 def test_f_sweep_of_a_22_11_code_peaks_below_4_mib():
@@ -124,7 +141,8 @@ def test_f_sweep_of_a_22_11_code_peaks_below_4_mib():
 
 def test_code_report_enumerates_each_side_once(tmp_path, monkeypatch, capsys):
     # the weight counts of the code and of its dual, and the dual's weight
-    # per codeword, are each enumerated once and read from the code after
+    # per codeword, are each enumerated once and read from the code after;
+    # each side's codewords are listed once
     n, k = 12, 5
     rng = np.random.default_rng(5)
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
@@ -136,18 +154,19 @@ def test_code_report_enumerates_each_side_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     assert sorted(len(counts) - 1 for counts in weighed) == [n, n]
     assert sorted(sum(counts) for counts in weighed) == [1 << k, 1 << (n - k)]
-    # one listing of the dual's codewords for the deficiency table, one for
-    # the weight of each
-    assert [masks.shape for masks in listed] == [(1 << (n - k),)] * 2
+    # one listing of the code's codewords for the histogram (k < n - k, so
+    # it projects the dual), one of the dual's for the weight of each
+    assert sorted(masks.size for masks in listed) == [1 << k, 1 << (n - k)]
 
 
 def test_graph_report_builds_one_deficiency_table(tmp_path, monkeypatch, capsys):
     graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (1, 3)))
     path = str(tmp_path / "g.graph")
     dump_graph(graph, path)
-    tables = count_calls(monkeypatch, codes, "deficiency_table")
+    tables = count_calls(monkeypatch, codes, "_projected_histogram")
+    oracles = count_calls(monkeypatch, codes, "deficiency_table")
     assert main(["matroid", "--graph", path, "--p", "0.2,0.5,0.8"]) == 0, capsys.readouterr().err
-    assert len(tables) == 1
+    assert (len(tables), len(oracles)) == (1, 0)
 
 
 def test_graph_report_expands_one_tutte_polynomial(tmp_path, monkeypatch, capsys):
@@ -261,20 +280,13 @@ def test_tables_are_freed_with_their_object():
 
 
 def test_histogram_peak_memory_below_ten_bytes_a_mask():
-    # uint16 counts that end up holding d, 2 bytes a mask (3 with a uint8
-    # popcount of the counts); an int64 key per mask made it 9, and int32
-    # counts with an int64 table and key 16
+    # 13 bytes for each of the 2^(n-4) high masks, under one byte a mask; the
+    # 2^n deficiency table it replaced took 2 bytes a mask as uint16 counts,
+    # an int64 key per mask 9, and int32 counts with an int64 table and key 16
     n, k = 18, 9
     rng = np.random.default_rng(18)
     rows = [1 << j | int(r) << k for j, r in enumerate(rng.integers(0, 1 << (n - k), size=k))]
-    code = LinearCode(n, tuple(rows))
-    tracemalloc.start()
-    try:
-        code.histogram
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 << n
+    assert histogram_peak(LinearCode(n, tuple(rows))) < 10 << n
 
 
 # (n, bound in MiB): at n = 13 the lattice walk's two largest layers with the
@@ -311,9 +323,11 @@ def test_tutte_polynomial_past_the_enumeration_cap_builds_no_table(monkeypatch):
 
 
 def test_deficiency_table_stops_at_32_coordinates_whatever_the_cap(monkeypatch):
-    # d(T) <= n - k takes at most 32 bits, the widest count the histogram's
-    # pair view doubles; a 2^33-mask table would take 32 GiB anyway
+    # d(T) <= n - k takes at most 32 bits, the widest count; a 2^33-mask
+    # table would take 32 GiB anyway, and the histogram stops there too
     monkeypatch.setenv("CUBENOISE_MAX_N", "40")
     code = LinearCode(33, (1, 2))
     with pytest.raises(ValueError, match="capped at n=32, got 33"):
         deficiency_table(code)
+    with pytest.raises(ValueError, match="capped at n=32, got 33"):
+        code.histogram
