@@ -314,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 < args.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         if args.mode == "mc" and args.samples < 2:
             raise ValueError("mc mode needs at least two samples: a standard error needs two draws")
         sections, judged = command(args)

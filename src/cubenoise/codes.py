@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import _NORMS_BLOCK, _ZETA_LOW_BITS, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
+from .cube import _NORMS_BLOCK, CubeFunction, SubsetMask, _butterfly, _clean_values, _zeta
 from .cube import _entropy_from_sums, _pairwise_order, _plogp, _require_dimension, check_size, popcounts, size_cap
 from .inequalities import LN2, _mean_stderr, _pooled_draws, _require_mode, layer_expectations, noise_rate
 
@@ -355,6 +355,21 @@ def _log2_counts(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
+def deficiency_table(code: LinearCode) -> np.ndarray:
+    """|T| - rank(T) for every mask T, the tests' per-mask oracle: no report
+    builds it, as :attr:`LinearCode.histogram` counts the same (size,
+    deficiency) pairs with no 2^n array.  d(T) is the log2-count of the dual
+    codewords within T, so one :func:`_zeta` of the dual's indicator counts
+    them, in the narrowest unsigned dtype of at least n - k bits (uint8 up to
+    n - k = 8, uint16 up to 16, uint32 up to 32, so n stops at 32 whatever
+    the cap, checked before any 2^n table is built), and :func:`_log2_counts`
+    turns each count into d in place."""
+    _check_table_size(code.n)
+    counts = np.zeros(1 << code.n, dtype=_count_dtype(code.n - code.k))
+    counts[codeword_masks(code.dual)] = 1
+    return _log2_counts(_zeta(counts))
+
+
 def _pivot_columns(code: LinearCode, count: int) -> list[int]:
     """The first `count` pivot columns of the generator's reduced row
     echelon form: in ascending order, the columns independent of the columns
@@ -374,67 +389,11 @@ def _pivot_columns(code: LinearCode, count: int) -> list[int]:
     return found
 
 
-def _table_order(code: LinearCode) -> tuple[int, ...]:
-    """The coordinate at each bit of :func:`deficiency_table`'s masks: the
-    first min(7, k) pivot columns (:func:`_pivot_columns`) on bits 0 up,
-    then every other coordinate in ascending order."""
-    low = _pivot_columns(code, _ZETA_LOW_BITS)
-    return (*low, *(i for i in range(code.n) if i not in low))
-
-
-@cache
-def _containment(bits: int, dtype: np.dtype) -> np.ndarray:
-    """U[r, t] = [r is contained in t] for masks r, t < 2^bits, and one more
-    row r = 2^bits of zeros, as `dtype` (read-only, built on first use: 16 KiB
-    as uint8 at 7 bits)."""
-    masks = np.arange(1 << bits)
-    table = np.zeros(((1 << bits) + 1, 1 << bits), dtype=dtype)
-    table[:-1] = (masks[:, None] & ~masks) == 0
-    table.setflags(write=False)
-    return table
-
-
-def deficiency_table(code: LinearCode) -> np.ndarray:
-    """|T| - rank(T) for every mask T of the relabelled coordinates, in the
-    little-endian unsigned dtype its counts took (below): bit j of a mask is
-    coordinate :func:`_table_order` (code)[j].  Relabelling leaves the
-    histogram of (|T|, d) unchanged.  This is the per-mask oracle of the
-    tests: no report builds it, as :attr:`LinearCode.histogram` counts the
-    same (size, deficiency) pairs with no 2^n array.
-
-    The deficiency equals the log2-count of dual codewords contained in T,
-    so a subset-zeta transform of the dual indicator yields the whole table
-    in O(n 2^n) vector steps, counted in the narrowest unsigned dtype of at
-    least n - k bits (uint8 up to n - k = 8, uint16 up to 16, uint32 up to
-    32, so n stops at 32 whatever the cap).  The low b = min(7, k) bits hold
-    independent coordinates, so each high part h of a mask holds at most one
-    dual codeword w, and the zeta over the low bits (the levels :func:`_zeta`
-    would run on transposed blocks) is one gather of rows: row h of the
-    table, as 2^b columns, is row w & (2^b - 1) of :func:`_containment`, or
-    zeros where there is no w.  :func:`_zeta` runs the levels from b up in
-    place, and :func:`_log2_counts` turns each count into d in place.  The
-    cap on n is CUBENOISE_MAX_N, checked here before any 2^n table is built.
-    """
-    n = code.n
-    _check_table_size(n)
-    b = min(code.k, _ZETA_LOW_BITS)
-    dtype = _count_dtype(n - code.k)
-    high, low = _listed_parts(code.dual, _table_order(code)[:b])
-    # lows[h]: the low part of the dual codeword whose high part is h, or
-    # 2^b (the zero row) where there is none
-    lows = np.full(1 << (n - b), 1 << b, dtype=np.uint8)
-    lows[high] = low
-    del high, low
-    counts = _containment(b, dtype).take(lows, axis=0).reshape(-1)
-    _zeta(counts, b)
-    return _log2_counts(counts)
-
-
 def _listed_parts(listed: LinearCode, low: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Every codeword w of `listed` with coordinate low[j] at bit j, for j
-    below b = len(low), and the other coordinates above in ascending order
-    (the order of :func:`_table_order` when `low` begins it), split into its
-    high part w >> b, as np.intp, and its low part w & (2^b - 1), as uint8."""
+    below b = len(low), and the other coordinates above in ascending order,
+    split into its high part w >> b, as np.intp, and its low part
+    w & (2^b - 1), as uint8."""
     b = len(low)
 
     def relabel(h: int) -> int:
@@ -927,25 +886,38 @@ def reed_muller(r: int, m: int) -> LinearCode:
 # file format: line 1 "k n", then k rows of n characters from {0, 1}
 # ---------------------------------------------------------------------------
 
-def parse_bit_matrix(text: str, source: str = "<string>") -> tuple[list[int], int, int]:
+def _natural(field: str, token: str) -> int:
+    """`token` as the nonnegative integer `field`."""
+    if not token.isdecimal():
+        raise ValueError(f"{field} must be a nonnegative integer, got {token!r}")
+    return int(token)
+
+
+def _read_file(path: str, parse):
+    """parse(the text of the ASCII file at `path`), every refusal starting with the path."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def parse_bit_matrix(text: str) -> tuple[int, tuple[int, ...]]:
+    """(n, rows) of a 'k n' line and then k rows of n characters of 0/1."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{source}: empty matrix file")
+        raise ValueError("empty matrix file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{source}: first line must be 'k n'")
-    k, n = int(head[0]), int(head[1])
+        raise ValueError("first line must be 'k n'")
+    k, n = map(_natural, "kn", head)
     if len(lines) - 1 != k:
-        raise ValueError(f"{source}: expected {k} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+        raise ValueError(f"expected {k} rows, got {len(lines) - 1}")
+    for i, ln in enumerate(lines[1:], 1):
         if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ValueError(f"{source}: rows must be {n} characters of 0/1")
-        rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-    return rows, k, n
+            raise ValueError(f"row {i} must be {n} characters of 0/1")
+    return n, tuple(int(ln[::-1], 2) for ln in lines[1:])  # column j is bit j - 1
 
 
 def load_code(path: str) -> LinearCode:
-    with open(path, "r", encoding="ascii") as fh:
-        rows, _, n = parse_bit_matrix(fh.read(), source=path)
-    return LinearCode(n, tuple(rows))
+    return _read_file(path, lambda text: LinearCode(*parse_bit_matrix(text)))

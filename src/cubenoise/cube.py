@@ -156,37 +156,32 @@ _ZETA_LOW_BITS = 7
 _ZETA_BLOCK = 1 << 16
 
 
-def _zeta(values: np.ndarray, start: int = 0, op: np.ufunc = np.add) -> np.ndarray:
-    """Subset sums over the bits from `start` up, in place, O(n 2^n):
-    values[T] becomes the sum of the old values[R] over every mask R
-    contained in T that agrees with T below bit `start`.  At start 0 that is
-    every R contained in T; a caller that has summed the low bits itself
-    (:func:`cubenoise.codes.deficiency_table`) passes how many it has.  `op`
-    is the sum: np.add, or np.bitwise_or for the union of bit sets
-    (:attr:`cubenoise.codes.LinearCode.histogram` runs both).
-
-    Levels run in ascending bit order, one `op` per element and level, so
-    float sums are the same bit for bit however the levels are laid out, and
-    integer sums wrap exactly as the dtype does.  Levels `start` to 6 work on
-    blocks of 2^16 values, each copied transposed into one scratch buffer
-    (low 7 bits as rows), so that each level is one `op` over long contiguous
-    rows rather than over runs of 1, 2, 4, ... values; the rest run in place.
+def _zeta(values: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
+    """Subset sums in place, O(n 2^n): values[T] becomes the sum by `op`
+    (np.add, or np.bitwise_or for unions of bit sets) of the old values[R]
+    over every mask R contained in T.  Levels run in ascending bit order,
+    one `op` per element and level, so float sums are the same bit for bit
+    however the levels are laid out, and integer sums wrap exactly as the
+    dtype does.  Levels 0 to 6 work on blocks of 2^16 values, each copied
+    transposed into one scratch buffer (low 7 bits as rows), so that each
+    level is one `op` over long contiguous rows rather than over runs of 1,
+    2, 4, ... values; the rest run in place.
     """
     size = values.shape[0]
     low = min(size, 1 << _ZETA_LOW_BITS)
-    if 1 << start < low:
+    if low > 1:
         block = min(size, _ZETA_BLOCK)
         scratch = np.empty((low, block // low), dtype=values.dtype)
         for first in range(0, size, block):
             chunk = values[first : first + block].reshape(block // low, low)
             np.copyto(scratch, chunk.T)
-            h = (block // low) << start
+            h = block // low
             while h < block:
                 rows = scratch.reshape(-1, 2, h)
                 op(rows[:, 1, :], rows[:, 0, :], out=rows[:, 1, :])
                 h <<= 1
             np.copyto(chunk, scratch.T)
-    h = max(low, 1 << start)
+    h = low
     while h < size:
         v = values.reshape(-1, 2, h)
         op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
@@ -263,13 +258,21 @@ def noise_blocks(f: CubeFunction, eps_grid: Sequence[float]) -> Iterator[np.ndar
 
 # Reached by no command; kept for perfbench/, which traces it by name and reads (f, t_mask).
 def conditional_expectation(f: CubeFunction, t_mask: SubsetMask) -> CubeFunction:
-    """Average f over the coordinates outside T; constant on subcubes fixing T.
-
-    Equivalently: keep only the Fourier coefficients of subsets R contained in T.
-    The compact table of T from :func:`compact_conditional_expectations` is
-    copied back to the cube by :func:`expand_to_cube`.
-    """
-    return expand_to_cube(f.n, t_mask, next(compact_conditional_expectations(f, (t_mask,)))[1])
+    """Average f over the coordinates outside T, one at a time in ascending
+    order: both values of each pair of points that differ only there become
+    0.5 * (a + b), the halving that the compact walks make with the same
+    operands, so the values agree bit for bit.  Equivalently: keep only the
+    Fourier coefficients of subsets R contained in T."""
+    _check_mask(f.n, t_mask)
+    values = f.values.copy()
+    rest = full_mask(f.n) & ~t_mask
+    while rest:
+        pairs = values.reshape(-1, 2, rest & -rest)
+        np.add(pairs[:, 0, :], pairs[:, 1, :], out=pairs[:, 0, :])
+        pairs[:, 0, :] *= 0.5
+        pairs[:, 1, :] = pairs[:, 0, :]
+        rest &= rest - 1
+    return CubeFunction(f.n, values)
 
 
 def compact_conditional_expectations(
@@ -319,7 +322,7 @@ def compact_conditional_expectations(
 def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> np.ndarray:
     """Each row of `tables` averaged over the coordinate at compact bit
     `position`: 0.5 * (a + b) for each pair of entries that differ only there.
-    Both routes to E(f|T) halve here, so their values agree bit for bit."""
+    Both compact routes to E(f|T) halve here, so their values agree bit for bit."""
     w = tables.reshape(tables.shape[0], -1, 2, 1 << position)
     if out is None:
         out = np.empty((tables.shape[0], tables.shape[1] // 2))
@@ -327,29 +330,6 @@ def _halve(tables: np.ndarray, position: int, out: np.ndarray | None = None) -> 
     np.add(w[:, :, 0, :], w[:, :, 1, :], out=halves)
     halves *= 0.5
     return out
-
-
-def expand_to_cube(n: int, t_mask: SubsetMask, compact: np.ndarray) -> CubeFunction:
-    """The cube function of the coordinates in T whose compact table (as in
-    :func:`compact_conditional_expectations`) is `compact`.
-
-    The table is one broadcast copy, over one axis per run of coordinates in
-    or out of T, highest coordinates first: a run of m coordinates is an axis
-    of 2^m on the cube, and of 2^m or 1 in the compact table as the run is in
-    T or not."""
-    _check_mask(n, t_mask)
-    compact_axes, cube_axes = [], []
-    i, outside = 0, full_mask(n) & ~t_mask
-    while i < n:
-        kept = t_mask >> i & 1
-        bits = (t_mask if kept else outside) >> i
-        run = (bits ^ (bits + 1)).bit_length() - 1  # trailing ones of bits
-        compact_axes.append(1 << (run * kept))
-        cube_axes.append(1 << run)
-        i += run
-    out = np.empty(cube_axes[::-1])
-    out[...] = compact.reshape(compact_axes[::-1])
-    return CubeFunction(n, out)
 
 
 def _pairwise_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -381,15 +361,15 @@ _LANE_MOVES = _LANE_STEPS[[1, 2, 4, 8]] - _LANE_STEPS[[0, 1, 3, 7]]
 
 
 def _layout_sums(n: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """np.add.reduce of each compact table laid out on the cube (as by
-    :func:`expand_to_cube`), bit for bit, without the layout: out[i] for the
-    table of masks[i], where the first axis of `values` holds the compact
-    tables of `masks` one after another (any further axes are summed
-    alike).  Exact, an overflow to inf included, for tables with no entry
-    below -1, as the g and g log2 g tables of g >= 0 are, or with none
-    above 1; past 2^(1000 - n) a table with entries of both signs can
-    differ, as numpy may double a sum to inf where one ldexp of the
-    undoubled sum need not.
+    """np.add.reduce of each compact table laid out on the cube (each entry
+    at every point that agrees with it on T), bit for bit, without the
+    layout: out[i] for the table of masks[i], where the first axis of
+    `values` holds the compact tables of `masks` one after another (any
+    further axes are summed alike).  Exact, an overflow to inf included,
+    for tables with no entry below -1, as the g and g log2 g tables of
+    g >= 0 are, or with none above 1; past 2^(1000 - n) a table with
+    entries of both signs can differ, as numpy may double a sum to inf
+    where one ldexp of the undoubled sum need not.
 
     A lane of numpy's tree (:func:`_pairwise_order`) reads, step by step,
     the compact entries its cube points take: one gather per step for every

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codes import deficiency_expectation, gf2_rref
-from .codes import parse_bit_matrix, LinearCode
+from .codes import LinearCode, _natural, _read_file, parse_bit_matrix
 from .inequalities import GapReport, LN2, _exact_row_sums, _require_mode
 
 
@@ -323,27 +323,28 @@ def graph_sweep(g: Graph, gaps: Sequence[GapReport]) -> list[GapReport]:
 def load_matroid(path: str) -> BinaryMatroid:
     """Same layout as the code format: 'k n' then k rows of n bits; rows may
     be dependent here."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows, _, n = parse_bit_matrix(fh.read(), source=path)
-    return BinaryMatroid(n, tuple(rows))
+    return _read_file(path, lambda text: BinaryMatroid(*parse_bit_matrix(text)))
 
 
 def load_graph(path: str) -> Graph:
     """Line 1 'V E', then E lines 'u v' of 0-indexed endpoints."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    return _read_file(path, _parse_graph)
+
+
+def _parse_graph(text: str) -> Graph:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty graph file")
+        raise ValueError("empty graph file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{path}: first line must be 'V E'")
-    v_count, e_count = int(head[0]), int(head[1])
+        raise ValueError("first line must be 'V E'")
+    v_count, e_count = map(_natural, "VE", head)
     if len(lines) - 1 != e_count:
-        raise ValueError(f"{path}: expected {e_count} edges, got {len(lines) - 1}")
+        raise ValueError(f"expected {e_count} edges, got {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: edge lines must be 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"edge {i} must be 'u v'")
+        edges.append(tuple(_natural(f"edge {i} endpoint", part) for part in parts))
     return Graph(v_count, tuple(edges))

@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 
-from cubenoise.codes import _enumerator_value, _table_order, codeword_masks, gf2_rank, rank_of_columns
+from cubenoise.codes import LinearCode, _enumerator_value, codeword_masks, gf2_rank, rank_of_columns
 from cubenoise.cube import (
     CubeFunction,
+    _check_mask,
     check_size,
     entropies,
     full_mask,
@@ -81,6 +82,29 @@ def subset_expectation_exact(n, lam, h):
 def entropy(f):
     """Ent of one cube function: the one-row case of entropies."""
     return float(entropies(f.values[None])[0])
+
+
+def expand_to_cube(n, t_mask, compact):
+    """The cube function of the coordinates in T whose compact table (as in
+    cube.compact_conditional_expectations) is `compact`.
+
+    The table is one broadcast copy, over one axis per run of coordinates in
+    or out of T, highest coordinates first: a run of m coordinates is an axis
+    of 2^m on the cube, and of 2^m or 1 in the compact table as the run is in
+    T or not."""
+    _check_mask(n, t_mask)
+    compact_axes, cube_axes = [], []
+    i, outside = 0, full_mask(n) & ~t_mask
+    while i < n:
+        kept = t_mask >> i & 1
+        bits = (t_mask if kept else outside) >> i
+        run = (bits ^ (bits + 1)).bit_length() - 1  # trailing ones of bits
+        compact_axes.append(1 << (run * kept))
+        cube_axes.append(1 << run)
+        i += run
+    out = np.empty(cube_axes[::-1])
+    out[...] = compact.reshape(compact_axes[::-1])
+    return CubeFunction(n, out)
 
 
 def noise_operator(f, eps):
@@ -220,11 +244,15 @@ def cube_f_value(code, lam, q):
     return math.log2(moment) / (q - 1.0)
 
 
-def table_masks(code, masks):
-    """Masks of the code's own coordinates as masks of the relabelled
-    coordinates that codes.deficiency_table indexes by (a mask or an array)."""
-    masks = np.asarray(masks, dtype=np.int64)
-    return sum((masks >> c & 1) << j for j, c in enumerate(_table_order(code)))
+def code_of_dimension(n, k, seed):
+    """A seeded random [n, k] code: rows drawn until k are independent."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < k:
+        row = int(rng.integers(1, 1 << n))
+        if gf2_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    return LinearCode(n, tuple(rows))
 
 
 def plain_zeta_table(code):

@@ -768,6 +768,48 @@ def test_run_flags_checked_before_any_report(capsys, k4_file, command, flags, er
         assert code == 0 and out.startswith("# cubenoise-report v1")
 
 
+@pytest.mark.parametrize("command", sorted(RUN_ARGS))
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_negative_seed_is_usage_error(capsys, k4_file, command, mode):
+    argv = [k4_file if a == "K4" else a for a in f"{RUN_ARGS[command]} --mode {mode} --seed -1".split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --seed must be a nonnegative integer, got -1\n")
+
+
+# (flag, file content, what the refusal names after the file's path)
+MALFORMED_FILES = [
+    ("--file", "", "empty matrix file"),
+    ("--file", "a 3\n", "k must be a nonnegative integer, got 'a'"),
+    ("--file", "-1 3\n", "k must be a nonnegative integer, got '-1'"),
+    ("--file", "1 -3\n", "n must be a nonnegative integer, got '-3'"),
+    ("--file", "1 3 5\n101\n", "first line must be 'k n'"),
+    ("--file", "2 3\n101\n", "expected 2 rows, got 1"),
+    ("--file", "1 3\n1011\n", "row 1 must be 3 characters of 0/1"),
+    ("--file", "1 0\n", "expected 1 rows, got 0"),
+    ("--file", b"1 3\n1\xff1\n", "byte 0xff"),
+    ("--graph", "", "empty graph file"),
+    ("--graph", "x 1\n0 1\n", "V must be a nonnegative integer, got 'x'"),
+    ("--graph", "4 -1\n", "E must be a nonnegative integer, got '-1'"),
+    ("--graph", "4 1\n0 x\n", "edge 1 endpoint must be a nonnegative integer, got 'x'"),
+    ("--graph", "4 2\n0 1\n-1 2\n", "edge 2 endpoint must be a nonnegative integer, got '-1'"),
+    ("--graph", "4 1\n0 1 2\n", "edge 1 must be 'u v'"),
+    ("--graph", "4 1\n0 9\n", "edge (0, 9) out of range"),
+    ("--graph", "0 1\n0 0\n", "need at least one vertex"),
+    ("--graph", b"4 1\n0 \xff\n", "byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("flag, content, names", MALFORMED_FILES, ids=[c for _, c, _ in MALFORMED_FILES])
+def test_malformed_input_file_is_refused_with_its_path_and_the_bad_field(capsys, tmp_path, flag, content, names):
+    path = tmp_path / "input"
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    commands = [("code", "--file"), ("matroid", "--file")] if flag == "--file" else [("matroid", "--graph")]
+    for command, flag in commands:
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 2 and out == "", err
+        assert err.startswith(f"error: {path}: ") and names in err, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

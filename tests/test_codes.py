@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from references import dump_bit_matrix, gray_walk_weights, table_masks
+from references import code_of_dimension, dump_bit_matrix, gray_walk_weights
 
 from cubenoise import codes
 from cubenoise.cube import conditional_expectation, wht_forward
@@ -295,7 +296,7 @@ def test_cond_exp_norm_exponent():
     # q ln||E(f|T)||_q = (q-1)(|T| - rank T) ln 2 for the scaled indicator f
     assert deficiency_table(REP2).tolist() == [0, 0, 0, 1]
     for code in (REP2, random_code(8, 150)):
-        table = deficiency_table(code)[table_masks(code, np.arange(1 << code.n))]
+        table = deficiency_table(code)
         for q in (1.5, 2.0, 3.0):
             got = q * cond_exp_log_norms(scaled_indicator(code), q)
             np.testing.assert_allclose(got, (q - 1.0) * table * LN2, rtol=0, atol=1e-10)
@@ -310,7 +311,42 @@ def test_deficiency_table_matches_direct_ranks():
         code = random_code(8, 160 + seed)
         table = deficiency_table(code)
         for t in range(1 << code.n):
-            assert table[table_masks(code, t)] == t.bit_count() - rank_of_columns(code, t)
+            assert table[t] == t.bit_count() - rank_of_columns(code, t)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_deficiency_table_is_size_minus_rank_for_every_dimension(n):
+    # masks in natural coordinate order, counts in the narrowest unsigned
+    # dtype of at least n - k bits (uint8 up to n - k = 8, uint16 past it)
+    for k in range(n + 1):
+        code = code_of_dimension(n, k, 20 * n + k)
+        table = deficiency_table(code)
+        assert table.dtype == np.dtype(np.uint8 if n - k <= 8 else "<u2")
+        assert table.tolist() == [t.bit_count() - rank_of_columns(code, t) for t in range(1 << n)]
+
+
+def test_deficiency_table_takes_no_histogram_route(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("deficiency_table is one zeta of the dual indicator")
+
+    for name in ("_projected_histogram", "_listed_parts", "_pivot_columns"):
+        monkeypatch.setattr(codes, name, refused)
+    for code in (REP2, random_code(9, 161), code_of_dimension(10, 0, 3), code_of_dimension(10, 10, 4)):
+        table = deficiency_table(code)
+        assert table.tolist() == [t.bit_count() - rank_of_columns(code, t) for t in range(1 << code.n)]
+
+
+def test_deficiency_table_refuses_past_the_cap_before_allocating(monkeypatch):
+    monkeypatch.setenv("CUBENOISE_MAX_N", "20")
+    code = code_of_dimension(21, 3, 21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at n=20, got 21"):
+            deficiency_table(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the 2^21-mask table would take 2 MiB
 
 
 def test_rank_deficiency_examples():

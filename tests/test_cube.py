@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import dirichlet_form as edge_dirichlet_form
-from references import entropy, loop_butterfly, noise_operator
+from references import entropy, expand_to_cube, loop_butterfly, noise_operator
 
 from cubenoise import cube
 from cubenoise.cube import (
@@ -19,7 +19,6 @@ from cubenoise.cube import (
     compact_conditional_expectations,
     conditional_expectation,
     dirichlet_forms,
-    expand_to_cube,
     full_mask,
     log_lq_norms,
     noise_blocks,
@@ -124,10 +123,10 @@ def test_popcounts_fresh_per_call(n):
     assert popcounts(n).tolist() == [t.bit_count() for t in range(1 << n)]
 
 
-def level_loop_zeta(values, start=0, op=np.add):
-    """Subset sums in place over the bits from `start` up, one level per bit
-    in ascending order, each level one strided `op` over the whole table."""
-    size, h = values.shape[0], 1 << start
+def level_loop_zeta(values, op=np.add):
+    """Subset sums in place, one level per bit in ascending order, each level
+    one strided `op` over the whole table."""
+    size, h = values.shape[0], 1
     while h < size:
         v = values.reshape(-1, 2, h)
         op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
@@ -143,17 +142,6 @@ def test_zeta_float_bit_identical_to_level_loop(n):
     values = rng.standard_normal(1 << n) * np.exp2(rng.integers(-40, 40, 1 << n))
     got = cube._zeta(values.copy())
     assert got.view(np.uint64).tolist() == level_loop_zeta(values.copy()).view(np.uint64).tolist()
-
-
-@pytest.mark.parametrize("n", [0, 5, 7, 9, 17])
-def test_zeta_from_a_start_level_runs_only_the_levels_from_it(n):
-    # start 0 to 6 run some levels in the transposed blocks, 7 and up none
-    rng = np.random.default_rng(320 + n)
-    values = rng.standard_normal(1 << n) * np.exp2(rng.integers(-40, 40, 1 << n))
-    for start in range(n + 1):
-        got = cube._zeta(values.copy(), start)
-        want = level_loop_zeta(values.copy(), start)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("n", [0, 3, 7, 8, 16, 17])
@@ -537,6 +525,49 @@ def test_mask_validated():
     f = rand_fn(2, 0)
     with pytest.raises(ValueError):
         conditional_expectation(f, 4)
+
+
+def spread_fn(n, seed):
+    """Values of both signs spread over 2^-30 to 2^30, so that every sum's
+    rounding depends on its operands."""
+    rng = np.random.default_rng(seed)
+    return CubeFunction(n, rng.standard_normal(1 << n) * np.exp2(rng.integers(-30, 31, 1 << n)))
+
+
+def test_cond_exp_takes_no_compact_route(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("conditional_expectation works on the cube")
+
+    for name in ("compact_conditional_expectations", "subset_lattice", "_halve"):
+        monkeypatch.setattr(cube, name, refused)
+    f = spread_fn(5, 7)
+    for t_mask in range(1 << 5):
+        got = conditional_expectation(f, t_mask).values
+        assert np.array_equal(got.view(np.uint64), loop_cond_exp(f.values, 5, t_mask).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cond_exp_is_the_fourier_truncation_to_subsets_of_t(n):
+    # E(f|T) keeps the coefficient of every R contained in T and drops the
+    # rest; the two roundings differ by at most 1.9e-16 of max |f| up to n = 8
+    f = spread_fn(n, 90 + n)
+    coeffs, masks = wht_forward(f), np.arange(1 << n)
+    for t_mask in range(1 << n):
+        want = np.where(masks & ~t_mask == 0, coeffs, 0.0)
+        cube._butterfly(want)
+        got = conditional_expectation(f, t_mask).values
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(f.values).max(), t_mask
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_cond_exp_keeps_the_bits_of_the_compact_walk_laid_out_on_the_cube(n):
+    # the compact walk's table of each mask, copied to the cube, was
+    # conditional_expectation itself before it worked on the cube
+    f = spread_fn(n, 110 + n)
+    for t_mask, table in compact_conditional_expectations(f, range(1 << n)):
+        want = expand_to_cube(n, t_mask, table).values
+        got = conditional_expectation(f, t_mask).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t_mask
 
 
 def split_masks(n, rng):

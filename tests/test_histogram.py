@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import PETERSEN, random_multigraph_with_loops
 from references import (
+    code_of_dimension,
     connected_components,
     cube_f_value,
     deficiency_inequality_gap,
@@ -26,7 +27,6 @@ from references import (
     noise_operator,
     plain_zeta_histogram,
     plain_zeta_table,
-    table_masks,
     tail_bound_check,
     tutte_identity_check,
 )
@@ -37,7 +37,7 @@ from cubenoise.codes import (
     _cube_sums,
     _noisy_rows,
     _subspace_classes,
-    _table_order,
+    _pivot_columns,
     deficiency_expectation,
     deficiency_table,
     f_sweep,
@@ -113,7 +113,7 @@ def brute_histogram(n, width, defs):
 
 def table_histogram(code):
     """N[k, d] from the per-mask deficiency_table oracle: one bincount of
-    (n - k + 1) |T| + d(T) over the relabelled masks (relabelling keeps |T|)."""
+    (n - k + 1) |T| + d(T) over the masks."""
     n, width = code.n, code.n - code.k + 1
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
     cells = sizes * width + deficiency_table(code)
@@ -131,16 +131,6 @@ def test_histogram_counts_subsets(m):
     brute = brute_histogram(m.n, hist.shape[1], deficiencies(m))
     assert np.array_equal(hist, brute)
     assert np.array_equal(m.row_space_code.histogram, brute)
-
-
-def code_of_dimension(n, k, seed):
-    rng = np.random.default_rng(seed)
-    rows = []
-    while len(rows) < k:
-        row = int(rng.integers(1, 1 << n))
-        if gf2_rank(rows + [row]) > len(rows):
-            rows.append(row)
-    return LinearCode(n, tuple(rows))
 
 
 def count_dtype(code):
@@ -162,7 +152,7 @@ def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
     full = (1 << n) - 1
     masks = np.random.default_rng(n).integers(0, 1 << n, 2000)
     for t in (0, full, *map(int, masks)):
-        assert table[table_masks(code, t)] == t.bit_count() - rank_of_columns(code, t)
+        assert table[t] == t.bit_count() - rank_of_columns(code, t)
     assert table[full] == n - k
     defs = [s.bit_count() - rank_of_columns(code, s) for s in range(1 << n)]
     assert np.array_equal(code.histogram, brute_histogram(n, n - k + 1, defs))
@@ -170,8 +160,8 @@ def test_deficiency_table_and_histogram_at_count_width_edges(n, k):
 
 
 def check_table_and_histogram(code):
-    """The relabelled table and the histogram against brute-force ranks up
-    to n = 12, against the plain-zeta oracle past that."""
+    """The table and the histogram against brute-force ranks up to n = 12,
+    against the plain-zeta oracle past that."""
     n = code.n
     if n <= 12:
         defs = np.array([t.bit_count() - rank_of_columns(code, t) for t in range(1 << n)])
@@ -180,17 +170,12 @@ def check_table_and_histogram(code):
         defs, want = plain_zeta_table(code), plain_zeta_histogram(code)
     table = deficiency_table(code)
     assert table.dtype == count_dtype(code)
-    assert np.array_equal(table[table_masks(code, np.arange(1 << n))], defs)
+    assert np.array_equal(table, defs)
     assert np.array_equal(code.histogram, want)
     assert np.array_equal(code.histogram, table_histogram(code))
-    # the low min(7, k) bits of the table's masks are independent coordinates
-    low = _table_order(code)[: min(code.k, 7)]
-    assert rank_of_columns(code, sum(1 << c for c in low)) == len(low)
 
 
-# min(7, k) table zeta levels come from the containment table (none at
-# k = 0, all seven from k = 7), and n - k = 8, 9, 16, 17 are the
-# uint8/uint16/uint32 count edges of the table.  The histogram projects the
+# n - k = 8, 9, 16, 17 are the uint8/uint16/uint32 count edges of the table.  The histogram projects the
 # side of larger dimension onto min(4, its dimension) low coordinates:
 # (1, 1) and (2, 0) project every coordinate, (3, 1) and (19, 2) reflect the
 # dual's histogram, and (16, 8) is the first k = n - k past the small sizes
@@ -236,8 +221,8 @@ def test_histogram_of_a_20_10_code_peaks_below_2_5_mib():
 
 @pytest.mark.parametrize("n,k", [(12, 5), (16, 9)])
 def test_code_whose_first_seven_columns_are_dependent(n, k):
-    # columns 0-6 are zero or copies of column 7, so the independent low bits
-    # come from past them
+    # columns 0-6 are zero or copies of column 7, so the histogram's pivot
+    # columns come from past them
     rng = np.random.default_rng(n)
     rows = []
     while len(rows) < k:
@@ -247,7 +232,7 @@ def test_code_whose_first_seven_columns_are_dependent(n, k):
             rows.append(row)
     code = LinearCode(n, tuple(rows))
     assert rank_of_columns(code, 0b1111111) <= 1
-    assert sum(c < 7 for c in _table_order(code)[: min(k, 7)]) <= 1
+    assert sum(c < 7 for c in _pivot_columns(code, 4)) <= 1
     check_table_and_histogram(code)
 
 
